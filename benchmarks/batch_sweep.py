@@ -1,16 +1,15 @@
 """Batch-size sweep for the batched TCPU engine (EXPERIMENTS.md E18/E20).
 
-Runs the ``tpp_exec_batched`` steady-state workload at a range of batch
-sizes on a fixed total execution count, so the table answers: where does
+Runs a steady-state read-only probe workload at a range of batch sizes
+on a fixed total execution count, so the table answers: where does
 amortization saturate, and what does a half-empty drain window cost?
 The scalar (batch-of-one through ``TCPU.execute``) rate is measured in
 the same process as the 1.0x reference.
 
 With ``--write`` the sweep runs the write-bearing counter workload
-(``tpp_exec_batched_write``) instead: a certified accumulate program on
-the write-capable vector lane, whose per-batch epilogue (prefix scan +
-SRAM commit) is a fixed cost the batch size must amortize — the E20
-question.
+instead: a certified accumulate program on the write-capable vector
+lane, whose per-batch epilogue (prefix scan + SRAM commit) is a fixed
+cost the batch size must amortize — the E20 question.
 
 Usage::
 
@@ -23,13 +22,7 @@ from __future__ import annotations
 import argparse
 from typing import Any, Dict, List
 
-from perf_baseline import (
-    _BENCH_SOURCE,
-    _WRITE_BENCH_SOURCE,
-    _FakePort,
-    _bench_mmu,
-    _timed,
-)
+from bench_utils import FakePort, bench_mmu, timed
 
 from repro.asic.metadata import PacketMetadata
 from repro.core.assembler import assemble
@@ -41,13 +34,31 @@ from repro.core.verifier import verify_program
 
 SWEEP_SIZES = (1, 2, 4, 8, 16, 32, 64)
 
+#: The read-only probe every batch carries.
+BENCH_SOURCE = """
+    PUSH [Switch:SwitchID]
+    PUSH [Queue:QueueSize]
+"""
+
+#: The write-bearing counter: each packet adds its own delta to one
+#: shared SRAM word and writes the running total back into its own
+#: packet memory — an additive read-modify-write chain, which the batch
+#: planner classifies as *accumulate* and vectorizes via prefix scan.
+WRITE_BENCH_SOURCE = """
+    .mode absolute
+    .memory 1
+    .data 0 1
+    ADD [Packet:0], [Sram:Word7]
+    STORE [Sram:Word7], [Packet:0]
+"""
+
 
 def sweep_point(batch_size: int, total_executions: int,
                 write: bool = False) -> Dict[str, Any]:
     """Executions/sec at one batch size, vector lane engaged."""
-    mmu = _bench_mmu()
+    mmu = bench_mmu()
     tcpu = TCPU(mmu)
-    source = _WRITE_BENCH_SOURCE if write else _BENCH_SOURCE
+    source = WRITE_BENCH_SOURCE if write else BENCH_SOURCE
     program = assemble(source, hops=1)
     result = verify_program(program, memory_map=MemoryMap.standard())
     certificate = result.raise_on_error().certificate
@@ -57,7 +68,7 @@ def sweep_point(batch_size: int, total_executions: int,
     initial_memory = bytes(sections[0].memory)
     initial_hop_or_sp = sections[0].hop_or_sp
     ctx = ExecutionContext(metadata=PacketMetadata(),
-                           egress_port=_FakePort(), time_ns=1000)
+                           egress_port=FakePort(), time_ns=1000)
     ctxs = [ctx] * batch_size
     arena = BatchArena(sections) if HAVE_NUMPY else None
     initial_matrix = arena.matrix.copy() if arena is not None else None
@@ -77,7 +88,7 @@ def sweep_point(batch_size: int, total_executions: int,
             tcpu.execute_batch(sections, ctxs, arena=arena)
 
     drive()  # warm-up (compiles + plans the program)
-    _, elapsed = _timed(drive)
+    _, elapsed = timed(drive)
     return {
         "batch_size": batch_size,
         "n_executions": n_batches * batch_size,
@@ -90,9 +101,9 @@ def sweep_point(batch_size: int, total_executions: int,
 
 def scalar_point(total_executions: int, write: bool = False) -> float:
     """The scalar control: fresh section + context per execution."""
-    mmu = _bench_mmu()
+    mmu = bench_mmu()
     tcpu = TCPU(mmu)
-    source = _WRITE_BENCH_SOURCE if write else _BENCH_SOURCE
+    source = WRITE_BENCH_SOURCE if write else BENCH_SOURCE
     program = assemble(source, hops=1)
     n = max(1, total_executions // 8)
 
@@ -100,11 +111,11 @@ def scalar_point(total_executions: int, write: bool = False) -> float:
         for _ in range(n):
             tpp = program.build()
             ctx = ExecutionContext(metadata=PacketMetadata(),
-                                   egress_port=_FakePort(), time_ns=1000)
+                                   egress_port=FakePort(), time_ns=1000)
             tcpu.execute(tpp, ctx)
 
     drive()  # warm-up
-    _, elapsed = _timed(drive)
+    _, elapsed = timed(drive)
     return n / elapsed
 
 

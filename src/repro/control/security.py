@@ -98,8 +98,8 @@ class VerifierPolicy:
 
     With ``trust_on_admit`` (default), an admitted program's certificate
     is pushed to the switch's TCPU (:meth:`repro.core.tcpu.TCPU.trust`),
-    so edge admission feeds the verified fast path for every downstream
-    execution of the same program on that switch.
+    so edge admission makes every downstream execution of the same
+    program on that switch race-checked and batch-eligible.
 
     Beyond the single-program verdict, the policy keeps a fleet-level
     race table (:class:`~repro.core.racecheck.FleetRaceTable`) over every

@@ -19,8 +19,8 @@ Layout (mirrors Section 3 of the paper):
   bounded LRU keyed by the program's instruction bytes.
 - :mod:`repro.core.verifier` — eBPF-style static verification: an
   abstract interpreter that proves stack discipline, memory bounds, and
-  address-map safety before injection, and certifies programs for the
-  check-elided fast path.
+  address-map safety before injection, and certifies programs for
+  admission, fleet race analysis and the batch engine's vector lane.
 """
 
 from repro.core.isa import Instruction, Opcode

@@ -58,17 +58,15 @@ shared :class:`~repro.core.fastpath.CompiledEntry` — full scalar
 semantics (CEXEC bookkeeping, cross-word writes, per-packet faults)
 with the cache lookup still amortized.  Every demotion is counted by
 reason in :attr:`repro.core.tcpu.TCPU.batch_demotions`.  With
-compilation disabled (``REPRO_TPP_FASTPATH=0``) or batching disabled
-(``REPRO_TPP_BATCH=0``) every batch degenerates to a loop over
+compilation disabled (``TCPU(compile=False)``) or batching disabled
+(``TCPU(batch=False)``) every batch degenerates to a loop over
 :meth:`repro.core.tcpu.TCPU.execute`, which is also the reference the
-differential tests compare against; ``REPRO_TPP_NUMPY=0`` keeps
-batching on but disables the vectorized lane (and the numpy SRAM
-store), exercising the pure-python paths numpy-free hosts take.
+differential tests compare against.  numpy is optional (the package
+declares no dependencies): without it every batch takes the safe lane.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.core.exceptions import FaultCode, TCPUFault
@@ -78,14 +76,9 @@ from repro.core.mmu import ExecutionContext
 from repro.core.tcpu import TCPU, ExecutionReport, pipeline_cycles
 from repro.core.tpp import AddressingMode, FLAG_DONE, TPPSection
 
-try:  # pragma: no cover - exercised via HAVE_NUMPY in both states
+try:  # pragma: no cover - CI runs the batch suites in both states
     import numpy as _np
-except ImportError:  # pragma: no cover - numpy present in CI
-    _np = None  # type: ignore[assignment]
-
-if _np is not None and os.environ.get("REPRO_TPP_NUMPY", "1") == "0":
-    # Simulate a numpy-free host (CI's numpy-absent job): every batch
-    # takes the pure-python safe lane; results are identical.
+except ImportError:  # pragma: no cover
     _np = None  # type: ignore[assignment]
 
 #: Whether the vectorized lane is available at all.  When numpy is
@@ -174,8 +167,8 @@ def execute_batch(tcpu: TCPU, sections: Sequence[TPPSection],
     if n == 0:
         return []
     if not tcpu.batch_enabled or not tcpu.compile_enabled:
-        # Packet-at-a-time opt-outs: REPRO_TPP_BATCH=0 (batching off)
-        # and REPRO_TPP_FASTPATH=0 (no compiled entries to share).
+        # Packet-at-a-time opt-outs: batching off, or no compiled
+        # entries to share.
         return [tcpu.execute(section, ctx)
                 for section, ctx in zip(sections, ctxs)]
 
@@ -202,7 +195,7 @@ def execute_batch(tcpu: TCPU, sections: Sequence[TPPSection],
     demote: Optional[str] = None
     if not HAVE_NUMPY:
         demote = "no_numpy"
-    elif plan is None or entry.verified_steps is None:
+    elif plan is None:  # only certified entries carry a plan
         demote = "uncertified"
     elif plan.demote_reason == "cexec" or (
             entry.has_cexec and plan.cexec_disabled_at is None):
@@ -552,8 +545,7 @@ def _run_vectorized(tcpu: TCPU, entry: CompiledEntry, plan: BatchPlan,
             col += entry_vecs[w]
         for w, (final_value, wrote) in claim_state.items():
             # An unclaimed word is never written back: the scalar path
-            # only writes on a match (and a poke could truncate an
-            # oversized control-plane value on a numpy-backed store).
+            # only writes on a match.
             if wrote:
                 mmu.poke_sram(w, final_value)
         for w, vec in priv_last.items():

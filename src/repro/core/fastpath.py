@@ -29,19 +29,14 @@ codes in the same order, same packet-memory bytes, same
 test suite (``tests/core/test_fastpath_differential.py``) runs both paths
 side by side on every opcode and fault path to enforce this.
 
-The static verifier (:mod:`repro.core.verifier`) adds a third layer on
-top: :func:`compile_program` called with a
-:class:`~repro.core.verifier.VerifiedProgram` certificate emits *elided*
-closures with the per-instruction packet-memory bounds and stack
-over/underflow checks removed — the certificate proved them dead.  The
-TCPU stores both variants in a :class:`CompiledEntry` and re-checks the
-certificate's per-execution guard (memory length, per-hop stride,
-hop/SP-counter interval) before each execution, falling back to the
-checked closures whenever the guard fails, so behaviour stays
-bit-identical even for corrupted or replayed sections.  Switch-side
-protection (unmapped addresses, read-only statistics, SRAM domains) is
-never elided: those checks live inside the MMU accessors and depend on
-per-switch state the verifier cannot see.
+There is exactly one compiled form of a program: every closure keeps its
+packet-memory bounds and stack checks, whether or not the TCPU holds a
+verifier certificate (:class:`~repro.core.verifier.VerifiedProgram`) for
+it.  A certificate adds *facts*, not a second code path: its guard
+(memory length, per-hop stride, hop/SP-counter interval) and SRAM
+dataflow classes ride on the :class:`CompiledEntry` so
+:func:`build_batch_plan` and :mod:`repro.core.batch` can decide, per
+batch, whether the vector lane may run.
 """
 
 from __future__ import annotations
@@ -51,7 +46,13 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.exceptions import FaultCode, TCPUFault
-from repro.core.isa import HOP_RELATIVE_OPCODES, Instruction, Opcode
+from repro.core.isa import (
+    ALU_FUNCTIONS,
+    HOP_RELATIVE_OPCODES,
+    SWITCH_WRITING_OPCODES,
+    Instruction,
+    Opcode,
+)
 from repro.core.memory_map import is_link_scratch, is_sram
 from repro.core.mmu import MMU
 from repro.core.racecheck import DATAFLOW_ACCUMULATE, analyze_sram_dataflow
@@ -73,17 +74,6 @@ DEFAULT_PROGRAM_CACHE_CAPACITY = 128
 #: intermediate ``bytes`` object per instruction.
 _WORD_STRUCTS = {4: struct.Struct(">I"), 8: struct.Struct(">Q")}
 
-_ARITHMETIC = {
-    Opcode.ADD: lambda a, b: a + b,
-    Opcode.SUB: lambda a, b: a - b,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.OR: lambda a, b: a | b,
-    Opcode.XOR: lambda a, b: a ^ b,
-    Opcode.MIN: min,
-    Opcode.MAX: max,
-}
-
-
 def _bounds_message(byte_offset: int, memory_len: int) -> str:
     """The exact message ``TPPSection._check_bounds`` raises with."""
     return (f"word access at byte {byte_offset} outside packet memory "
@@ -93,31 +83,26 @@ def _bounds_message(byte_offset: int, memory_len: int) -> str:
 class CompiledEntry:
     """One cached compilation unit of a program on one switch.
 
-    Always carries the fully-checked closures; when the TCPU holds a
-    verifier certificate for the program it also carries the elided
-    closures plus the certificate's per-execution guard facts, inlined
-    here so the execute hot path touches one object.  ``verified_steps``
-    may only be used for an execution whose section matches
-    ``memory_len``/``perhop_len_bytes`` exactly and whose hop/SP counter
-    lies in ``[guard_lo, guard_hi]`` — the TCPU checks this per
-    execution and otherwise runs ``steps``.
+    ``steps`` are the program's closures.  When the TCPU holds a
+    verifier certificate for the program the entry also carries the
+    certificate's guard facts, inlined here so the batch engine touches
+    one object: a batch may only take the vector lane when every section
+    matches ``memory_len``/``perhop_len_bytes`` exactly and the shared
+    hop/SP counter lies in ``[guard_lo, guard_hi]``.
 
-    ``batch_plan`` (attached by the TCPU for certified programs) carries
-    the batch-shape facts :mod:`repro.core.batch` needs to decide per
-    batch whether the vectorized kernel may run; ``None`` means the
-    program was never analysed (no certificate) and batches of it always
-    take the safe packet-at-a-time lane.
+    ``batch_plan`` (attached by the TCPU for exactly the certified
+    programs) carries the batch-shape facts :mod:`repro.core.batch`
+    needs to decide per batch whether the vectorized kernel may run;
+    ``None`` means no certificate: the program was never analysed and
+    batches of it always take the safe packet-at-a-time lane.
     """
 
-    __slots__ = ("steps", "verified_steps", "guard_lo", "guard_hi",
-                 "memory_len", "perhop_len_bytes", "has_cexec",
-                 "batch_plan")
+    __slots__ = ("steps", "guard_lo", "guard_hi", "memory_len",
+                 "perhop_len_bytes", "has_cexec", "batch_plan")
 
     def __init__(self, steps: Tuple[Step, ...],
-                 verified_steps: Optional[Tuple[Step, ...]] = None,
                  certificate: Any = None) -> None:
         self.steps = steps
-        self.verified_steps = verified_steps
         self.batch_plan: Optional[BatchPlan] = None
         if certificate is not None:
             self.guard_lo: int = certificate.guard_lo
@@ -126,23 +111,11 @@ class CompiledEntry:
             self.perhop_len_bytes: int = certificate.perhop_len_bytes
             self.has_cexec: bool = certificate.has_cexec
         else:
-            # An empty guard interval: the verified path can never match.
+            # An empty guard interval: no section is ever inside it.
             self.guard_lo, self.guard_hi = 0, -1
             self.memory_len = -1
             self.perhop_len_bytes = -1
             self.has_cexec = True
-
-
-#: Opcodes the vectorized batch kernel understands.  Everything here is
-#: free of MMU writes and of control flow: reorderable across packets of
-#: a batch without any observable difference.
-_VECTOR_OPCODES = frozenset((
-    Opcode.NOP, Opcode.PUSH, Opcode.LOAD, Opcode.ADD, Opcode.SUB,
-    Opcode.AND, Opcode.OR, Opcode.XOR, Opcode.MIN, Opcode.MAX,
-))
-
-#: Opcodes that write switch state through the MMU.
-_MMU_WRITE_OPCODES = frozenset((Opcode.POP, Opcode.STORE, Opcode.CSTORE))
 
 
 class BatchPlan:
@@ -269,7 +242,7 @@ def build_batch_plan(instructions: List[Instruction],
     lowered = instructions
     if (dead_at is not None and dead_at < len(instructions)
             and instructions[dead_at].opcode == Opcode.CEXEC
-            and not any(i.opcode in _MMU_WRITE_OPCODES
+            and not any(i.opcode in SWITCH_WRITING_OPCODES
                         for i in instructions[:dead_at])):
         fence = instructions[dead_at]
         if not mmu.reader_is_batch_stable(fence.addr):
@@ -278,7 +251,7 @@ def build_batch_plan(instructions: List[Instruction],
             uses_task_id = True
         lowered = instructions[:dead_at]
         cexec_disabled_at = dead_at
-    writes_mmu = any(i.opcode in _MMU_WRITE_OPCODES for i in lowered)
+    writes_mmu = any(i.opcode in SWITCH_WRITING_OPCODES for i in lowered)
     roles: Tuple[Any, ...] = (None,) * len(lowered)
     acc_written: set = set()
     analysis = None
@@ -294,9 +267,10 @@ def build_batch_plan(instructions: List[Instruction],
     for j, instruction in enumerate(lowered):
         opcode = instruction.opcode
         role = roles[j]
-        if opcode not in _VECTOR_OPCODES and role is None:
-            # CEXEC, or a write whose dataflow class does not vectorize
-            # (mixed word, non-SRAM target, stale certificate).
+        if role is None and (opcode == Opcode.CEXEC
+                             or opcode in SWITCH_WRITING_OPCODES):
+            # Control flow, or a write whose dataflow class does not
+            # vectorize (mixed word, non-SRAM target, stale certificate).
             vector_ok = False
             if opcode == Opcode.CEXEC:
                 demote_reason = "cexec"
@@ -451,8 +425,8 @@ class ProgramCache:
             self.evictions += 1
 
     def discard(self, key: bytes) -> None:
-        """Drop one entry without counters (a certificate arrived for the
-        program, so it must recompile with the verified closures)."""
+        """Drop one entry without counters (a certificate arrived for or
+        left the program, so its entry must be rebuilt)."""
         self._entries.pop(key, None)
 
     def clear(self) -> None:
@@ -474,34 +448,21 @@ class ProgramCache:
 
 
 def compile_program(instructions: List[Instruction], mode: AddressingMode,
-                    word_size: int, mmu: MMU,
-                    certificate: Any = None) -> Tuple[Step, ...]:
+                    word_size: int, mmu: MMU) -> Tuple[Step, ...]:
     """Compile a program into per-opcode closures bound to one MMU.
 
     The result is valid until the MMU's address-space layout changes
     (:attr:`repro.core.mmu.MMU.layout_version`); the TCPU clears its
     program cache when it observes a version bump.
-
-    ``certificate`` (a :class:`repro.core.verifier.VerifiedProgram` for
-    exactly this program) elides the per-instruction packet-memory
-    bounds and stack over/underflow checks the certificate proved dead.
-    The caller owns the per-execution guard: elided closures are only
-    safe for sections matching the certificate's memory length and
-    per-hop stride whose hop/SP counter is inside
-    ``[guard_lo, guard_hi]``.  Switch-side protection faults are raised
-    by the MMU accessors either way.
     """
     hop_mode = mode == AddressingMode.HOP
-    verified = certificate is not None
     return tuple(
-        _compile_instruction(instruction, hop_mode, word_size, mmu,
-                             verified)
+        _compile_instruction(instruction, hop_mode, word_size, mmu)
         for instruction in instructions)
 
 
 def _compile_instruction(instruction: Instruction, hop_mode: bool,
-                         word: int, mmu: MMU,
-                         verified: bool = False) -> Step:
+                         word: int, mmu: MMU) -> Step:
     opcode = instruction.opcode
     addr = instruction.addr
     offset_bytes = instruction.offset * word
@@ -517,120 +478,77 @@ def _compile_instruction(instruction: Instruction, hop_mode: bool,
     if opcode == Opcode.PUSH:
         read = mmu.reader_for(addr)
 
-        if verified:
-            def step_push(tpp, ctx, report) -> bool:
-                value = read(ctx)
-                sp = tpp.hop_or_sp
-                pack_into(tpp.memory, sp, value & mask)
-                tpp.hop_or_sp = sp + word
-                tpp._wire_cache = None
-                return True
-        else:
-            def step_push(tpp, ctx, report) -> bool:
-                value = read(ctx)
-                sp = tpp.hop_or_sp
-                memory = tpp.memory
-                if sp + word > len(memory):
-                    raise TCPUFault(
-                        FaultCode.STACK_OVERFLOW,
-                        f"PUSH at SP={sp} past {len(memory)} bytes")
-                pack_into(memory, sp, value & mask)
-                tpp.hop_or_sp = sp + word
-                tpp._wire_cache = None
-                return True
+        def step_push(tpp, ctx, report) -> bool:
+            value = read(ctx)
+            sp = tpp.hop_or_sp
+            memory = tpp.memory
+            if sp + word > len(memory):
+                raise TCPUFault(
+                    FaultCode.STACK_OVERFLOW,
+                    f"PUSH at SP={sp} past {len(memory)} bytes")
+            pack_into(memory, sp, value & mask)
+            tpp.hop_or_sp = sp + word
+            tpp._wire_cache = None
+            return True
 
         return step_push
 
     if opcode == Opcode.POP:
         write = mmu.writer_for(addr)
 
-        if verified:
-            def step_pop(tpp, ctx, report) -> bool:
-                sp = tpp.hop_or_sp - word
-                tpp.hop_or_sp = sp
-                tpp._wire_cache = None
-                value = unpack_from(tpp.memory, sp)[0]
-                write(ctx, value)
-                report.switch_writes.append((addr, value))
-                return True
-        else:
-            def step_pop(tpp, ctx, report) -> bool:
-                sp = tpp.hop_or_sp
-                if sp < word:
-                    raise TCPUFault(FaultCode.STACK_UNDERFLOW,
-                                    f"POP with SP={sp}")
-                sp -= word
-                tpp.hop_or_sp = sp
-                tpp._wire_cache = None
-                memory = tpp.memory
-                if sp + word > len(memory):
-                    raise IndexError(_bounds_message(sp, len(memory)))
-                value = unpack_from(memory, sp)[0]
-                write(ctx, value)
-                report.switch_writes.append((addr, value))
-                return True
+        def step_pop(tpp, ctx, report) -> bool:
+            sp = tpp.hop_or_sp
+            if sp < word:
+                raise TCPUFault(FaultCode.STACK_UNDERFLOW,
+                                f"POP with SP={sp}")
+            sp -= word
+            tpp.hop_or_sp = sp
+            tpp._wire_cache = None
+            memory = tpp.memory
+            if sp + word > len(memory):
+                raise IndexError(_bounds_message(sp, len(memory)))
+            value = unpack_from(memory, sp)[0]
+            write(ctx, value)
+            report.switch_writes.append((addr, value))
+            return True
 
         return step_pop
 
     if opcode == Opcode.LOAD:
         read = mmu.reader_for(addr)
 
-        if verified:
-            def step_load(tpp, ctx, report) -> bool:
-                value = read(ctx)
-                if hop_relative:
-                    ea = (tpp.hop_or_sp * tpp.perhop_len_bytes
-                          + offset_bytes)
-                else:
-                    ea = offset_bytes
-                pack_into(tpp.memory, ea, value & mask)
-                tpp._wire_cache = None
-                return True
-        else:
-            def step_load(tpp, ctx, report) -> bool:
-                value = read(ctx)
-                if hop_relative:
-                    ea = (tpp.hop_or_sp * tpp.perhop_len_bytes
-                          + offset_bytes)
-                else:
-                    ea = offset_bytes
-                memory = tpp.memory
-                if ea + word > len(memory):
-                    raise IndexError(_bounds_message(ea, len(memory)))
-                pack_into(memory, ea, value & mask)
-                tpp._wire_cache = None
-                return True
+        def step_load(tpp, ctx, report) -> bool:
+            value = read(ctx)
+            if hop_relative:
+                ea = (tpp.hop_or_sp * tpp.perhop_len_bytes
+                      + offset_bytes)
+            else:
+                ea = offset_bytes
+            memory = tpp.memory
+            if ea + word > len(memory):
+                raise IndexError(_bounds_message(ea, len(memory)))
+            pack_into(memory, ea, value & mask)
+            tpp._wire_cache = None
+            return True
 
         return step_load
 
     if opcode == Opcode.STORE:
         write = mmu.writer_for(addr)
 
-        if verified:
-            def step_store(tpp, ctx, report) -> bool:
-                if hop_relative:
-                    ea = (tpp.hop_or_sp * tpp.perhop_len_bytes
-                          + offset_bytes)
-                else:
-                    ea = offset_bytes
-                value = unpack_from(tpp.memory, ea)[0]
-                write(ctx, value)
-                report.switch_writes.append((addr, value))
-                return True
-        else:
-            def step_store(tpp, ctx, report) -> bool:
-                if hop_relative:
-                    ea = (tpp.hop_or_sp * tpp.perhop_len_bytes
-                          + offset_bytes)
-                else:
-                    ea = offset_bytes
-                memory = tpp.memory
-                if ea + word > len(memory):
-                    raise IndexError(_bounds_message(ea, len(memory)))
-                value = unpack_from(memory, ea)[0]
-                write(ctx, value)
-                report.switch_writes.append((addr, value))
-                return True
+        def step_store(tpp, ctx, report) -> bool:
+            if hop_relative:
+                ea = (tpp.hop_or_sp * tpp.perhop_len_bytes
+                      + offset_bytes)
+            else:
+                ea = offset_bytes
+            memory = tpp.memory
+            if ea + word > len(memory):
+                raise IndexError(_bounds_message(ea, len(memory)))
+            value = unpack_from(memory, ea)[0]
+            write(ctx, value)
+            report.switch_writes.append((addr, value))
+            return True
 
         return step_store
 
@@ -642,35 +560,22 @@ def _compile_instruction(instruction: Instruction, hop_mode: bool,
         cond_offset = offset_bytes
         src_offset = cond_offset + word
 
-        if verified:
-            def step_cstore(tpp, ctx, report) -> bool:
-                memory = tpp.memory
-                cond = unpack_from(memory, cond_offset)[0]
-                src = unpack_from(memory, src_offset)[0]
-                old = read(ctx)
-                pack_into(memory, cond_offset, old & mask)
-                tpp._wire_cache = None
-                if old == cond:
-                    write(ctx, src)
-                    report.switch_writes.append((addr, src))
-                return True
-        else:
-            def step_cstore(tpp, ctx, report) -> bool:
-                memory = tpp.memory
-                n = len(memory)
-                if cond_offset + word > n:
-                    raise IndexError(_bounds_message(cond_offset, n))
-                cond = unpack_from(memory, cond_offset)[0]
-                if src_offset + word > n:
-                    raise IndexError(_bounds_message(src_offset, n))
-                src = unpack_from(memory, src_offset)[0]
-                old = read(ctx)
-                pack_into(memory, cond_offset, old & mask)
-                tpp._wire_cache = None
-                if old == cond:
-                    write(ctx, src)
-                    report.switch_writes.append((addr, src))
-                return True
+        def step_cstore(tpp, ctx, report) -> bool:
+            memory = tpp.memory
+            n = len(memory)
+            if cond_offset + word > n:
+                raise IndexError(_bounds_message(cond_offset, n))
+            cond = unpack_from(memory, cond_offset)[0]
+            if src_offset + word > n:
+                raise IndexError(_bounds_message(src_offset, n))
+            src = unpack_from(memory, src_offset)[0]
+            old = read(ctx)
+            pack_into(memory, cond_offset, old & mask)
+            tpp._wire_cache = None
+            if old == cond:
+                write(ctx, src)
+                report.switch_writes.append((addr, src))
+            return True
 
         return step_cstore
 
@@ -679,60 +584,38 @@ def _compile_instruction(instruction: Instruction, hop_mode: bool,
         mask_offset = offset_bytes
         value_offset = mask_offset + word
 
-        if verified:
-            def step_cexec(tpp, ctx, report) -> bool:
-                memory = tpp.memory
-                mask_value = unpack_from(memory, mask_offset)[0]
-                expected = unpack_from(memory, value_offset)[0]
-                register = read(ctx)
-                return (register & mask_value) == expected
-        else:
-            def step_cexec(tpp, ctx, report) -> bool:
-                memory = tpp.memory
-                n = len(memory)
-                if mask_offset + word > n:
-                    raise IndexError(_bounds_message(mask_offset, n))
-                mask_value = unpack_from(memory, mask_offset)[0]
-                if value_offset + word > n:
-                    raise IndexError(_bounds_message(value_offset, n))
-                expected = unpack_from(memory, value_offset)[0]
-                register = read(ctx)
-                return (register & mask_value) == expected
+        def step_cexec(tpp, ctx, report) -> bool:
+            memory = tpp.memory
+            n = len(memory)
+            if mask_offset + word > n:
+                raise IndexError(_bounds_message(mask_offset, n))
+            mask_value = unpack_from(memory, mask_offset)[0]
+            if value_offset + word > n:
+                raise IndexError(_bounds_message(value_offset, n))
+            expected = unpack_from(memory, value_offset)[0]
+            register = read(ctx)
+            return (register & mask_value) == expected
 
         return step_cexec
 
-    operation = _ARITHMETIC.get(opcode)
+    operation = ALU_FUNCTIONS.get(opcode)
     if operation is not None:
         read = mmu.reader_for(addr)
 
-        if verified:
-            def step_arithmetic(tpp, ctx, report) -> bool:
-                if hop_relative:
-                    ea = (tpp.hop_or_sp * tpp.perhop_len_bytes
-                          + offset_bytes)
-                else:
-                    ea = offset_bytes
-                memory = tpp.memory
-                current = unpack_from(memory, ea)[0]
-                operand = read(ctx)
-                pack_into(memory, ea, operation(current, operand) & mask)
-                tpp._wire_cache = None
-                return True
-        else:
-            def step_arithmetic(tpp, ctx, report) -> bool:
-                if hop_relative:
-                    ea = (tpp.hop_or_sp * tpp.perhop_len_bytes
-                          + offset_bytes)
-                else:
-                    ea = offset_bytes
-                memory = tpp.memory
-                if ea + word > len(memory):
-                    raise IndexError(_bounds_message(ea, len(memory)))
-                current = unpack_from(memory, ea)[0]
-                operand = read(ctx)
-                pack_into(memory, ea, operation(current, operand) & mask)
-                tpp._wire_cache = None
-                return True
+        def step_arithmetic(tpp, ctx, report) -> bool:
+            if hop_relative:
+                ea = (tpp.hop_or_sp * tpp.perhop_len_bytes
+                      + offset_bytes)
+            else:
+                ea = offset_bytes
+            memory = tpp.memory
+            if ea + word > len(memory):
+                raise IndexError(_bounds_message(ea, len(memory)))
+            current = unpack_from(memory, ea)[0]
+            operand = read(ctx)
+            pack_into(memory, ea, operation(current, operand) & mask)
+            tpp._wire_cache = None
+            return True
 
         return step_arithmetic
 

@@ -42,7 +42,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Iterable, List
+from typing import Callable, Dict, Iterable, List, Sequence
 
 from repro.core.exceptions import TPPEncodingError
 
@@ -69,17 +69,47 @@ class Opcode(enum.IntEnum):
     MAX = 0x16
 
 
+# --------------------------------------------------------------------- #
+# Opcode classes — the one statement of each opcode's operand behaviour.
+# The interpreter, the closure compiler and the static analyses all
+# import these; none keeps a private copy.
+# --------------------------------------------------------------------- #
+
+#: ALU semantics: ``packet[ea] = ALU_FUNCTIONS[op](packet[ea], switch[addr])``
+#: on raw operands, masked to the word width by the caller afterwards.
+ALU_FUNCTIONS: Dict[Opcode, Callable[[int, int], int]] = {
+    Opcode.ADD: lambda a, b: a + b,
+    Opcode.SUB: lambda a, b: a - b,
+    Opcode.AND: lambda a, b: a & b,
+    Opcode.OR: lambda a, b: a | b,
+    Opcode.XOR: lambda a, b: a ^ b,
+    Opcode.MIN: min,
+    Opcode.MAX: max,
+}
+
+#: The arithmetic opcodes (``ADD``..``MAX``).
+ALU_OPCODES = frozenset(ALU_FUNCTIONS)
+
 #: Opcodes that read a packet operand pair at (offset, offset+1 word).
 PAIR_OPERAND_OPCODES = frozenset({Opcode.CSTORE, Opcode.CEXEC})
 
 #: Opcodes whose packet operand is hop-relative in hop-addressed programs.
-HOP_RELATIVE_OPCODES = frozenset({
-    Opcode.LOAD, Opcode.STORE, Opcode.ADD, Opcode.SUB, Opcode.AND,
-    Opcode.OR, Opcode.XOR, Opcode.MIN, Opcode.MAX,
-})
+HOP_RELATIVE_OPCODES = ALU_OPCODES | {Opcode.LOAD, Opcode.STORE}
+
+#: Opcodes that read their switch virtual address.
+SWITCH_READING_OPCODES = ALU_OPCODES | {
+    Opcode.PUSH, Opcode.LOAD, Opcode.CSTORE, Opcode.CEXEC}
 
 #: Opcodes that write into switch memory (need write permission).
 SWITCH_WRITING_OPCODES = frozenset({Opcode.STORE, Opcode.POP, Opcode.CSTORE})
+
+#: Opcodes that write packet memory (CSTORE writes the old switch value
+#: back over its condition word).
+PACKET_WRITING_OPCODES = ALU_OPCODES | {
+    Opcode.PUSH, Opcode.LOAD, Opcode.CSTORE}
+
+#: Stack-pointer movement in words; every other opcode leaves SP alone.
+STACK_DELTA_WORDS = {Opcode.PUSH: 1, Opcode.POP: -1}
 
 
 @dataclass(frozen=True)
@@ -141,3 +171,19 @@ def decode_program(raw: bytes) -> List[Instruction]:
             f"of {INSTRUCTION_BYTES}")
     return [Instruction.decode(raw[i:i + INSTRUCTION_BYTES])
             for i in range(0, len(raw), INSTRUCTION_BYTES)]
+
+
+def stack_prefix(instructions: Sequence[Instruction],
+                 word_size: int) -> List[int]:
+    """Running SP delta in bytes *before* each instruction.
+
+    ``prefix[j]`` is the stack-pointer movement of instructions
+    ``[0, j)``; ``prefix[len(instructions)]`` is the whole program's.
+    CEXEC has delta zero, so ``prefix[k]`` is also the delta of the path
+    a disabling CEXEC at ``k`` truncates the program to.
+    """
+    prefix = [0]
+    for instruction in instructions:
+        prefix.append(prefix[-1] + word_size
+                      * STACK_DELTA_WORDS.get(instruction.opcode, 0))
+    return prefix

@@ -18,7 +18,6 @@ stamped on the packet.
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Any, Callable, Dict, List, Optional
 
@@ -82,34 +81,6 @@ class SRAMRegion:
         return self.start_word <= word < self.start_word + self.n_words
 
 
-class _NumpySRAMWords:
-    """Numpy-backed SRAM word store (opt-in, :meth:`MMU.use_numpy_sram`).
-
-    Item access matches the default list store bit-for-bit for every
-    value the TCPU can write (words are masked to their width, at most
-    64 bits, before they reach the store); direct control-plane pokes
-    are stored modulo 2**64, the array's word width.
-    """
-
-    __slots__ = ("_words",)
-
-    def __init__(self, np: Any, n_words: int,
-                 initial: Optional[List[int]] = None) -> None:
-        self._words = np.zeros(n_words, dtype=np.uint64)
-        if initial is not None:
-            for index, value in enumerate(initial):
-                self._words[index] = int(value) & 0xFFFF_FFFF_FFFF_FFFF
-
-    def __len__(self) -> int:
-        return len(self._words)
-
-    def __getitem__(self, word: int) -> int:
-        return int(self._words[word])
-
-    def __setitem__(self, word: int, value: int) -> None:
-        self._words[word] = int(value) & 0xFFFF_FFFF_FFFF_FFFF
-
-
 class MMU:
     """One switch's unified address space."""
 
@@ -125,10 +96,8 @@ class MMU:
         #: can move them, and the vectorized batch lane excludes write
         #: opcodes — so only bound statistics need explicit marking.
         self._batch_stable: set = set()
-        #: Word store for the global scratch SRAM: a plain list by
-        #: default, or (after :meth:`use_numpy_sram`) a numpy-backed
-        #: array wrapper with identical item semantics.
-        self._sram: Any = [0] * SRAM_WORDS
+        #: Word store for the global scratch SRAM.
+        self._sram: List[int] = [0] * SRAM_WORDS
         self._sram_regions: List[SRAMRegion] = []
         self._link_scratch: Dict[int, List[int]] = {}
         self.enforce_sram_protection = False
@@ -316,32 +285,6 @@ class MMU:
     # SRAM allocation (driven by the control-plane agent)
     # ------------------------------------------------------------------ #
 
-    def use_numpy_sram(self) -> bool:
-        """Swap the SRAM word store for a numpy-backed array.
-
-        The batch engine's word-array mode for scratch SRAM: contents
-        are preserved, item semantics are unchanged for everything a TPP
-        can write (see :class:`_NumpySRAMWords`).  Returns ``False`` —
-        and changes nothing — when numpy is not importable, so callers
-        can opt in unconditionally and keep the pure-python store as the
-        fallback.  Accessor closures captured the old store, so the
-        swap re-resolves them (a layout bump, like ``bind_reader``).
-        """
-        if isinstance(self._sram, _NumpySRAMWords):
-            return True
-        if os.environ.get("REPRO_TPP_NUMPY", "1") == "0":
-            # The numpy-absent CI lane: behave exactly as if the import
-            # below had failed, so the pure-python store is what the
-            # differential suite exercises.
-            return False
-        try:
-            import numpy
-        except ImportError:  # pragma: no cover - numpy present in CI
-            return False
-        self._sram = _NumpySRAMWords(numpy, SRAM_WORDS, self._sram)
-        self.invalidate_accessors()
-        return True
-
     def allocate_sram(self, start_word: int, n_words: int,
                       task_id: int) -> SRAMRegion:
         """Mark ``[start, start+n)`` as owned by ``task_id``."""
@@ -382,8 +325,7 @@ class MMU:
     def sram_image(self) -> bytes:
         """The full SRAM contents as canonical bytes.
 
-        One big-endian 64-bit word per SRAM slot, independent of the
-        backing store (plain list or numpy).  This is the determinism
+        One big-endian 64-bit word per SRAM slot.  This is the determinism
         fingerprint the sharded fleet driver hashes: two runs whose
         switches end with identical images performed identical SRAM
         write sequences, whatever the shard layout was.

@@ -98,10 +98,14 @@ from typing import (
 )
 
 from repro.core.isa import (
+    ALU_OPCODES,
     HOP_RELATIVE_OPCODES,
     Instruction,
     Opcode,
+    PACKET_WRITING_OPCODES,
+    SWITCH_READING_OPCODES,
     SWITCH_WRITING_OPCODES,
+    stack_prefix,
 )
 from repro.core.memory_map import MemoryMap, SRAM_BASE, is_sram
 from repro.core.relational import (
@@ -137,19 +141,6 @@ RACE_CODES: Dict[str, str] = {
     "TPP022": "error",
     "TPP023": "info",
 }
-
-#: Opcodes whose switch operand genuinely *reads* a value an end-host
-#: observes (directly or through arithmetic).  CSTORE also reads its
-#: destination, but that read is part of the claim protocol itself and
-#: is classified as a claim, not a read.
-_SRAM_READING_OPCODES = frozenset({
-    Opcode.PUSH, Opcode.LOAD, Opcode.CEXEC,
-    Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
-    Opcode.MIN, Opcode.MAX,
-})
-
-#: Opcodes that store into their switch operand unconditionally.
-_SRAM_PLAIN_WRITING_OPCODES = SWITCH_WRITING_OPCODES - {Opcode.CSTORE}
 
 
 def _index_map(
@@ -273,10 +264,12 @@ def collect_sram_accesses(
         word = instruction.addr - SRAM_BASE
         opcode = instruction.opcode
         if opcode == Opcode.CSTORE:
+            # CSTORE both reads and writes its destination, but that is
+            # the claim protocol itself: a claim, not a read or a write.
             claims.append((word, index))
-        elif opcode in _SRAM_PLAIN_WRITING_OPCODES:
+        elif opcode in SWITCH_WRITING_OPCODES:
             writes.append((word, index))
-        elif opcode in _SRAM_READING_OPCODES:
+        elif opcode in SWITCH_READING_OPCODES:
             reads.append((word, index))
     return tuple(reads), tuple(writes), tuple(claims)
 
@@ -301,22 +294,14 @@ def written_byte_intervals(instructions: Sequence[Instruction], *,
     """
     hop_mode = mode == AddressingMode.HOP
     word = word_size
-    n = len(instructions)
     horizon = max_hops if max_hops is not None else FENCE_SCAN_LIMIT
     top_hop = max(horizon - 1, 0)
-    prefix = [0] * (n + 1)
-    for j, instruction in enumerate(instructions):
-        delta = 0
-        if instruction.opcode == Opcode.PUSH:
-            delta = word
-        elif instruction.opcode == Opcode.POP:
-            delta = -word
-        prefix[j + 1] = prefix[j] + delta
-    deltas = {prefix[n]}
-    for k, instruction in enumerate(instructions):
-        if instruction.opcode == Opcode.CEXEC:
-            deltas.add(prefix[k])
-    dmax = max(deltas)
+    prefix = stack_prefix(instructions, word)
+    # Worst per-hop SP growth: the full program, or the prefix ending
+    # at any CEXEC that disabled the suffix.
+    dmax = max({prefix[-1]} | {
+        prefix[k] for k, i in enumerate(instructions)
+        if i.opcode == Opcode.CEXEC})
     pushes = [j for j, i in enumerate(instructions)
               if i.opcode == Opcode.PUSH]
     intervals: List[Tuple[int, int]] = []
@@ -324,19 +309,17 @@ def written_byte_intervals(instructions: Sequence[Instruction], *,
         growth = top_hop * max(dmax, 0)
         hi = max(growth + prefix[j] + word for j in pushes)
         intervals.append((0, min(hi, memory_len)))
-    for j, instruction in enumerate(instructions):
+    for instruction in instructions:
         opcode = instruction.opcode
+        if opcode == Opcode.PUSH or opcode not in PACKET_WRITING_OPCODES:
+            continue
+        # LOAD/arithmetic write their operand word; CSTORE writes the
+        # old switch value back over its (absolute) cond word.
         base = instruction.offset * word
-        if opcode == Opcode.LOAD or opcode in (
-                Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR,
-                Opcode.XOR, Opcode.MIN, Opcode.MAX):
-            if hop_mode and opcode in HOP_RELATIVE_OPCODES:
-                intervals.append((base,
-                                  top_hop * perhop_len_bytes + base + word))
-            else:
-                intervals.append((base, base + word))
-        elif opcode == Opcode.CSTORE:
-            # Writes the old switch value back over the cond word.
+        if hop_mode and opcode in HOP_RELATIVE_OPCODES:
+            intervals.append((base,
+                              top_hop * perhop_len_bytes + base + word))
+        else:
             intervals.append((base, base + word))
     return intervals
 
@@ -524,11 +507,6 @@ DATAFLOW_CLAIM = "claim"            #: CSTORE-only claim protocol word
 DATAFLOW_PRIVATE = "private"        #: written, never read back in-program
 DATAFLOW_MIXED = "mixed"            #: anything else: safe lane only
 
-_ARITH_OPCODES = frozenset({
-    Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
-    Opcode.MIN, Opcode.MAX,
-})
-
 
 @dataclass(frozen=True)
 class SRAMDataflow:
@@ -607,7 +585,7 @@ def analyze_sram_dataflow(instructions: Sequence[Instruction], *,
         elif opcode == Opcode.CSTORE:
             families.add("abs")
         elif opcode == Opcode.LOAD or opcode == Opcode.STORE \
-                or opcode in _ARITH_OPCODES:
+                or opcode in ALU_OPCODES:
             families.add("hop" if hop_mode
                          and opcode in HOP_RELATIVE_OPCODES else "abs")
     if len(families) > 1:
@@ -707,7 +685,7 @@ def analyze_sram_dataflow(instructions: Sequence[Instruction], *,
             # a concrete per-packet value either way.
             slots[cond] = None
             continue
-        if opcode in _ARITH_OPCODES:
+        if opcode in ALU_OPCODES:
             hop_rel = hop_mode and opcode in HOP_RELATIVE_OPCODES
             slot = ("hop", base) if hop_rel else ("abs", base)
             state = slots.get(slot)

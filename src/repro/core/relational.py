@@ -68,7 +68,12 @@ from typing import (
     Tuple,
 )
 
-from repro.core.isa import HOP_RELATIVE_OPCODES, Instruction, Opcode
+from repro.core.isa import (
+    ALU_FUNCTIONS,
+    HOP_RELATIVE_OPCODES,
+    Instruction,
+    Opcode,
+)
 from repro.core.memory_map import MemoryMap, SRAM_BASE, is_sram
 from repro.core.tpp import AddressingMode
 
@@ -89,11 +94,6 @@ MAX_ATOMS = 8
 #: widens to top (e.g. an additive counter reaches unboundedly many
 #: values).  Every widening is in the conservative direction.
 MAX_REACH = 64
-
-_ARITH = frozenset({
-    Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
-    Opcode.MIN, Opcode.MAX,
-})
 
 #: How a claim's fire condition relates to the word's entry value.
 FIRE_NEVER = "never"      #: provably never fires (in-program constants)
@@ -257,17 +257,7 @@ def _binop(opcode: Opcode, slot: Value, word_v: Value,
             else:
                 if not (s_const and w_const):
                     return None
-                x, y = sa[1], wa[1]
-                if opcode is Opcode.AND:
-                    out.add(("c", x & y))
-                elif opcode is Opcode.OR:
-                    out.add(("c", x | y))
-                elif opcode is Opcode.XOR:
-                    out.add(("c", x ^ y))
-                elif opcode is Opcode.MIN:
-                    out.add(("c", min(x, y) & mask))
-                else:
-                    out.add(("c", max(x, y) & mask))
+                out.add(("c", ALU_FUNCTIONS[opcode](sa[1], wa[1]) & mask))
             if len(out) > MAX_ATOMS:
                 return None
     return frozenset(out)
@@ -472,7 +462,7 @@ class _Walker:
                         continue  # fence always passes: not a branch
                 self.conditional = True
                 continue
-            if opcode in _ARITH:
+            if opcode in ALU_FUNCTIONS:
                 if ea is None:
                     self.mark_live(frozenset({("r", j)}) if sram
                                    else frozenset())

@@ -20,7 +20,6 @@ Two things live here:
 from __future__ import annotations
 
 import math
-import os
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -32,7 +31,12 @@ from repro.core.fastpath import (
     build_batch_plan,
     compile_program,
 )
-from repro.core.isa import HOP_RELATIVE_OPCODES, Instruction, Opcode
+from repro.core.isa import (
+    ALU_FUNCTIONS,
+    HOP_RELATIVE_OPCODES,
+    Instruction,
+    Opcode,
+)
 from repro.core.mmu import MMU, ExecutionContext
 from repro.core.racecheck import (
     FleetRaceTable,
@@ -50,25 +54,6 @@ DEFAULT_MAX_INSTRUCTIONS = 5
 #: certificates that introduce an error-severity race.
 RACE_MODES = ("off", "warn", "enforce")
 
-
-def _fastpath_default() -> bool:
-    """Compile-once fast path is on unless ``REPRO_TPP_FASTPATH=0``.
-
-    The environment switch exists so CI (and a debugging session) can run
-    the whole simulator through the reference interpreter without touching
-    any construction site.
-    """
-    return os.environ.get("REPRO_TPP_FASTPATH", "1") != "0"
-
-
-def batch_default() -> bool:
-    """Batched execution is on unless ``REPRO_TPP_BATCH=0``.
-
-    Mirrors :func:`_fastpath_default`: the opt-out exists so CI can run
-    the whole simulator packet-at-a-time (the reference arrival order)
-    and so a debugging session can rule batching out in one line.
-    """
-    return os.environ.get("REPRO_TPP_BATCH", "1") != "0"
 
 #: Memoized ``repro.core.batch.execute_batch`` (deferred import).
 _BATCH_IMPL = None
@@ -100,10 +85,10 @@ class TCPU:
 
     def __init__(self, mmu: MMU,
                  max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                 name: str = "tcpu", compile: Optional[bool] = None,
+                 name: str = "tcpu", compile: bool = True,
                  cache_capacity: int = DEFAULT_PROGRAM_CACHE_CAPACITY,
                  race_mode: str = "warn",
-                 batch: Optional[bool] = None,
+                 batch: bool = True,
                  fence_values: Optional[dict] = None) -> None:
         if race_mode not in RACE_MODES:
             raise ValueError(
@@ -116,9 +101,8 @@ class TCPU:
         self.instructions_executed = 0
         self.faults = 0
         #: ``compile=False`` forces the reference interpreter (debugging,
-        #: differential testing); ``None`` follows ``REPRO_TPP_FASTPATH``.
-        self.compile_enabled = (_fastpath_default() if compile is None
-                                else bool(compile))
+        #: differential testing).
+        self.compile_enabled = bool(compile)
         #: Compile-once program cache (LRU, per-TCPU because compiled
         #: closures bind this switch's pre-resolved MMU accessors).
         self.cache = ProgramCache(cache_capacity)
@@ -135,7 +119,8 @@ class TCPU:
         #: ``layout_version`` moves (same trigger that already clears
         #: the compiled-program cache).
         self._verified: dict = {}
-        #: Executions that ran the check-elided verified closures.
+        #: Compiled executions (scalar or batched, any lane) of programs
+        #: this TCPU trusted at the time.
         self.verified_executions = 0
         #: Fleet race policy for :meth:`trust` (see :data:`RACE_MODES`).
         self.race_mode = race_mode
@@ -153,9 +138,8 @@ class TCPU:
         #: Certificates dropped by MMU layout-version sweeps.
         self.certificates_swept = 0
         #: ``batch=False`` forces packet-at-a-time execution even through
-        #: :meth:`execute_batch`; ``None`` follows ``REPRO_TPP_BATCH``.
-        self.batch_enabled = (batch_default() if batch is None
-                              else bool(batch))
+        #: :meth:`execute_batch` (the reference arrival order).
+        self.batch_enabled = bool(batch)
         # -- Batched-execution accounting (repro.core.batch) --------------
         #: ``execute_batch`` calls that processed at least one section.
         self.batches_executed = 0
@@ -175,7 +159,7 @@ class TCPU:
         #: Histogram of batch sizes seen: ``{occupancy: count}``.
         self.batch_occupancy: dict = {}
         #: Why batches took the safe lane: ``{reason: count}`` over
-        #: ``uncertified`` (no plan/certificate, or guard miss),
+        #: ``uncertified`` (no certificate, or hop/SP outside its guard),
         #: ``cexec``, ``write_dataflow`` (writes without a vectorizable
         #: dataflow class), ``unstable_read``, ``non_uniform`` (mixed
         #: flags/geometry/hop counter/task ids), ``sram_protection``
@@ -191,11 +175,14 @@ class TCPU:
     def trust(self, certificate) -> bool:
         """Register a :class:`~repro.core.verifier.VerifiedProgram`.
 
-        Future executions of the fingerprinted program whose section
-        passes the certificate's per-execution guard run with the
-        per-instruction bounds/stack checks elided.  Re-trusting a key
-        replaces the previous certificate.  Safe unconditionally: a
-        section failing the guard silently uses the checked closures.
+        A certificate never changes how a section executes — every
+        compiled step keeps its bounds and stack checks.  It admits the
+        program to the fleet race table, attaches a batch plan to its
+        compiled entry (so same-program bursts whose sections pass the
+        certificate's guard may take the vector lane, see
+        :mod:`repro.core.batch`) and counts its executions in
+        :attr:`verified_executions`.  Re-trusting a key replaces the
+        previous certificate.
 
         Unless ``race_mode`` is ``off``, the certificate's SRAM access
         sets are admitted to the fleet race table first: in ``enforce``
@@ -226,7 +213,7 @@ class TCPU:
             if introduced:
                 self.race_conflicts.extend(introduced)
         self._verified[key] = certificate
-        # Force a recompile so the verified closures get attached.
+        # Force a recompile so the entry picks up its batch plan.
         self.cache.discard(key)
         if self._last_key == key:
             self._last_key = None
@@ -330,38 +317,8 @@ class TCPU:
         """Run one section through compiled closures (shared by
         :meth:`execute` and the batch engine's safe lane; the caller has
         already done the done/limit prologue and set ``ctx.task_id``)."""
-        steps = entry.steps
-        # Per-execution certificate guard: the verified (elided)
-        # closures may only run when the section's geometry matches
-        # the certificate exactly and the hop/SP counter is inside
-        # the proven-safe interval.  Anything else — a corrupted
-        # header, a replayed section, a later hop of a stack
-        # program — silently falls back to the checked closures,
-        # which fault exactly like the interpreter.
-        if (entry.verified_steps is not None
-                and len(tpp.memory) == entry.memory_len
-                and tpp.perhop_len_bytes == entry.perhop_len_bytes
-                and entry.guard_lo <= tpp.hop_or_sp <= entry.guard_hi):
+        if entry.batch_plan is not None:  # i.e. the program is trusted
             self.verified_executions += 1
-            if not entry.has_cexec:
-                # Tight loop: no CEXEC means no enabled/skip
-                # bookkeeping either.  MMU accessors can still fault
-                # (unbound statistic, SRAM domain) — per-switch
-                # state the certificate deliberately doesn't cover.
-                executed = 0
-                try:
-                    for step in entry.verified_steps:
-                        step(tpp, ctx, report)
-                        executed += 1
-                except TCPUFault as fault:
-                    self._fault(tpp, report, fault)
-                report.executed = executed
-                self._advance_hop(tpp)
-                report.cycles = pipeline_cycles(executed)
-                self.tpps_executed += 1
-                self.instructions_executed += executed
-                return report
-            steps = entry.verified_steps
         enabled = True
         executed = 0
         index = 0
@@ -371,7 +328,7 @@ class TCPU:
         # *first* disabling CEXEC only (first-occurrence semantics,
         # identical guard to the interpreter below).
         try:
-            for step in steps:
+            for step in entry.steps:
                 if enabled:
                     enabled = step(tpp, ctx, report)
                     executed += 1
@@ -428,7 +385,7 @@ class TCPU:
         cache is cleared and programs recompile on next execution.
         Certificates are swept by the same bump (:meth:`_sweep_stale`):
         their address facts were proven against the old bindings, so a
-        recompiled entry runs fully checked until re-admission.
+        recompiled entry carries no batch plan until re-admission.
         """
         mmu = self.mmu
         self._sweep_stale()
@@ -443,16 +400,11 @@ class TCPU:
             steps = compile_program(tpp.instructions, tpp.mode,
                                     tpp.word_size, mmu)
             certificate = self._verified.get(key)
+            entry = CompiledEntry(steps, certificate)
             if certificate is not None:
-                verified_steps = compile_program(
-                    tpp.instructions, tpp.mode, tpp.word_size, mmu,
-                    certificate=certificate)
-                entry = CompiledEntry(steps, verified_steps, certificate)
                 entry.batch_plan = build_batch_plan(
                     tpp.instructions, tpp.mode, tpp.word_size, mmu,
                     certificate=certificate)
-            else:
-                entry = CompiledEntry(steps)
             self.cache.put(key, entry)
         self._last_key = key
         self._last_entry = entry
@@ -539,11 +491,11 @@ class TCPU:
             register = self.mmu.read(instruction.addr, ctx)
             return (register & mask) == expected
 
-        if opcode in _ARITHMETIC:
+        if opcode in ALU_FUNCTIONS:
             ea = self._effective_address(tpp, instruction)
             current = tpp.read_word(ea)
             operand = self.mmu.read(instruction.addr, ctx)
-            tpp.write_word(ea, _ARITHMETIC[opcode](current, operand))
+            tpp.write_word(ea, ALU_FUNCTIONS[opcode](current, operand))
             return True
 
         raise TCPUFault(FaultCode.BAD_INSTRUCTION,
@@ -563,17 +515,6 @@ class TCPU:
                 and instruction.opcode in HOP_RELATIVE_OPCODES):
             return tpp.hop * tpp.perhop_len_bytes + byte_offset
         return byte_offset
-
-
-_ARITHMETIC = {
-    Opcode.ADD: lambda a, b: a + b,
-    Opcode.SUB: lambda a, b: a - b,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.OR: lambda a, b: a | b,
-    Opcode.XOR: lambda a, b: a ^ b,
-    Opcode.MIN: min,
-    Opcode.MAX: max,
-}
 
 
 def pipeline_cycles(n_instructions: int) -> int:

@@ -40,17 +40,20 @@ certificate is *per-execution* sound: it pins the program fingerprint,
 memory length and per-hop stride, and carries a ``[guard_lo, guard_hi]``
 interval for the header's hop/SP counter such that **one** execution
 starting inside the interval cannot violate packet-memory bounds or the
-stack discipline.  The TCPU checks the guard on every execution
-(:meth:`repro.core.tcpu.TCPU.trust`) and falls back to the fully-checked
-closures when it fails (a corrupted or replayed header), so eliding the
-per-instruction bounds checks never changes observable behaviour.
+stack discipline.  Three consumers read it: endpoint / edge admission
+(reject before sending), the per-TCPU fleet race table
+(:meth:`repro.core.tcpu.TCPU.trust`), and the batch plan — the vector
+lane runs a batch only when every section sits inside the guard, and
+otherwise hands it to the scalar lane.  The scalar lane itself never
+consults a certificate: its closures keep every bounds and stack check,
+so a corrupted or replayed header faults exactly as in the interpreter.
 Switch-side protection (read-only statistics, SRAM domains, unbound
-addresses) is *not* elided — those faults depend on per-switch state the
-verifier cannot see, and stay inside the MMU accessors.
+addresses) depends on per-switch state the verifier cannot see, and
+stays inside the MMU accessors.
 
-Dead-code analysis (``TPP008``) is deliberately lint-only: it reads the
-program's *initial* memory image, but packet memory mutates in flight, so
-no check elision is ever based on reachability.
+The interval dead-code analysis (``TPP008``) is deliberately lint-only:
+it reads the program's *initial* memory image, but packet memory mutates
+in flight.
 """
 
 from __future__ import annotations
@@ -72,7 +75,9 @@ from repro.core.isa import (
     Instruction,
     Opcode,
     PAIR_OPERAND_OPCODES,
+    SWITCH_READING_OPCODES,
     SWITCH_WRITING_OPCODES,
+    stack_prefix,
 )
 from repro.core.memory_map import MemoryMap, SRAM_BASE, is_sram, region_of
 from repro.core.racecheck import (
@@ -95,13 +100,6 @@ HOP_SCAN_LIMIT = 1024
 #: Upper clamp of certificate guards — the TPP header's hop/SP field is
 #: 16 bits, so no in-flight section can carry a larger counter.
 GUARD_MAX = 0xFFFF
-
-#: Opcodes that read their switch virtual address.
-SWITCH_READING_OPCODES = frozenset({
-    Opcode.PUSH, Opcode.LOAD, Opcode.CSTORE, Opcode.CEXEC,
-    Opcode.ADD, Opcode.SUB, Opcode.AND, Opcode.OR, Opcode.XOR,
-    Opcode.MIN, Opcode.MAX,
-})
 
 #: Stable diagnostic codes with their default severity and the runtime
 #: fault each one predicts (``None`` for pure lint findings).
@@ -182,16 +180,15 @@ class Diagnostic:
 
 @dataclass(frozen=True)
 class VerifiedProgram:
-    """Certificate that a program is safe to run with checks elided.
+    """Certificate that a program passed static verification.
 
     Sound *per execution*: any single execution of the fingerprinted
     program over packet memory of exactly ``memory_len`` bytes (with
     per-hop stride ``perhop_len_bytes``) whose starting hop/SP counter
     lies in ``[guard_lo, guard_hi]`` cannot overrun packet memory or
-    violate the stack discipline.  The TCPU re-checks those three pinned
-    facts before every execution and silently falls back to the checked
-    closures when any fails, so trusting a certificate never changes
-    observable behaviour — it only removes provably-dead branches.
+    violate the stack discipline.  The batch engine re-checks those
+    three pinned facts per batch before the vector lane may run;
+    trusting a certificate never changes observable behaviour.
     """
 
     program_key: bytes
@@ -440,23 +437,13 @@ class _Checker:
         self.lines = lines
         self.diagnostics: List[Diagnostic] = []
         self.hop_mode = mode == AddressingMode.HOP
-        n = len(instructions)
         # Running SP delta *before* each instruction (prefix sums).
-        self.prefix = [0] * (n + 1)
-        for j, instruction in enumerate(instructions):
-            delta = 0
-            if instruction.opcode == Opcode.PUSH:
-                delta = self.word
-            elif instruction.opcode == Opcode.POP:
-                delta = -self.word
-            self.prefix[j + 1] = self.prefix[j] + delta
+        self.prefix = stack_prefix(instructions, word_size)
         # Achievable per-hop SP deltas: the full program, or the prefix
-        # ending at any CEXEC that disabled the suffix.  CEXEC itself has
-        # delta zero, so prefix[k] is the delta of that truncated path.
-        deltas = {self.prefix[n]}
-        for k, instruction in enumerate(instructions):
-            if instruction.opcode == Opcode.CEXEC:
-                deltas.add(self.prefix[k])
+        # ending at any CEXEC that disabled the suffix.
+        deltas = {self.prefix[-1]} | {
+            self.prefix[k] for k, i in enumerate(instructions)
+            if i.opcode == Opcode.CEXEC}
         self.dmin = min(deltas)
         self.dmax = max(deltas)
         self.pushes = [j for j, i in enumerate(instructions)
@@ -677,7 +664,7 @@ class _Checker:
                       else HOP_SCAN_LIMIT))
 
     def check_dead_code(self) -> None:
-        """Constant-condition CEXEC analysis (lint-only, never elision).
+        """Constant-condition CEXEC analysis (lint-only).
 
         Requires the initial memory image, and only trusts operand words
         no instruction can overwrite on any hop.

@@ -113,13 +113,6 @@ class TestSwitchStats:
         assert stats.port(0).rx_utilization.utilization == frozen
 
 
-@pytest.fixture
-def force_fastpath(monkeypatch):
-    """Pin the fast path on regardless of the ambient environment (CI
-    also runs the whole suite with REPRO_TPP_FASTPATH=0)."""
-    monkeypatch.setenv("REPRO_TPP_FASTPATH", "1")
-
-
 class TestFastpathSurface:
     """Cache/accessor counters exposed via switch stats and the trace."""
 
@@ -134,8 +127,7 @@ class TestFastpathSurface:
             client.send(program, dst_mac=h1.mac)
         net.run(until_seconds=0.01)
 
-    def test_switch_fastpath_stats(self, force_fastpath,
-                                   single_switch_net):
+    def test_switch_fastpath_stats(self, single_switch_net):
         net = single_switch_net
         switch = net.switch("sw0")
         self._probe(net)
@@ -145,8 +137,7 @@ class TestFastpathSurface:
         assert stats["hits"] >= 2            # ...then served from cache
         assert stats["accessor_resolutions"] >= 1
 
-    def test_sampler_exposes_fastpath(self, force_fastpath,
-                                      single_switch_net):
+    def test_sampler_exposes_fastpath(self, single_switch_net):
         net = single_switch_net
         switch = net.switch("sw0")
         sampler = switch.start_stats()
@@ -154,8 +145,7 @@ class TestFastpathSurface:
         assert sampler.fastpath["misses"] == 1
         assert sampler.fastpath == switch.fastpath_stats()
 
-    def test_emit_fastpath_summary_trace_record(self, force_fastpath,
-                                                single_switch_net):
+    def test_emit_fastpath_summary_trace_record(self, single_switch_net):
         net = single_switch_net
         switch = net.switch("sw0")
         self._probe(net)

@@ -5,10 +5,6 @@ Same-instant arrivals of the same TPP program must be grouped into one
 observable output relative to packet-at-a-time execution.
 """
 
-import os
-
-import pytest
-
 from repro import units
 from repro.analysis.reporting import batch_report
 from repro.core.assembler import assemble
@@ -35,16 +31,7 @@ def burst_probes(net, program, n_hosts=4, on_response=None):
         client.send(program, dst_mac=target.mac, on_response=on_response)
 
 
-#: batch accounting is (by design) absent when the engine is disabled
-#: via the environment; the correctness tests below still run.
-requires_batch = pytest.mark.skipif(
-    os.environ.get("REPRO_TPP_BATCH") == "0"
-    or os.environ.get("REPRO_TPP_FASTPATH") == "0",
-    reason="batched engine disabled via environment")
-
-
 class TestDrainBatching:
-    @requires_batch
     def test_same_instant_probes_form_a_batch(self):
         net = star_net()
         switch = net.switch("sw0")

@@ -100,11 +100,8 @@ def run_batch_vs_interpreter(source, sizes=SIZES, hops=1, task_ids=None,
             mmu = make_mmu(stable=stable)
             if prepare is not None:
                 prepare(mmu)
-            # Explicit flags so the suite still exercises the real batch
-            # engine under the REPRO_TPP_BATCH=0 / _FASTPATH=0 env
-            # opt-outs (which have their own dedicated tests).
             tcpu = TCPU(mmu, max_instructions=max_instructions,
-                        compile=batched, batch=True)
+                        compile=batched)
             if certificate is not None:
                 tcpu.trust(certificate)
             sections = [program.build(task_id=t) for t in tasks]
@@ -501,9 +498,8 @@ class TestBatchMechanics:
         assert a.read_word(0) == 7
         assert b.read_word(0) == 500
 
-    def test_batch_opt_out_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TPP_BATCH", "0")
-        tcpu = TCPU(make_mmu())
+    def test_batch_opt_out(self):
+        tcpu = TCPU(make_mmu(), batch=False)
         assert tcpu.batch_enabled is False
         program = assemble("PUSH [Switch:SwitchID]")
         sections = [program.build() for _ in range(3)]
@@ -513,12 +509,6 @@ class TestBatchMechanics:
         assert tcpu.batches_executed == 0
         assert [r.executed for r in reports] == [1, 1, 1]
         assert all(s.read_word(0) == 7 for s in sections)
-
-    def test_batch_ctor_flag_overrides_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TPP_BATCH", "0")
-        assert TCPU(make_mmu(), batch=True).batch_enabled is True
-        monkeypatch.delenv("REPRO_TPP_BATCH")
-        assert TCPU(make_mmu(), batch=False).batch_enabled is False
 
 
 @pytest.mark.skipif(not HAVE_NUMPY, reason="arena needs numpy")
@@ -564,31 +554,6 @@ class TestBatchArena:
             assert all(r.ok for r in reports)
         assert tcpu.vector_batches == 3
         assert all(s.read_word(0) == 7 for s in sections)
-
-
-class TestNumpySRAM:
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
-    def test_numpy_sram_preserves_contents_and_semantics(self):
-        mmu = make_mmu()
-        mmu.poke_sram(0, 0xDEADBEEF)
-        assert mmu.use_numpy_sram() is True
-        assert mmu.peek_sram(0) == 0xDEADBEEF
-        mmu.poke_sram(1, 2 ** 64 - 1)
-        assert mmu.peek_sram(1) == 2 ** 64 - 1
-        assert mmu.use_numpy_sram() is True  # idempotent
-
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="needs numpy")
-    def test_differential_with_numpy_sram(self):
-        def prepare(mmu):
-            mmu.poke_sram(2, 41)
-            mmu.use_numpy_sram()
-
-        results = run_batch_vs_interpreter("""
-            PUSH [Queue:QueueSize]
-            POP [Sram:Word2]
-        """, prepare=prepare)
-        (_, _, mmu, _), _ = results[0]
-        assert mmu.peek_sram(2) == 500
 
 
 class TestWriteLanes:
@@ -828,28 +793,6 @@ class TestWriteLanes:
         assert tcpu.vector_write_batches == 0
         if HAVE_NUMPY:
             assert tcpu.batch_demotions.get("sram_protection", 0) == 1
-
-    def test_private_scatter_with_numpy_sram(self):
-        def prepare(mmu):
-            mmu.use_numpy_sram()
-
-        run_batch_vs_interpreter("""
-            PUSH [Queue:QueueSize]
-            POP [Sram:Word2]
-        """, prepare=prepare)
-
-    def test_accumulate_with_numpy_sram(self):
-        def prepare(mmu):
-            mmu.poke_sram(8, 3)
-            mmu.use_numpy_sram()
-
-        run_batch_vs_interpreter("""
-            .mode absolute
-            .memory 1
-            .data 0 5
-            ADD [Packet:0], [Sram:Word8]
-            STORE [Sram:Word8], [Packet:0]
-        """, prepare=prepare)
 
 
 class TestRawOperandArithmetic:

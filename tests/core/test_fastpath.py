@@ -153,13 +153,21 @@ class TestTCPUCache:
         assert report.ok
         assert tcpu.cache.stats()["misses"] == 0
 
-    def test_env_var_disables_fastpath(self, monkeypatch):
-        monkeypatch.setenv("REPRO_TPP_FASTPATH", "0")
-        assert not TCPU(make_mmu()).compile_enabled
-        # An explicit compile= argument still wins over the environment.
-        assert TCPU(make_mmu(), compile=True).compile_enabled
-        monkeypatch.setenv("REPRO_TPP_FASTPATH", "1")
-        assert TCPU(make_mmu()).compile_enabled
+    def test_compile_enabled_attribute_switches_live_tcpu(self):
+        """Flipping the attribute on a built TCPU (how the engine
+        equivalence tests reach into a finished network) takes effect
+        on the next execution."""
+        tcpu = TCPU(make_mmu())
+        assert tcpu.compile_enabled
+        program = assemble("PUSH [Switch:SwitchID]")
+        assert tcpu.execute(program.build(), make_ctx()).ok
+        assert tcpu.cache.stats()["misses"] == 1
+        tcpu.compile_enabled = False
+        tpp = program.build()
+        assert tcpu.execute(tpp, make_ctx()).ok
+        assert tpp.read_word(0) == 7
+        stats = tcpu.cache.stats()
+        assert (stats["hits"], stats["misses"]) == (0, 1)  # cache untouched
 
     def test_default_capacity(self):
         tcpu = TCPU(make_mmu())

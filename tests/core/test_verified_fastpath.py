@@ -1,12 +1,12 @@
-"""Differential proof: verified (check-elided) fast path ≡ interpreter.
+"""Differential proof: trusting a certificate never changes execution.
 
-Three-way equivalence for certified programs: a TCPU holding the
-verifier's certificate (elided closures), a plain compiled TCPU, and the
-reference interpreter must produce bit-identical observables — reports,
-packet memory, flags, hop/SP counter, and the full wire encoding.  Also
-covers the per-execution guard: sections whose geometry or counter fall
-outside the certificate silently use the fully-checked closures and
-fault exactly like the interpreter.
+Two-way equivalence for certified programs: a compiled TCPU holding the
+verifier's certificate and the reference interpreter must produce
+bit-identical observables — reports, packet memory, flags, hop/SP
+counter, and the full wire encoding — including for sections whose
+geometry or counter fall outside the certificate's guard, which fault
+exactly like the interpreter.  Also covers the certificate lifecycle on
+the TCPU (trust / distrust / layout sweeps / race gating).
 """
 
 import random
@@ -14,7 +14,7 @@ import random
 from repro.asic.metadata import PacketMetadata
 from repro.core.assembler import assemble
 from repro.core.exceptions import FaultCode
-from repro.core.memory_map import MemoryMap, SRAM_WORDS
+from repro.core.memory_map import MemoryMap
 from repro.core.mmu import MMU, ExecutionContext
 from repro.core.tcpu import TCPU
 from repro.core.verifier import verify_program
@@ -54,23 +54,23 @@ def report_tuple(report):
             list(report.switch_writes))
 
 
-def run_three_way(source, hops=1, task_id=0, max_instructions=5,
-                  prepare=None, damage=None, **assemble_kwargs):
-    """Run verified, plain-compiled, and interpreted; assert identical.
+def run_two_way(source, hops=1, task_id=0, max_instructions=5,
+                prepare=None, damage=None, **assemble_kwargs):
+    """Run compiled-under-certificate and interpreted; assert identical.
 
-    Returns the verified run's ``(reports, tpp, mmu, tcpu)``.
+    Returns the trusted run's ``(reports, tpp, mmu, tcpu)``.
     """
     program = assemble(source, **assemble_kwargs)
     result = verify_program(program, memory_map=_MAP,
                             max_instructions=max_instructions)
     results = []
-    for flavour in ("verified", "compiled", "interp"):
+    for trusted in (True, False):
         mmu = make_mmu()
         if prepare is not None:
             prepare(mmu)
         tcpu = TCPU(mmu, max_instructions=max_instructions,
-                    compile=(flavour != "interp"))
-        if flavour == "verified" and result.certificate is not None:
+                    compile=trusted)
+        if trusted and result.certificate is not None:
             tcpu.trust(result.certificate)
         tpp = program.build(task_id=task_id)
         if damage is not None:
@@ -80,28 +80,26 @@ def run_three_way(source, hops=1, task_id=0, max_instructions=5,
                    for _ in range(hops)]
         results.append((reports, tpp, mmu, tcpu))
 
-    verified, compiled, interp = results
-    for other in (compiled, interp):
-        for hop, (fast, ref) in enumerate(zip(verified[0], other[0])):
-            assert report_tuple(fast) == report_tuple(ref), f"hop {hop}"
-        assert verified[1].flags == other[1].flags
-        assert verified[1].hop_or_sp == other[1].hop_or_sp
-        assert bytes(verified[1].memory) == bytes(other[1].memory)
-        assert verified[1].encode() == other[1].encode()
-        sram = [verified[2].peek_sram(i) for i in range(SRAM_WORDS)]
-        assert sram == [other[2].peek_sram(i) for i in range(SRAM_WORDS)]
-    return verified
+    fast, ref = results
+    for hop, (a, b) in enumerate(zip(fast[0], ref[0])):
+        assert report_tuple(a) == report_tuple(b), f"hop {hop}"
+    assert fast[1].flags == ref[1].flags
+    assert fast[1].hop_or_sp == ref[1].hop_or_sp
+    assert bytes(fast[1].memory) == bytes(ref[1].memory)
+    assert fast[1].encode() == ref[1].encode()
+    assert fast[2].sram_image() == ref[2].sram_image()
+    return fast
 
 
 class TestVerifiedEquivalence:
     def test_push_program(self):
-        reports, _, _, tcpu = run_three_way(
+        reports, _, _, tcpu = run_two_way(
             "PUSH [Switch:SwitchID]\nPUSH [Queue:QueueSize]", hops=1)
         assert tcpu.verified_executions == 1
         assert reports[0].executed == 2
 
     def test_pop_writeback(self):
-        _, tpp, mmu, tcpu = run_three_way("""
+        _, tpp, mmu, tcpu = run_two_way("""
             PUSH [Queue:QueueSize]
             POP [Sram:Word3]
         """)
@@ -110,15 +108,14 @@ class TestVerifiedEquivalence:
         assert tpp.sp == 0
 
     def test_hop_relative_multihop(self):
-        _, tpp, _, tcpu = run_three_way(
+        _, tpp, _, tcpu = run_two_way(
             ".mode hop\n.hops 3\n"
             "LOAD [Switch:SwitchID], [Packet:Hop[0]]", hops=3)
-        # Guard is [0, 2]: all three hops run verified.
         assert tcpu.verified_executions == 3
         assert tpp.hop == 3
 
     def test_absolute_arithmetic(self):
-        _, tpp, _, tcpu = run_three_way("""
+        _, tpp, _, tcpu = run_two_way("""
             .data 0 41
             ADD [Packet:0], [Switch:SwitchID]
         """)
@@ -129,13 +126,13 @@ class TestVerifiedEquivalence:
         def prepare(mmu):
             mmu.poke_sram(0, 10)
 
-        _, tpp, mmu, tcpu = run_three_way(
+        _, tpp, mmu, tcpu = run_two_way(
             "CSTORE [Sram:Word0], 10, 99", prepare=prepare)
         assert tcpu.verified_executions == 1
         assert mmu.peek_sram(0) == 99
 
     def test_cexec_uses_general_loop(self):
-        reports, _, _, tcpu = run_three_way("""
+        reports, _, _, tcpu = run_two_way("""
             CEXEC [Switch:SwitchID], 0xFFFFFFFF, 8
             PUSH [Queue:QueueSize]
         """)
@@ -144,7 +141,7 @@ class TestVerifiedEquivalence:
         assert reports[0].skipped == 1
 
     def test_word8(self):
-        _, tpp, _, tcpu = run_three_way("""
+        _, tpp, _, tcpu = run_two_way("""
             .word 8
             .data 0 1
             ADD [Packet:0], [Switch:ClockLo]
@@ -154,16 +151,16 @@ class TestVerifiedEquivalence:
 
 
 class TestGuardFallback:
-    """Outside the certificate's interval the checked closures run and
-    fault exactly like the interpreter — proven by the same three-way
-    equivalence, now on fault-producing inputs."""
+    """Sections outside the certificate's guard interval fault exactly
+    like the interpreter even though the TCPU trusts their program —
+    the same two-way equivalence, now on fault-producing inputs."""
 
     def test_hop_past_capacity_falls_back_and_faults(self):
-        # Guard is [0, 0] (one word, one push/hop): hop 1 falls back
-        # to checked closures and stamps STACK_OVERFLOW identically.
-        reports, tpp, _, tcpu = run_three_way(
+        # Guard is [0, 0] (one word, one push/hop): hop 1 is outside it
+        # and stamps STACK_OVERFLOW identically.
+        reports, tpp, _, tcpu = run_two_way(
             ".hops 1\nPUSH [Switch:SwitchID]", hops=2)
-        assert tcpu.verified_executions == 1
+        assert tcpu.verified_executions == 2  # trusted program, any hop
         assert reports[0].fault == FaultCode.NONE
         assert reports[1].fault == FaultCode.STACK_OVERFLOW
         assert tpp.fault == FaultCode.STACK_OVERFLOW
@@ -172,32 +169,22 @@ class TestGuardFallback:
         def damage(tpp):
             tpp.hop_or_sp = 500
 
-        _, _, _, tcpu = run_three_way(
+        reports, _, _, _ = run_two_way(
             "PUSH [Switch:SwitchID]", damage=damage)
-        assert tcpu.verified_executions == 0
+        assert reports[0].fault == FaultCode.STACK_OVERFLOW
 
     def test_truncated_memory_falls_back(self):
         def damage(tpp):
             del tpp.memory[:]
 
-        reports, _, _, tcpu = run_three_way(
+        reports, _, _, _ = run_two_way(
             "PUSH [Switch:SwitchID]", damage=damage)
-        assert tcpu.verified_executions == 0
         assert reports[0].fault == FaultCode.STACK_OVERFLOW
 
-    def test_unverified_program_never_elides(self):
-        """No certificate: behavior is the plain compiled path."""
-        mmu = make_mmu()
-        tcpu = TCPU(mmu)
-        program = assemble("POP [Sram:Word0]")
-        tpp = program.build()
-        report = tcpu.execute(tpp, make_ctx())
-        assert tcpu.verified_executions == 0
-        assert report.fault == FaultCode.STACK_UNDERFLOW
-
     def test_runtime_fault_inside_verified_loop(self):
-        """Statically clean, dynamically faulting: the verified tight
-        loop still stamps MMU faults (unbound statistic) identically."""
+        """Statically clean, dynamically faulting: a trusted program
+        still stamps MMU faults (unbound statistic) identically — the
+        certificate covers the program, not this switch's bindings."""
         program = assemble("PUSH [Switch:SwitchID]")
         result = verify_program(program, memory_map=_MAP)
         assert result.ok
@@ -217,9 +204,7 @@ class TestGuardFallback:
 
 
 class TestTrustManagement:
-    """Certificate lifecycle on the TCPU.  ``compile=True`` is forced:
-    these tests target the compiled trust machinery and must hold even
-    when the suite runs under ``REPRO_TPP_FASTPATH=0``."""
+    """Certificate lifecycle on the TCPU."""
 
     def program_and_cert(self, source="PUSH [Switch:SwitchID]", **kwargs):
         program = assemble(source, **kwargs)
@@ -228,7 +213,7 @@ class TestTrustManagement:
 
     def test_trust_and_distrust(self):
         program, cert = self.program_and_cert()
-        tcpu = TCPU(make_mmu(), compile=True)
+        tcpu = TCPU(make_mmu())
         tcpu.trust(cert)
         assert tcpu.certificates == 1
         tpp = program.build()
@@ -244,7 +229,7 @@ class TestTrustManagement:
         """Re-pushing the same certificate must not evict the warm
         compiled entry (admission policies push per arrival)."""
         program, cert = self.program_and_cert()
-        tcpu = TCPU(make_mmu(), compile=True)
+        tcpu = TCPU(make_mmu())
         tcpu.trust(cert)
         tpp = program.build()
         tcpu.execute(tpp, make_ctx())
@@ -258,7 +243,7 @@ class TestTrustManagement:
 
     def test_certificate_survives_cache_eviction(self):
         program, cert = self.program_and_cert()
-        tcpu = TCPU(make_mmu(), compile=True)
+        tcpu = TCPU(make_mmu())
         tcpu.trust(cert)
         tpp = program.build()
         tcpu.execute(tpp, make_ctx())
@@ -283,7 +268,8 @@ class TestTrustManagement:
 
 class TestRandomizedVerifiedSweep:
     """Seeded fuzz: every program that *passes* verification must run
-    bit-identically on the verified path across its whole hop budget."""
+    bit-identically to the interpreter on a TCPU that trusts it, across
+    its whole hop budget."""
 
     TEMPLATES = [
         "PUSH [Switch:SwitchID]",
@@ -320,9 +306,9 @@ class TestRandomizedVerifiedSweep:
             if not verify_program(program, memory_map=_MAP,
                                   max_hops=hops).ok:
                 continue
-            _, _, _, tcpu = run_three_way(source, hops=hops)
+            _, _, _, tcpu = run_two_way(source, hops=hops)
             verified_runs += tcpu.verified_executions
-        assert verified_runs > 50  # the sweep actually exercised elision
+        assert verified_runs > 50  # the sweep actually ran trusted programs
 
 
 class TestCertificateStaleness:
@@ -330,8 +316,8 @@ class TestCertificateStaleness:
 
     A certificate pins address-resolution facts (TPP005) proven against
     the accessor bindings in force at verification time; a
-    ``bind_reader`` re-binding silently changes those facts, so eliding
-    checks under the old certificate would replay stale reads.
+    ``bind_reader`` re-binding silently changes those facts, so a batch
+    plan built under the old certificate would replay stale reads.
     Regression for the pre-sweep behaviour where only the compiled
     cache was invalidated and ``_verified`` survived the bump.
     """
@@ -340,7 +326,7 @@ class TestCertificateStaleness:
         program = assemble(source)
         cert = verify_program(program, memory_map=_MAP).certificate
         mmu = make_mmu(clock=5)
-        tcpu = TCPU(mmu, compile=True)
+        tcpu = TCPU(mmu)
         assert tcpu.trust(cert)
         return program, cert, mmu, tcpu
 
@@ -352,7 +338,7 @@ class TestCertificateStaleness:
         assert tcpu.certificates == 0
         assert tcpu.certificates_swept == 1
         tcpu.execute(program.build(), make_ctx())
-        assert tcpu.verified_executions == 1  # no stale elision
+        assert tcpu.verified_executions == 1  # no stale trust
 
     def test_rebound_reader_value_observed_after_bump(self):
         """Executing after a re-bind must see the new binding — the
@@ -364,7 +350,7 @@ class TestCertificateStaleness:
         stale = program.build()
         tcpu.execute(stale, make_ctx())
         fresh = program.build()
-        TCPU(mmu, compile=True).execute(fresh, make_ctx())
+        TCPU(mmu).execute(fresh, make_ctx())
         assert bytes(stale.memory) == bytes(fresh.memory)
 
     def test_retrust_after_bump_restores_verified_path(self):
@@ -380,7 +366,7 @@ class TestCertificateStaleness:
         writer_a = assemble(".memory 1\nSTORE [Sram:Word0], [Packet:0]")
         writer_b = assemble(".memory 2\nSTORE [Sram:Word0], [Packet:1]")
         mmu = make_mmu()
-        tcpu = TCPU(mmu, compile=True, race_mode="warn")
+        tcpu = TCPU(mmu, race_mode="warn")
         for program in (writer_a, writer_b):
             cert = verify_program(program, memory_map=_MAP).certificate
             assert tcpu.trust(cert)
@@ -408,7 +394,7 @@ class TestTrustRaceGating:
 
     def test_warn_mode_trusts_and_records_conflicts(self):
         cert_a, cert_b = self._certs()
-        tcpu = TCPU(make_mmu(), compile=True, race_mode="warn")
+        tcpu = TCPU(make_mmu(), race_mode="warn")
         assert tcpu.trust(cert_a)
         assert tcpu.trust(cert_b)
         assert tcpu.certificates == 2
@@ -417,7 +403,7 @@ class TestTrustRaceGating:
 
     def test_enforce_mode_refuses_racing_certificate(self):
         cert_a, cert_b = self._certs()
-        tcpu = TCPU(make_mmu(), compile=True, race_mode="enforce")
+        tcpu = TCPU(make_mmu(), race_mode="enforce")
         assert tcpu.trust(cert_a)
         assert not tcpu.trust(cert_b)
         assert tcpu.certificates == 1
@@ -431,7 +417,7 @@ class TestTrustRaceGating:
 
     def test_off_mode_skips_fleet_analysis(self):
         cert_a, cert_b = self._certs()
-        tcpu = TCPU(make_mmu(), compile=True, race_mode="off")
+        tcpu = TCPU(make_mmu(), race_mode="off")
         assert tcpu.trust(cert_a)
         assert tcpu.trust(cert_b)
         assert tcpu.certificates == 2

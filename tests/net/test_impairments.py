@@ -314,30 +314,23 @@ class TestCorruptionInvalidatesCaches:
     def test_corrupted_probe_executes_identically_on_both_paths(self):
         """End to end: a corrupted-in-flight probe must produce the same
         response bytes whether switches run compiled or interpreted."""
-        import os
 
-        def run(compile_env):
-            env_before = os.environ.get("REPRO_TPP_FASTPATH")
-            os.environ["REPRO_TPP_FASTPATH"] = compile_env
-            try:
-                net = build_net(seed=7)
-                h0, h1 = net.host("h0"), net.host("h1")
-                client = TPPEndpoint(h0)
-                TPPEndpoint(h1)
-                link = first_link(net)
-                link.set_impairments(corrupt_rate=1.0)
-                results = []
-                program = assemble("PUSH [Switch:SwitchID]", hops=4)
-                for _ in range(10):
-                    client.send(program, dst_mac=h1.mac,
-                                on_response=lambda r: results.append(
-                                    r.tpp.encode()))
-                net.run(until_seconds=0.05)
-                return results
-            finally:
-                if env_before is None:
-                    del os.environ["REPRO_TPP_FASTPATH"]
-                else:
-                    os.environ["REPRO_TPP_FASTPATH"] = env_before
+        def run(compiled):
+            net = build_net(seed=7)
+            for switch in net.switches.values():
+                switch.tcpu.compile_enabled = compiled
+            h0, h1 = net.host("h0"), net.host("h1")
+            client = TPPEndpoint(h0)
+            TPPEndpoint(h1)
+            link = first_link(net)
+            link.set_impairments(corrupt_rate=1.0)
+            results = []
+            program = assemble("PUSH [Switch:SwitchID]", hops=4)
+            for _ in range(10):
+                client.send(program, dst_mac=h1.mac,
+                            on_response=lambda r: results.append(
+                                r.tpp.encode()))
+            net.run(until_seconds=0.05)
+            return results
 
-        assert run("1") == run("0")
+        assert run(True) == run(False)

@@ -1,252 +1,10 @@
 """Command-line tools."""
 
-import importlib.util
 import json
-from pathlib import Path
 
 import pytest
 
 from repro.tools import run_experiment, tppasm
-
-REPO_ROOT = Path(__file__).resolve().parent.parent
-
-
-def load_run_bench():
-    """Import tools/run_bench.py (it lives outside the package tree)."""
-    spec = importlib.util.spec_from_file_location(
-        "run_bench", REPO_ROOT / "tools" / "run_bench.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
-
-
-def bench_report(schema="simcore-bench/v3", scale=1.0, **overrides):
-    """A synthetic, well-formed bench report for validator/compare tests."""
-    workloads = {
-        "event_core": {"events_per_sec": 1e6 * scale,
-                       "legacy_events_per_sec": 5e5 * scale,
-                       "speedup_vs_dataclass_heap": 2.0},
-        "event_loop": {"events_per_sec": 4e5 * scale,
-                       "events_processed": 100000},
-        "packet_forwarding": {"packets_per_sec_wall": 1e4 * scale,
-                              "packet_hops_per_sec_wall": 3e4 * scale,
-                              "packets_received": 5000},
-        "tpp_exec": {"tpp_execs_per_sec": 2e5 * scale,
-                     "instructions_per_sec": 4e5 * scale,
-                     "interp_execs_per_sec": 1e5 * scale,
-                     "speedup_vs_interpreter": 2.0},
-        "tpp_exec_cached": {"tpp_execs_per_sec": 4e5 * scale,
-                            "instructions_per_sec": 8e5 * scale},
-        "tpp_exec_verified": {"tpp_execs_per_sec": 5e5 * scale,
-                              "instructions_per_sec": 1e6 * scale,
-                              "unverified_execs_per_sec": 4e5 * scale,
-                              "speedup_vs_unverified": 1.25,
-                              "verified_executions": 200000},
-    }
-    report = {"schema": schema, "quick": False, "seed": 1,
-              "timestamp": 1_800_000_000.0,
-              "timestamp_iso": "2027-01-15T08:00:00+00:00",
-              "workloads": workloads}
-    if schema in ("simcore-bench/v4", "simcore-bench/v5",
-                  "simcore-bench/v6", "simcore-bench/v7"):
-        workloads["tpp_exec_batched"] = {
-            "tpp_execs_per_sec": 1.5e6 * scale,
-            "instructions_per_sec": 3e6 * scale,
-            "scalar_execs_per_sec": 2e5 * scale,
-            "speedup_vs_scalar": 7.5}
-    if schema in ("simcore-bench/v5", "simcore-bench/v6",
-                  "simcore-bench/v7"):
-        workloads["fleet_scale"] = {
-            "packets_per_sec_modeled": 8e4 * scale,
-            "flows_per_sec_modeled": 2e5 * scale,
-            "speedup_vs_one_shard": 3.0,
-            "bit_identical": 1}
-    if schema in ("simcore-bench/v6", "simcore-bench/v7"):
-        workloads["tpp_exec_batched_write"] = {
-            "tpp_execs_per_sec": 1e6 * scale,
-            "instructions_per_sec": 2e6 * scale,
-            "scalar_execs_per_sec": 2e5 * scale,
-            "speedup_vs_scalar": 5.0,
-            "vector_write_batches": 6000}
-    if schema == "simcore-bench/v7":
-        workloads["tpp_exec_sketch"] = {
-            "tpp_execs_per_sec": 9e5 * scale,
-            "instructions_per_sec": 4.5e6 * scale,
-            "scalar_execs_per_sec": 1.5e5 * scale,
-            "speedup_vs_scalar": 6.0,
-            "vector_write_batches": 6000}
-    if schema in ("simcore-bench/v1", "simcore-bench/v2"):
-        del workloads["tpp_exec_verified"]
-    if schema == "simcore-bench/v1":
-        del report["timestamp_iso"]
-        del workloads["tpp_exec_cached"]
-        for key in ("interp_execs_per_sec", "speedup_vs_interpreter"):
-            del workloads["tpp_exec"][key]
-    report.update(overrides)
-    return report
-
-
-class TestRunBenchValidate:
-    def test_v3_report_valid(self):
-        assert load_run_bench().validate(bench_report()) == []
-
-    def test_v2_report_still_valid(self):
-        """v2 baselines (no tpp_exec_verified workload) keep validating."""
-        report = bench_report(schema="simcore-bench/v2")
-        assert load_run_bench().validate(report) == []
-
-    def test_v3_requires_verified_workload(self):
-        report = bench_report()
-        del report["workloads"]["tpp_exec_verified"]
-        problems = load_run_bench().validate(report)
-        assert any("tpp_exec_verified" in p for p in problems)
-
-    def test_v1_report_still_valid(self):
-        """Historical baselines (schema v1, no timestamp_iso, no cached
-        workload) must keep validating."""
-        report = bench_report(schema="simcore-bench/v1")
-        assert load_run_bench().validate(report) == []
-
-    def test_v5_report_valid(self):
-        report = bench_report(schema="simcore-bench/v5")
-        assert load_run_bench().validate(report) == []
-
-    def test_v5_requires_fleet_workload(self):
-        report = bench_report(schema="simcore-bench/v5")
-        del report["workloads"]["fleet_scale"]
-        problems = load_run_bench().validate(report)
-        assert any("fleet_scale" in p for p in problems)
-
-    def test_v5_diverged_fingerprints_rejected(self):
-        """bit_identical doubles as the determinism gate: a 0 means the
-        1- and 4-shard runs disagreed, and the report must not pass."""
-        report = bench_report(schema="simcore-bench/v5")
-        report["workloads"]["fleet_scale"]["bit_identical"] = 0
-        problems = load_run_bench().validate(report)
-        assert any("bit_identical" in p for p in problems)
-
-    def test_v6_report_valid(self):
-        report = bench_report(schema="simcore-bench/v6")
-        assert load_run_bench().validate(report) == []
-
-    def test_v6_requires_write_batch_workload(self):
-        report = bench_report(schema="simcore-bench/v6")
-        del report["workloads"]["tpp_exec_batched_write"]
-        problems = load_run_bench().validate(report)
-        assert any("tpp_exec_batched_write" in p for p in problems)
-
-    def test_v7_report_valid(self):
-        report = bench_report(schema="simcore-bench/v7")
-        assert load_run_bench().validate(report) == []
-
-    def test_v7_requires_sketch_workload(self):
-        report = bench_report(schema="simcore-bench/v7")
-        del report["workloads"]["tpp_exec_sketch"]
-        problems = load_run_bench().validate(report)
-        assert any("tpp_exec_sketch" in p for p in problems)
-
-    def test_unknown_schema_rejected(self):
-        problems = load_run_bench().validate(
-            bench_report(schema="simcore-bench/v99"))
-        assert any("schema" in p for p in problems)
-
-    def test_v2_requires_iso_timestamp(self):
-        problems = load_run_bench().validate(
-            bench_report(timestamp_iso="yesterday-ish"))
-        assert any("timestamp_iso" in p for p in problems)
-
-    def test_v2_requires_cached_workload(self):
-        report = bench_report()
-        del report["workloads"]["tpp_exec_cached"]
-        problems = load_run_bench().validate(report)
-        assert any("tpp_exec_cached" in p for p in problems)
-
-    def test_nonpositive_metric_rejected(self):
-        report = bench_report()
-        report["workloads"]["tpp_exec"]["tpp_execs_per_sec"] = 0
-        problems = load_run_bench().validate(report)
-        assert any("tpp_exec.tpp_execs_per_sec" in p for p in problems)
-
-
-class TestRunBenchCompare:
-    def write(self, tmp_path, name, report):
-        path = tmp_path / name
-        path.write_text(json.dumps(report))
-        return str(path)
-
-    def test_improvement_passes(self, tmp_path, capsys):
-        run_bench = load_run_bench()
-        old = self.write(tmp_path, "old.json", bench_report())
-        new = self.write(tmp_path, "new.json", bench_report(scale=1.5))
-        assert run_bench.main(["--compare", old, new]) == 0
-        assert "REGRESSION" not in capsys.readouterr().out
-
-    def test_small_regression_tolerated(self, tmp_path):
-        run_bench = load_run_bench()
-        old = self.write(tmp_path, "old.json", bench_report())
-        new = self.write(tmp_path, "new.json", bench_report(scale=0.95))
-        assert run_bench.main(["--compare", old, new]) == 0
-
-    def test_large_regression_fails(self, tmp_path, capsys):
-        run_bench = load_run_bench()
-        old = self.write(tmp_path, "old.json", bench_report())
-        new = self.write(tmp_path, "new.json", bench_report(scale=0.8))
-        assert run_bench.main(["--compare", old, new]) == 1
-        captured = capsys.readouterr()
-        assert "REGRESSION" in captured.out
-        assert "regressed beyond" in captured.err
-
-    def test_per_workload_noise_floor(self, tmp_path, capsys):
-        """A 15% drop on the (noisy) batched workload is inside its 20%
-        floor, while the same drop on event_core (10% floor) regresses —
-        one global tolerance cannot express both."""
-        run_bench = load_run_bench()
-        old_report = bench_report(schema="simcore-bench/v6")
-        noisy_only = bench_report(schema="simcore-bench/v6")
-        for name in ("tpp_exec_batched", "tpp_exec_batched_write"):
-            for metric in noisy_only["workloads"][name]:
-                if metric != "vector_write_batches":
-                    noisy_only["workloads"][name][metric] *= 0.85
-        old = self.write(tmp_path, "old.json", old_report)
-        new = self.write(tmp_path, "new.json", noisy_only)
-        assert run_bench.main(["--compare", old, new]) == 0
-
-        quiet_hit = bench_report(schema="simcore-bench/v6")
-        quiet_hit["workloads"]["event_core"]["events_per_sec"] *= 0.85
-        new = self.write(tmp_path, "new2.json", quiet_hit)
-        assert run_bench.main(["--compare", old, new]) == 1
-        captured = capsys.readouterr()
-        assert "event_core" in captured.err
-        assert "floor 10%" in captured.out
-
-    def test_v1_baseline_skips_missing_workloads(self, tmp_path, capsys):
-        """Comparing v2 against a v1 baseline skips tpp_exec_cached
-        instead of counting it as a regression."""
-        run_bench = load_run_bench()
-        old = self.write(tmp_path, "old.json",
-                         bench_report(schema="simcore-bench/v1"))
-        new = self.write(tmp_path, "new.json", bench_report())
-        assert run_bench.main(["--compare", old, new]) == 0
-        assert "skipped" in capsys.readouterr().out
-
-    def test_v4_baseline_accepts_v5_report(self, tmp_path, capsys):
-        """A committed v4 baseline still gates a v5 run: fleet_scale is
-        one-sided, so it is reported as skipped, never as a regression."""
-        run_bench = load_run_bench()
-        old = self.write(tmp_path, "old.json",
-                         bench_report(schema="simcore-bench/v4"))
-        new = self.write(tmp_path, "new.json",
-                         bench_report(schema="simcore-bench/v5", scale=1.1))
-        assert run_bench.main(["--compare", old, new]) == 0
-        out = capsys.readouterr().out
-        assert "fleet_scale" in out and "skipped" in out
-
-    def test_unreadable_report_fails(self, tmp_path, capsys):
-        run_bench = load_run_bench()
-        old = self.write(tmp_path, "old.json", bench_report())
-        assert run_bench.main(
-            ["--compare", old, str(tmp_path / "missing.json")]) == 1
-        assert "unreadable" in capsys.readouterr().err
 
 
 class TestTppasmAssemble:
