@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional
 
 from repro.control.agent import ControlPlaneAgent
-from repro.core.assembler import assemble
+from repro.core.assembler import AssembledProgram, assemble
 from repro.core.memory_map import SRAM_BASE
 from repro.endhost.client import TPPEndpoint, TPPResultView
 from repro.endhost.flows import Flow
@@ -102,7 +102,12 @@ class LedgerPublisher:
             endpoint = TPPEndpoint(host)
             host.tpp = endpoint
         self.endpoint = endpoint
-        self._slot_vaddr = ledger.register_sender(name)
+        slot_vaddr = ledger.register_sender(name)
+        # Assembled once; each publish rebinds the two values it carries.
+        self._program = assemble(
+            PUBLISH_PROGRAM.format(slot=f"0x{slot_vaddr:04X}"),
+            memory_map=ledger.agent.memory_map,
+            symbols={"TxBytes": 0, "AuditedSwitch": 0})
         self._timer = PeriodicTimer(host.sim, interval_ns, self._publish)
         self.publishes = 0
 
@@ -115,13 +120,10 @@ class LedgerPublisher:
         self._timer.stop()
 
     def _publish(self) -> None:
-        source = PUBLISH_PROGRAM.format(slot=f"0x{self._slot_vaddr:04X}")
-        program = assemble(
-            source, memory_map=self.ledger.agent.memory_map,
-            symbols={
-                "TxBytes": self.tx_bytes_fn() & 0xFFFF_FFFF,
-                "AuditedSwitch": self.ledger.audited_switch.switch_id,
-            })
+        program = self._program.rebind({
+            "TxBytes": self.tx_bytes_fn() & 0xFFFF_FFFF,
+            "AuditedSwitch": self.ledger.audited_switch.switch_id,
+        })
         self.publishes += 1
         self.endpoint.send(program, dst_mac=self.dst_mac,
                            task_id=self.ledger.task.task_id)
@@ -145,6 +147,8 @@ class LedgerAuditor:
         self.reports: List[AuditReport] = []
         self._timer = PeriodicTimer(host.sim, interval_ns, self._audit)
         self._baseline_forwarded: Optional[int] = None
+        #: The audit program, re-assembled only when the slots change.
+        self._program: Optional[AssembledProgram] = None
 
     def start(self) -> None:
         """Begin periodic audits."""
@@ -171,10 +175,13 @@ class LedgerAuditor:
             lines.append(f"LOAD [0x{vaddr:04X}], [Packet:{index}]")
         lines.append(f"LOAD [Link:BytesTransmitted], "
                      f"[Packet:{len(names)}]")
-        program = assemble(
-            "\n".join(lines), memory_map=self.ledger.agent.memory_map,
-            symbols={"AuditedSwitch":
-                     self.ledger.audited_switch.switch_id})
+        source = "\n".join(lines)
+        if self._program is None or self._program.source != source:
+            self._program = assemble(
+                source, memory_map=self.ledger.agent.memory_map,
+                symbols={"AuditedSwitch": 0})
+        program = self._program.rebind(
+            {"AuditedSwitch": self.ledger.audited_switch.switch_id})
         self.endpoint.send(program, dst_mac=self.dst_mac,
                            task_id=self.ledger.task.task_id,
                            on_response=self._on_result)

@@ -149,23 +149,23 @@ class NdbCollector:
         word = tpp.word_size
         perhop = tpp.perhop_len_bytes
         record_bytes = WORDS_PER_HOP * word
+        words = tpp.words()
         truncated = False
         # The hop counter says how many switches executed the TPP; the
         # memory says how many records survived the trip.  A trace whose
         # memory arrived truncated gets explicit gap markers for the tail
-        # instead of being mis-assembled (or crashing its reader).
+        # instead of being mis-assembled (or crashing its reader); so
+        # does a record a hostile per-hop length leaves off a word
+        # boundary.
         for hop in range(tpp.hops_executed()):
             base = hop * perhop
-            if base + record_bytes > len(tpp.memory):
+            if base % word or base + record_bytes > len(tpp.memory):
                 journey.hops.append(GAP_HOP)
                 truncated = True
                 continue
-            journey.hops.append(HopRecord(
-                switch_id=tpp.read_word(base),
-                entry_id=tpp.read_word(base + word),
-                entry_version=tpp.read_word(base + 2 * word),
-                input_port=tpp.read_word(base + 3 * word),
-            ))
+            first = base // word
+            journey.hops.append(
+                HopRecord(*words[first:first + WORDS_PER_HOP]))
         if truncated:
             self.truncated_traces += 1
         self.journeys.append(journey)

@@ -104,6 +104,10 @@ class SwitchInventory:
         self.memory_map = memory_map
         self.max_hops = max_hops
         self.reports: Dict[int, SwitchReport] = {}
+        #: Assembled once; rebound to each switch the path discovers.
+        self.inventory_program = assemble(
+            INVENTORY_PROGRAM, memory_map=memory_map,
+            symbols={"TargetSwitch": 0})
         self._on_complete: Optional[Callable[[Dict[int, SwitchReport]],
                                              None]] = None
         self._outstanding = 0
@@ -124,11 +128,9 @@ class SwitchInventory:
             return
         self._outstanding = len(switch_ids)
         for switch_id in switch_ids:
-            program = assemble(INVENTORY_PROGRAM,
-                               memory_map=self.memory_map,
-                               symbols={"TargetSwitch": switch_id})
             self.endpoint.send(
-                program, dst_mac=self.dst_mac,
+                self.inventory_program.rebind({"TargetSwitch": switch_id}),
+                dst_mac=self.dst_mac,
                 on_response=lambda r, sid=switch_id:
                 self._on_inventory(sid, r))
 

@@ -228,6 +228,13 @@ class RCPStarFlow:
         self.collect_program = assemble(COLLECT_PROGRAM,
                                         memory_map=task.memory_map,
                                         hops=max_hops)
+        #: Figure 4: the update's instructions never change, only the
+        #: packet-memory words its symbols initialise — assembled once
+        #: here, :meth:`~AssembledProgram.rebind` per update.
+        self.update_program = assemble(
+            UPDATE_PROGRAM, memory_map=task.memory_map,
+            symbols=dict.fromkeys(("NewRate", "BottleneckSwitchID",
+                                   "SeenTimestamp", "NowTimestamp"), 0))
         #: §2.2: the controller queries "using the flow's packets, or
         #: using additional probe packets".  ``piggyback_every = N``
         #: selects the former: every Nth data packet carries the collect
@@ -413,15 +420,12 @@ class RCPStarFlow:
             link.rate_register_bps, self.capacity_bps, offered_bps,
             link.queue_bytes_avg * 8, interval_s, self.rtt_s,
             self.alpha, self.beta)
-        program = assemble(
-            UPDATE_PROGRAM,
-            memory_map=self.task.memory_map,
-            symbols={
-                "NewRate": int(new_rate) // RATE_UNIT_BPS,
-                "BottleneckSwitchID": link.switch_id,
-                "SeenTimestamp": link.last_update_ts,
-                "NowTimestamp": now_ts & 0xFFFF_FFFF,
-            })
+        program = self.update_program.rebind({
+            "NewRate": int(new_rate) // RATE_UNIT_BPS,
+            "BottleneckSwitchID": link.switch_id,
+            "SeenTimestamp": link.last_update_ts,
+            "NowTimestamp": now_ts & 0xFFFF_FFFF,
+        })
         self.updates_sent += 1
         self.endpoint.send(program, dst_mac=self.flow.dst_mac,
                            task_id=self.task.task_id)

@@ -43,13 +43,13 @@ Memory sizing: in stack mode the assembler computes the per-hop footprint
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass, field, replace
+from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.exceptions import AssemblerError
 from repro.core.isa import Instruction, Opcode, PAIR_OPERAND_OPCODES
 from repro.core.memory_map import MemoryMap
-from repro.core.tpp import AddressingMode, TPPSection
+from repro.core.tpp import AddressingMode, TPPSection, program_key_of
 
 DEFAULT_HOPS = 8
 
@@ -72,6 +72,7 @@ class _Operand:
 
     kind: str            # "switch" | "packet" | "immediate"
     value: int           # vaddr | word offset | literal value
+    symbol: Optional[str] = None  # lowercased $name an immediate came from
 
 
 @dataclass
@@ -98,6 +99,10 @@ class AssembledProgram:
     _program_key: Any = field(default=None, repr=False, compare=False)
     #: Memoized default-argument :meth:`verify` result.
     _verification: Any = field(default=None, repr=False, compare=False)
+    #: Per lowercased ``$symbol`` the source references: the packet-memory
+    #: words it initialises, or ``None`` when it shapes the program.
+    _bindings: Dict[str, Optional[List[int]]] = field(
+        default_factory=dict, repr=False, compare=False)
 
     @property
     def n_instructions(self) -> int:
@@ -127,12 +132,46 @@ class AssembledProgram:
             seq=seq,
             payload=payload,
         )
+        section._program_key = self.program_key
+        return section
+
+    @property
+    def program_key(self) -> bytes:
+        """The fingerprint every section built from this program carries."""
         key = self._program_key
         if key is None:
-            self._program_key = section.program_key
-        else:
-            section._program_key = key
-        return section
+            key = self._program_key = program_key_of(
+                self.instructions, self.mode, self.word_size)
+        return key
+
+    def rebind(self, symbols: Dict[str, int]) -> "AssembledProgram":
+        """This program with new values for some of its ``$symbols``.
+
+        Equal, field for field, to assembling the source again with the
+        updated symbols, but only the packet-memory words those symbols
+        initialise are rewritten: the instruction list and the program
+        key are shared, a verification result is not inherited.  A name
+        the source never references, or one that sizes the program
+        (``.hops`` / ``.memory`` / ``.perhop`` / a ``.data`` index),
+        raises :class:`AssemblerError`.
+        """
+        values = {name.lower(): value for name, value in symbols.items()}
+        scratch = TPPSection(instructions=[], word_size=self.word_size,
+                             memory=bytearray(self.initial_memory))
+        for name, value in values.items():
+            words = self._bindings.get(name)
+            if words is None:
+                raise AssemblerError(
+                    f"cannot rebind ${name}: "
+                    + ("it shapes the program" if name in self._bindings
+                       else "the source never references it"))
+            for index in words:
+                scratch.write_word(index * self.word_size, value)
+        return replace(
+            self, initial_memory=bytes(scratch.memory), _verification=None,
+            _program_key=self.program_key,
+            symbols={spelling: values.get(spelling.lower(), old)
+                     for spelling, old in self.symbols.items()})
 
     def verify(self, memory_map: Optional[MemoryMap] = None,
                **kwargs: Any) -> Any:
@@ -191,9 +230,10 @@ class _Assembler:
         self.word_size = 4
         self.memory_words: Optional[int] = None
         self.perhop_words: Optional[int] = None
-        self.data_directives: List[Tuple[int, int]] = []
+        self.data_directives: List[Tuple[int, _Operand]] = []
         self.parsed: List[Tuple[Opcode, List[_Operand], int, str]] = []
         self.used_symbols: Dict[str, int] = {}
+        self.shape_symbols: Set[str] = set()
 
     # ------------------------------------------------------------------ #
     # Entry point
@@ -233,7 +273,7 @@ class _Assembler:
                 self.perhop_words = self._int(parts[1], number, raw)
             elif name == ".data":
                 index = self._int(parts[1], number, raw)
-                value = self._int(parts[2], number, raw)
+                value = self._immediate(parts[2], number, raw)
                 self.data_directives.append((index, value))
             else:
                 raise AssemblerError(f"unknown directive {name!r}",
@@ -281,15 +321,8 @@ class _Assembler:
                 raise AssemblerError(
                     f"packet offset {offset} exceeds 255", number, raw)
             return _Operand("packet", offset)
-        symbol = _SYMBOL.match(text)
-        if symbol:
-            key = symbol.group(1).lower()
-            if key not in self.symbols:
-                raise AssemblerError(f"undefined symbol ${symbol.group(1)}",
-                                     number, raw)
-            value = self.symbols[key]
-            self.used_symbols[symbol.group(1)] = value
-            return _Operand("immediate", value)
+        if _SYMBOL.match(text):
+            return self._immediate(text, number, raw)
         bracketed = _SWITCH_OPERAND.match(text)
         if bracketed:
             inner = bracketed.group(1)
@@ -300,12 +333,12 @@ class _Assembler:
             except KeyError as exc:
                 raise AssemblerError(str(exc), number, raw) from exc
         try:
-            return _Operand("immediate", self._int(text, number, raw))
+            return self._immediate(text, number, raw)
         except AssemblerError:
             raise AssemblerError(f"cannot parse operand {text!r}",
                                  number, raw)
 
-    def _int(self, text: str, number: int, raw: str) -> int:
+    def _immediate(self, text: str, number: int, raw: str) -> _Operand:
         symbol = _SYMBOL.match(text)
         if symbol:
             key = symbol.group(1).lower()
@@ -313,11 +346,18 @@ class _Assembler:
                 raise AssemblerError(f"undefined symbol ${symbol.group(1)}",
                                      number, raw)
             self.used_symbols[symbol.group(1)] = self.symbols[key]
-            return self.symbols[key]
+            return _Operand("immediate", self.symbols[key], key)
         try:
-            return int(text, 0)
+            return _Operand("immediate", int(text, 0))
         except ValueError as exc:
             raise AssemblerError(f"bad integer {text!r}", number, raw) from exc
+
+    def _int(self, text: str, number: int, raw: str) -> int:
+        """A directive argument that sizes the program."""
+        operand = self._immediate(text, number, raw)
+        if operand.symbol is not None:
+            self.shape_symbols.add(operand.symbol)
+        return operand.value
 
     # ------------------------------------------------------------------ #
     # Emission
@@ -345,7 +385,7 @@ class _Assembler:
         else:
             memory_words = max_packet_word + 1 if self.parsed else 0
 
-        pool: List[int] = []
+        pool: List[_Operand] = []
         pool_base = memory_words
         instructions: List[Instruction] = []
         lines: List[int] = []
@@ -373,15 +413,25 @@ class _Assembler:
         # masking behaviour identical to run time.
         scratch = TPPSection(instructions=[], memory=memory,
                              word_size=self.word_size)
-        for index, value in self.data_directives:
+        for index, _ in self.data_directives:
             if index >= memory_words:
                 raise AssemblerError(
                     f".data index {index} outside the {memory_words} "
                     f"declared memory words")
-            scratch.write_word(index * self.word_size, value)
-        for slot, value in enumerate(pool):
-            scratch.write_word((pool_base + slot) * self.word_size, value)
+        owner: Dict[int, Optional[str]] = {}  # word -> symbol written last
+        for index, operand in self.data_directives + list(
+                enumerate(pool, start=pool_base)):
+            scratch.write_word(index * self.word_size, operand.value)
+            owner[index] = operand.symbol
         program.initial_memory = bytes(memory)
+        words: Dict[str, List[int]] = {
+            spelling.lower(): [] for spelling in self.used_symbols}
+        for index, symbol in owner.items():
+            if symbol is not None:
+                words[symbol].append(index)
+        program._bindings = {
+            name: None if name in self.shape_symbols else indices
+            for name, indices in words.items()}
         return program
 
     def _max_packet_word(self) -> int:
@@ -425,7 +475,7 @@ class _Assembler:
                                    offset=second.value)
             if second.kind == "immediate" and third.kind == "immediate":
                 offset = pool_base + len(pool)
-                pool.extend([second.value, third.value])
+                pool.extend([second, third])
                 if offset + 1 > 0xFF:
                     raise AssemblerError(
                         "literal pool exceeds addressable packet memory",

@@ -282,9 +282,9 @@ class TPPSection:
         an 8-byte word size over memory that is not a multiple of 8, and
         observers of such packets must not crash on the ragged tail.
         """
-        usable = len(self.memory) - len(self.memory) % self.word_size
-        return [self.read_word(i)
-                for i in range(0, usable, self.word_size)]
+        count = len(self.memory) // self.word_size
+        code = "I" if self.word_size == 4 else "Q"
+        return list(struct.unpack_from(f">{count}{code}", self.memory))
 
     def _check_bounds(self, byte_offset: int) -> None:
         if byte_offset < 0 or byte_offset + self.word_size > len(self.memory):

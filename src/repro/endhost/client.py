@@ -64,8 +64,9 @@ ResponseCallback = Callable[["TPPResultView"], None]
 TimeoutCallback = Callable[["ProbeRequest"], None]
 TPPTap = Callable[[TPPSection, EthernetFrame], None]
 
-#: Admission-cache key: program fingerprint + memory geometry.
-AdmissionKey = Tuple[bytes, int, int, Optional[int]]
+#: Admission-cache key: program fingerprint, memory image, geometry (the
+#: verifier folds constants out of the image, so its length is not enough).
+AdmissionKey = Tuple[bytes, bytes, int, Optional[int]]
 #: Completed-request memo: (outcome, first_sent_ns, attempts).
 CompletedEntry = Tuple[str, int, int]
 
@@ -240,12 +241,9 @@ class TPPResultView:
         # Clamp to what the packet can actually hold: a malformed or
         # truncated TPP must not crash its reader.
         max_hops = len(self.tpp.memory) // perhop
-        result: List[List[int]] = []
-        for hop in range(min(self.hops(), max_hops)):
-            base = hop * perhop
-            result.append([self.tpp.read_word(base + i * word)
-                           for i in range(words_per_hop)])
-        return result
+        words = self.tpp.words()
+        return [words[hop * words_per_hop:(hop + 1) * words_per_hop]
+                for hop in range(min(self.hops(), max_hops))]
 
     def hop_words(self, hop: int) -> List[int]:
         """Samples collected at one hop."""
@@ -254,9 +252,7 @@ class TPPResultView:
     def stack_words(self) -> List[int]:
         """All words up to the stack pointer (stack-addressed TPPs)."""
         word = self.tpp.word_size
-        limit = min(self.tpp.sp,
-                    len(self.tpp.memory) - len(self.tpp.memory) % word)
-        return [self.tpp.read_word(i) for i in range(0, max(0, limit), word)]
+        return self.tpp.words()[:(max(0, self.tpp.sp) + word - 1) // word]
 
     def word(self, index: int) -> int:
         """One absolute packet-memory word."""
@@ -362,7 +358,7 @@ class TPPEndpoint:
         """Statically verify a program against this endpoint's settings.
 
         Returns the :class:`~repro.core.verifier.VerificationResult`
-        (memoized per program fingerprint + memory geometry, so probing
+        (memoized per program fingerprint + memory image, so probing
         loops pay for the analysis once).  Does not apply the admission
         mode — :meth:`send` does; call this directly to inspect
         diagnostics or obtain the fast-path certificate.
@@ -381,19 +377,10 @@ class TPPEndpoint:
             self._admissions.popitem(last=False)
         return result
 
-    def _admission_key(self, program: AssembledProgram) -> AdmissionKey:
-        return (self._program_fingerprint(program),
-                len(program.initial_memory), program.perhop_len_bytes,
-                getattr(program, "hops", None))
-
     @staticmethod
-    def _program_fingerprint(program: AssembledProgram) -> bytes:
-        from repro.core.tpp import program_key_of
-        key = program._program_key
-        if key is None:
-            key = program_key_of(program.instructions, program.mode,
-                                 program.word_size)
-        return key
+    def _admission_key(program: AssembledProgram) -> AdmissionKey:
+        return (program.program_key, program.initial_memory,
+                program.perhop_len_bytes, getattr(program, "hops", None))
 
     def _gate(self, program: AssembledProgram) -> None:
         """Apply the admission mode before a transmission."""

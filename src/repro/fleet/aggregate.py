@@ -74,14 +74,10 @@ class BatchedAdmission:
 
     @staticmethod
     def _key(program: AssembledProgram) -> tuple:
-        # Geometry is part of the key: the same instruction stream with a
-        # different memory size has a different verdict (TPP009).
-        fingerprint = program._program_key
-        if fingerprint is None:
-            # First sight of this template: building one throwaway
-            # section memoizes the fingerprint on the template itself.
-            fingerprint = program.build(seq=0).program_key
-        return (fingerprint, len(program.initial_memory),
+        # Memory is part of the key: the same instruction stream with a
+        # different size (TPP009) or different constants in its literal
+        # pool (TPP008/TPP012) has a different verdict.
+        return (program.program_key, program.initial_memory,
                 program.perhop_len_bytes, program.hops)
 
     def admit(self, program: AssembledProgram,

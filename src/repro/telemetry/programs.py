@@ -213,6 +213,5 @@ def read_sketch(tcpu, words: Sequence[int], make_ctx,
             raise RuntimeError(
                 f"sketch probe faulted: {report.fault.name} "
                 f"(words {part})")
-        for i, word in enumerate(part):
-            image[word] = section.read_word(i * program.word_size)
+        image.update(zip(part, section.words()))
     return image

@@ -195,6 +195,41 @@ class TestGapHops:
         assert [hop.gap for hop in journey.hops] == [False, False, True]
         assert journey.switch_ids()[2] == -1
 
+    def test_surviving_records_decode_what_the_switches_wrote(self, ndb_net):
+        from repro.net.packet import ETHERTYPE_TPP, EthernetFrame
+
+        net, _ = ndb_net
+        h0, h1 = net.host("h0"), net.host("h1")
+        collector = NdbCollector(h1)
+        tpp = truncated_trace_tpp()
+        for index in range(len(tpp.memory) // 4):
+            tpp.write_word(4 * index, 100 + index)
+        h1.receive(EthernetFrame(dst=h1.mac, src=h0.mac,
+                                 ethertype=ETHERTYPE_TPP, payload=tpp),
+                   in_port=0)
+        assert collector.journeys[0].hops[:2] == [
+            HopRecord(100, 101, 102, 103), HopRecord(104, 105, 106, 107)]
+
+    def test_record_off_a_word_boundary_is_a_gap(self, ndb_net):
+        """A hostile header (8-byte words over a 12-byte per-hop length)
+        puts every odd hop's record between words: a gap, not garbage."""
+        from repro.core.tpp import AddressingMode, TPPSection
+        from repro.net.packet import ETHERTYPE_TPP, EthernetFrame
+
+        net, _ = ndb_net
+        h0, h1 = net.host("h0"), net.host("h1")
+        collector = NdbCollector(h1)
+        tpp = TPPSection(instructions=[], memory=bytearray(range(96)),
+                         mode=AddressingMode.HOP, word_size=8,
+                         hop_or_sp=3, perhop_len_bytes=12)
+        h1.receive(EthernetFrame(dst=h1.mac, src=h0.mac,
+                                 ethertype=ETHERTYPE_TPP, payload=tpp),
+                   in_port=0)
+        hops = collector.journeys[0].hops
+        assert [hop.gap for hop in hops] == [False, True, False]
+        assert hops[2].switch_id == tpp.read_word(24)
+        assert hops[2].input_port == tpp.read_word(48)
+
     def test_gapped_journey_gets_no_path_verdict(self):
         """Incomplete evidence must not page an operator for a wrong
         path; surviving hops are still checked against the rules."""

@@ -115,3 +115,75 @@ class TestFairness:
         register = task.rate_register_bps(net.switch("swL"), 0)
         assert 0 < register <= CAPACITY
         assert all(f.updates_sent > 0 for f in flows)
+
+
+class TestUpdateTemplate:
+    """Figure 4: the update TPP's instructions never change, only the
+    packet-memory words its symbols initialise — so the assembler runs
+    once per program per flow, not once per update."""
+
+    N_PAIRS = 2
+
+    def run_dumbbell(self, monkeypatch, full_assemble=False):
+        """One run; returns (assemble calls, flows, observable state)."""
+        import repro.apps.rcp as rcp
+        from repro.core.assembler import AssembledProgram
+
+        calls = []
+        real_assemble = rcp.assemble
+
+        def counting_assemble(*args, **kwargs):
+            calls.append(args[0])
+            return real_assemble(*args, **kwargs)
+
+        monkeypatch.setattr(rcp, "assemble", counting_assemble)
+        net, task = build(n_pairs=self.N_PAIRS)
+        if full_assemble:
+            # The reference: every "rebind" re-runs the whole assembler.
+            monkeypatch.setattr(
+                AssembledProgram, "rebind",
+                lambda program, symbols: counting_assemble(
+                    program.source, memory_map=task.memory_map,
+                    symbols=symbols))
+        flows = [make_flow(net, task, i, self.N_PAIRS)
+                 for i in range(self.N_PAIRS)]
+        wire = []
+        for host in net.hosts.values():
+            endpoint = getattr(host, "tpp", None)
+            if endpoint is not None:
+                endpoint.add_tap(
+                    lambda tpp, frame: wire.append(("rx", tpp.encode())))
+        for flow in flows:
+            collect = flow._on_collect
+            flow.prober.on_result = (
+                lambda result, collect=collect: (
+                    wire.append(("echo", result.tpp.encode())),
+                    collect(result)))
+            flow.start()
+        net.run(until_seconds=1.5)
+        state = {
+            "sram": [sw.mmu.sram_image() for sw in net.switches.values()],
+            "registers": [
+                (sw.mmu.peek_link_scratch(port.index, 0),
+                 sw.mmu.peek_link_scratch(port.index, 1))
+                for sw in net.switches.values() for port in sw.ports],
+            "rates": [flow.rate_series.values() for flow in flows],
+            "wire": wire,
+        }
+        return calls, flows, state
+
+    def test_assembler_runs_twice_per_flow(self, monkeypatch):
+        calls, flows, _ = self.run_dumbbell(monkeypatch)
+        assert sum(flow.updates_sent for flow in flows) >= 50
+        assert len(calls) == 2 * len(flows)
+
+    def test_rebound_updates_equal_freshly_assembled_ones(self, monkeypatch):
+        _, flows, rebound = self.run_dumbbell(monkeypatch)
+        with monkeypatch.context() as patch:
+            calls, reference_flows, reference = self.run_dumbbell(
+                patch, full_assemble=True)
+        assert len(calls) > 50           # the reference really re-assembles
+        assert ([flow.updates_sent for flow in flows]
+                == [flow.updates_sent for flow in reference_flows])
+        assert any(kind == "rx" for kind, _ in rebound["wire"])
+        assert rebound == reference

@@ -1,6 +1,7 @@
 """The TPP assembler: the paper's listings must compile."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.assembler import assemble
 from repro.core.exceptions import AssemblerError
@@ -215,3 +216,129 @@ class TestBuild:
             PUSH [Switch:SwitchID]
         """)
         assert program.instruction_bytes == 8
+
+
+# --------------------------------------------------------------------- #
+# Templates: rebind() against a fresh assemble()
+# --------------------------------------------------------------------- #
+
+_NAMES = ("Rate", "now_ts", "Mask-1", "X")
+_values = st.integers(min_value=-(1 << 63), max_value=(1 << 64) - 1)
+_MEMORY_WORDS = 6
+
+
+@st.composite
+def _spelled(draw, name):
+    """``name`` with each letter's case drawn independently."""
+    return "".join(draw(st.sampled_from((c.lower(), c.upper())))
+                   for c in name)
+
+
+@st.composite
+def _immediate(draw, used):
+    """A literal, or a (case-varied) reference to one of ``_NAMES``."""
+    if draw(st.booleans()):
+        return str(draw(st.integers(0, 0xFFFFFFFF)))
+    name = draw(st.sampled_from(_NAMES))
+    used.add(name)
+    return "$" + draw(_spelled(name))
+
+
+@st.composite
+def templated_sources(draw):
+    """(source, names it references) over every mode and word size,
+    with symbols in the literal pool and in (colliding) ``.data``."""
+    used = set()
+    lines = [f".mode {draw(st.sampled_from(('stack', 'hop', 'absolute')))}",
+             f".word {draw(st.sampled_from((4, 8)))}",
+             f".memory {_MEMORY_WORDS}", ".perhop 2"]
+    for _ in range(draw(st.integers(0, 4))):
+        lines.append(f".data {draw(st.integers(0, _MEMORY_WORDS - 1))} "
+                     f"{draw(_immediate(used))}")
+    for _ in range(draw(st.integers(1, 5))):
+        kind = draw(st.sampled_from(("CSTORE", "CEXEC", "LOAD", "PUSH")))
+        if kind == "PUSH":
+            lines.append("PUSH [Switch:SwitchID]")
+        elif kind == "LOAD":
+            lines.append(f"LOAD [Switch:SwitchID], [Packet:"
+                         f"{draw(st.integers(0, _MEMORY_WORDS - 1))}]")
+        else:
+            target = ("[Sram:Word0]" if kind == "CSTORE"
+                      else "[Switch:SwitchID]")
+            lines.append(f"{kind} {target}, {draw(_immediate(used))}, "
+                         f"{draw(_immediate(used))}")
+    return "\n".join(draw(st.permutations(lines[:4])) + lines[4:]), used
+
+
+class TestRebind:
+    @given(templated_sources(), st.data())
+    def test_rebind_equals_fresh_assemble(self, templated, data):
+        source, used = templated
+        first = {name: data.draw(_values) for name in _NAMES}
+        template = assemble(source, symbols=first, hops=3)
+        # A full or partial rebinding, under case-varied names.
+        chosen = data.draw(st.sets(st.sampled_from(sorted(used)))
+                           if used else st.just(set()))
+        new = {name: data.draw(_values) for name in chosen}
+        rebound = template.rebind(
+            {data.draw(_spelled(name)): value
+             for name, value in new.items()})
+        fresh = assemble(source, symbols={**first, **new}, hops=3)
+
+        assert rebound == fresh          # every public (compared) field
+        assert rebound.program_key == fresh.program_key
+        assert rebound.instructions is template.instructions
+        assert rebound._verification is None
+        assert (rebound.build(task_id=3, seq=9).encode()
+                == fresh.build(task_id=3, seq=9).encode())
+        # The template is untouched and can be rebound again.
+        assert template == assemble(source, symbols=first, hops=3)
+        assert template.rebind(
+            {name: first[name] for name in used}) == template
+
+    def test_later_data_directive_owns_the_word(self):
+        template = assemble(".memory 1\n.data 0 $A\n.data 0 $B\nNOP",
+                            symbols={"A": 1, "B": 2})
+        assert template.rebind({"A": 9}).initial_memory == bytes(
+            [0, 0, 0, 2])
+        assert template.rebind({"B": 9}).initial_memory == bytes(
+            [0, 0, 0, 9])
+
+    def test_values_are_masked_to_the_word(self):
+        template = assemble(".memory 1\n.data 0 $A\nNOP", symbols={"A": 0})
+        assert template.rebind({"A": -1}).initial_memory == b"\xff" * 4
+        assert template.rebind({"A": (1 << 40) | 5}).initial_memory == (
+            bytes([0, 0, 0, 5]))
+
+    def test_verification_is_not_inherited(self):
+        template = assemble(
+            ".memory 1\nCEXEC [Switch:SwitchID], $Mask, $Want\n"
+            "STORE [Sram:Word0], [Packet:0]",
+            symbols={"Mask": 0xFF, "Want": 0x1})
+        def codes(program):
+            return [d.code for d in program.verify().diagnostics]
+
+        assert codes(template) == []
+        rebound = template.rebind({"Mask": 0x0F, "Want": 0x100})
+        assert rebound._verification is None
+        assert codes(rebound) == ["TPP008", "TPP012"]
+        assert codes(template) == []
+
+    @pytest.mark.parametrize("directive", [
+        ".hops $N", ".memory $N", ".perhop $N", ".data $N 7",
+        ".hops $n\n.data 0 $N",      # shaping wins over initialising
+    ])
+    def test_shape_symbols_refuse(self, directive):
+        template = assemble(
+            f".mode hop\n.memory 8\n{directive}\n"
+            "LOAD [Switch:SwitchID], [Packet:Hop[0]]", symbols={"N": 2})
+        with pytest.raises(AssemblerError, match="shapes the program"):
+            template.rebind({"N": 2})
+
+    def test_unreferenced_symbol_refuses(self):
+        template = assemble("CEXEC [Switch:SwitchID], 0xFF, $Want",
+                            symbols={"Want": 1, "Spare": 2})
+        with pytest.raises(AssemblerError, match="never references"):
+            template.rebind({"Spare": 3})
+        with pytest.raises(AssemblerError, match="never references"):
+            assemble("NOP").rebind({"Want": 3})

@@ -88,6 +88,26 @@ class TestMemoryAccess:
         tpp.write_word(8, 3)
         assert tpp.words() == [1, 2, 3]
 
+    @pytest.mark.parametrize("word_size", [4, 8])
+    @pytest.mark.parametrize("n_bytes", [0, 4, 8, 12, 16, 20, 36, 40])
+    def test_words_equals_the_read_word_loop(self, word_size, n_bytes):
+        """The bulk decode is the per-word loop it replaced: every
+        complete word, the ragged tail (a hostile 8-byte word size over
+        4-aligned memory) dropped, nothing for empty memory."""
+        memory = bytearray((37 * i + 11) % 256 for i in range(n_bytes))
+        tpp = make_tpp(memory=memory, word_size=word_size)
+        usable = n_bytes - n_bytes % word_size
+        assert tpp.words() == [tpp.read_word(i)
+                               for i in range(0, usable, word_size)]
+        assert len(tpp.words()) == n_bytes // word_size
+
+    def test_words_is_a_snapshot(self):
+        tpp = make_tpp(memory=bytearray(8))
+        before = tpp.words()
+        tpp.write_word(4, 7)
+        assert before == [0, 0]
+        assert tpp.words() == [0, 7]
+
 
 class TestFlags:
     def test_done_flag(self):

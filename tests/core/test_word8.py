@@ -91,3 +91,16 @@ class TestWideWords:
         net.run(until_seconds=net.sim.now_seconds + 0.01)
         value = results[0].word(0)
         assert value > (1 << 33)  # no truncation at 2^32
+
+    def test_word8_words_match_read_word(self):
+        """``words()`` decodes 8-byte words big-endian like ``read_word``
+        and drops the 4-byte tail a 4-aligned memory may leave."""
+        program = assemble(".word 8\nPUSH [Queue:QueueSize]", hops=3)
+        tpp = program.build()
+        values = [0x1234_5678_9ABC_DEF0, (1 << 64) - 1, 1]
+        for index, value in enumerate(values):
+            tpp.write_word(8 * index, value)
+        assert tpp.words() == values
+        del tpp.memory[20:]                 # 2 whole words + 4 ragged bytes
+        assert tpp.words() == values[:2] == [tpp.read_word(0),
+                                             tpp.read_word(8)]

@@ -81,6 +81,27 @@ class TestVerifyModes:
         first = client.admit(program)
         assert client.admit(program) is first
 
+    def test_admission_reads_the_memory_image_not_its_length(
+            self, net_hosts):
+        """Same instructions, same memory size, different literal pool:
+        the verifier folds the CEXEC constants, so the verdicts differ
+        and the memo must not hand one program the other's."""
+        _, h0, _ = net_hosts
+        client = TPPEndpoint(h0)
+        template = assemble(
+            ".memory 1\n"
+            "CEXEC [Switch:SwitchID], $Mask, $Want\n"
+            "STORE [Sram:Word0], [Packet:0]",
+            symbols={"Mask": 0xFF, "Want": 0x1})
+        unsatisfiable = template.rebind({"Mask": 0x0F, "Want": 0x100})
+        assert unsatisfiable.program_key == template.program_key
+        live = client.admit(template)
+        dead = client.admit(unsatisfiable)
+        assert [d.code for d in live.diagnostics] == []
+        assert [d.code for d in dead.diagnostics] == ["TPP008", "TPP012"]
+        # Still a memo: an equal image is the same verdict object.
+        assert client.admit(template.rebind({"Mask": 0xFF})) is live
+
     def test_admit_exposes_result_without_sending(self, net_hosts):
         _, h0, _ = net_hosts
         client = TPPEndpoint(h0)  # mode off: admit still works on demand

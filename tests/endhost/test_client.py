@@ -1,9 +1,11 @@
 """TPP endpoint: send, echo, result decoding, payload delivery."""
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro.core.assembler import assemble
-from repro.endhost.client import TPPEndpoint
+from repro.core.tpp import AddressingMode, TPPSection
+from repro.endhost.client import TPPEndpoint, TPPResultView
 from repro.net.packet import Datagram, RawPayload
 
 
@@ -151,3 +153,43 @@ class TestResultView:
         net.run(until_seconds=0.01)
         assert results[0].ok
         assert results[0].time_ns > 0
+
+
+def _per_hop_words_by_word(tpp):
+    """The per-word reader the bulk decode replaced (kept as reference)."""
+    perhop, word = tpp.perhop_len_bytes, tpp.word_size
+    if perhop == 0 or perhop % word:
+        return []
+    hops = min(tpp.hops_executed(), len(tpp.memory) // perhop)
+    return [[tpp.read_word(hop * perhop + i * word)
+             for i in range(perhop // word)] for hop in range(hops)]
+
+
+def _stack_words_by_word(tpp):
+    word = tpp.word_size
+    limit = min(tpp.sp, len(tpp.memory) - len(tpp.memory) % word)
+    return [tpp.read_word(i) for i in range(0, max(0, limit), word)]
+
+
+class TestResultViewBulkDecode:
+    """per_hop_words / hop_words / stack_words slice one ``words()``
+    decode; on well-formed, truncated and hostile sections they return
+    what the ``read_word`` loops returned."""
+
+    @given(st.binary(max_size=48).filter(lambda raw: len(raw) % 4 == 0),
+           st.sampled_from((4, 8)), st.sampled_from((0, 4, 8, 12, 16)),
+           st.sampled_from(list(AddressingMode)), st.integers(0, 70))
+    def test_readers_match_the_per_word_loops(self, raw, word_size, perhop,
+                                              mode, hop_or_sp):
+        tpp = TPPSection(instructions=[], memory=bytearray(raw), mode=mode,
+                         word_size=word_size, hop_or_sp=hop_or_sp,
+                         perhop_len_bytes=perhop)
+        view = TPPResultView(tpp)
+        expected = _per_hop_words_by_word(tpp)
+        assert view.per_hop_words() == expected
+        assert view.stack_words() == _stack_words_by_word(tpp)
+        for hop in range(-len(expected), len(expected)):
+            assert view.hop_words(hop) == expected[hop]
+        for hop in (len(expected), -len(expected) - 1):
+            with pytest.raises(IndexError):
+                view.hop_words(hop)

@@ -97,6 +97,32 @@ class TestAutoSizing:
         assert results[1].hops() == 5
         assert len(results[1].per_hop_words()) == 5
 
+    TAGGED = (".mode hop\n.hops 2\n.perhop 2\n.data 0 $Tag\n"
+              "LOAD [Switch:SwitchID], [Packet:Hop[1]]")
+
+    def test_resize_memo_keeps_programs_with_different_data_apart(self):
+        """Two programs that differ only in an initialised word must
+        each go out carrying their own bytes, not the first one's."""
+        net = build_net(2)
+        endpoint = TPPEndpoint(net.host("h0"), hop_budget=4)
+        first = assemble(self.TAGGED, symbols={"Tag": 0xAAAA})
+        second = first.rebind({"Tag": 0xBBBB})
+        assert endpoint.budget(first).build().words()[0] == 0xAAAA
+        assert endpoint.budget(second).build().words()[0] == 0xBBBB
+        assert endpoint.budget(first) is endpoint.budget(first)
+
+    def test_resized_program_stays_rebindable(self):
+        net = build_net(2)
+        endpoint = TPPEndpoint(net.host("h0"), hop_budget=4)
+        program = assemble(self.TAGGED, symbols={"Tag": 0xAAAA})
+        resized = endpoint.budget(program)
+        rebound = resized.rebind({"Tag": 0xBBBB})
+        assert rebound.hops == 4
+        assert rebound.initial_memory == endpoint.budget(
+            program.rebind({"Tag": 0xBBBB})).initial_memory
+        assert rebound.initial_memory[:4] == (0xBBBB).to_bytes(4, "big")
+        assert len(rebound.initial_memory) == len(resized.initial_memory)
+
     def test_prober_fires_the_resized_program(self):
         net = build_net(4)
         h0, h1 = net.host("h0"), net.host("h1")

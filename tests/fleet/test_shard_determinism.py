@@ -120,3 +120,26 @@ class TestValidation:
         with pytest.raises(ConfigurationError):
             RegionSpec(index=0, n_regions=1, switches=8,
                        hosts_per_switch=4, stride=16)
+
+
+class TestBatchedAdmissionKey:
+    def test_verdict_is_per_memory_image(self):
+        """Same instructions and memory size, different literal pool:
+        the folded CEXEC constants give different verdicts, so the
+        amortised verdict may not be shared."""
+        from repro.core.assembler import assemble
+        from repro.fleet import BatchedAdmission
+
+        admission = BatchedAdmission(switches=[])
+        template = assemble(
+            ".memory 1\n"
+            "CEXEC [Switch:SwitchID], $Mask, $Want\n"
+            "STORE [Sram:Word0], [Packet:0]",
+            symbols={"Mask": 0xFF, "Want": 0x1})
+        live = admission.admit(template, flows=10)
+        dead = admission.admit(
+            template.rebind({"Mask": 0x0F, "Want": 0x100}), flows=10)
+        assert [d.code for d in live.diagnostics] == []
+        assert [d.code for d in dead.diagnostics] == ["TPP008", "TPP012"]
+        assert admission.admit(template.rebind({"Want": 0x1})) is live
+        assert admission.programs_verified == 2
