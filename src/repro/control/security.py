@@ -20,12 +20,15 @@ from collections import OrderedDict
 from typing import Optional, Set, Tuple
 
 from repro.core.memory_map import MemoryMap
-from repro.core.racecheck import FleetRaceTable, summarize_certificate
+from repro.core.racecheck import FleetRaceTable
 from repro.core.tcpu import DEFAULT_MAX_INSTRUCTIONS, RACE_MODES
 from repro.core.tpp import TPPSection
-from repro.core.verifier import verify_section
+from repro.core.verifier import AdmissionKey, admission_key, verify_section
 
 VALID_ACTIONS = ("execute", "forward", "strip", "drop")
+
+#: Bound on :class:`VerifierPolicy`'s verdict memo (LRU).
+_VERDICT_CACHE_SIZE = 256
 
 
 class EdgeTPPPolicy:
@@ -93,8 +96,10 @@ class VerifierPolicy:
     *all* TPPs from an untrusted port, it runs each arriving program
     through the static verifier (:mod:`repro.core.verifier`) and only
     lets provably-safe ones execute — unverifiable TPPs are stripped
-    (default) or dropped.  Verdicts are memoized by program fingerprint
-    and memory geometry, so a probe stream pays for one analysis.
+    (default) or dropped.  Verdicts are memoized by
+    :func:`~repro.core.verifier.admission_key` (program, task, memory
+    image, geometry), so a probe stream pays for one analysis and two
+    rebinds of one template get a verdict each.
 
     With ``trust_on_admit`` (default), an admitted program's certificate
     is pushed to the switch's TCPU (:meth:`repro.core.tcpu.TCPU.trust`),
@@ -117,7 +122,6 @@ class VerifierPolicy:
                  memory_map: Optional[MemoryMap] = None,
                  max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
                  trust_on_admit: bool = True,
-                 cache_size: int = 256,
                  race_mode: str = "warn") -> None:
         if untrusted_action not in ("strip", "drop", "forward"):
             raise ValueError(
@@ -133,8 +137,7 @@ class VerifierPolicy:
         self.trust_on_admit = trust_on_admit
         self.race_mode = race_mode
         self._untrusted: Set[Tuple[str, int]] = set()
-        self._verdicts: "OrderedDict[tuple, object]" = OrderedDict()
-        self._cache_size = cache_size
+        self._verdicts: "OrderedDict[AdmissionKey, object]" = OrderedDict()
         self.tpps_verified = 0
         self.tpps_admitted = 0
         self.tpps_rejected = 0
@@ -169,8 +172,7 @@ class VerifierPolicy:
             # Re-evaluated per arrival (admit is idempotent for a fleet
             # member), so a previously-racy program is re-admitted the
             # moment its rival has been revoked.
-            diagnostics = self.fleet.admit(
-                summarize_certificate(certificate))
+            diagnostics = self.fleet.admit(certificate.summary)
             if any(d.severity == "error" for d in diagnostics):
                 self.tpps_racy += 1
                 if self.race_mode == "enforce":
@@ -189,9 +191,9 @@ class VerifierPolicy:
     def revoke(self, certificate, switch=None) -> bool:
         """Retire an admitted program from the fleet race table.
 
-        Optionally also distrusts it on a switch's TCPU.  Accepts a
-        certificate (or anything with ``program_key``/``task_id``).
-        Returns whether the program was a fleet member.
+        Optionally also distrusts it on a switch's TCPU.  Takes the
+        admitted image's certificate (``verify_section`` of a section
+        yields an equivalent one).  Returns whether a member retired.
         """
         removed = self.fleet.revoke(certificate)
         if switch is not None and getattr(switch, "tcpu", None) is not None:
@@ -207,11 +209,7 @@ class VerifierPolicy:
                 f"pair check(s)")
 
     def _verdict(self, tpp: TPPSection):
-        # task_id is part of the key: the verdict and the certificate's
-        # SRAM-isolation facts (TPP007) depend on which task the program
-        # runs as, not just its wire bytes and geometry.
-        key = (tpp.program_key, tpp.task_id, len(tpp.memory),
-               tpp.perhop_len_bytes)
+        key = admission_key(tpp)
         cached = self._verdicts.get(key)
         if cached is not None:
             self._verdicts.move_to_end(key)
@@ -221,6 +219,6 @@ class VerifierPolicy:
             tpp, memory_map=self.memory_map,
             max_instructions=self.max_instructions)
         self._verdicts[key] = result
-        while len(self._verdicts) > self._cache_size:
+        while len(self._verdicts) > _VERDICT_CACHE_SIZE:
             self._verdicts.popitem(last=False)
         return result

@@ -189,38 +189,33 @@ def execute_batch(tcpu: TCPU, sections: Sequence[TPPSection],
     entry = tcpu._compiled_entry(first)
     plan = entry.batch_plan
 
+    certificate = entry.certificate
     h0 = first.hop_or_sp
-    # First matching reason wins; ``uncertified`` must precede the
-    # CEXEC check (entries without a certificate default has_cexec).
+    # First matching reason wins.
     demote: Optional[str] = None
     if not HAVE_NUMPY:
         demote = "no_numpy"
     elif plan is None:  # only certified entries carry a plan
         demote = "uncertified"
-    elif plan.demote_reason == "cexec" or (
-            entry.has_cexec and plan.cexec_disabled_at is None):
-        # A CEXEC is a per-packet branch — unless the certificate's
-        # relational facts proved it always disables, in which case the
-        # plan lowered the live prefix and stamps the disable point.
-        demote = "cexec"
     elif plan.demote_reason is not None:
+        # ``cexec`` (a per-packet branch on packet-memory contents,
+        # which no guard below checks) or ``write_dataflow``.
         demote = plan.demote_reason
     elif not plan.vectorizable:
         demote = "unstable_read"
-    elif not entry.guard_lo <= h0 <= entry.guard_hi:
+    elif not certificate.guard_lo <= h0 <= certificate.guard_hi:
         demote = "uncertified"
     # One pass: program-key uniformity (required for every lane) fused
     # with the per-section certificate guard for the vectorized lane.
-    memory_len = entry.memory_len
-    perhop = entry.perhop_len_bytes
     for section in sections:
         if section._program_key != key and section.program_key != key:
             _demote(tcpu, "non_uniform")
             return [tcpu.execute(section, ctx)
                     for section, ctx in zip(sections, ctxs)]
-        if demote is None and (section.flags or section.hop_or_sp != h0
-                               or len(section.memory) != memory_len
-                               or section.perhop_len_bytes != perhop):
+        if demote is None and (
+                section.flags or section.hop_or_sp != h0
+                or len(section.memory) != certificate.memory_len
+                or section.perhop_len_bytes != certificate.perhop_len_bytes):
             demote = "non_uniform"
     if demote is None:
         assert plan is not None
@@ -276,7 +271,7 @@ def _run_vectorized(tcpu: TCPU, entry: CompiledEntry, plan: BatchPlan,
     word = sections[0].word_size
     dtype = _WORD_DTYPES[word]
     mask = (1 << (8 * word)) - 1
-    perhop = entry.perhop_len_bytes
+    perhop = entry.certificate.perhop_len_bytes
     mmu = tcpu.mmu
     n = len(sections)
     views = arena.views.get(word)
@@ -368,18 +363,6 @@ def _run_vectorized(tcpu: TCPU, entry: CompiledEntry, plan: BatchPlan,
         for op in plan.ops:
             kind = op[0]
             if kind == "nop":
-                continue
-            if kind == "cexec_dead":
-                # A relationally-dead fence: the register read happens
-                # (its faults must surface exactly as in the scalar
-                # loop) but the outcome is provably "disable" and the
-                # value is discarded.  Always the last op.
-                read = op[1]
-                if shared_ctx:
-                    read(ctx0)
-                else:
-                    for ctx in ctxs:
-                        read(ctx)
                 continue
             if kind == "push":
                 read = op[1]
@@ -588,17 +571,7 @@ def _run_vectorized(tcpu: TCPU, entry: CompiledEntry, plan: BatchPlan,
     # Per-section state and reports, all uniform.
     hop_mode = sections[0].mode == AddressingMode.HOP
     final = cursor + 1 if hop_mode else cursor
-    dirty = plan.touches_memory or hop_mode or final != h0
-    n_instructions = plan.n_instructions
-    disabled_at = plan.cexec_disabled_at
-    if disabled_at is None:
-        n_executed = n_instructions
-        n_skipped = 0
-    else:
-        # The fence itself executes; everything after it is skipped —
-        # the exact bookkeeping of the scalar loop's disable path.
-        n_executed = disabled_at + 1
-        n_skipped = n_instructions - n_executed
+    n_executed = plan.n_instructions
     cycles = pipeline_cycles(n_executed)
     report_cls = ExecutionReport
     new_report = report_cls.__new__
@@ -607,13 +580,11 @@ def _run_vectorized(tcpu: TCPU, entry: CompiledEntry, plan: BatchPlan,
     append = reports.append
     for index, section in enumerate(sections):
         section.hop_or_sp = final
-        if dirty:
-            section._wire_cache = None
         report = new_report(report_cls)
         report.executed = n_executed
-        report.skipped = n_skipped
+        report.skipped = 0
         report.fault = no_fault
-        report.cexec_disabled_at = disabled_at
+        report.cexec_disabled_at = None
         report.cycles = cycles
         report.switch_writes = ([] if switch_writes is None
                                 else switch_writes[index])

@@ -32,11 +32,13 @@ side by side on every opcode and fault path to enforce this.
 There is exactly one compiled form of a program: every closure keeps its
 packet-memory bounds and stack checks, whether or not the TCPU holds a
 verifier certificate (:class:`~repro.core.verifier.VerifiedProgram`) for
-it.  A certificate adds *facts*, not a second code path: its guard
-(memory length, per-hop stride, hop/SP-counter interval) and SRAM
-dataflow classes ride on the :class:`CompiledEntry` so
-:func:`build_batch_plan` and :mod:`repro.core.batch` can decide, per
-batch, whether the vector lane may run.
+it.  A certificate adds *facts*, not a second code path: the
+:class:`CompiledEntry` holds it so :func:`build_batch_plan` and
+:mod:`repro.core.batch` can decide, per batch, whether the vector lane
+may run — from its guard (memory length, per-hop stride, hop/SP-counter
+interval) and SRAM dataflow classes only.  Those are the fields that do
+not depend on packet-memory *contents*, which the batch guard never
+checks; nothing here reads the image-dependent race facts.
 """
 
 from __future__ import annotations
@@ -83,39 +85,23 @@ def _bounds_message(byte_offset: int, memory_len: int) -> str:
 class CompiledEntry:
     """One cached compilation unit of a program on one switch.
 
-    ``steps`` are the program's closures.  When the TCPU holds a
-    verifier certificate for the program the entry also carries the
-    certificate's guard facts, inlined here so the batch engine touches
-    one object: a batch may only take the vector lane when every section
-    matches ``memory_len``/``perhop_len_bytes`` exactly and the shared
-    hop/SP counter lies in ``[guard_lo, guard_hi]``.
-
-    ``batch_plan`` (attached by the TCPU for exactly the certified
-    programs) carries the batch-shape facts :mod:`repro.core.batch`
-    needs to decide per batch whether the vectorized kernel may run;
-    ``None`` means no certificate: the program was never analysed and
-    batches of it always take the safe packet-at-a-time lane.
+    ``steps`` are the program's closures.  ``certificate`` is the
+    verifier certificate the TCPU held for the program at compile time
+    (``None``: never analysed, batches always take the safe lane): a
+    batch may only take the vector lane when every section matches its
+    ``memory_len``/``perhop_len_bytes`` exactly and the shared hop/SP
+    counter lies in ``[guard_lo, guard_hi]``.  ``batch_plan`` (attached
+    by the TCPU for exactly the certified programs) carries the
+    batch-shape facts :mod:`repro.core.batch` decides per batch on.
     """
 
-    __slots__ = ("steps", "guard_lo", "guard_hi", "memory_len",
-                 "perhop_len_bytes", "has_cexec", "batch_plan")
+    __slots__ = ("steps", "certificate", "batch_plan")
 
     def __init__(self, steps: Tuple[Step, ...],
                  certificate: Any = None) -> None:
         self.steps = steps
+        self.certificate = certificate
         self.batch_plan: Optional[BatchPlan] = None
-        if certificate is not None:
-            self.guard_lo: int = certificate.guard_lo
-            self.guard_hi: int = certificate.guard_hi
-            self.memory_len: int = certificate.memory_len
-            self.perhop_len_bytes: int = certificate.perhop_len_bytes
-            self.has_cexec: bool = certificate.has_cexec
-        else:
-            # An empty guard interval: no section is ever inside it.
-            self.guard_lo, self.guard_hi = 0, -1
-            self.memory_len = -1
-            self.perhop_len_bytes = -1
-            self.has_cexec = True
 
 
 class BatchPlan:
@@ -148,22 +134,6 @@ class BatchPlan:
     - ``("cstore_claim", word, cond_offset_bytes, vaddr)`` — the
       first-match-wins claim select
 
-    A certified program whose certificate carries a relationally-dead
-    suffix (:attr:`repro.core.verifier.VerifiedProgram.sram_relational`
-    with ``dead_suffix_at`` set — every instruction past that CEXEC is
-    provably unreachable for any in-guard execution) lowers its live
-    prefix only, with the fence itself as
-
-    - ``("cexec_dead", reader)`` — the per-packet register read of a
-      CEXEC that provably always disables (reproduces reader faults
-      bit-for-bit; the value is discarded)
-
-    and ``cexec_disabled_at`` records the fence index so the kernel
-    stamps ``executed``/``skipped``/``cexec_disabled_at`` exactly as the
-    scalar loop would.  This retires the ``"cexec"`` (and dead-write
-    ``"write_dataflow"``) demotions for programs whose only
-    non-vectorizable instructions sit behind a dead fence.
-
     ``vectorizable`` additionally requires every read to be
     *batch-stable* (:meth:`repro.core.mmu.MMU.reader_is_batch_stable`):
     side-effect-free and unchanged by the TPP executions within one
@@ -176,8 +146,7 @@ class BatchPlan:
 
     __slots__ = ("ops", "vectorizable", "writes_mmu", "stable_reads",
                  "uses_task_id", "touches_memory", "n_instructions",
-                 "demote_reason", "sram_words", "acc_words", "aff_slots",
-                 "cexec_disabled_at")
+                 "demote_reason", "sram_words", "acc_words", "aff_slots")
 
     def __init__(self, ops: Optional[Tuple[Tuple[Any, ...], ...]],
                  vectorizable: bool, writes_mmu: bool, stable_reads: bool,
@@ -186,8 +155,7 @@ class BatchPlan:
                  demote_reason: Optional[str] = None,
                  sram_words: Tuple[int, ...] = (),
                  acc_words: Tuple[int, ...] = (),
-                 aff_slots: Tuple[Tuple[str, int, int], ...] = (),
-                 cexec_disabled_at: Optional[int] = None) -> None:
+                 aff_slots: Tuple[Tuple[str, int, int], ...] = ()) -> None:
         self.ops = ops
         self.vectorizable = vectorizable
         self.writes_mmu = writes_mmu
@@ -199,7 +167,6 @@ class BatchPlan:
         self.sram_words = sram_words
         self.acc_words = acc_words
         self.aff_slots = aff_slots
-        self.cexec_disabled_at = cexec_disabled_at
 
 
 def build_batch_plan(instructions: List[Instruction],
@@ -227,32 +194,9 @@ def build_batch_plan(instructions: List[Instruction],
     stable = True
     uses_task_id = False
     touches_memory = False
-    # Relationally-dead suffix: instructions past the certificate's
-    # always-false CEXEC can never execute in-guard, so they cannot
-    # demote the plan — the live prefix lowers alone, with the fence
-    # itself as a ``cexec_dead`` register read.  Only taken when the
-    # prefix is write-free: a write-bearing prefix would need its
-    # dataflow classes re-derived over the truncated program, which the
-    # certificate does not pin.
-    relational = (getattr(certificate, "sram_relational", None)
-                  if certificate is not None else None)
-    dead_at = (relational.dead_suffix_at if relational is not None
-               else None)
-    cexec_disabled_at: Optional[int] = None
-    lowered = instructions
-    if (dead_at is not None and dead_at < len(instructions)
-            and instructions[dead_at].opcode == Opcode.CEXEC
-            and not any(i.opcode in SWITCH_WRITING_OPCODES
-                        for i in instructions[:dead_at])):
-        fence = instructions[dead_at]
-        if not mmu.reader_is_batch_stable(fence.addr):
-            stable = False
-        if is_sram(fence.addr) or is_link_scratch(fence.addr):
-            uses_task_id = True
-        lowered = instructions[:dead_at]
-        cexec_disabled_at = dead_at
-    writes_mmu = any(i.opcode in SWITCH_WRITING_OPCODES for i in lowered)
-    roles: Tuple[Any, ...] = (None,) * len(lowered)
+    writes_mmu = any(i.opcode in SWITCH_WRITING_OPCODES
+                     for i in instructions)
+    roles: Tuple[Any, ...] = (None,) * len(instructions)
     acc_written: set = set()
     analysis = None
     if writes_mmu:
@@ -264,7 +208,7 @@ def build_batch_plan(instructions: List[Instruction],
             roles = analysis.roles
         else:
             analysis = None
-    for j, instruction in enumerate(lowered):
+    for j, instruction in enumerate(instructions):
         opcode = instruction.opcode
         role = roles[j]
         if role is None and (opcode == Opcode.CEXEC
@@ -344,11 +288,6 @@ def build_batch_plan(instructions: List[Instruction],
         else:
             ops.append(("arith", opcode, reader, hop_relative,
                         offset_bytes))
-    if cexec_disabled_at is not None and vector_ok:
-        # The fence executes (its register read can fault per packet)
-        # and then provably disables everything after it.
-        ops.append(("cexec_dead",
-                    mmu.reader_for(instructions[cexec_disabled_at].addr)))
     sram_words: Tuple[int, ...] = ()
     acc_words: Tuple[int, ...] = ()
     aff_slots: Tuple[Tuple[str, int, int], ...] = ()
@@ -370,7 +309,6 @@ def build_batch_plan(instructions: List[Instruction],
         sram_words=sram_words,
         acc_words=acc_words,
         aff_slots=aff_slots,
-        cexec_disabled_at=cexec_disabled_at,
     )
 
 
@@ -488,7 +426,6 @@ def _compile_instruction(instruction: Instruction, hop_mode: bool,
                     f"PUSH at SP={sp} past {len(memory)} bytes")
             pack_into(memory, sp, value & mask)
             tpp.hop_or_sp = sp + word
-            tpp._wire_cache = None
             return True
 
         return step_push
@@ -503,7 +440,6 @@ def _compile_instruction(instruction: Instruction, hop_mode: bool,
                                 f"POP with SP={sp}")
             sp -= word
             tpp.hop_or_sp = sp
-            tpp._wire_cache = None
             memory = tpp.memory
             if sp + word > len(memory):
                 raise IndexError(_bounds_message(sp, len(memory)))
@@ -528,7 +464,6 @@ def _compile_instruction(instruction: Instruction, hop_mode: bool,
             if ea + word > len(memory):
                 raise IndexError(_bounds_message(ea, len(memory)))
             pack_into(memory, ea, value & mask)
-            tpp._wire_cache = None
             return True
 
         return step_load
@@ -571,7 +506,6 @@ def _compile_instruction(instruction: Instruction, hop_mode: bool,
             src = unpack_from(memory, src_offset)[0]
             old = read(ctx)
             pack_into(memory, cond_offset, old & mask)
-            tpp._wire_cache = None
             if old == cond:
                 write(ctx, src)
                 report.switch_writes.append((addr, src))
@@ -614,7 +548,6 @@ def _compile_instruction(instruction: Instruction, hop_mode: bool,
             current = unpack_from(memory, ea)[0]
             operand = read(ctx)
             pack_into(memory, ea, operation(current, operand) & mask)
-            tpp._wire_cache = None
             return True
 
         return step_arithmetic

@@ -88,6 +88,7 @@ from dataclasses import dataclass
 from typing import (
     Any,
     Dict,
+    FrozenSet,
     Iterable,
     List,
     Mapping,
@@ -113,7 +114,6 @@ from repro.core.relational import (
     ReachTable,
     RelationalSummary,
     analyze_relations,
-    claim_can_fire,
     claim_mutates,
     reachable_values,
     write_mutates,
@@ -143,6 +143,15 @@ RACE_CODES: Dict[str, str] = {
 }
 
 
+#: Fleet-membership key: ``(program_key, task_id, memory image)``.
+MemberKey = Tuple[bytes, int, Optional[bytes]]
+
+#: Images of one ``(program, task)`` a :class:`FleetRaceTable` tracks
+#: one by one; further ones share one image-free member, so a sender
+#: rebinding a per-packet value costs a table bounded work.
+MAX_IMAGES = 16
+
+
 def _index_map(
         pairs: Iterable[Tuple[int, int]]) -> Dict[int, Tuple[int, ...]]:
     """Group ``(word, instruction)`` pairs into word → sorted indices."""
@@ -169,9 +178,18 @@ class ProgramAccessSummary:
     set is self-contradictory are statically unreachable and dropped at
     construction, so every index the maps carry can actually execute on
     some switch.
+
+    ``image`` is the packet-memory image the fences and relational facts
+    were proved on (``None`` when the summary was built without one).
+    It is part of the membership :attr:`key`: two rebinds of one
+    template (:meth:`repro.core.assembler.AssembledProgram.rebind`) are
+    two fleet members, each with its own fences.  ``widened`` is the
+    same program's image-free may-access summary, the member a
+    :class:`FleetRaceTable` falls back to past :data:`MAX_IMAGES`
+    (``None`` on an image-free summary: it is its own).
     """
 
-    __slots__ = ("name", "task_id", "program_key",
+    __slots__ = ("name", "task_id", "program_key", "image", "widened",
                  "reads", "writes", "claims", "fences",
                  "relational", "word_size")
 
@@ -182,10 +200,14 @@ class ProgramAccessSummary:
                  fences: Tuple[Tuple[int, int, int, int], ...] = (),
                  relational: Optional[RelationalSummary] = None,
                  word_size: int = 4,
+                 image: Optional[bytes] = None,
+                 widened: Optional["ProgramAccessSummary"] = None,
                  ) -> None:
         self.name = name
         self.task_id = task_id
         self.program_key = program_key
+        self.image = image
+        self.widened = widened
         self.fences = tuple(sorted(fences))
         self.relational = relational
         self.word_size = word_size
@@ -214,9 +236,9 @@ class ProgramAccessSummary:
         return filtered
 
     @property
-    def key(self) -> Tuple[bytes, int]:
-        """Fleet-membership key: one entry per (program, task) pair."""
-        return (self.program_key, self.task_id)
+    def key(self) -> MemberKey:
+        """Fleet-membership key: one entry per (program, task, image)."""
+        return (self.program_key, self.task_id, self.image)
 
     @property
     def words(self) -> Set[int]:
@@ -229,7 +251,8 @@ class ProgramAccessSummary:
         return bool(self.reads or self.writes or self.claims)
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready representation (``tppasm racecheck --json``)."""
+        """JSON-ready representation (a certificate's ``summary`` in
+        ``tppasm lint --json``; ``racecheck --json`` embeds none)."""
         def render(table: Dict[int, Tuple[int, ...]]) -> Dict[str, Any]:
             return {str(word): list(indices)
                     for word, indices in sorted(table.items())}
@@ -241,6 +264,9 @@ class ProgramAccessSummary:
             "writes": render(self.writes),
             "claims": render(self.claims),
             "fences": [list(fence) for fence in self.fences],
+            "image": None if self.image is None else self.image.hex(),
+            "relational": (self.relational.to_dict()
+                           if self.relational else None),
         }
 
 
@@ -252,8 +278,7 @@ def collect_sram_accesses(
     """Scan a program for SRAM accesses.
 
     Returns ``(reads, writes, claims)``, each a tuple of
-    ``(absolute_sram_word, instruction_index)`` pairs — the flat shape
-    embedded into verifier certificates.
+    ``(absolute_sram_word, instruction_index)`` pairs.
     """
     reads: List[Tuple[int, int]] = []
     writes: List[Tuple[int, int]] = []
@@ -755,8 +780,11 @@ def summarize_instructions(instructions: Sequence[Instruction], *,
                            max_hops: Optional[int] = None,
                            memory_map: Optional[MemoryMap] = None,
                            entry: Optional[int] = None,
+                           relational: Optional[RelationalSummary] = None,
                            ) -> ProgramAccessSummary:
     """Build a :class:`ProgramAccessSummary` from decoded instructions.
+
+    The only builder: a certificate's ``summary`` is what this returns.
 
     ``initial_memory`` (plus the memory geometry) enables the
     constant-fence and relational refinements; without it the summary is
@@ -764,47 +792,40 @@ def summarize_instructions(instructions: Sequence[Instruction], *,
     executions enter with at the deployment point under analysis (see
     :func:`repro.core.relational.analyze_relations`); ``None`` keeps
     the relational pass conservative over the whole counter interval.
+    ``relational`` hands in an :func:`analyze_relations` result already
+    computed for the same image and ``entry``.
+
+    The relational pass's ``stable_fences`` join ``fences`` only under a
+    pinned ``entry``: they are proved for the *first* execution, and a
+    passing fence lets its own suffix overwrite its operand words for
+    later hops (a hop-relative ``LOAD`` after the ``CEXEC``).  At any
+    entry counter only :func:`collect_constant_fences`' fences hold.
     """
+    mode = AddressingMode.STACK if mode is None else mode
     if program_key is None:
-        program_key = program_key_of(
-            list(instructions),
-            AddressingMode.STACK if mode is None else mode, word_size)
-    reads, writes, claims = collect_sram_accesses(instructions)
-    fences = collect_constant_fences(
-        instructions,
-        mode=AddressingMode.STACK if mode is None else mode,
-        word_size=word_size, memory_len=memory_len,
-        perhop_len_bytes=perhop_len_bytes,
-        initial_memory=initial_memory, max_hops=max_hops,
-        memory_map=memory_map)
-    reads_map = _index_map(reads)
-    writes_map = _index_map(writes)
-    claims_map = _index_map(claims)
-    relational: Optional[RelationalSummary] = None
-    if initial_memory is not None:
-        relational = analyze_relations(
-            instructions,
-            mode=AddressingMode.STACK if mode is None else mode,
-            word_size=word_size, memory_len=memory_len,
-            perhop_len_bytes=perhop_len_bytes,
-            initial_memory=initial_memory, entry=entry,
-            memory_map=memory_map)
-        reads_map, writes_map, claims_map = _apply_relational_statics(
-            reads_map, writes_map, claims_map, relational)
-        if relational.stable_fences:
-            fences = tuple(sorted(
-                set(fences) | set(relational.stable_fences)))
+        program_key = program_key_of(list(instructions), mode, word_size)
+    name = name or f"{program_key.hex()[:12]}/t{task_id}"
+    reads_map, writes_map, claims_map = map(
+        _index_map, collect_sram_accesses(instructions))
+    may_access = ProgramAccessSummary(
+        name, task_id, program_key, reads_map, writes_map, claims_map,
+        word_size=word_size)
+    if initial_memory is None:
+        return may_access
+    packet = dict(mode=mode, word_size=word_size, memory_len=memory_len,
+                  perhop_len_bytes=perhop_len_bytes,
+                  initial_memory=initial_memory, memory_map=memory_map)
+    fences = collect_constant_fences(instructions, max_hops=max_hops, **packet)
+    if relational is None:
+        relational = analyze_relations(instructions, entry=entry, **packet)
+    reads_map, writes_map, claims_map = _apply_relational_statics(
+        reads_map, writes_map, claims_map, relational)
+    if entry is not None:
+        fences = tuple(set(fences) | set(relational.stable_fences))
     return ProgramAccessSummary(
-        name=name or f"{program_key.hex()[:12]}/t{task_id}",
-        task_id=task_id,
-        program_key=program_key,
-        reads=reads_map,
-        writes=writes_map,
-        claims=claims_map,
-        fences=fences,
-        relational=relational,
-        word_size=word_size,
-    )
+        name, task_id, program_key, reads_map, writes_map, claims_map,
+        fences=fences, relational=relational, word_size=word_size,
+        image=bytes(initial_memory), widened=may_access)
 
 
 def summarize_section(tpp: TPPSection,
@@ -841,43 +862,6 @@ def summarize_program(program: Any, task_id: int = 0,
         initial_memory=bytes(program.initial_memory),
         max_hops=getattr(program, "hops", None),
         entry=0)
-
-
-def summarize_certificate(certificate: Any,
-                          name: str = "") -> ProgramAccessSummary:
-    """Summary reconstructed from a verifier certificate's pinned sets.
-
-    Certificates (:class:`~repro.core.verifier.VerifiedProgram`) embed
-    the flat access tuples so admission layers — notably
-    :meth:`repro.core.tcpu.TCPU.trust` — can race-check a program
-    without ever seeing its instructions.
-
-    Certificates pin the *raw* access tuples plus the relational facts
-    separately (backward compatible either way); the fleet-independent
-    relational refinements fold in here, exactly as they do when
-    summarizing from instructions.
-    """
-    reads_map = _index_map(certificate.sram_reads)
-    writes_map = _index_map(certificate.sram_writes)
-    claims_map = _index_map(certificate.sram_claims)
-    relational = getattr(certificate, "sram_relational", None)
-    if relational is not None:
-        reads_map, writes_map, claims_map = _apply_relational_statics(
-            reads_map, writes_map, claims_map, relational)
-    return ProgramAccessSummary(
-        name=(name or f"{certificate.program_key.hex()[:12]}"
-                      f"/t{certificate.task_id}"),
-        task_id=certificate.task_id,
-        program_key=certificate.program_key,
-        reads=reads_map,
-        writes=writes_map,
-        claims=claims_map,
-        # Old certificates carry no fences or relational facts: the
-        # conservative pre-fence analysis applies unchanged.
-        fences=getattr(certificate, "sram_fences", ()),
-        relational=relational,
-        word_size=getattr(certificate, "word_size", 4),
-    )
 
 
 @dataclass(frozen=True)
@@ -930,8 +914,8 @@ def check_pair(a: ProgramAccessSummary,
                ) -> List[RaceDiagnostic]:
     """Race diagnostics between two programs (same task only).
 
-    The pair is canonically ordered by ``(name, program_key)`` before
-    classification, so the result is identical no matter which way the
+    The pair is canonically ordered by ``(name, program_key, image)``
+    before classification, so the result is identical no matter which way the
     caller hands the two summaries in — a requirement for the
     incremental table to match a from-scratch pass exactly.
     ``fence_values`` binds stable registers to the target switch's
@@ -939,7 +923,11 @@ def check_pair(a: ProgramAccessSummary,
     """
     if a.task_id != b.task_id:
         return []  # disjoint protection domains: TPP007's job
-    a, b = sorted((a, b), key=lambda s: (s.name, s.program_key))
+    if (a.program_key == b.program_key
+            and (a.image is None) != (b.image is None)):
+        return []  # an image-free summary subsumes its own images
+    a, b = sorted((a, b), key=lambda s: (s.name, s.program_key,
+                                         s.image or b""))
     shared = a.words & b.words
     diagnostics: List[RaceDiagnostic] = []
     for word in sorted(shared):
@@ -1178,14 +1166,12 @@ def _refine_summary(summary: ProgramAccessSummary,
         reads[word] = tuple(sorted(
             set(reads.get(word, ())) | set(indices)))
     return ProgramAccessSummary(
-        name=summary.name, task_id=summary.task_id,
-        program_key=summary.program_key,
-        reads=reads,
-        writes=strip(summary.writes, dropped_writes),
-        claims=strip(summary.claims, dropped_claims),
-        fences=summary.fences,
-        relational=relational,
-        word_size=summary.word_size)
+        summary.name, summary.task_id, summary.program_key, reads,
+        strip(summary.writes, dropped_writes),
+        strip(summary.claims, dropped_claims),
+        fences=summary.fences, relational=relational,
+        word_size=summary.word_size, image=summary.image,
+        widened=summary.widened)
 
 
 def refine_for_switch(
@@ -1265,6 +1251,12 @@ class FleetRaceTable:
     member's writes may persist in physical SRAM, so revocation never
     shrinks the reachable sets (the table stays sound, merely more
     conservative than a from-scratch pass over the survivors).
+
+    Membership is per memory image, at most :data:`MAX_IMAGES` per
+    ``(program, task)``; the template's image-free summary *represents*
+    every further image — raced against other programs without fences
+    or relational facts, never against its own images.  ``in``,
+    :meth:`admit` and :meth:`revoke` resolve an image to that member.
     """
 
     def __init__(self,
@@ -1279,19 +1271,19 @@ class FleetRaceTable:
         #: (``None`` = unknown, conservative).
         self.sram_values: Optional[Dict[int, int]] = (
             dict(sram_values) if sram_values is not None else None)
-        self._members: Dict[Tuple[bytes, int], ProgramAccessSummary] = {}
+        self._members: Dict[MemberKey, ProgramAccessSummary] = {}
         # Claim-epoch view: per-member refined summaries + the monotone
         # reachable-value table (only populated with ``sram_values``).
-        self._refined: Dict[Tuple[bytes, int], ProgramAccessSummary] = {}
+        self._refined: Dict[MemberKey, ProgramAccessSummary] = {}
         self._reach: ReachTable = {}
         # (task_id, word) -> member keys touching that word (unrefined
         # words: stable under refinement changes).
-        self._word_index: Dict[Tuple[int, int],
-                               Set[Tuple[bytes, int]]] = {}
-        # Unordered pair (sorted key tuple) -> its diagnostics.
-        self._pair_diagnostics: Dict[
-            Tuple[Tuple[bytes, int], Tuple[bytes, int]],
-            List[RaceDiagnostic]] = {}
+        self._word_index: Dict[Tuple[int, int], Set[MemberKey]] = {}
+        # (program_key, task_id) -> the keys of its member images.
+        self._by_program: Dict[Tuple[bytes, int], Set[MemberKey]] = {}
+        # Unordered pair of member keys -> its diagnostics.
+        self._pair_diagnostics: Dict[FrozenSet[MemberKey],
+                                     List[RaceDiagnostic]] = {}
         #: Pairwise checks actually performed (the incremental-work
         #: counter the conformance tests compare against a full pass).
         self.pair_checks = 0
@@ -1301,30 +1293,38 @@ class FleetRaceTable:
     def __len__(self) -> int:
         return len(self._members)
 
-    def __contains__(self, key: object) -> bool:
-        return key in self._members
+    def __contains__(self, member: object) -> bool:
+        return self._resolve(member) is not None
+
+    def _resolve(self, member: Any) -> Optional[MemberKey]:
+        """Key of the member representing ``member``: its own image's,
+        else its template's image-free one."""
+        key = _member_key(member)
+        if key not in self._members:
+            key = key[:2] + (None,)
+        return key if key in self._members else None
 
     @property
     def members(self) -> List[ProgramAccessSummary]:
         """Current membership in admission order."""
         return list(self._members.values())
 
-    def member(self, key: Tuple[bytes, int]
-               ) -> Optional[ProgramAccessSummary]:
-        """Membership lookup by ``(program_key, task_id)``."""
-        return self._members.get(key)
-
     def admit(self,
               summary: ProgramAccessSummary) -> List[RaceDiagnostic]:
         """Add a program; returns every diagnostic it participates in.
 
-        Idempotent: re-admitting a member returns its current
-        diagnostics without re-running any pair.  Only pairs sharing at
-        least one SRAM word with the newcomer are checked.
+        Idempotent: re-admitting a represented image returns its
+        member's diagnostics without re-running any pair.  Only pairs
+        sharing at least one SRAM word with the newcomer are checked.
         """
-        key = summary.key
-        if key in self._members:
+        key = self._resolve(summary)
+        if key is not None:
             return self.diagnostics_for(key)
+        siblings = self._by_program.setdefault(summary.key[:2], set())
+        if summary.widened is not None and len(siblings) >= MAX_IMAGES:
+            summary = summary.widened
+        key = summary.key
+        siblings.add(key)
         self._members[key] = summary
         for word in summary.words:
             index_key = (summary.task_id, word)
@@ -1340,7 +1340,7 @@ class FleetRaceTable:
                 self.pair_checks += 1
                 findings = check_pair(summary, rival, self.fence_values)
                 if findings:
-                    self._pair_diagnostics[_pair_key(key, rival_key)] = (
+                    self._pair_diagnostics[frozenset((key, rival_key))] = (
                         findings)
                     introduced.extend(findings)
             introduced.sort(key=_sort_key)
@@ -1348,10 +1348,9 @@ class FleetRaceTable:
             self.racy_admissions += 1
         return introduced
 
-    def _rivals_of(self, key: Tuple[bytes, int]
-                   ) -> Set[Tuple[bytes, int]]:
+    def _rivals_of(self, key: MemberKey) -> Set[MemberKey]:
         summary = self._members[key]
-        rivals: Set[Tuple[bytes, int]] = set()
+        rivals: Set[MemberKey] = set()
         for word in summary.words:
             bucket = self._word_index.get((summary.task_id, word))
             if bucket:
@@ -1359,7 +1358,7 @@ class FleetRaceTable:
         rivals.discard(key)
         return rivals
 
-    def _resync(self, seeds: Set[Tuple[bytes, int]]) -> None:
+    def _resync(self, seeds: Set[MemberKey]) -> None:
         """Re-run the claim-epoch refinement after a membership change.
 
         ``seeds`` are members whose pairs must be re-checked regardless
@@ -1382,18 +1381,18 @@ class FleetRaceTable:
             self._refined[k] = view
         for k in [k for k in self._refined if k not in self._members]:
             del self._refined[k]
-        pairs_to_check: Set[Tuple[Tuple[bytes, int],
-                                  Tuple[bytes, int]]] = set()
+        pairs_to_check: Set[FrozenSet[MemberKey]] = set()
         for k in changed:
             if k not in self._members:
                 continue
             for rival_key in self._rivals_of(k):
-                pairs_to_check.add(_pair_key(k, rival_key))
+                pairs_to_check.add(frozenset((k, rival_key)))
         for pair in pairs_to_check:
             self._pair_diagnostics.pop(pair, None)
             self.pair_checks += 1
-            findings = check_pair(self._refined[pair[0]],
-                                  self._refined[pair[1]],
+            first, second = pair
+            findings = check_pair(self._refined[first],
+                                  self._refined[second],
                                   self.fence_values)
             if findings:
                 self._pair_diagnostics[pair] = findings
@@ -1401,15 +1400,18 @@ class FleetRaceTable:
     def revoke(self, key_or_summary: Any) -> bool:
         """Retire a member (and every diagnostic naming it).
 
-        Accepts a summary, a certificate-like object (anything with
-        ``program_key`` and ``task_id``), or a raw
-        ``(program_key, task_id)`` tuple.  Returns whether the member
-        existed.
+        Accepts a summary, a certificate or a raw :data:`MemberKey`; an
+        image past :data:`MAX_IMAGES` retires the image-free member
+        representing it.  Returns whether a member was retired.
         """
-        key = _member_key(key_or_summary)
-        summary = self._members.pop(key, None)
-        if summary is None:
+        key = self._resolve(key_or_summary)
+        if key is None:
             return False
+        summary = self._members.pop(key)
+        siblings = self._by_program[key[:2]]
+        siblings.discard(key)
+        if not siblings:
+            del self._by_program[key[:2]]
         for word in summary.words:
             index_key = (summary.task_id, word)
             bucket = self._word_index.get(index_key)
@@ -1437,8 +1439,8 @@ class FleetRaceTable:
 
     def diagnostics_for(self,
                         key_or_summary: Any) -> List[RaceDiagnostic]:
-        """Active diagnostics involving one member."""
-        key = _member_key(key_or_summary)
+        """Active diagnostics involving one (represented) member."""
+        key = self._resolve(key_or_summary)
         collected: List[RaceDiagnostic] = []
         for pair, findings in self._pair_diagnostics.items():
             if key in pair:
@@ -1464,19 +1466,13 @@ def _access_fingerprint(summary: ProgramAccessSummary) -> Tuple:
             tuple(sorted(summary.claims.items())))
 
 
-def _member_key(key_or_summary: Any) -> Tuple[bytes, int]:
-    if isinstance(key_or_summary, ProgramAccessSummary):
-        return key_or_summary.key
-    program_key = getattr(key_or_summary, "program_key", None)
-    if program_key is not None:
-        return (program_key, getattr(key_or_summary, "task_id", 0))
-    program_key, task_id = key_or_summary
-    return (program_key, task_id)
-
-
-def _pair_key(a: Tuple[bytes, int], b: Tuple[bytes, int]
-              ) -> Tuple[Tuple[bytes, int], Tuple[bytes, int]]:
-    return (a, b) if a <= b else (b, a)
+def _member_key(member: Any) -> MemberKey:
+    """Key of a summary, of a certificate's summary, or a raw key."""
+    key = getattr(getattr(member, "summary", member), "key", member)
+    if not isinstance(key, tuple):
+        raise TypeError(
+            f"not a summary, certificate or MemberKey: {member!r}")
+    return key
 
 
 # --------------------------------------------------------------------- #

@@ -175,7 +175,7 @@ class RelationalSummary:
         return None
 
     def to_dict(self) -> Dict[str, Any]:
-        """JSON-ready form (pinned on verifier certificates)."""
+        """JSON-ready form (part of a certificate summary's JSON)."""
         return {
             "writes": [[e.index, e.word,
                         None if e.atoms is None else [list(a)
@@ -200,19 +200,6 @@ def _join(a: Value, b: Value) -> Value:
         return None
     merged = a | b
     return merged if len(merged) <= MAX_ATOMS else None
-
-
-def _shift(value: Value, k: int, mask: int) -> Value:
-    """``value + k`` (mod word width), atom-wise."""
-    if value is None:
-        return None
-    out: Set[Atom] = set()
-    for atom in value:
-        if atom[0] == "c":
-            out.add(("c", (atom[1] + k) & mask))
-        else:
-            out.add(("e", atom[1], (atom[2] + k) & mask))
-    return frozenset(out)
 
 
 def _consts(value: Value) -> Optional[FrozenSet[int]]:

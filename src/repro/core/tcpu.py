@@ -38,11 +38,7 @@ from repro.core.isa import (
     Opcode,
 )
 from repro.core.mmu import MMU, ExecutionContext
-from repro.core.racecheck import (
-    FleetRaceTable,
-    RaceDiagnostic,
-    summarize_certificate,
-)
+from repro.core.racecheck import FleetRaceTable, RaceDiagnostic
 from repro.core.tpp import AddressingMode, FLAG_DONE, TPPSection
 
 #: Default per-TPP instruction budget: the paper's "restricting TPPs to
@@ -112,12 +108,12 @@ class TCPU:
         # serves one active task) skip the OrderedDict bookkeeping.
         self._last_key: Optional[bytes] = None
         self._last_entry: Optional[CompiledEntry] = None
-        #: Verifier certificates by program key.  Certificates do NOT
-        #: survive MMU layout bumps: their TPP005/TPP007 address facts
-        #: were proven against the bindings in force at verification
-        #: time, so :meth:`_sweep_stale` drops the whole table when
-        #: ``layout_version`` moves (same trigger that already clears
-        #: the compiled-program cache).
+        #: Verifier certificates by program key.  Nothing execution
+        #: reads from one depends on the memory image, so any image's
+        #: serves every section of the program (the race table below
+        #: keeps a member per image).  They do NOT survive MMU layout
+        #: bumps: their TPP005/TPP007 address facts were proven against
+        #: the bindings then in force (:meth:`_sweep_stale`).
         self._verified: dict = {}
         #: Compiled executions (scalar or batched, any lane) of programs
         #: this TCPU trusted at the time.
@@ -181,56 +177,58 @@ class TCPU:
         compiled entry (so same-program bursts whose sections pass the
         certificate's guard may take the vector lane, see
         :mod:`repro.core.batch`) and counts its executions in
-        :attr:`verified_executions`.  Re-trusting a key replaces the
-        previous certificate.
+        :attr:`verified_executions`.  The race table keeps every trusted
+        *image* of the program (up to ``racecheck.MAX_IMAGES``) as a
+        member until :meth:`distrust` retires it; execution keeps one
+        certificate per program key, replaced (and recompiled) only by
+        an image whose ``execution_facts`` differ.
 
         Unless ``race_mode`` is ``off``, the certificate's SRAM access
         sets are admitted to the fleet race table first: in ``enforce``
         mode a certificate introducing an error-severity race
         (``TPP020``/``TPP022``) against an already-trusted one is
-        refused (returns ``False``); in ``warn`` mode it is trusted and
-        the conflict lands in :attr:`race_conflicts`.  Returns whether
-        the certificate is trusted afterwards.
+        refused (returns ``False``; a trusted sibling image keeps the
+        program's batch plan); in ``warn`` mode it is trusted and the
+        conflict lands in :attr:`race_conflicts`, once per admission.
+        Returns whether the certificate is trusted afterwards.
         """
         self._sweep_stale()
-        key = certificate.program_key
-        previous = self._verified.get(key)
-        if previous is certificate:
-            return True  # idempotent: keep the compiled entry warm
         if self.race_mode != "off":
-            if previous is not None:
-                self.fleet.revoke(previous)
-            summary = summarize_certificate(certificate)
-            introduced = self.fleet.admit(summary)
-            if any(d.severity == "error" for d in introduced):
-                if self.race_mode == "enforce":
+            summary = certificate.summary
+            if summary not in self.fleet:
+                introduced = self.fleet.admit(summary)
+                if (self.race_mode == "enforce" and any(
+                        d.severity == "error" for d in introduced)):
                     self.fleet.revoke(summary)
-                    if previous is not None:
-                        # Restore the certificate we displaced above.
-                        self.fleet.admit(summarize_certificate(previous))
                     self.certificates_refused += 1
                     return False
-            if introduced:
                 self.race_conflicts.extend(introduced)
-        self._verified[key] = certificate
-        # Force a recompile so the entry picks up its batch plan.
+        key = certificate.program_key
+        held = self._verified.get(key)
+        if (held is None
+                or held.execution_facts != certificate.execution_facts):
+            self._verified[key] = certificate
+            self._drop_compiled(key)
+        return True
+
+    def distrust(self, certificate) -> None:
+        """Retire a certificate: its image leaves the race table, and
+        its program loses its batch plan once the table holds no image
+        of it (at once under ``race_mode="off"``, which tracks none)."""
+        self.fleet.revoke(certificate)
+        key = certificate.program_key
+        if key in self._verified and not any(
+                m.program_key == key for m in self.fleet.members):
+            del self._verified[key]
+            self._drop_compiled(key)
+
+    def _drop_compiled(self, key: bytes) -> None:
+        """Force a recompile so the entry's batch plan follows the
+        certificate table."""
         self.cache.discard(key)
         if self._last_key == key:
             self._last_key = None
             self._last_entry = None
-        return True
-
-    def distrust(self, certificate_or_key) -> None:
-        """Drop a certificate (program key or certificate object)."""
-        key = getattr(certificate_or_key, "program_key",
-                      certificate_or_key)
-        previous = self._verified.pop(key, None)
-        if previous is not None:
-            self.fleet.revoke(previous)
-            self.cache.discard(key)
-            if self._last_key == key:
-                self._last_key = None
-                self._last_entry = None
 
     @property
     def certificates(self) -> int:

@@ -94,11 +94,6 @@ class TPPSection:
     #: Memoized program fingerprint (see :attr:`program_key`).
     _program_key: Any = field(default=None, init=False, repr=False,
                               compare=False)
-    #: Memoized wire bytes of the whole section (see :meth:`encode`);
-    #: dropped (set to ``None``) by every mutator, so serialization only
-    #: happens when a hop actually wrote the packet.
-    _wire_cache: Any = field(default=None, init=False, repr=False,
-                             compare=False)
 
     def __post_init__(self) -> None:
         if self.word_size not in SUPPORTED_WORD_SIZES:
@@ -147,7 +142,6 @@ class TPPSection:
         damaged section must see its real (shorter) size.
         """
         self._length_cache = None
-        self._wire_cache = None
 
     # ------------------------------------------------------------------ #
     # Fast-path caches
@@ -177,11 +171,10 @@ class TPPSection:
 
         The corruption injector calls this after mutating the section in
         place (truncated/bit-flipped memory, scrambled header fields), so
-        the program key, wire bytes, and length are all recomputed from
-        the damaged state.
+        the program key and length are recomputed from the damaged
+        state.
         """
         self._program_key = None
-        self._wire_cache = None
         self._length_cache = None
 
     @property
@@ -202,7 +195,6 @@ class TPPSection:
     @sp.setter
     def sp(self, value: int) -> None:
         self.hop_or_sp = value
-        self._wire_cache = None
 
     @property
     def hop(self) -> int:
@@ -212,7 +204,6 @@ class TPPSection:
     @hop.setter
     def hop(self, value: int) -> None:
         self.hop_or_sp = value
-        self._wire_cache = None
 
     def hops_executed(self) -> int:
         """How many switches have executed this TPP so far.
@@ -240,7 +231,6 @@ class TPPSection:
     def mark_done(self) -> None:
         """Set the done-bit; switches will forward without executing."""
         self.flags |= FLAG_DONE
-        self._wire_cache = None
 
     @property
     def fault(self) -> FaultCode:
@@ -254,7 +244,6 @@ class TPPSection:
         if self.flags & FLAG_FAULT:
             return
         self.flags |= FLAG_FAULT | (int(code) << _FAULT_SHIFT)
-        self._wire_cache = None
 
     # ------------------------------------------------------------------ #
     # Packet memory access (word granularity)
@@ -273,7 +262,6 @@ class TPPSection:
         mask = (1 << (8 * self.word_size)) - 1
         self.memory[byte_offset:end] = (value & mask).to_bytes(
             self.word_size, "big")
-        self._wire_cache = None
 
     def words(self) -> List[int]:
         """All of packet memory as a list of words.
@@ -301,17 +289,7 @@ class TPPSection:
 
         The encapsulated payload is a simulation object and is not
         serialized (its size is accounted separately).
-
-        The result is memoized with dirty-tracking: every mutator
-        (word writes, SP/hop updates, flag changes) drops the cached
-        bytes, so repeated serialization of a section no hop has touched
-        since is free.  Direct mutation of :attr:`memory` bypasses the
-        tracking and must be followed by :meth:`invalidate_caches` (the
-        link corruption injector does this).
         """
-        cached = self._wire_cache
-        if cached is not None:
-            return cached
         header = _HEADER_STRUCT.pack(
             self.tpp_length_bytes,
             len(self.memory),
@@ -323,10 +301,8 @@ class TPPSection:
             self.task_id,
             self.seq,
         )
-        encoded = (header + encode_program(self.instructions)
-                   + bytes(self.memory))
-        self._wire_cache = encoded
-        return encoded
+        return (header + encode_program(self.instructions)
+                + bytes(self.memory))
 
     @classmethod
     def decode(cls, raw: bytes, payload: Any = None) -> "TPPSection":

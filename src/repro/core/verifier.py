@@ -29,9 +29,7 @@ properties without executing a single instruction:
   (:mod:`repro.core.relational`) additionally tracks the values writes
   actually store, deciding fences the interval analysis must give up
   on, and names each switch-state write stranded behind a
-  relationally-false fence with the ``TPP012`` info code — the fact the
-  batched engine consumes to vectorize programs whose only
-  non-vectorizable write is provably unreachable;
+  relationally-false fence with the ``TPP012`` info code;
 - **per-hop memory-budget accounting**: bytes consumed per hop times the
   hop budget against the allocated packet memory (``TPP009``).
 
@@ -51,9 +49,13 @@ Switch-side protection (read-only statistics, SRAM domains, unbound
 addresses) depends on per-switch state the verifier cannot see, and
 stays inside the MMU accessors.
 
-The interval dead-code analysis (``TPP008``) is deliberately lint-only:
-it reads the program's *initial* memory image, but packet memory mutates
-in flight.
+The dead-code analyses (``TPP008``/``TPP012``) are deliberately
+lint-only: they read the program's *initial* memory image, which the
+batch guard never checks — a rebound template (``rebind``) shares its
+program key with every other image of itself.  Execution therefore
+reads only the certificate's image-independent fields; everything
+proved on the image lives in :attr:`VerifiedProgram.summary`, whose key
+carries that image, and is read by race tables only.
 """
 
 from __future__ import annotations
@@ -81,17 +83,14 @@ from repro.core.isa import (
 )
 from repro.core.memory_map import MemoryMap, SRAM_BASE, is_sram, region_of
 from repro.core.racecheck import (
+    ProgramAccessSummary,
     analyze_sram_dataflow,
-    collect_constant_fences,
-    collect_sram_accesses,
+    summarize_instructions,
     written_byte_intervals,
 )
-from repro.core.relational import (
-    RelationalSummary,
-    analyze_relations,
-)
+from repro.core.relational import RelationalSummary, analyze_relations
 from repro.core.tcpu import DEFAULT_MAX_INSTRUCTIONS
-from repro.core.tpp import AddressingMode, TPPSection, program_key_of
+from repro.core.tpp import AddressingMode, TPPSection
 
 #: Hop horizon for the capacity scan when no explicit budget is given.
 #: Far beyond any real path length; it bounds the analysis, not programs.
@@ -201,22 +200,14 @@ class VerifiedProgram:
     guard_lo: int
     guard_hi: int
     has_cexec: bool
+    #: Everything the fleet race analysis needs — SRAM access sets,
+    #: stable fences and relational facts, valid for *any* in-guard
+    #: entry counter (:func:`repro.core.racecheck.summarize_instructions`).
+    #: The only image-dependent part of a certificate (``summary.key``
+    #: names the image); race tables read it, execution never does.
+    summary: ProgramAccessSummary
     #: Task the program was verified under (TPP007 isolation domain).
     task_id: int = 0
-    #: Word-level SRAM access sets as flat ``(word, instruction)``
-    #: pairs — the raw material for fleet race analysis
-    #: (:mod:`repro.core.racecheck`), pinned into the certificate so
-    #: admission layers can race-check without the instructions.
-    sram_reads: Tuple[Tuple[int, int], ...] = ()
-    sram_writes: Tuple[Tuple[int, int], ...] = ()
-    sram_claims: Tuple[Tuple[int, int], ...] = ()
-    #: Provably-stable CEXEC fences as ``(index, addr, mask, expected)``
-    #: tuples (:func:`repro.core.racecheck.collect_constant_fences`) —
-    #: lets the fleet race analysis discount access pairs separated by
-    #: mutually exclusive per-switch predicates.  Empty on certificates
-    #: minted before the fence model existed: the conservative
-    #: may-access analysis applies to those unchanged.
-    sram_fences: Tuple[Tuple[int, int, int, int], ...] = ()
     #: Dataflow class of every written/claimed SRAM word as sorted
     #: ``(word, class)`` pairs (:func:`repro.core.racecheck.
     #: analyze_sram_dataflow`): ``accumulate`` (additive
@@ -224,20 +215,16 @@ class VerifiedProgram:
     #: (CSTORE-only, first-match-wins), ``private`` (written but never
     #: read back, last-writer-wins) or ``mixed`` (safe lane only).  The
     #: batched engine refuses to vectorize writes unless the plan's own
-    #: analysis reproduces exactly this pinned classification.  Empty on
-    #: certificates minted before the write lanes existed — which
-    #: (conservatively) demotes their write-bearing programs.
+    #: analysis reproduces exactly this pinned classification.
     sram_dataflow: Tuple[Tuple[int, str], ...] = ()
-    #: Relational facts (:func:`repro.core.relational.analyze_relations`
-    #: run with ``entry=None``, i.e. valid for *any* in-guard entry
-    #: counter): per-write value descriptions, claim fire conditions,
-    #: dead reads and the relationally-dead suffix.  Fleet race analysis
-    #: (:func:`repro.core.racecheck.summarize_certificate`) folds the
-    #: fleet-independent facts into the access sets and feeds the rest
-    #: to the per-switch claim-epoch fixpoint; ``None`` on certificates
-    #: minted before the relational layer existed (conservative
-    #: may-analysis applies unchanged).
-    sram_relational: Optional[RelationalSummary] = None
+
+    @property
+    def execution_facts(self) -> tuple:
+        """The image-independent fields, all the batch plan and its
+        guard may read: certificates of one program key that agree here
+        are interchangeable to execution."""
+        return (self.guard_lo, self.guard_hi, self.memory_len,
+                self.perhop_len_bytes, self.has_cexec, self.sram_dataflow)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready representation (for ``tppasm lint --json``)."""
@@ -253,13 +240,8 @@ class VerifiedProgram:
             "guard_hi": self.guard_hi,
             "has_cexec": self.has_cexec,
             "task_id": self.task_id,
-            "sram_reads": [list(p) for p in self.sram_reads],
-            "sram_writes": [list(p) for p in self.sram_writes],
-            "sram_claims": [list(p) for p in self.sram_claims],
-            "sram_fences": [list(f) for f in self.sram_fences],
             "sram_dataflow": [list(p) for p in self.sram_dataflow],
-            "sram_relational": (self.sram_relational.to_dict()
-                                if self.sram_relational else None),
+            "summary": self.summary.to_dict(),
         }
 
 
@@ -416,6 +398,29 @@ def verify_section(tpp: TPPSection,
     )
 
 
+#: Identity of one admission verdict: program key, task id, memory
+#: image, per-hop stride, hop budget.
+AdmissionKey = Tuple[bytes, int, bytes, int, Optional[int]]
+
+
+def admission_key(subject: Any, task_id: int = 0) -> AdmissionKey:
+    """Memo key under which an admission point may reuse a verdict.
+
+    Names everything :func:`verify_program` (an ``AssembledProgram``,
+    verified as ``task_id`` against its own ``.hops`` budget) or
+    :func:`verify_section` (an in-flight :class:`TPPSection`: its own
+    task id, no declared budget) reads from the subject.  The memory
+    *image* is part of it, not just its length: the verifier folds
+    constants out of it (TPP008/TPP012, fences), so two rebinds of one
+    template are two admissions.
+    """
+    if isinstance(subject, TPPSection):
+        return (subject.program_key, subject.task_id,
+                bytes(subject.memory), subject.perhop_len_bytes, None)
+    return (subject.program_key, task_id, bytes(subject.initial_memory),
+            subject.perhop_len_bytes, getattr(subject, "hops", None))
+
+
 class _Checker:
     """Single-use analysis state for one :func:`verify` call."""
 
@@ -456,9 +461,9 @@ class _Checker:
             if self.hop_mode and i.opcode in HOP_RELATIVE_OPCODES]
         # Relational facts, valid for any in-guard entry counter
         # (``entry=None``): consumed by the dead-code analysis and
-        # pinned on the certificate for the fleet race layer.
+        # handed to the certificate's summary builder.
         self.relational: Optional[RelationalSummary] = None
-        if initial_memory is not None and instructions:
+        if initial_memory is not None:
             self.relational = analyze_relations(
                 instructions, mode=mode, word_size=word_size,
                 memory_len=memory_len,
@@ -716,9 +721,7 @@ class _Checker:
         more fences.  A relationally-false fence yields the same
         ``TPP008`` (when the interval pass missed it) plus one
         ``TPP012`` info record per switch-state write stranded behind
-        it — the machine-readable fact
-        :func:`repro.core.fastpath.build_batch_plan` uses to vectorize
-        around a dead non-vectorizable write.
+        it.
         """
         relational = self.relational
         if relational is None:
@@ -775,17 +778,17 @@ class _Checker:
         max_hops = self.max_hops
         if max_hops is None:
             max_hops = capacity if capacity is not None else HOP_SCAN_LIMIT
-        reads, writes, claims = collect_sram_accesses(self.instructions)
         dataflow = analyze_sram_dataflow(
             self.instructions, mode=self.mode, word_size=word)
-        fences = collect_constant_fences(
-            self.instructions, mode=self.mode, word_size=word,
-            memory_len=memlen, perhop_len_bytes=self.perhop,
+        summary = summarize_instructions(
+            self.instructions, task_id=self.task_id, mode=self.mode,
+            word_size=word, memory_len=memlen,
+            perhop_len_bytes=self.perhop,
             initial_memory=self.initial_memory, max_hops=self.max_hops,
-            memory_map=self.memory_map)
+            memory_map=self.memory_map, entry=None,
+            relational=self.relational)
         return VerifiedProgram(
-            program_key=program_key_of(self.instructions, self.mode,
-                                       self.word),
+            program_key=summary.program_key,
             mode=self.mode,
             word_size=word,
             n_instructions=len(self.instructions),
@@ -796,11 +799,7 @@ class _Checker:
             guard_hi=max(min(guard_hi, GUARD_MAX), -1),
             has_cexec=any(i.opcode == Opcode.CEXEC
                           for i in self.instructions),
+            summary=summary,
             task_id=self.task_id,
-            sram_reads=reads,
-            sram_writes=writes,
-            sram_claims=claims,
-            sram_fences=fences,
             sram_dataflow=dataflow.classes,
-            sram_relational=self.relational,
         )

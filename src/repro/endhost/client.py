@@ -47,12 +47,13 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.core.assembler import AssembledProgram
 from repro.core.exceptions import FaultCode
 from repro.core.memory_map import MemoryMap
-from repro.core.tcpu import DEFAULT_MAX_INSTRUCTIONS
 from repro.core.tpp import TPPSection
 from repro.core.verifier import (
+    AdmissionKey,
     Diagnostic,
     VerificationError,
     VerificationResult,
+    admission_key,
     verify_program,
 )
 from repro.errors import ReproError
@@ -64,9 +65,6 @@ ResponseCallback = Callable[["TPPResultView"], None]
 TimeoutCallback = Callable[["ProbeRequest"], None]
 TPPTap = Callable[[TPPSection, EthernetFrame], None]
 
-#: Admission-cache key: program fingerprint, memory image, geometry (the
-#: verifier folds constants out of the image, so its length is not enough).
-AdmissionKey = Tuple[bytes, bytes, int, Optional[int]]
 #: Completed-request memo: (outcome, first_sent_ns, attempts).
 CompletedEntry = Tuple[str, int, int]
 
@@ -267,8 +265,6 @@ class TPPEndpoint:
                  retry_policy: Optional[RetryPolicy] = None,
                  verify_mode: str = "off",
                  verify_memory_map: Optional[MemoryMap] = None,
-                 verify_max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                 verify_max_hops: Optional[int] = None,
                  hop_budget: Optional[int] = None,
                  hop_budget_mode: str = "auto") -> None:
         if verify_mode not in VERIFY_MODES:
@@ -287,8 +283,6 @@ class TPPEndpoint:
         #: Static-verification admission mode (see :data:`VERIFY_MODES`).
         self.verify_mode = verify_mode
         self.verify_memory_map = verify_memory_map
-        self.verify_max_instructions = verify_max_instructions
-        self.verify_max_hops = verify_max_hops
         #: Hops every probe from this endpoint must survive (typically
         #: the topology's diameter).  ``None`` trusts each program's own
         #: ``.hops`` geometry — the historical behaviour, which faults
@@ -363,24 +357,17 @@ class TPPEndpoint:
         mode — :meth:`send` does; call this directly to inspect
         diagnostics or obtain the fast-path certificate.
         """
-        key = self._admission_key(program)
+        key = admission_key(program)
         cached = self._admissions.get(key)
         if cached is not None:
             self._admissions.move_to_end(key)
             return cached
-        result = verify_program(
-            program, memory_map=self.verify_memory_map,
-            max_instructions=self.verify_max_instructions,
-            max_hops=self.verify_max_hops)
+        result = verify_program(program,
+                                memory_map=self.verify_memory_map)
         self._admissions[key] = result
         while len(self._admissions) > _ADMISSION_CACHE_SIZE:
             self._admissions.popitem(last=False)
         return result
-
-    @staticmethod
-    def _admission_key(program: AssembledProgram) -> AdmissionKey:
-        return (program.program_key, program.initial_memory,
-                program.perhop_len_bytes, getattr(program, "hops", None))
 
     def _gate(self, program: AssembledProgram) -> None:
         """Apply the admission mode before a transmission."""
@@ -430,7 +417,7 @@ class TPPEndpoint:
         capacity = self.plan_hops(program)
         if capacity is None or capacity >= self.hop_budget:
             return program
-        key = self._admission_key(program)
+        key = admission_key(program)
         cached = self._budgeted.get(key)
         if cached is not None:
             self._budgeted.move_to_end(key)

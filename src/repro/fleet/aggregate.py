@@ -6,8 +6,9 @@ static verifier and the per-switch race table would re-derive the same
 verdict for every flow carrying the same program.  This module amortizes
 both:
 
-- :class:`BatchedAdmission` keeps one verdict per *program key* (program
-  fingerprint + memory geometry).  The first flow pays for one
+- :class:`BatchedAdmission` keeps one verdict per
+  :func:`~repro.core.verifier.admission_key` (program fingerprint +
+  memory image + geometry).  The first flow pays for one
   :func:`~repro.core.verifier.verify_program` run; its certificate is
   pushed to every switch's TCPU (:meth:`~repro.core.tcpu.TCPU.trust`) —
   which admits it to each per-switch
@@ -41,7 +42,9 @@ from repro.core.memory_map import MemoryMap
 from repro.core.tcpu import DEFAULT_MAX_INSTRUCTIONS
 from repro.core.verifier import (
     VerificationError,
+    AdmissionKey,
     VerificationResult,
+    admission_key,
     verify_program,
 )
 from repro.sim.timers import PeriodicTimer
@@ -52,7 +55,7 @@ FlowRecord = Tuple[int, int, int, int]  # (seq, fault, hops, memory crc32)
 
 
 class BatchedAdmission:
-    """One verifier verdict and one race-table admit per program key.
+    """One verifier verdict and one race-table admit per admission key.
 
     ``admit(program, flows=N)`` accounts N logical flows against a single
     cached decision.  Rejections raise
@@ -66,19 +69,11 @@ class BatchedAdmission:
         self.switches = list(switches)
         self.memory_map = memory_map
         self.max_instructions = max_instructions
-        self._verdicts: Dict[tuple, VerificationResult] = {}
+        self._verdicts: Dict[AdmissionKey, VerificationResult] = {}
         self.programs_verified = 0
         self.certificates_installed = 0
         self.flows_admitted = 0
         self.flows_rejected = 0
-
-    @staticmethod
-    def _key(program: AssembledProgram) -> tuple:
-        # Memory is part of the key: the same instruction stream with a
-        # different size (TPP009) or different constants in its literal
-        # pool (TPP008/TPP012) has a different verdict.
-        return (program.program_key, program.initial_memory,
-                program.perhop_len_bytes, program.hops)
 
     def admit(self, program: AssembledProgram,
               flows: int = 1) -> VerificationResult:
@@ -87,7 +82,7 @@ class BatchedAdmission:
         Returns the (cached) verification result; raises
         :class:`VerificationError` when the program is rejected.
         """
-        key = self._key(program)
+        key = admission_key(program)
         result = self._verdicts.get(key)
         if result is None:
             self.programs_verified += 1

@@ -4,6 +4,7 @@ import pytest
 
 from repro.control.security import EdgeTPPPolicy, TaskQuotaPolicy
 from repro.core.assembler import assemble
+from repro.core.verifier import verify_section
 from repro.endhost.client import TPPEndpoint
 from repro.net.packet import Datagram, RawPayload
 
@@ -265,6 +266,35 @@ class TestVerifierPolicy:
         assert policy.tpps_admitted == 4
         assert policy.tpps_verified == 1  # one analysis, memoized
 
+    def test_two_images_of_one_template_get_two_verdicts(self):
+        """The verdict reads the memory image (TPP008/TPP012, fences),
+        so a rebound template is a new admission — the memo must never
+        hand one image's diagnostics and certificate to another."""
+        from repro.control.security import VerifierPolicy
+        fenced = ("LOAD [Switch:SwitchID], [Packet:0]\n"
+                  "CEXEC [Switch:SwitchID], $Mask, $Want\n"
+                  "STORE [Sram:Word0], [Packet:0]\n")
+        dead = assemble(fenced, symbols={"Mask": 0x0F, "Want": 0x100})
+        live = dead.rebind({"Mask": 0xFF, "Want": 7})
+        assert dead.program_key == live.program_key
+        policy = VerifierPolicy()
+        verdicts = [policy._verdict(p.build()) for p in (dead, live)]
+        assert verdicts[0] is not verdicts[1]
+        assert policy.tpps_verified == 2
+        for program, cached in zip((dead, live), verdicts):
+            direct = verify_section(program.build())
+            assert ([d.to_dict() for d in cached.diagnostics]
+                    == [d.to_dict() for d in direct.diagnostics])
+            assert cached.certificate.summary.key == (
+                program.program_key, 0, program.initial_memory)
+            assert (cached.certificate.summary.relational.dead_suffix_at
+                    == direct.certificate.summary.relational.dead_suffix_at)
+            assert policy._verdict(program.build()) is cached  # memoized
+        assert [d.code for d in verdicts[0].diagnostics
+                if d.code in ("TPP008", "TPP012")] == ["TPP008", "TPP012"]
+        assert not [d.code for d in verdicts[1].diagnostics
+                    if d.code in ("TPP008", "TPP012")]
+
     def test_trust_on_admit_feeds_verified_fastpath(self,
                                                     single_switch_net):
         net = single_switch_net
@@ -365,7 +395,8 @@ class TestVerifierPolicyRaces:
         assert policy.tpps_rejected == 1
         # Retire the incumbent; its rival must now admit cleanly —
         # the fleet analysis is re-run per arrival.
-        assert policy.revoke(incumbent.build(), switch=switch)
+        certificate = verify_section(incumbent.build()).certificate
+        assert policy.revoke(certificate, switch=switch)
         assert len(policy.fleet) == 0
         assert switch.tcpu.certificates == 0
         client.send(assemble(self.WRITER_B), dst_mac=h1.mac)
@@ -373,6 +404,36 @@ class TestVerifierPolicyRaces:
         assert policy.tpps_admitted == 2
         assert policy.tpps_rejected == 1  # unchanged
         assert len(policy.fleet) == 1
+        with pytest.raises(TypeError):
+            policy.revoke(incumbent.build())  # a section is no certificate
+
+    def test_per_packet_rebinding_stays_bounded(self, single_switch_net):
+        """A sender that rebinds a per-packet value (RCP's timestamps,
+        the ledger's byte counts) is a new image per arrival: neither
+        race table may grow, nor the program recompile, per packet."""
+        from repro.core.racecheck import MAX_IMAGES
+        net = single_switch_net
+        policy = self.wire(net)
+        switch = net.switch("sw0")
+        h0, h1 = net.host("h0"), net.host("h1")
+        client, _ = TPPEndpoint(h0), TPPEndpoint(h1)
+        template = assemble(
+            ".memory 1\n.data 0 $Stamp\n"
+            "CEXEC [Switch:SwitchID], 0xFFFFFFFF, $Target\n"
+            "STORE [Sram:Word0], [Packet:0]\n",
+            symbols={"Stamp": 0, "Target": switch.switch_id})
+        arrivals = 40 * MAX_IMAGES
+        for stamp in range(arrivals):
+            client.send(template.rebind({"Stamp": stamp}), dst_mac=h1.mac)
+            net.run(until_seconds=0.001 * (stamp + 1))
+        assert policy.tpps_admitted == policy.tpps_verified == arrivals
+        assert switch.tcpu.tpps_executed == arrivals
+        for fleet in (policy.fleet, switch.tcpu.fleet):
+            assert len(fleet) == MAX_IMAGES + 1
+            assert fleet.pair_checks <= (MAX_IMAGES + 1) ** 2
+        assert len(switch.tcpu.race_conflicts) <= (MAX_IMAGES + 1) ** 2
+        assert switch.tcpu.certificates == 1
+        assert switch.tcpu.cache.misses == 1
 
     def test_off_mode_skips_fleet_analysis(self, single_switch_net):
         net = single_switch_net

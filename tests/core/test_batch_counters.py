@@ -303,18 +303,20 @@ DEAD_FENCE = (".memory 2\n"
 
 
 class TestDeadFenceVectorization:
-    """A statically-false CEXEC no longer costs the vector lane: the
-    certificate's relational facts let the batch engine lower only the
-    live prefix and stamp the scalar CEXEC bookkeeping."""
+    """Any CEXEC demotes, statically false or not: "dead" is a fact
+    about the memory image the program was verified with, and the batch
+    guard never looks at packet-memory contents (a rebound template
+    shares the program key).  The scalar CEXEC bookkeeping is the safe
+    lane's own."""
 
     @needs_numpy
-    def test_dead_fence_batch_vectorizes(self):
+    def test_dead_fence_batch_demotes(self):
         tcpu, program = certified_tcpu(DEAD_FENCE, max_instructions=8)
         mmu = tcpu.mmu
         mmu.poke_sram(0, 0xBEEF)
         reports, sections = run_batch(tcpu, program)
-        assert tcpu.batch_demotions == {}
-        assert tcpu.vector_batches == 1
+        assert tcpu.batch_demotions == {"cexec": 1}
+        assert tcpu.vector_batches == 0
         for report in reports:
             assert report.executed == 2   # LOAD + the disabling CEXEC
             assert report.skipped == 1    # the relationally-dead STORE
@@ -334,8 +336,6 @@ class TestDeadFenceVectorization:
 
     @needs_numpy
     def test_write_in_live_prefix_still_demotes(self):
-        # Dataflow classes are pinned over the whole program, so the
-        # prefix-only lowering is off the table once the prefix writes.
         tcpu, program = certified_tcpu(
             "PUSH [Switch:SwitchID]\n"
             "POP [Sram:Word1]\n"

@@ -18,6 +18,8 @@ same either way.
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.asic.metadata import PacketMetadata
 from repro.core.assembler import assemble
@@ -78,7 +80,7 @@ def certificate_for(program, max_instructions):
 
 def run_batch_vs_interpreter(source, sizes=SIZES, hops=1, task_ids=None,
                              max_instructions=5, prepare=None, damage=None,
-                             shared_ctx=False, stable=True,
+                             shared_ctx=False, stable=True, rebind=None,
                              **assemble_kwargs):
     """Assert batched ≡ interpreter for every batch size; return the
     per-size ``(batched_side, reference_side)`` tuples, where each side
@@ -87,7 +89,10 @@ def run_batch_vs_interpreter(source, sizes=SIZES, hops=1, task_ids=None,
     ``damage(section, index)`` mangles individual sections before the
     first hop (mid-batch corruption); ``task_ids`` sets per-section task
     ids (SRAM protection domains); ``shared_ctx`` aliases one context
-    across the whole batch (the switch's warm steady state).
+    across the whole batch (the switch's warm steady state);
+    ``rebind(index)`` returns the ``$symbol`` values section ``index``
+    is rebound to — same program key, its own memory image — while the
+    trusted certificate stays the one verified on the template's image.
     """
     program = assemble(source, **assemble_kwargs)
     certificate = certificate_for(program, max_instructions)
@@ -104,7 +109,10 @@ def run_batch_vs_interpreter(source, sizes=SIZES, hops=1, task_ids=None,
                         compile=batched)
             if certificate is not None:
                 tcpu.trust(certificate)
-            sections = [program.build(task_id=t) for t in tasks]
+            images = ([program] * n if rebind is None else
+                      [program.rebind(rebind(i)) for i in range(n)])
+            sections = [image.build(task_id=t)
+                        for image, t in zip(images, tasks)]
             if damage is not None:
                 for index, section in enumerate(sections):
                     damage(section, index)
@@ -1186,9 +1194,10 @@ class TestSketchFaultRewind:
 
 
 class TestDeadFenceVector:
-    """Relationally-dead CEXEC suffixes ride the vector lane; reports,
-    packet memory and switch state must stay bit-identical to the
-    interpreter, which executes the fence the long way."""
+    """Relationally-dead CEXEC suffixes: reports, packet memory and
+    switch state must stay bit-identical to the interpreter whichever
+    lane the batch takes (since PR 14: the safe lane, reason
+    ``cexec``)."""
 
     DEAD_FENCE = (".memory 2\n"
                   "LOAD [Switch:ClockLo], [Packet:0]\n"
@@ -1196,12 +1205,7 @@ class TestDeadFenceVector:
                   "STORE [Sram:Word0], [Packet:0]")
 
     def test_dead_fence_agrees(self):
-        results = run_batch_vs_interpreter(self.DEAD_FENCE,
-                                           max_instructions=8)
-        if HAVE_NUMPY:
-            (_, _, _, tcpu), _ = results[-1]
-            assert tcpu.vector_batches >= 1
-            assert tcpu.batch_demotions == {}
+        run_batch_vs_interpreter(self.DEAD_FENCE, max_instructions=8)
 
     def test_dead_fence_agrees_shared_ctx(self):
         run_batch_vs_interpreter(self.DEAD_FENCE, max_instructions=8,
@@ -1209,8 +1213,7 @@ class TestDeadFenceVector:
 
     def test_dead_fence_on_sram_fence_register(self):
         # The fence register itself lives in SRAM: the per-packet
-        # disabling read is task-dependent, so the lowering must keep
-        # task-id addressing while still skipping the dead suffix.
+        # disabling read is task-dependent.
         source = (".memory 2\n"
                   "LOAD [Switch:ClockLo], [Packet:0]\n"
                   "CEXEC [Sram:Word7], 0x0F, 0xF0\n"
@@ -1220,3 +1223,64 @@ class TestDeadFenceVector:
     def test_dead_fence_multihop(self):
         run_batch_vs_interpreter(self.DEAD_FENCE, max_instructions=8,
                                  hops=3)
+
+
+class TestTemplateImages:
+    """One template, many memory images (``rebind``): every section of
+    a batch shares the program key and the certificate, but what a
+    CEXEC or CSTORE does depends on the words *that* section carries.
+    The certificate was proved on one image; the batch guard checks
+    geometry and the hop/SP counter, never memory contents — so no
+    lane may act on a fact the certificate's image made true."""
+
+    FENCED = ("LOAD [Switch:SwitchID], [Packet:0]\n"
+              "CEXEC [Switch:SwitchID], $Mask, $Want\n"
+              "STORE [Sram:Word0], [Packet:0]\n")
+    DEAD = {"Mask": 0x0F, "Want": 0x100}   # TPP008/TPP012 on this image
+    LIVE = {"Mask": 0xFF, "Want": 7}       # passes on SwitchID 7
+
+    def test_certificate_from_dead_image_live_sections(self):
+        results = run_batch_vs_interpreter(
+            self.FENCED, symbols=self.DEAD, rebind=lambda i: self.LIVE)
+        for (reports, sections, mmu, tcpu), _ in results:
+            assert mmu.peek_sram(0) == 7  # the live STORE ran
+            for report in reports[0]:
+                assert (report.executed, report.skipped) == (3, 0)
+                assert report.cexec_disabled_at is None
+            assert tcpu.vector_tpps == 0
+            if HAVE_NUMPY:
+                assert tcpu.batch_demotions == {"cexec": 1}
+
+    def test_mixed_images_in_one_batch(self):
+        results = run_batch_vs_interpreter(
+            self.FENCED, symbols=self.LIVE,
+            rebind=lambda i: self.DEAD if i % 2 else self.LIVE)
+        (reports, _, mmu, _), _ = results[-1]
+        assert [r.cexec_disabled_at for r in reports[0][:2]] == [None, 1]
+        assert mmu.peek_sram(0) == 7
+
+    CLAIM = "CSTORE [Sram:Word0], $Cond, $Src\nPUSH [Sram:Word0]\n"
+
+    def test_claim_template_images(self):
+        # Vector claim lane: cond/src come from each section's own row.
+        run_batch_vs_interpreter(
+            self.CLAIM, symbols={"Cond": 0, "Src": 1},
+            rebind=lambda i: {"Cond": i % 3, "Src": i + 1})
+
+    _WORDS = st.one_of(st.sampled_from([0, 1, 7, 0x0F, 0xFF, 0x100,
+                                        0xFFFFFFFF]),
+                       st.integers(0, 0xFFFFFFFF))
+
+    @settings(max_examples=40, deadline=None)
+    @given(template=st.sampled_from([(FENCED, ("Mask", "Want")),
+                                     (CLAIM, ("Cond", "Src"))]),
+           trusted=st.tuples(_WORDS, _WORDS),
+           images=st.lists(st.tuples(_WORDS, _WORDS),
+                           min_size=1, max_size=6))
+    def test_random_pool_words_per_section(self, template, trusted,
+                                           images):
+        source, names = template
+        run_batch_vs_interpreter(
+            source, sizes=(len(images),),
+            symbols=dict(zip(names, trusted)),
+            rebind=lambda i: dict(zip(names, images[i])))

@@ -14,6 +14,7 @@ from repro.core.assembler import assemble
 from repro.core.fastpath import DEFAULT_PROGRAM_CACHE_CAPACITY, ProgramCache
 from repro.core.mmu import MMU, ExecutionContext
 from repro.core.tcpu import TCPU
+from repro.core.tpp import TPPSection
 
 
 class FakeQueue:
@@ -176,18 +177,19 @@ class TestTCPUCache:
 
 class TestWireCacheConsistency:
     def test_encode_reflects_compiled_writes(self):
-        """The wire cache must be dropped when compiled closures write
-        packet memory: serialize-after-execute sees the new bytes."""
+        """Compiled closures write packet memory in place:
+        serialize-after-execute sees the new bytes."""
         tcpu = TCPU(make_mmu(), compile=True)
         program = assemble("PUSH [Switch:SwitchID]")
         tpp = program.build()
-        before = tpp.encode()  # populates the wire cache
+        before = tpp.encode()
         assert tcpu.execute(tpp, make_ctx()).ok
         after = tpp.encode()
         assert after != before
         assert tpp.read_word(0) == 7
 
-    def test_encode_cached_when_nothing_written(self):
+    def test_encode_stable_when_nothing_written(self):
         tpp = assemble("PUSH [Switch:SwitchID]").build()
-        assert tpp.encode() == tpp.encode()
-        assert tpp._wire_cache is not None
+        wire = tpp.encode()
+        assert tpp.encode() == wire
+        assert TPPSection.decode(wire).encode() == wire

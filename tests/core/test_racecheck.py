@@ -19,11 +19,11 @@ from repro.core.assembler import assemble
 from repro.core.isa import Instruction, Opcode
 from repro.core.memory_map import MemoryMap, SRAM_BASE
 from repro.core.racecheck import (
+    MAX_IMAGES,
     RACE_CODES,
     FleetRaceTable,
     check_fleet,
     check_pair,
-    summarize_certificate,
     summarize_instructions,
     summarize_program,
     summarize_section,
@@ -172,7 +172,7 @@ class TestSummaries:
         from_section = summarize_section(program.build(task_id=3))
         result = verify_program(program, memory_map=_MAP, task_id=3)
         assert result.ok
-        from_cert = summarize_certificate(result.certificate)
+        from_cert = result.certificate.summary
         for s in (from_program, from_section, from_cert):
             assert s.task_id == 3
             assert s.reads == {2: (0,)}
@@ -188,20 +188,25 @@ class TestSummaries:
         certificate = verify_program(
             program, memory_map=_MAP, task_id=3).certificate
         assert certificate.task_id == 3
-        assert certificate.sram_reads == ((2, 0),)
-        assert certificate.sram_writes == ((2, 1),)
-        assert certificate.sram_claims == ((5, 2),)
+        summary = certificate.summary
+        assert summary.reads == {2: (0,)}
+        assert summary.writes == {2: (1,)}
+        assert summary.claims == {5: (2,)}
+        assert summary.key == (program.program_key, 3,
+                               program.initial_memory)
         blob = certificate.to_dict()
         assert blob["task_id"] == 3
-        assert blob["sram_claims"] == [[5, 2]]
+        assert blob["summary"]["claims"] == {"5": [2]}
+        assert blob["summary"]["image"] == program.initial_memory.hex()
 
     def test_sram_free_program_has_empty_sets(self):
         program = assemble("PUSH [Queue:QueueSize]")
         certificate = verify_program(
             program, memory_map=_MAP).certificate
-        assert certificate.sram_reads == ()
-        assert certificate.sram_writes == ()
-        assert certificate.sram_claims == ()
+        assert certificate.summary.reads == {}
+        assert certificate.summary.writes == {}
+        assert certificate.summary.claims == {}
+        assert not certificate.summary.touches_sram
         assert not summarize_program(program).touches_sram
 
     def test_summary_to_dict(self):
@@ -329,9 +334,115 @@ class TestFleetRaceTable:
         certificate = verify_program(
             program, memory_map=_MAP).certificate
         table = FleetRaceTable()
-        table.admit(summarize_certificate(certificate))
+        table.admit(certificate.summary)
         assert table.revoke(certificate)
         assert len(table) == 0
+
+    def test_two_images_of_one_template_are_two_members(self):
+        """Fences are proved on the memory image, so two rebinds of one
+        template (same program key) are two members: admitting the
+        image aimed at another switch must not retire the race the
+        image aimed at *this* switch still has."""
+        sid = _MAP.resolve("Switch:SwitchID")
+        template = assemble(
+            "CEXEC [Switch:SwitchID], 0xFFFFFFFF, $Target\n"
+            "STORE [Sram:Word0], [Packet:0]\n", symbols={"Target": 5})
+        writer = assemble(".memory 1\nSTORE [Sram:Word0], [Packet:0]\n")
+
+        def certify(program):
+            return verify_program(program, memory_map=_MAP,
+                                  task_id=1).certificate
+
+        here = certify(template)
+        elsewhere = certify(template.rebind({"Target": 3}))
+        assert here.program_key == elsewhere.program_key
+        assert here.summary.key != elsewhere.summary.key
+
+        def conformant(table):
+            for members in (table.members, table.members[::-1]):
+                scratch = check_fleet(members, table.fence_values)
+                assert ([d.to_dict() for d in table.diagnostics()]
+                        == [d.to_dict() for d in scratch.diagnostics])
+
+        table = FleetRaceTable(fence_values={sid: 5})
+        table.admit(certify(writer).summary)
+        assert codes(table.admit(here.summary)) == ["TPP020"]
+        assert table.admit(elsewhere.summary) == []  # dead on switch 5
+        assert len(table) == 3
+        assert codes(table.diagnostics()) == ["TPP020"]
+        conformant(table)
+        checks = table.pair_checks
+        table.admit(certify(template).summary)  # same image: idempotent
+        assert (len(table), table.pair_checks) == (3, checks)
+        assert table.revoke(elsewhere)           # exactly that image
+        assert codes(table.diagnostics()) == ["TPP020"]
+        assert table.revoke(here)
+        assert table.diagnostics() == [] and len(table) == 1
+        # Unbound table: the two images exclude each other (same mask,
+        # different value) and each races the unfenced writer.
+        unbound = FleetRaceTable()
+        for cert in (elsewhere, certify(writer), here):
+            unbound.admit(cert.summary)
+        assert codes(unbound.diagnostics()) == ["TPP020", "TPP020"]
+        conformant(unbound)
+
+    def test_images_of_one_template_are_bounded(self):
+        """A sender that rebinds a per-packet value must not grow the
+        table (or its pair checks) per packet: past MAX_IMAGES the
+        template's image-free summary represents every further image —
+        conservatively against other programs, never against its own
+        images."""
+        sid = _MAP.resolve("Switch:SwitchID")
+        template = assemble(
+            ".memory 3\n.data 2 $Stamp\n"
+            "CEXEC [Switch:SwitchID], 0xFFFFFFFF, $Target\n"
+            "STORE [Sram:Word0], [Packet:2]\n",
+            symbols={"Target": 3, "Stamp": 0})
+
+        def certify(program):
+            return verify_program(program, memory_map=_MAP,
+                                  task_id=1).certificate
+
+        table = FleetRaceTable(fence_values={sid: 5})
+        rival = certify(assemble(
+            ".memory 1\nSTORE [Sram:Word0], [Packet:0]\n"))
+        table.admit(rival.summary)
+        images = [certify(template.rebind({"Stamp": n}))
+                  for n in range(2000)]
+        for cert in images:
+            assert table.admit(cert.summary) is not None
+        assert len(table) == 1 + MAX_IMAGES + 1
+        assert table.pair_checks <= (MAX_IMAGES + 1) * (MAX_IMAGES + 2)
+        assert all(cert in table for cert in images)
+        # Every tracked image is fenced off switch 5; the image-free
+        # member is not, so the template now races the rival here.
+        wide = images[-1].summary.widened
+        assert wide.key in table and wide.image is None
+        assert codes(table.diagnostics()) == ["TPP020"]
+        assert codes(table.diagnostics_for(images[-1])) == ["TPP020"]
+        assert table.diagnostics_for(images[0]) == []
+        scratch = check_fleet(table.members, table.fence_values)
+        assert ([d.to_dict() for d in table.diagnostics()]
+                == [d.to_dict() for d in scratch.diagnostics])
+        # Revoking a tracked image retires it alone; an image past the
+        # cap retires the member that represents it.
+        assert table.revoke(images[0])
+        assert len(table) == MAX_IMAGES + 1
+        assert images[0].summary.key not in [m.key for m in table.members]
+        assert table.revoke(images[-1])
+        assert images[-1] not in table and wide.key not in table
+        assert table.diagnostics() == []
+        assert not table.revoke(images[-1])
+        with pytest.raises(TypeError):
+            table.revoke(template.build())   # a section names no image
+        # Only "image-free vs an image of the same program" is skipped:
+        # two image-free copies race as they always did.
+        copies = [summarize_instructions(template.instructions, name=n,
+                                         task_id=1) for n in ("a", "b")]
+        assert codes(check_pair(*copies)) == ["TPP020"]
+        assert check_pair(copies[0], images[1].summary) == []
+        assert codes(check_pair(images[0].summary,
+                                images[1].summary)) == ["TPP020"]
 
     def test_readmission_after_rival_revoked(self):
         table = FleetRaceTable()

@@ -179,10 +179,10 @@ class TestVerifierTPP012:
                                 max_instructions=8)
         cert = result.certificate
         assert cert is not None
-        assert cert.sram_relational is not None
-        assert cert.sram_relational.dead_suffix_at == 1
+        assert cert.summary.relational is not None
+        assert cert.summary.relational.dead_suffix_at == 1
         blob = cert.to_dict()
-        assert blob["sram_relational"]["dead_suffix_at"] == 1
+        assert blob["summary"]["relational"]["dead_suffix_at"] == 1
 
     def test_live_program_gets_no_tpp012(self):
         result = verify_program(

@@ -415,6 +415,93 @@ class TestTrustRaceGating:
         assert tcpu.trust(cert_b)
         assert tcpu.certificates == 1
 
+    def _template_certs(self):
+        """An unfenced writer of Sram:Word0 plus two images of one
+        fenced-writer template: aimed at switch 5 and at switch 3."""
+        template = assemble(
+            "CEXEC [Switch:SwitchID], 0xFFFFFFFF, $Target\n"
+            "STORE [Sram:Word0], [Packet:0]\n", symbols={"Target": 5})
+        writer = assemble(".memory 1\nSTORE [Sram:Word0], [Packet:0]\n")
+        return tuple(
+            verify_program(p, memory_map=_MAP, task_id=1).certificate
+            for p in (writer, template, template.rebind({"Target": 3})))
+
+    def test_rebound_image_is_its_own_fleet_member(self):
+        writer, here, elsewhere = self._template_certs()
+        assert here.program_key == elsewhere.program_key
+        sid = _MAP.resolve("Switch:SwitchID")
+        tcpu = TCPU(make_mmu(), race_mode="warn", fence_values={sid: 5})
+        assert tcpu.trust(writer) and tcpu.trust(here)
+        assert [d.code for d in tcpu.fleet.diagnostics()] == ["TPP020"]
+        # The Target=5 packets are still in flight: trusting the image
+        # aimed at switch 3 must not make their race disappear.
+        assert tcpu.trust(elsewhere)
+        assert [d.code for d in tcpu.fleet.diagnostics()] == ["TPP020"]
+        assert len(tcpu.fleet) == 3
+        assert tcpu.certificates == 2  # execution: one per program key
+        assert tcpu.trust(here) and len(tcpu.fleet) == 3  # idempotent
+        tcpu.distrust(elsewhere)       # retires exactly that image
+        assert len(tcpu.fleet) == 2
+        assert [d.code for d in tcpu.fleet.diagnostics()] == ["TPP020"]
+        tcpu.distrust(here)
+        assert tcpu.fleet.diagnostics() == []
+        assert tcpu.certificates == 1
+
+    def test_enforce_refuses_the_racy_image_only(self):
+        writer, here, elsewhere = self._template_certs()
+        sid = _MAP.resolve("Switch:SwitchID")
+        tcpu = TCPU(make_mmu(), race_mode="enforce",
+                    fence_values={sid: 5})
+        assert tcpu.trust(writer)
+        assert tcpu.trust(elsewhere)   # fenced off this switch
+        assert not tcpu.trust(here)    # races the writer here
+        assert tcpu.certificates_refused == 1
+        assert len(tcpu.fleet) == 2
+        assert tcpu.fleet.diagnostics() == []
+        assert tcpu.certificates == 2
+
+    def test_interleaved_images_keep_the_compiled_entry(self):
+        """Nothing execution reads depends on the image, so alternating
+        images of one template (one certificate each) must not
+        recompile the program or re-record its race per arrival."""
+        writer, here, elsewhere = self._template_certs()
+        assert here is not elsewhere
+        assert here.execution_facts == elsewhere.execution_facts
+        sid = _MAP.resolve("Switch:SwitchID")
+        tcpu = TCPU(make_mmu(), race_mode="warn", fence_values={sid: 5})
+        assert tcpu.trust(writer)
+        template = assemble(
+            "CEXEC [Switch:SwitchID], 0xFFFFFFFF, $Target\n"
+            "STORE [Sram:Word0], [Packet:0]\n", symbols={"Target": 5})
+        for arrival in range(100):
+            cert = (here, elsewhere)[arrival % 2]
+            assert tcpu.trust(cert)
+            tcpu.execute(template.build(task_id=1), make_ctx(1))
+        assert (tcpu.cache.misses, tcpu.cache.hits) == (1, 99)
+        assert tcpu.verified_executions == 100
+        assert [d.code for d in tcpu.race_conflicts] == ["TPP020"]
+
+    def test_distrust_keeps_the_program_while_an_image_remains(self):
+        writer, here, elsewhere = self._template_certs()
+        tcpu = TCPU(make_mmu(), race_mode="warn")
+        assert tcpu.trust(here) and tcpu.trust(elsewhere)
+        assert tcpu.certificates == 1
+        tcpu.distrust(elsewhere)   # `here` is still trusted
+        assert tcpu.certificates == 1 and len(tcpu.fleet) == 1
+        tcpu.distrust(here)
+        assert tcpu.certificates == 0 and len(tcpu.fleet) == 0
+        # Re-trusting re-admits the image even though the certificate
+        # object was the one execution held before.
+        assert tcpu.trust(here) and here in tcpu.fleet
+        import pytest
+        with pytest.raises(TypeError):
+            tcpu.distrust(here.program_key)
+        # race_mode off tracks no images: distrust retires the program.
+        off = TCPU(make_mmu(), race_mode="off")
+        assert off.trust(here) and off.trust(elsewhere)
+        off.distrust(elsewhere)
+        assert off.certificates == 0
+
     def test_off_mode_skips_fleet_analysis(self):
         cert_a, cert_b = self._certs()
         tcpu = TCPU(make_mmu(), race_mode="off")

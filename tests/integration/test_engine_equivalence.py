@@ -1,4 +1,4 @@
-"""Whole-network engine equivalence: one scenario, three engines.
+"""Whole-network engine equivalence: each scenario, three engines.
 
 Each seeded scenario runs three ways — as built (compiled closures +
 ingress batching), with every switch forced onto the reference
@@ -15,6 +15,7 @@ import pytest
 from repro import units
 from repro.apps.rcp import RCPStarFlow, RCPStarTask
 from repro.control.agent import ControlPlaneAgent
+from repro.control.security import VerifierPolicy
 from repro.core.assembler import assemble
 from repro.core.batch import HAVE_NUMPY
 from repro.core.memory_map import MemoryMap
@@ -181,8 +182,59 @@ def sketch_burst(engine):
     return arrivals, None, switch_state(net), net
 
 
+def fenced_template_burst(engine):
+    """Eight senders behind a ``VerifierPolicy``-guarded edge fire one
+    fenced-STORE template in the same nanosecond: first the image whose
+    fence is statically dead, then the image aimed at this switch, then
+    both interleaved.  All share a program key; the policy's verdict
+    memo and the certificate it pushes to the TCPU are per image."""
+    n_senders = 8
+    net = TopologyBuilder(seed=6, rate_bps=10 * units.GIGABITS_PER_SEC
+                          ).star(n_senders + 1)
+    install_shortest_path_routes(net)
+    select_engine(net, engine)
+    switch = next(iter(net.switches.values()))
+    hosts = list(net.hosts.values())
+    sender_names = {host.name for host in hosts[:n_senders]}
+    policy = VerifierPolicy(memory_map=switch.mmu.memory_map)
+    for local, peer, _ in net.adjacency()[switch.name]:
+        if peer in sender_names:
+            policy.mark_untrusted(switch.name, local)
+    switch.tpp_policy = policy
+    senders = [TPPEndpoint(host) for host in hosts[:n_senders]]
+    sink_host = hosts[n_senders]
+    sink = TPPEndpoint(sink_host, echo_probes=False)
+    arrivals = []
+    record_arrivals(sink, arrivals)
+    dead = assemble("LOAD [Switch:SwitchID], [Packet:0]\n"
+                    "CEXEC [Switch:SwitchID], $Mask, $Want\n"
+                    "STORE [Sram:Word0], [Packet:0]\n",
+                    symbols={"Mask": 0x0F, "Want": 0x100})
+    live = dead.rebind({"Mask": 0xFFFFFFFF, "Want": switch.switch_id})
+    assert dead.program_key == live.program_key
+
+    def burst(images):
+        for endpoint, image in zip(senders, images):
+            endpoint.send(image, dst_mac=sink_host.mac)
+
+    bursts = ([dead] * n_senders, [live] * n_senders,
+              [dead, live] * (n_senders // 2))
+    for index, images in enumerate(bursts):
+        net.sim.schedule_at(1 + index * 4_000, burst, images)
+    net.run(until_seconds=0.001)
+    assert len(arrivals) == n_senders * len(bursts)
+    assert (policy.tpps_verified, policy.tpps_admitted) == (2, 24)
+    assert switch.tcpu.certificates == 1   # one program key ...
+    assert len(switch.tcpu.fleet) == 2     # ... two images
+    assert switch.mmu.peek_sram(0) == switch.switch_id  # live STOREs ran
+    if engine == "default":
+        assert switch.tcpu.batch_occupancy == {n_senders: len(bursts)}
+    return arrivals, None, switch_state(net), net
+
+
 @pytest.mark.parametrize("scenario",
-                         [probe_line, rcp_dumbbell, sketch_burst])
+                         [probe_line, rcp_dumbbell, sketch_burst,
+                          fenced_template_burst])
 def test_three_engines_are_bit_identical(scenario):
     reference = None
     for engine in ENGINES:

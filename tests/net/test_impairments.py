@@ -261,8 +261,9 @@ class TestTraceKinds:
 
 class TestCorruptionInvalidatesCaches:
     """In-flight damage bypasses the TPP's mutator methods, so _corrupt
-    must drop the section's memoized fingerprint/wire/length caches and
-    the frame's size + parsed-view caches."""
+    must drop the section's memoized fingerprint/length caches and the
+    frame's size + parsed-view caches, and the damage must show in the
+    section's wire encoding."""
 
     def _tpp_frame(self, source="PUSH [Queue:QueueSize]", hops=2):
         from repro.net.packet import ETHERTYPE_TPP, EthernetFrame
@@ -271,17 +272,17 @@ class TestCorruptionInvalidatesCaches:
                               payload=tpp)
         return tpp, frame
 
-    def test_bitflip_drops_wire_cache(self, sim):
+    def test_bitflip_reaches_the_wire(self, sim):
         import random
         link = Link(sim, rate_bps=1_000_000)
         tpp, frame = self._tpp_frame()
-        stale = tpp.encode()          # warm the wire cache
+        stale = tpp.encode()
         key = tpp.program_key         # warm the fingerprint
         # seed 0: first random() is ~0.84 >= 0.5 -> bitflip branch.
         out = link._corrupt(frame, random.Random(0), None)
         assert out is frame
-        assert tpp._wire_cache is None
         assert tpp.encode() != stale  # damage visible on the wire
+        assert tpp.encode()[-len(tpp.memory):] == bytes(tpp.memory)
         assert tpp.program_key == key  # instructions were untouched
 
     def test_truncation_drops_length_and_size_caches(self, sim):
@@ -302,7 +303,7 @@ class TestCorruptionInvalidatesCaches:
         fresh = parse_frame(frame)
         assert fresh is not parsed
 
-    def test_header_scramble_drops_wire_cache(self, sim):
+    def test_header_scramble_reaches_the_wire(self, sim):
         import random
         link = Link(sim, rate_bps=1_000_000)
         tpp, frame = self._tpp_frame(source="NOP", hops=0)
