@@ -104,8 +104,7 @@ def batch_report(switches: Iterable = ()) -> str:
     ``switches`` are :class:`repro.asic.switch.TPPSwitch` instances.
     Each row answers: how often the ingress drain found same-program
     runs, how many TPPs rode them, how many went through the vectorized
-    lane versus the packet-at-a-time safe lane (and how many of the
-    vectorized ones engaged a write-capable lane), the mean batch
+    SRAM write lane versus the packet-at-a-time safe lane, the mean batch
     occupancy (TPPs per batch) — the amortization factor actually
     achieved, as opposed to the one hoped for — and *why* the demoted
     batches were demoted (``reason×count``, from
@@ -127,14 +126,13 @@ def batch_report(switches: Iterable = ()) -> str:
             "on" if stats["batch_enabled"] else "off",
             stats["batches_executed"], stats["batched_tpps"],
             stats["vector_batches"], stats["vector_tpps"],
-            stats.get("vector_write_batches", 0),
-            stats["batch_fallbacks"], f"{mean:.1f}", demoted,
+            f"{mean:.1f}", demoted,
         ])
     if not rows:
         return "(nothing to report)"
     return format_table(
         ["switch", "batching", "batches", "tpps", "vec-batches",
-         "vec-tpps", "wr-batches", "fallbacks", "mean-occ", "demoted"],
+         "vec-tpps", "mean-occ", "demoted"],
         rows, title="Batched execution")
 
 

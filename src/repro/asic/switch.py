@@ -152,9 +152,6 @@ class TPPSwitch(Device):
         stats["batched_tpps"] = self.tcpu.batched_tpps
         stats["vector_batches"] = self.tcpu.vector_batches
         stats["vector_tpps"] = self.tcpu.vector_tpps
-        stats["vector_write_batches"] = self.tcpu.vector_write_batches
-        stats["vector_write_tpps"] = self.tcpu.vector_write_tpps
-        stats["batch_fallbacks"] = self.tcpu.batch_fallbacks
         stats["batch_occupancy"] = dict(self.tcpu.batch_occupancy)
         stats["batch_demotions"] = dict(self.tcpu.batch_demotions)
         return stats
@@ -222,9 +219,7 @@ class TPPSwitch(Device):
         singletons and non-TPP frames take the scalar path.  Arrival
         order is preserved across runs — drops, traces, hop stamps and
         egress enqueues happen in the same per-frame order the scalar
-        pipeline would produce (only same-timestamp interleavings of
-        the TPPsExecuted/PacketsSwitched counters differ, which is why
-        those two registers are not batch-stable).
+        pipeline would produce.
         """
         self._drain_scheduled = False
         buffered, self._ingress = self._ingress, []
@@ -476,15 +471,7 @@ class TPPSwitch(Device):
     # ------------------------------------------------------------------ #
 
     def _bind_memory_map(self) -> None:
-        # Statistics cannot change while a batch runs (the drain event is
-        # synchronous: no enqueue/dequeue/control-plane event can fire
-        # mid-batch), so nearly every reader is batch-stable.  The two
-        # exceptions are the self-counters the TCPU and pipeline bump
-        # *per packet* — a program reading those must see the scalar
-        # interleaving, so they stay unstable and force the safe lane.
-        def bind(name: str, fn: Callable[[ExecutionContext], int],
-                 batch_stable: bool = True) -> None:
-            self.mmu.bind_reader(name, fn, batch_stable=batch_stable)
+        bind = self.mmu.bind_reader
 
         # Switch: global registers.
         bind("Switch:SwitchID", lambda ctx: self.switch_id)
@@ -495,10 +482,8 @@ class TPPSwitch(Device):
         bind("Switch:L2TableEntries", lambda ctx: len(self.l2))
         bind("Switch:L3TableEntries", lambda ctx: len(self.l3))
         bind("Switch:TCAMEntries", lambda ctx: len(self.tcam))
-        bind("Switch:TPPsExecuted", lambda ctx: self.tcpu.tpps_executed,
-             batch_stable=False)
-        bind("Switch:PacketsSwitched", lambda ctx: self.packets_switched,
-             batch_stable=False)
+        bind("Switch:TPPsExecuted", lambda ctx: self.tcpu.tpps_executed)
+        bind("Switch:PacketsSwitched", lambda ctx: self.packets_switched)
 
         # PacketMetadata: the packet in the pipeline.
         meta = lambda attr: (lambda ctx: getattr(ctx.metadata, attr))

@@ -35,8 +35,9 @@ verifier certificate (:class:`~repro.core.verifier.VerifiedProgram`) for
 it.  A certificate adds *facts*, not a second code path: the
 :class:`CompiledEntry` holds it so :func:`build_batch_plan` and
 :mod:`repro.core.batch` can decide, per batch, whether the vector lane
-may run — from its guard (memory length, per-hop stride, hop/SP-counter
-interval) and SRAM dataflow classes only.  Those are the fields that do
+(accumulate / claim updates of scratch SRAM, nothing else) may run —
+from its guard (memory length, per-hop stride, hop/SP-counter interval)
+and SRAM dataflow classes only.  Those are the fields that do
 not depend on packet-memory *contents*, which the batch guard never
 checks; nothing here reads the image-dependent race facts.
 """
@@ -51,11 +52,9 @@ from repro.core.exceptions import FaultCode, TCPUFault
 from repro.core.isa import (
     ALU_FUNCTIONS,
     HOP_RELATIVE_OPCODES,
-    SWITCH_WRITING_OPCODES,
     Instruction,
     Opcode,
 )
-from repro.core.memory_map import is_link_scratch, is_sram
 from repro.core.mmu import MMU
 from repro.core.racecheck import DATAFLOW_ACCUMULATE, analyze_sram_dataflow
 from repro.core.tpp import AddressingMode
@@ -110,58 +109,36 @@ class BatchPlan:
     Built once per compilation (certified programs only) by
     :func:`build_batch_plan` and attached to the program's
     :class:`CompiledEntry`.  ``ops`` is the instruction list lowered to
-    the vectorized kernel's micro-ops (``None`` when any instruction is
-    outside the kernel's vocabulary):
+    the write-lane kernel's micro-ops against the certificate's SRAM
+    dataflow classes (:func:`repro.core.racecheck.analyze_sram_dataflow`)
+    — ``None`` when any instruction is outside the kernel's vocabulary:
 
     - ``("nop",)``
-    - ``("push", reader)`` — effective address is the running SP
-    - ``("load", reader, hop_relative, offset_bytes)``
-    - ``("arith", opcode, reader, hop_relative, offset_bytes)``
-
-    Write-bearing instructions lower against the certificate's SRAM
-    dataflow classes (:func:`repro.core.racecheck.analyze_sram_dataflow`)
-    into the write-lane micro-ops:
-
-    - ``("push_acc", word)`` / ``("load_acc", word, hop_relative,
-      offset_bytes)`` / ``("add_acc", word, hop_relative, offset_bytes)``
-      — reads of an *accumulate* word, served from the kernel's
-      per-word partial-delta vector instead of the (stale during the
-      batch) MMU store
-    - ``("store_acc", word, hop_relative, offset_bytes, vaddr)`` /
-      ``("pop_acc", word, vaddr)`` — stores closing an additive chain
-    - ``("store_priv", word, hop_relative, offset_bytes, vaddr)`` /
-      ``("pop_priv", word, vaddr)`` — last-writer-wins scatters
+    - ``("add_acc", word, offset_bytes)`` — a read of an *accumulate*
+      word after its first store, served from the kernel's per-word
+      partial-delta vector instead of the (stale during the batch) MMU
+      store
+    - ``("store_acc", word, offset_bytes, vaddr)`` — a store closing an
+      additive chain
     - ``("cstore_claim", word, cond_offset_bytes, vaddr)`` — the
       first-match-wins claim select
 
-    ``vectorizable`` additionally requires every read to be
-    *batch-stable* (:meth:`repro.core.mmu.MMU.reader_is_batch_stable`):
-    side-effect-free and unchanged by the TPP executions within one
-    batch, so instruction-major execution order is unobservable.
     ``demote_reason`` names why the lowering refused (``"cexec"`` or
     ``"write_dataflow"``) for the batch engine's per-reason demotion
     counters; ``sram_words``/``acc_words``/``aff_slots`` carry the
-    write-lane kernel state the micro-ops reference.
+    kernel state the micro-ops reference.
     """
 
-    __slots__ = ("ops", "vectorizable", "writes_mmu", "stable_reads",
-                 "uses_task_id", "touches_memory", "n_instructions",
-                 "demote_reason", "sram_words", "acc_words", "aff_slots")
+    __slots__ = ("ops", "n_instructions", "demote_reason", "sram_words",
+                 "acc_words", "aff_slots")
 
     def __init__(self, ops: Optional[Tuple[Tuple[Any, ...], ...]],
-                 vectorizable: bool, writes_mmu: bool, stable_reads: bool,
-                 uses_task_id: bool, touches_memory: bool,
                  n_instructions: int,
                  demote_reason: Optional[str] = None,
                  sram_words: Tuple[int, ...] = (),
                  acc_words: Tuple[int, ...] = (),
-                 aff_slots: Tuple[Tuple[str, int, int], ...] = ()) -> None:
+                 aff_slots: Tuple[Tuple[int, int], ...] = ()) -> None:
         self.ops = ops
-        self.vectorizable = vectorizable
-        self.writes_mmu = writes_mmu
-        self.stable_reads = stable_reads
-        self.uses_task_id = uses_task_id
-        self.touches_memory = touches_memory
         self.n_instructions = n_instructions
         self.demote_reason = demote_reason
         self.sram_words = sram_words
@@ -171,145 +148,63 @@ class BatchPlan:
 
 def build_batch_plan(instructions: List[Instruction],
                      mode: AddressingMode, word_size: int,
-                     mmu: MMU, certificate: Any = None) -> BatchPlan:
-    """Lower a program to the vectorized kernel's micro-ops (if possible).
+                     certificate: Any) -> BatchPlan:
+    """Lower a program to the write-lane kernel's micro-ops (if possible).
 
-    Valid for the same lifetime as the compiled closures: a
-    ``layout_version`` bump (which can change which readers are
-    batch-stable) clears the program cache, and the plan is rebuilt with
-    the entry.
-
-    Write-bearing programs additionally need ``certificate`` — its
-    pinned ``sram_dataflow`` must match this lowering's own analysis
-    exactly (a stale or foreign certificate demotes instead of
-    mis-vectorizing), every write target must be a *batch-stable writer*
-    (:meth:`repro.core.mmu.MMU.writer_is_batch_stable`, i.e. scratch
-    SRAM), and every written word must classify as accumulate, claim or
-    private-scatter.
+    The certificate's pinned ``sram_dataflow`` must match this
+    lowering's own analysis exactly (a stale or foreign certificate
+    demotes instead of mis-vectorizing), and every written word must
+    classify as accumulate or claim.  Everything the analysis gives no
+    role — any read of a statistic, ``PUSH``/``POP``, hop-relative
+    operands, a write outside scratch SRAM — demotes: the compiled
+    scalar lane already decodes such a program once, and stateless
+    reads gain nothing from instruction-major order.
     """
-    hop_mode = mode == AddressingMode.HOP
-    ops: List[Tuple[Any, ...]] = []
-    vector_ok = True
-    demote_reason: Optional[str] = None
-    stable = True
-    uses_task_id = False
-    touches_memory = False
-    writes_mmu = any(i.opcode in SWITCH_WRITING_OPCODES
-                     for i in instructions)
+    analysis = analyze_sram_dataflow(instructions, mode=mode,
+                                     word_size=word_size)
+    pinned = getattr(certificate, "sram_dataflow", None)
     roles: Tuple[Any, ...] = (None,) * len(instructions)
+    if analysis.ok and pinned == analysis.classes:
+        roles = analysis.roles
+    ops: List[Tuple[Any, ...]] = []
+    demote_reason: Optional[str] = None
     acc_written: set = set()
-    analysis = None
-    if writes_mmu:
-        analysis = analyze_sram_dataflow(instructions, mode=mode,
-                                         word_size=word_size)
-        pinned = (getattr(certificate, "sram_dataflow", None)
-                  if certificate is not None else None)
-        if analysis.ok and pinned == analysis.classes:
-            roles = analysis.roles
-        else:
-            analysis = None
-    for j, instruction in enumerate(instructions):
+    for instruction, role in zip(instructions, roles):
         opcode = instruction.opcode
-        role = roles[j]
-        if role is None and (opcode == Opcode.CEXEC
-                             or opcode in SWITCH_WRITING_OPCODES):
-            # Control flow, or a write whose dataflow class does not
-            # vectorize (mixed word, non-SRAM target, stale certificate).
-            vector_ok = False
+        if opcode == Opcode.NOP:
+            ops.append(("nop",))
+            continue
+        if role is None:
+            # Control flow, or an instruction outside the write lane
+            # (a read, a mixed word, a non-SRAM target, a stale
+            # certificate).
             if opcode == Opcode.CEXEC:
                 demote_reason = "cexec"
             elif demote_reason is None:
                 demote_reason = "write_dataflow"
             continue
-        if opcode == Opcode.NOP:
-            ops.append(("nop",))
-            continue
-        addr = instruction.addr
+        tag, sram_word = role
         offset_bytes = instruction.offset * word_size
-        hop_relative = hop_mode and opcode in HOP_RELATIVE_OPCODES
-        if role is not None:
-            tag, sram_word = role
-            # Every write-lane op touches SRAM: protection resolves
-            # against the (uniform) task id, checked by the kernel.
-            uses_task_id = True
-            if (tag in ("store_acc", "store_priv", "cstore_claim")
-                    and not mmu.writer_is_batch_stable(addr)):
-                vector_ok = False
-                if demote_reason is None:
-                    demote_reason = "write_dataflow"
-                continue
-            if tag == "read_acc":
-                touches_memory = True
-                if opcode == Opcode.PUSH:
-                    ops.append(("push_acc", sram_word))
-                else:
-                    ops.append(("load_acc", sram_word, hop_relative,
-                                offset_bytes))
-            elif tag == "add_acc":
-                touches_memory = True
-                # Before the word's first store the kernel's delta
-                # vector is identically zero, and the matrix column
-                # holds values *relative* to the entry value — adding
-                # zero is a no-op, so the op is elided (the slot still
-                # gets its entry-vector fixup from ``aff_slots``).
-                if sram_word in acc_written:
-                    ops.append(("add_acc", sram_word, hop_relative,
-                                offset_bytes))
-            elif tag == "store_acc":
+        if tag == "add_acc":
+            # Before the word's first store the kernel's delta vector
+            # is identically zero, and the matrix column holds values
+            # *relative* to the entry value — adding zero is a no-op, so
+            # the op is elided (the slot still gets its entry-vector
+            # fixup from ``aff_slots``).
+            if sram_word in acc_written:
+                ops.append(("add_acc", sram_word, offset_bytes))
+        else:  # store_acc / cstore_claim
+            if tag == "store_acc":
                 acc_written.add(sram_word)
-                if opcode == Opcode.POP:
-                    ops.append(("pop_acc", sram_word, addr))
-                else:
-                    ops.append(("store_acc", sram_word, hop_relative,
-                                offset_bytes, addr))
-            elif tag == "store_priv":
-                if opcode == Opcode.POP:
-                    ops.append(("pop_priv", sram_word, addr))
-                else:
-                    ops.append(("store_priv", sram_word, hop_relative,
-                                offset_bytes, addr))
-            else:  # cstore_claim: writes the old value over its cond word
-                touches_memory = True
-                ops.append(("cstore_claim", sram_word, offset_bytes,
-                            addr))
-            continue
-        if not mmu.reader_is_batch_stable(addr):
-            stable = False
-        if is_sram(addr) or is_link_scratch(addr):
-            # SRAM protection domains resolve against ``ctx.task_id``,
-            # so the kernel must stamp it per packet before reading.
-            uses_task_id = True
-        reader = mmu.reader_for(addr)
-        touches_memory = True
-        if opcode == Opcode.PUSH:
-            ops.append(("push", reader))
-        elif opcode == Opcode.LOAD:
-            ops.append(("load", reader, hop_relative, offset_bytes))
-        else:
-            ops.append(("arith", opcode, reader, hop_relative,
-                        offset_bytes))
-    sram_words: Tuple[int, ...] = ()
-    acc_words: Tuple[int, ...] = ()
-    aff_slots: Tuple[Tuple[str, int, int], ...] = ()
-    if analysis is not None and vector_ok:
-        sram_words = tuple(sorted(w for w, _ in analysis.classes))
-        acc_words = tuple(sorted(
-            w for w, cls in analysis.classes
-            if cls == DATAFLOW_ACCUMULATE))
-        aff_slots = analysis.aff_slots
+            ops.append((tag, sram_word, offset_bytes, instruction.addr))
+    if demote_reason is not None:
+        return BatchPlan(None, len(instructions), demote_reason)
     return BatchPlan(
-        ops=tuple(ops) if vector_ok else None,
-        vectorizable=vector_ok and stable,
-        writes_mmu=writes_mmu,
-        stable_reads=stable,
-        uses_task_id=uses_task_id,
-        touches_memory=touches_memory,
-        n_instructions=len(instructions),
-        demote_reason=demote_reason,
-        sram_words=sram_words,
-        acc_words=acc_words,
-        aff_slots=aff_slots,
-    )
+        tuple(ops), len(instructions),
+        sram_words=tuple(w for w, _ in analysis.classes),
+        acc_words=tuple(w for w, cls in analysis.classes
+                        if cls == DATAFLOW_ACCUMULATE),
+        aff_slots=analysis.aff_slots)
 
 
 class ProgramCache:

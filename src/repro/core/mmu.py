@@ -89,13 +89,6 @@ class MMU:
         self.memory_map = memory_map if memory_map else MemoryMap.standard()
         self.name = name
         self._readers: Dict[int, Reader] = {}
-        #: Virtual addresses whose bound reader is *batch-stable*:
-        #: side-effect-free and unchanged by TPP executions within one
-        #: ingress batch (see :mod:`repro.core.batch`).  Scratch regions
-        #: (SRAM, link scratch) are implicitly stable — only a TPP write
-        #: can move them, and the vectorized batch lane excludes write
-        #: opcodes — so only bound statistics need explicit marking.
-        self._batch_stable: set = set()
         #: Word store for the global scratch SRAM.
         self._sram: List[int] = [0] * SRAM_WORDS
         self._sram_regions: List[SRAMRegion] = []
@@ -117,55 +110,16 @@ class MMU:
     # Binding read-only statistics
     # ------------------------------------------------------------------ #
 
-    def bind_reader(self, name_or_vaddr, reader: Reader,
-                    batch_stable: bool = False) -> None:
+    def bind_reader(self, name_or_vaddr, reader: Reader) -> None:
         """Expose a statistic at an address (or mnemonic) read-only.
 
         Binding (or re-binding) changes the address-space layout, so every
         pre-resolved accessor — and every compiled program holding one —
         is invalidated.
-
-        ``batch_stable`` declares the reader safe for instruction-major
-        batched execution: it has no side effects and its value cannot be
-        changed by the TPP executions within one ingress batch (all of
-        which happen at a single simulated instant).  Readers of
-        execution-order-dependent counters (e.g. ``Switch:TPPsExecuted``)
-        must stay unstable, which keeps their programs on the
-        packet-at-a-time lane.
         """
         vaddr = self._to_vaddr(name_or_vaddr)
         self._readers[vaddr] = reader
-        if batch_stable:
-            self._batch_stable.add(vaddr)
-        else:
-            self._batch_stable.discard(vaddr)
         self.invalidate_accessors()
-
-    def reader_is_batch_stable(self, vaddr: int) -> bool:
-        """Whether reads of ``vaddr`` may be reordered across the packets
-        of one batch.  Scratch regions are stable by construction (the
-        vectorized lane admits no write opcodes); bound statistics are
-        stable only when their binding said so; unmapped addresses are
-        not (they fault, which the safe lane reproduces per packet)."""
-        if is_sram(vaddr) or is_link_scratch(vaddr):
-            return True
-        return vaddr in self._batch_stable
-
-    def writer_is_batch_stable(self, vaddr: int) -> bool:
-        """Whether writes to ``vaddr`` may be reordered instruction-major
-        across the packets of one batch and committed once at the end.
-
-        Mirrors :meth:`reader_is_batch_stable` for the write-capable
-        vector lanes: scratch SRAM qualifies — a word write is a pure
-        state mutation whose sequential effect the kernel reproduces
-        exactly (prefix-scan, first-match claim or last-writer-wins per
-        the certificate's dataflow class).  Link scratch does not: the
-        target register depends on each packet's egress port, so the
-        column-commit model has no single word to reason about.  Bound
-        statistics and unmapped addresses fault on write either way and
-        stay safe-lane.
-        """
-        return is_sram(vaddr)
 
     def _to_vaddr(self, name_or_vaddr) -> int:
         if isinstance(name_or_vaddr, str):

@@ -99,7 +99,6 @@ from typing import (
 )
 
 from repro.core.isa import (
-    ALU_OPCODES,
     HOP_RELATIVE_OPCODES,
     Instruction,
     Opcode,
@@ -520,16 +519,15 @@ def _apply_relational_statics(
 
 
 # --------------------------------------------------------------------- #
-# SRAM dataflow classification (feeds the write-capable batch lanes)
+# SRAM dataflow classification (feeds the batch engine's SRAM write lane)
 # --------------------------------------------------------------------- #
 
 #: Dataflow classes of a written/claimed SRAM word, pinned on verifier
 #: certificates (``VerifiedProgram.sram_dataflow``) and consumed by the
-#: batched engine's write-capable vector lanes
+#: batched engine's write lane
 #: (:func:`repro.core.fastpath.build_batch_plan`).
 DATAFLOW_ACCUMULATE = "accumulate"  #: additive read-modify-write chains
 DATAFLOW_CLAIM = "claim"            #: CSTORE-only claim protocol word
-DATAFLOW_PRIVATE = "private"        #: written, never read back in-program
 DATAFLOW_MIXED = "mixed"            #: anything else: safe lane only
 
 
@@ -540,22 +538,20 @@ class SRAMDataflow:
     ``classes`` maps every SRAM word the program writes or claims to one
     of the ``DATAFLOW_*`` strings (sorted by word; this exact tuple is
     pinned on the certificate).  ``roles`` is aligned with the
-    instruction list: ``None`` for instructions the vector kernel lowers
-    normally, or a ``(tag, word)`` pair naming the write-lane micro-op
-    the instruction maps to (``read_acc``/``add_acc``/``store_acc``/
-    ``store_priv``/``cstore_claim``).  ``aff_slots`` lists the packet
+    instruction list: ``None``, or a ``(tag, word)`` pair naming the
+    write-lane micro-op the instruction maps to (``add_acc``/
+    ``store_acc``/``cstore_claim``).  ``aff_slots`` lists the packet
     memory slots that still hold ``entry_value + delta`` of an
-    accumulate word when the program ends, as ``(slot_kind,
-    offset_or_rel, word)`` — the kernel adds the per-packet entry vector
-    to those columns in its epilogue.  Roles and slots are only
-    meaningful when :attr:`ok` holds: one mixed word demotes the whole
-    program to the safe lane, so partially-stale roles are never
-    consumed.
+    accumulate word when the program ends, as ``(byte_offset, word)`` —
+    the kernel adds the per-packet entry vector to those columns in its
+    epilogue.  Roles and slots are only meaningful when :attr:`ok`
+    holds: one mixed word demotes the whole program to the safe lane,
+    so partially-stale roles are never consumed.
     """
 
     classes: Tuple[Tuple[int, str], ...]
     roles: Tuple[Optional[Tuple[str, int]], ...]
-    aff_slots: Tuple[Tuple[str, int, int], ...]
+    aff_slots: Tuple[Tuple[int, int], ...]
 
     @property
     def ok(self) -> bool:
@@ -568,202 +564,91 @@ def analyze_sram_dataflow(instructions: Sequence[Instruction], *,
                           word_size: int) -> SRAMDataflow:
     """Classify every written/claimed SRAM word of one program.
 
-    An abstract interpretation over packet-memory slots: each slot is
-    either *independent* of SRAM entry values, or *affine* in exactly
-    one written word ``w`` (value ``= entry(w) + per-packet constant``,
-    coefficient exactly one).  A word all of whose stores store an
-    affine-in-itself slot has the additive form ``S' = S + delta`` with
-    ``delta`` computable per packet — the prefix-scan lane reproduces
-    sequential order bit-for-bit.  CSTORE-only words are the paper's
-    §3.2.3 claim protocol; stores of independent values to words never
-    read back are last-writer-wins scatters.  Everything else —
-    cross-word dataflow, non-additive arithmetic on affine slots,
-    CEXEC anywhere (a conditional suffix makes per-packet dataflow
-    diverge), or packet slots addressed through more than one family
-    (absolute vs SP-relative vs hop-relative, whose runtime aliasing is
-    undecidable here) — classifies as mixed.
+    A walk over *absolute* packet-memory slots: each slot is either
+    independent of SRAM entry values, or *affine* in exactly one written
+    word ``w`` (value ``= entry(w) + per-packet constant``, coefficient
+    exactly one).  A word all of whose stores store an affine-in-itself
+    slot has the additive form ``S' = S + delta`` with ``delta``
+    computable per packet — the prefix-scan lane reproduces sequential
+    order bit-for-bit.  A word touched by exactly one CSTORE and nothing
+    else is the paper's §3.2.3 claim protocol.
+
+    Only the two stateful atoms a sketch update is made of are tracked:
+    ``ADD [Packet:k],[Sram:W]`` … ``STORE [Sram:W],[Packet:k]`` chains
+    and ``CSTORE [Sram:W]``.  Any other instruction but ``NOP`` (a
+    ``LOAD``, other arithmetic, ``PUSH``/``POP``, ``CEXEC``, a write
+    outside SRAM) and hop-relative addressing classify every written
+    word as mixed, as do cross-word dataflow, a word stored from a slot
+    that is not affine in it, and reads or plain writes beside a claim.
     """
-    word = word_size
-    hop_mode = mode == AddressingMode.HOP
-    reads_p, writes_p, claims_p = collect_sram_accesses(instructions)
-    reads_map = _index_map(reads_p)
-    writes_map = _index_map(writes_p)
+    _, writes_p, claims_p = collect_sram_accesses(instructions)
     claims_map = _index_map(claims_p)
-    touched = set(writes_map) | set(claims_map)
-    n = len(instructions)
-    no_roles: Tuple[Optional[Tuple[str, int]], ...] = (None,) * n
-    if not touched:
-        return SRAMDataflow(classes=(), roles=no_roles, aff_slots=())
-
-    def all_mixed() -> SRAMDataflow:
-        return SRAMDataflow(
-            classes=tuple((w, DATAFLOW_MIXED) for w in sorted(touched)),
-            roles=no_roles, aff_slots=())
-
-    if any(i.opcode == Opcode.CEXEC for i in instructions):
-        return all_mixed()
-    families = set()
-    for instruction in instructions:
-        opcode = instruction.opcode
-        if opcode in (Opcode.PUSH, Opcode.POP):
-            families.add("sp")
-        elif opcode == Opcode.CSTORE:
-            families.add("abs")
-        elif opcode == Opcode.LOAD or opcode == Opcode.STORE \
-                or opcode in ALU_OPCODES:
-            families.add("hop" if hop_mode
-                         and opcode in HOP_RELATIVE_OPCODES else "abs")
-    if len(families) > 1:
-        # Slots of different families can alias at runtime (the SP/hop
-        # base is per-batch, not static); the affine bookkeeping below
-        # would be unsound, so every written word demotes.
-        return all_mixed()
+    touched = {w for w, _ in writes_p} | set(claims_map)
+    no_roles: Tuple[Optional[Tuple[str, int]], ...] = \
+        (None,) * len(instructions)
+    all_mixed = SRAMDataflow(
+        classes=tuple((w, DATAFLOW_MIXED) for w in sorted(touched)),
+        roles=no_roles, aff_slots=())
+    if not touched or mode == AddressingMode.HOP:
+        return all_mixed
 
     mixed: Set[int] = set()
-    #: slot -> affine word (absent/None = independent)
-    slots: Dict[Tuple[str, int], Optional[int]] = {}
-    non_affine: Set[int] = set()   # words reset by an independent store
-    aff_stores: Dict[int, int] = {}
-    ind_stores: Dict[int, int] = {}
-    claim_count: Dict[int, int] = {}
-    roles: List[Optional[Tuple[str, int]]] = [None] * n
-    sp_rel = 0
-
-    def readable_as_affine(w: int) -> bool:
-        """A read of touched word ``w``: affine only while no claim and
-        no independent store has broken the additive chain."""
-        if w in claims_map or w in non_affine:
-            mixed.add(w)
-            return False
-        return True
-
-    def handle_store(w: int, state: Optional[int], j: int) -> None:
-        if w in claims_map:
-            mixed.add(w)
-            return
-        if state is None:
-            ind_stores[w] = ind_stores.get(w, 0) + 1
-            non_affine.add(w)
-            roles[j] = ("store_priv", w)
-        elif state == w:
-            if w in non_affine:
-                mixed.add(w)
-                return
-            aff_stores[w] = aff_stores.get(w, 0) + 1
-            roles[j] = ("store_acc", w)
-        else:
-            # Storing entry(v) + c into w: cross-word dataflow.
-            mixed.add(w)
-            mixed.add(state)
-
+    #: byte offset -> the word the slot is affine in (absent = independent)
+    slots: Dict[int, int] = {}
+    roles: List[Optional[Tuple[str, int]]] = list(no_roles)
     for j, instruction in enumerate(instructions):
         opcode = instruction.opcode
-        addr = instruction.addr
-        tw: Optional[int] = None
-        if is_sram(addr):
-            sram_word = addr - SRAM_BASE
-            if sram_word in touched:
-                tw = sram_word
-        base = instruction.offset * word
         if opcode == Opcode.NOP:
             continue
-        if opcode == Opcode.PUSH:
-            slot = ("sp", sp_rel)
-            sp_rel += word
-            if tw is not None and readable_as_affine(tw):
-                slots[slot] = tw
-                roles[j] = ("read_acc", tw)
-            else:
-                slots[slot] = None
-            continue
-        if opcode == Opcode.POP:
-            sp_rel -= word
-            if tw is not None:
-                handle_store(tw, slots.get(("sp", sp_rel)), j)
-            continue
-        if opcode == Opcode.LOAD:
-            slot = ("hop", base) if hop_mode else ("abs", base)
-            if tw is not None and readable_as_affine(tw):
-                slots[slot] = tw
-                roles[j] = ("read_acc", tw)
-            else:
-                slots[slot] = None
-            continue
-        if opcode == Opcode.STORE:
-            slot = ("hop", base) if hop_mode else ("abs", base)
-            if tw is not None:
-                handle_store(tw, slots.get(slot), j)
-            continue
+        sram_word = instruction.addr - SRAM_BASE
+        if not is_sram(instruction.addr) or sram_word not in touched \
+                or opcode not in (Opcode.ADD, Opcode.STORE, Opcode.CSTORE):
+            return all_mixed
+        base = instruction.offset * word_size
+        state = slots.get(base)
         if opcode == Opcode.CSTORE:
-            cond = ("abs", base)
-            if tw is not None:
-                claim_count[tw] = claim_count.get(tw, 0) + 1
-                for operand in (cond, ("abs", base + word)):
-                    state = slots.get(operand)
-                    if state is not None:
-                        # Claim compare/value depends on another word's
-                        # entry value: cross-word dataflow.
-                        mixed.add(tw)
-                        mixed.add(state)
-                roles[j] = ("cstore_claim", tw)
+            for operand in (base, base + word_size):
+                if operand in slots:
+                    # Claim compare/value depends on another word's
+                    # entry value: cross-word dataflow.
+                    mixed.update((sram_word, slots[operand]))
+            roles[j] = ("cstore_claim", sram_word)
             # CSTORE writes the old switch value over its cond word:
             # a concrete per-packet value either way.
-            slots[cond] = None
-            continue
-        if opcode in ALU_OPCODES:
-            hop_rel = hop_mode and opcode in HOP_RELATIVE_OPCODES
-            slot = ("hop", base) if hop_rel else ("abs", base)
-            state = slots.get(slot)
-            if tw is not None:
-                if (opcode == Opcode.ADD and state is None
-                        and readable_as_affine(tw)):
-                    slots[slot] = tw
-                    roles[j] = ("add_acc", tw)
-                else:
-                    # SUB/bitwise/minmax of the word (non-additive), or
-                    # folding it into an already-affine slot (coefficient
-                    # two or cross-word).
-                    mixed.add(tw)
-                    if state is not None:
-                        mixed.add(state)
-                    slots[slot] = None
-            elif state is not None and opcode not in (Opcode.ADD,
-                                                      Opcode.SUB):
-                # Non-additive arithmetic destroys the affine form of
-                # whatever this slot was tracking.
+            slots.pop(base, None)
+        elif sram_word in claims_map:
+            mixed.add(sram_word)  # a read or plain write beside a claim
+        elif opcode == Opcode.ADD and state is None:
+            slots[base] = sram_word
+            roles[j] = ("add_acc", sram_word)
+        elif opcode == Opcode.STORE and state == sram_word:
+            roles[j] = ("store_acc", sram_word)
+        else:
+            # Folding the word into an already-affine slot (coefficient
+            # two or cross-word), or storing a slot that is independent
+            # of it or affine in another word.
+            mixed.add(sram_word)
+            if state is not None:
                 mixed.add(state)
-                slots[slot] = None
-            continue
+            if opcode == Opcode.ADD:
+                del slots[base]
 
     classes: List[Tuple[int, str]] = []
     for w in sorted(touched):
-        if w in mixed:
+        if w in mixed or len(claims_map.get(w, ())) > 1:
+            # (two claim instructions: instruction-major order would
+            # diverge from packet-major chaining)
             cls = DATAFLOW_MIXED
         elif w in claims_map:
-            if (w in writes_map or w in reads_map
-                    or claim_count.get(w, 0) != 1):
-                # Plain writes or reads alongside the claim, or two
-                # claim instructions whose instruction-major order would
-                # diverge from packet-major chaining.
-                cls = DATAFLOW_MIXED
-            else:
-                cls = DATAFLOW_CLAIM
+            cls = DATAFLOW_CLAIM
         else:
-            n_aff = aff_stores.get(w, 0)
-            n_ind = ind_stores.get(w, 0)
-            if n_aff > 0 and n_ind == 0:
-                cls = DATAFLOW_ACCUMULATE
-            elif n_ind > 0 and n_aff == 0 and w not in reads_map:
-                cls = DATAFLOW_PRIVATE
-            else:
-                cls = DATAFLOW_MIXED
+            cls = DATAFLOW_ACCUMULATE
         classes.append((w, cls))
 
     class_of = dict(classes)
     aff_slots = tuple(sorted(
-        (kind, offset, w)
-        for (kind, offset), w in slots.items()
-        if w is not None and class_of.get(w) == DATAFLOW_ACCUMULATE))
+        (offset, w) for offset, w in slots.items()
+        if class_of[w] == DATAFLOW_ACCUMULATE))
     return SRAMDataflow(classes=tuple(classes), roles=tuple(roles),
                         aff_slots=aff_slots)
 
@@ -1449,8 +1334,8 @@ class FleetRaceTable:
         return collected
 
     def report(self) -> FleetRaceReport:
-        """Snapshot equivalent to
-        ``check_fleet(self.members, self.fence_values)``."""
+        """Snapshot equivalent to ``check_fleet(self.members,
+        self.fence_values, sram_values=self.sram_values)``."""
         members = self.members
         n = len(members)
         return FleetRaceReport(

@@ -141,27 +141,24 @@ class TCPU:
         self.batches_executed = 0
         #: Sections that went through ``execute_batch`` (any lane).
         self.batched_tpps = 0
-        #: Batches / sections that ran the vectorized numpy kernel.
+        #: Batches / sections that ran the vectorized numpy kernel (the
+        #: SRAM write lane: accumulate / claim dataflow classes).
         self.vector_batches = 0
         self.vector_tpps = 0
-        #: The subset of vectorized batches / sections that engaged a
-        #: write-capable lane (accumulate / claim / private-scatter
-        #: SRAM dataflow classes).
-        self.vector_write_batches = 0
-        self.vector_write_tpps = 0
-        #: Vectorized attempts aborted mid-kernel (a reader faulted);
-        #: the batch re-ran packet-at-a-time on pristine memory.
+        #: Always 0 — the kernel calls no reader, so it cannot fault
+        #: mid-batch.  Kept only because ``bench_e2e/layers.py`` reads
+        #: the attribute.
         self.batch_fallbacks = 0
         #: Histogram of batch sizes seen: ``{occupancy: count}``.
         self.batch_occupancy: dict = {}
         #: Why batches took the safe lane: ``{reason: count}`` over
         #: ``uncertified`` (no certificate, or hop/SP outside its guard),
-        #: ``cexec``, ``write_dataflow`` (writes without a vectorizable
-        #: dataflow class), ``unstable_read``, ``non_uniform`` (mixed
-        #: flags/geometry/hop counter/task ids), ``sram_protection``
-        #: (a touched word is foreign to the batch's task),
-        #: ``fault_rewind`` (mid-kernel fault; also counted in
-        #: ``batch_fallbacks``) and ``no_numpy``.
+        #: ``cexec``, ``write_dataflow`` (anything but accumulate /
+        #: claim SRAM updates: reads, stack or hop addressing, a write
+        #: without a vectorizable dataflow class), ``non_uniform``
+        #: (mixed flags/geometry/hop counter/task ids),
+        #: ``sram_protection`` (a touched word is foreign to the
+        #: batch's task) and ``no_numpy``.
         self.batch_demotions: dict = {}
 
     # ------------------------------------------------------------------ #
@@ -286,20 +283,18 @@ class TCPU:
                                    report)
         return self._run_interpreted(tpp, ctx, report)
 
-    def execute_batch(self, sections, ctxs, arena=None):
+    def execute_batch(self, sections, ctxs):
         """Execute a group of same-program TPPs in one pass.
 
         Semantically identical to calling :meth:`execute` once per
         ``(section, ctx)`` pair in order — same reports, same packet
         memory bytes, same fault stamping, same counters — but the
         program-cache lookup and certificate guard are paid once per
-        batch, and eligible batches (verified certificate, no CEXEC, no
-        switch writes, batch-stable reads) run a vectorized numpy
-        kernel over an arena of packet memories.  See
+        batch, and eligible batches (verified certificate, nothing but
+        accumulate / claim updates of scratch SRAM) run a vectorized
+        numpy kernel over an arena of packet memories.  See
         :mod:`repro.core.batch` for the engine and the eligibility
-        rules.  ``arena`` optionally passes a resident
-        :class:`~repro.core.batch.BatchArena` the sections already live
-        in (the benchmark harness does this to amortize adoption).
+        rules.
         """
         global _BATCH_IMPL
         if _BATCH_IMPL is None:
@@ -307,7 +302,7 @@ class TCPU:
             # because the import-machinery lookup is measurable per batch.
             from repro.core.batch import execute_batch
             _BATCH_IMPL = execute_batch
-        return _BATCH_IMPL(self, sections, ctxs, arena)
+        return _BATCH_IMPL(self, sections, ctxs)
 
     def _run_entry(self, tpp: TPPSection, ctx: ExecutionContext,
                    entry: CompiledEntry,
@@ -401,8 +396,7 @@ class TCPU:
             entry = CompiledEntry(steps, certificate)
             if certificate is not None:
                 entry.batch_plan = build_batch_plan(
-                    tpp.instructions, tpp.mode, tpp.word_size, mmu,
-                    certificate=certificate)
+                    tpp.instructions, tpp.mode, tpp.word_size, certificate)
             self.cache.put(key, entry)
         self._last_key = key
         self._last_entry = entry

@@ -212,9 +212,8 @@ class VerifiedProgram:
     #: ``(word, class)`` pairs (:func:`repro.core.racecheck.
     #: analyze_sram_dataflow`): ``accumulate`` (additive
     #: read-modify-write chains, prefix-scan vectorizable), ``claim``
-    #: (CSTORE-only, first-match-wins), ``private`` (written but never
-    #: read back, last-writer-wins) or ``mixed`` (safe lane only).  The
-    #: batched engine refuses to vectorize writes unless the plan's own
+    #: (CSTORE-only, first-match-wins) or ``mixed`` (safe lane only).
+    #: The batched engine refuses to vectorize unless the plan's own
     #: analysis reproduces exactly this pinned classification.
     sram_dataflow: Tuple[Tuple[int, str], ...] = ()
 

@@ -13,13 +13,12 @@ both:
   pushed to every switch's TCPU (:meth:`~repro.core.tcpu.TCPU.trust`) —
   which admits it to each per-switch
   :class:`~repro.core.racecheck.FleetRaceTable` exactly once — and all
-  later flows ride the cached verdict.  Certified same-instant bursts
-  are then eligible for the batch engine's vector lane on every switch.
+  later flows ride the cached verdict.
 - :class:`FleetProbeController` is the PeriodicProber generalized across
   lanes: one timer fires every lane's probe at the same instant, so the
   probes reach their shared edge switch in one arrival instant and the
-  switch's ingress drain executes them as a single TCPU batch (the
-  batched execution engine).  Each physical probe stands for
+  switch's ingress drain executes them as a single TCPU batch (read
+  probes: its packet-at-a-time safe lane).  Each physical probe stands for
   ``flows_per_probe`` logical flows — the aggregation that gets a region
   to fleet scale without fleet-sized event counts.
 """
@@ -90,10 +89,9 @@ class BatchedAdmission:
                                     max_instructions=self.max_instructions)
             self._verdicts[key] = result
             if result.ok and result.certificate is not None:
-                # Distributed once per (program, switch): every
-                # subsequent burst on these switches is batch-eligible,
-                # and the per-switch race tables see exactly one admit
-                # for the whole flow population.
+                # Distributed once per (program, switch): the
+                # per-switch race tables see exactly one admit for the
+                # whole flow population.
                 for switch in self.switches:
                     tcpu = getattr(switch, "tcpu", None)
                     if tcpu is not None and tcpu.trust(result.certificate):

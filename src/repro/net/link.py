@@ -120,13 +120,20 @@ class Link:
 
         The RNG defaults to the simulator's named stream
         ``impair/<link-name>``, so distinct links impair independently and
-        deterministically under one experiment seed.
+        deterministically under one experiment seed.  An unnamed link has
+        nothing reproducible to be keyed by (``id()`` is a per-process
+        address), so it seeds a private stream with the next draw of the
+        shared ``impair/unnamed`` stream: the n-th unnamed link impaired
+        in a simulator gets the same stream in every run.
         """
         if not (loss_rate or corrupt_rate or duplicate_rate):
             self.impairments = None
             return
         if rng is None:
-            rng = self.sim.rng.stream(f"impair/{self.name or id(self)}")
+            streams = self.sim.rng
+            rng = (streams.stream(f"impair/{self.name}") if self.name
+                   else random.Random(
+                       streams.stream("impair/unnamed").getrandbits(64)))
         self.impairments = LinkImpairments(
             rng, loss_rate=loss_rate, corrupt_rate=corrupt_rate,
             duplicate_rate=duplicate_rate)

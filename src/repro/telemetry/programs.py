@@ -9,9 +9,10 @@ per-word dataflow classes the batched TCPU relies on:
 
 - count-min rows are the canonical additive RMW idiom
   (``ADD [Packet:r],[Sram:WordW]`` + ``STORE``) and classify
-  ``accumulate`` — eligible for the prefix-scan write vector lane;
+  ``accumulate`` — the prefix-scan half of the vector lane;
 - heavy-hitter candidate claims are a single ``CSTORE`` per slot and
-  classify ``claim`` — the linearizable first-match-wins protocol;
+  classify ``claim`` — the linearizable first-match-wins protocol, the
+  lane's other half (these two shapes are *all* it vectorizes);
 - distinct-count register updates are a MAX RMW and classify ``mixed``
   — the batch engine demotes them to the safe lane
   (``batch_demotions`` reason ``write_dataflow``), by design.
@@ -82,7 +83,7 @@ def build_count_min_update(layout: CountMinLayout, key: int,
 
     ``2 * depth`` instructions, one additive RMW per row; every touched
     word classifies ``accumulate`` so a batch of same-key updates rides
-    the write-capable vector lane.
+    the vector lane.
     """
     words = layout.words_for(key)
     lines = [f"; count-min update: key={key} delta={delta} "

@@ -8,6 +8,8 @@ observable output relative to packet-at-a-time execution.
 from repro import units
 from repro.analysis.reporting import batch_report
 from repro.core.assembler import assemble
+from repro.core.batch import HAVE_NUMPY
+from repro.core.verifier import verify_program
 from repro.endhost.client import TPPEndpoint
 from repro.net.routing import install_shortest_path_routes
 from repro.net.topology import TopologyBuilder
@@ -29,6 +31,28 @@ def burst_probes(net, program, n_hosts=4, on_response=None):
     for index in range(1, n_hosts):
         client = TPPEndpoint(net.host(f"h{index}"))
         client.send(program, dst_mac=target.mac, on_response=on_response)
+
+
+def run_read_burst(batch, n_hosts=4, certify=False):
+    """A same-ns burst of two-PUSH read probes through the hub; returns
+    ``(sorted responses, tpps_executed, packets_switched, stats)``."""
+    net = star_net(n_hosts)
+    switch = net.switch("sw0")
+    switch.tcpu.batch_enabled = batch
+    program = assemble("""
+        PUSH [Switch:SwitchID]
+        PUSH [Queue:QueueSize]
+    """, hops=2)
+    if certify:
+        assert switch.tcpu.trust(
+            verify_program(program).raise_on_error().certificate)
+    results = []
+    burst_probes(net, program, n_hosts=n_hosts,
+                 on_response=results.append)
+    net.run(until_seconds=0.01)
+    return (sorted((r.tpp.encode(), r.per_hop_words()) for r in results),
+            switch.tcpu.tpps_executed, switch.packets_switched,
+            switch.fastpath_stats())
 
 
 class TestDrainBatching:
@@ -64,28 +88,25 @@ class TestDrainBatching:
     def test_batching_off_produces_identical_responses(self):
         """Observable equivalence: responses, hop words, and counters
         match with the ingress batcher enabled and disabled."""
-        def run_once(batch):
-            net = star_net()
-            for switch in net.switches.values():
-                switch.tcpu.batch_enabled = batch
-            results = []
-            program = assemble("""
-                PUSH [Switch:SwitchID]
-                PUSH [Queue:QueueSize]
-            """, hops=2)
-            burst_probes(net, program,
-                         on_response=lambda r: results.append(r))
-            net.run(until_seconds=0.01)
-            switch = net.switch("sw0")
-            return ([(r.tpp.encode(), r.per_hop_words())
-                     for r in results],
-                    switch.tcpu.tpps_executed,
-                    switch.packets_switched)
-
-        batched, scalar = run_once(True), run_once(False)
+        batched, scalar = run_read_burst(True), run_read_burst(False)
         assert len(batched[0]) == 3
-        assert sorted(batched[0]) == sorted(scalar[0])
-        assert batched[1:] == scalar[1:]
+        assert batched[:3] == scalar[:3]
+
+    def test_certified_read_probes_batch_on_the_safe_lane(self):
+        """Eight same-ns certified read probes are deferred and run as
+        one batch — packet-at-a-time (stateless reads are not a vector
+        lane), byte for byte what the unbatched switch produces."""
+        batched = run_read_burst(True, n_hosts=9, certify=True)
+        scalar = run_read_burst(False, n_hosts=9, certify=True)
+        assert len(batched[0]) == 8
+        assert batched[:3] == scalar[:3]
+        stats = batched[3]
+        assert stats["batch_occupancy"] == {8: 1}
+        assert stats["vector_tpps"] == 0
+        assert stats["verified_executions"] == 8
+        if HAVE_NUMPY:
+            assert stats["batch_demotions"] == {"write_dataflow": 1}
+        assert scalar[3]["batches_executed"] == 0
 
     def test_mixed_programs_split_into_runs(self):
         """Different program keys in one drain window never share a
@@ -111,8 +132,8 @@ class TestBatchStats:
         net = star_net()
         stats = net.switch("sw0").fastpath_stats()
         for key in ("batch_enabled", "batches_executed", "batched_tpps",
-                    "vector_batches", "vector_tpps", "batch_fallbacks",
-                    "batch_occupancy"):
+                    "vector_batches", "vector_tpps", "batch_occupancy",
+                    "batch_demotions"):
             assert key in stats
         assert isinstance(stats["batch_occupancy"], dict)
 

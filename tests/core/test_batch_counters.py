@@ -13,7 +13,7 @@ import pytest
 from repro.asic.metadata import PacketMetadata
 from repro.core.assembler import assemble
 from repro.core.batch import HAVE_NUMPY
-from repro.core.exceptions import FaultCode, TCPUFault
+from repro.core.exceptions import FaultCode
 from repro.core.memory_map import MemoryMap
 from repro.core.mmu import MMU, ExecutionContext
 from repro.core.tcpu import TCPU
@@ -32,12 +32,11 @@ class FakePort:
     queue = FakeQueue()
 
 
-def make_mmu(stable=True):
+def make_mmu():
     mmu = MMU(name="counters")
-    mmu.bind_reader("Switch:SwitchID", lambda ctx: 9, batch_stable=stable)
+    mmu.bind_reader("Switch:SwitchID", lambda ctx: 9)
     mmu.bind_reader("Queue:QueueSize",
-                    lambda ctx: ctx.queue.occupancy_bytes,
-                    batch_stable=stable)
+                    lambda ctx: ctx.queue.occupancy_bytes)
     return mmu
 
 
@@ -73,20 +72,23 @@ def run_batch(tcpu, program, n=4, task_ids=None, ctxs=None, mutate=None):
 
 
 READ_ONLY = "PUSH [Switch:SwitchID]"
-WRITE_PRIVATE = "PUSH [Switch:SwitchID]\nPOP [Sram:Word0]"
+#: The one shape the vector lane takes: an accumulate update.
+ACCUMULATE = (".mode absolute\n.memory 1\n.data 0 1\n"
+              "ADD [Packet:0], [Sram:Word0]\n"
+              "STORE [Sram:Word0], [Packet:0]")
 
 
 class TestDemotionReasons:
     @needs_numpy
     def test_vectorized_batch_records_no_demotion(self):
-        tcpu, program = certified_tcpu(READ_ONLY)
+        tcpu, program = certified_tcpu(ACCUMULATE)
         run_batch(tcpu, program)
         assert tcpu.batch_demotions == {}
         assert tcpu.vector_batches == 1
 
     def test_no_numpy(self, monkeypatch):
         monkeypatch.setattr("repro.core.batch.HAVE_NUMPY", False)
-        tcpu, program = certified_tcpu(READ_ONLY)
+        tcpu, program = certified_tcpu(ACCUMULATE)
         reports, _ = run_batch(tcpu, program)
         assert tcpu.batch_demotions == {"no_numpy": 1}
         assert tcpu.vector_batches == 0
@@ -94,22 +96,24 @@ class TestDemotionReasons:
 
     @needs_numpy
     def test_uncertified_program(self):
-        tcpu, program = certified_tcpu(READ_ONLY, trust=False)
+        tcpu, program = certified_tcpu(ACCUMULATE, trust=False)
         run_batch(tcpu, program)
         assert tcpu.batch_demotions == {"uncertified": 1}
 
     @needs_numpy
     def test_uncertified_guard_miss(self):
-        # Certified, but the uniform SP sits outside the certificate
-        # guard: the batch must not trust the vector precondition.
-        tcpu, program = certified_tcpu(READ_ONLY)
+        # Certified, but the uniform hop/SP counter sits outside the
+        # certificate guard: the batch must not trust the vector
+        # precondition.
+        tcpu, program = certified_tcpu(ACCUMULATE)
 
-        def overflow_sp(section, index):
-            section.hop_or_sp = len(section.memory)
+        def scramble_sp(section, index):
+            section.hop_or_sp = 1 << 16
 
-        reports, _ = run_batch(tcpu, program, mutate=overflow_sp)
+        reports, _ = run_batch(tcpu, program, mutate=scramble_sp)
         assert tcpu.batch_demotions == {"uncertified": 1}
-        assert all(r.fault == FaultCode.STACK_OVERFLOW for r in reports)
+        assert all(r.ok for r in reports)
+        assert tcpu.mmu.peek_sram(0) == 4
 
     @needs_numpy
     def test_oversized_program_counts_uncertified(self):
@@ -141,21 +145,15 @@ class TestDemotionReasons:
     @needs_numpy
     def test_link_scratch_write_counts_write_dataflow(self):
         # Link scratch certifies, but the target register depends on
-        # each packet's egress port: not a batch-stable writer.
+        # each packet's egress port: not scratch SRAM, no dataflow class.
         tcpu, program = certified_tcpu(
             "PUSH [Switch:SwitchID]\nPOP [Link:Reg0]")
         run_batch(tcpu, program)
         assert tcpu.batch_demotions == {"write_dataflow": 1}
 
     @needs_numpy
-    def test_unstable_read(self):
-        tcpu, program = certified_tcpu(READ_ONLY, mmu=make_mmu(stable=False))
-        run_batch(tcpu, program)
-        assert tcpu.batch_demotions == {"unstable_read": 1}
-
-    @needs_numpy
     def test_non_uniform_hop_counters(self):
-        tcpu, program = certified_tcpu(READ_ONLY)
+        tcpu, program = certified_tcpu(ACCUMULATE)
 
         def advance_one(section, index):
             if index == 1:
@@ -174,15 +172,14 @@ class TestDemotionReasons:
 
     @needs_numpy
     def test_mixed_task_ids_with_writes_count_non_uniform(self):
-        tcpu, program = certified_tcpu(WRITE_PRIVATE)
+        tcpu, program = certified_tcpu(ACCUMULATE)
         run_batch(tcpu, program, task_ids=[1, 2, 1, 2])
         assert tcpu.batch_demotions == {"non_uniform": 1}
-        assert tcpu.vector_write_batches == 0
+        assert tcpu.vector_batches == 0
 
     @needs_numpy
     def test_aliased_ctx_mixed_task_ids_count_non_uniform(self):
-        tcpu, program = certified_tcpu(
-            ".mode absolute\n.memory 1\nLOAD [Sram:Word0], [Packet:0]")
+        tcpu, program = certified_tcpu(ACCUMULATE)
         ctx = make_ctx()
         run_batch(tcpu, program, task_ids=[1, 2, 1, 2],
                   ctxs=[ctx, ctx, ctx, ctx])
@@ -193,61 +190,12 @@ class TestDemotionReasons:
         mmu = make_mmu()
         mmu.allocate_sram(0, 2, task_id=3)
         mmu.enforce_sram_protection = True
-        tcpu, program = certified_tcpu(WRITE_PRIVATE, mmu=mmu)
+        tcpu, program = certified_tcpu(ACCUMULATE, mmu=mmu)
         reports, _ = run_batch(tcpu, program, task_ids=[5, 5, 5, 5])
         assert tcpu.batch_demotions == {"sram_protection": 1}
         assert all(r.fault == FaultCode.SRAM_PROTECTION for r in reports)
         # SRAM commits never ran: the owner's words are untouched.
         assert mmu.peek_sram(0) == 0
-
-    @needs_numpy
-    def test_fault_rewind_mid_kernel(self):
-        mmu = make_mmu()
-
-        def flaky(ctx):
-            if ctx.task_id == 2:
-                raise TCPUFault(FaultCode.BAD_ADDRESS, "unbound for 2")
-            return 11
-
-        mmu.bind_reader("Switch:ClockLo", flaky, batch_stable=True)
-        tcpu, program = certified_tcpu(
-            "PUSH [Switch:SwitchID]\nPUSH [Switch:ClockLo]", mmu=mmu)
-        reports, _ = run_batch(tcpu, program, task_ids=[1, 1, 2, 1])
-        assert tcpu.batch_demotions == {"fault_rewind": 1}
-        assert tcpu.batch_fallbacks == 1
-        assert [r.fault for r in reports] == [
-            FaultCode.NONE, FaultCode.NONE, FaultCode.BAD_ADDRESS,
-            FaultCode.NONE]
-
-    @needs_numpy
-    def test_fault_rewind_with_write_lane_leaves_sram_pristine(self):
-        # The write-bearing kernel faults on a later read: no SRAM
-        # commit may have happened by then (epilogue-only commits).
-        mmu = make_mmu()
-        mmu.poke_sram(0, 123)
-
-        def always_faults(ctx):
-            raise TCPUFault(FaultCode.BAD_ADDRESS, "unbound")
-
-        mmu.bind_reader("Switch:ClockLo", always_faults,
-                        batch_stable=True)
-        tcpu, program = certified_tcpu(
-            ".mode absolute\n.memory 2\n"
-            ".data 0 1\n"
-            "ADD [Packet:0], [Sram:Word0]\n"
-            "STORE [Sram:Word0], [Packet:0]\n"
-            "LOAD [Switch:ClockLo], [Packet:1]", mmu=mmu)
-        reports, _ = run_batch(tcpu, program)
-        assert tcpu.batch_demotions == {"fault_rewind": 1}
-        assert tcpu.vector_write_batches == 0
-        # The kernel processed the accumulate micro-ops before the LOAD
-        # faulted, but commits are epilogue-only — the safe-lane replay
-        # starts from a pristine 123 and applies the scalar semantics:
-        # every packet bumps the counter (ADD and STORE precede the
-        # faulting LOAD in program order), then faults.
-        assert all(r.fault == FaultCode.BAD_ADDRESS for r in reports)
-        assert all(r.executed == 2 for r in reports)
-        assert mmu.peek_sram(0) == 123 + 4
 
     @needs_numpy
     def test_reasons_accumulate_across_batches(self):
@@ -270,14 +218,14 @@ class TestCounterSurface:
     def test_fastpath_stats_exposes_write_and_demotion_counters(self):
         switch = self._switch()
         stats = switch.fastpath_stats()
-        assert stats["vector_write_batches"] == 0
-        assert stats["vector_write_tpps"] == 0
+        assert stats["vector_batches"] == 0
+        assert stats["vector_tpps"] == 0
         assert stats["batch_demotions"] == {}
         switch.tcpu.batch_demotions["cexec"] = 2
-        switch.tcpu.vector_write_batches = 1
+        switch.tcpu.vector_batches = 1
         fresh = switch.fastpath_stats()
         assert fresh["batch_demotions"] == {"cexec": 2}
-        assert fresh["vector_write_batches"] == 1
+        assert fresh["vector_batches"] == 1
         # The stats dict is a snapshot, not a live alias.
         fresh["batch_demotions"]["cexec"] = 99
         assert switch.tcpu.batch_demotions["cexec"] == 2
@@ -287,13 +235,13 @@ class TestCounterSurface:
 
         switch = self._switch()
         switch.tcpu.batch_demotions.update(
-            {"cexec": 2, "fault_rewind": 1})
-        switch.tcpu.vector_write_batches = 4
+            {"cexec": 2, "write_dataflow": 1})
+        switch.tcpu.vector_batches = 4
         text = batch_report([switch])
-        assert "wr-batches" in text
+        assert "vec-batches" in text
         assert "demoted" in text
         assert "cexec×2" in text
-        assert "fault_rewind×1" in text
+        assert "write_dataflow×1" in text
 
 
 DEAD_FENCE = (".memory 2\n"

@@ -22,6 +22,7 @@ from repro.core.racecheck import (
     MAX_IMAGES,
     RACE_CODES,
     FleetRaceTable,
+    analyze_sram_dataflow,
     check_fleet,
     check_pair,
     summarize_instructions,
@@ -155,6 +156,136 @@ class TestClassification:
     def test_severity_table_is_stable(self):
         assert RACE_CODES == {"TPP020": "error", "TPP021": "warning",
                               "TPP022": "error", "TPP023": "info"}
+
+
+ACC = "accumulate"
+CLAIM = "claim"
+MIXED = "mixed"
+
+#: source -> (expected classes, expected roles or None when the program
+#: is not ``ok`` and its roles are never consumed)
+DATAFLOW_TABLE = {
+    "count-min rows": (
+        ".mode absolute\n.memory 2\n"
+        "ADD [Packet:0],[Sram:Word3]\nSTORE [Sram:Word3],[Packet:0]\n"
+        "ADD [Packet:1],[Sram:Word9]\nSTORE [Sram:Word9],[Packet:1]",
+        ((3, ACC), (9, ACC)),
+        (("add_acc", 3), ("store_acc", 3),
+         ("add_acc", 9), ("store_acc", 9))),
+    "stack mode without PUSH/POP addresses absolutely": (
+        ".memory 1\nNOP\n"
+        "ADD [Packet:0],[Sram:Word3]\nSTORE [Sram:Word3],[Packet:0]",
+        ((3, ACC),), (None, ("add_acc", 3), ("store_acc", 3))),
+    "second chain reads the running value": (
+        ".mode absolute\n.memory 2\n"
+        "ADD [Packet:0],[Sram:Word3]\nSTORE [Sram:Word3],[Packet:0]\n"
+        "ADD [Packet:1],[Sram:Word3]\nSTORE [Sram:Word3],[Packet:1]",
+        ((3, ACC),),
+        (("add_acc", 3), ("store_acc", 3),
+         ("add_acc", 3), ("store_acc", 3))),
+    "lone CSTORE": (
+        ".mode absolute\n.memory 2\n"
+        "CSTORE [Sram:Word5],[Packet:0],[Packet:1]",
+        ((5, CLAIM),), (("cstore_claim", 5),)),
+    "heavy-hitter shape": (
+        ".mode absolute\n.memory 3\n"
+        "ADD [Packet:0],[Sram:Word3]\nSTORE [Sram:Word3],[Packet:0]\n"
+        "CSTORE [Sram:Word5],[Packet:1],[Packet:2]",
+        ((3, ACC), (5, CLAIM)),
+        (("add_acc", 3), ("store_acc", 3), ("cstore_claim", 5))),
+    "MAX read-modify-write": (
+        ".mode absolute\n.memory 1\n"
+        "MAX [Packet:0],[Sram:Word3]\nSTORE [Sram:Word3],[Packet:0]",
+        ((3, MIXED),), None),
+    "written but never read (formerly private)": (
+        ".mode absolute\n.memory 1\nSTORE [Sram:Word3],[Packet:0]",
+        ((3, MIXED),), None),
+    "accumulation through LOAD": (
+        ".mode absolute\n.memory 1\nLOAD [Sram:Word3],[Packet:0]\n"
+        "ADD [Packet:0],[Switch:SwitchID]\nSTORE [Sram:Word3],[Packet:0]",
+        ((3, MIXED),), None),
+    "accumulation through PUSH/POP": (
+        "PUSH [Sram:Word3]\nPOP [Sram:Word3]", ((3, MIXED),), None),
+    "a statistic read beside the chain": (
+        ".mode absolute\n.memory 2\n"
+        "ADD [Packet:0],[Sram:Word3]\nSTORE [Sram:Word3],[Packet:0]\n"
+        "LOAD [Switch:SwitchID],[Packet:1]",
+        ((3, MIXED),), None),
+    "any hop-mode program": (
+        ".mode hop\n.hops 2\n.perhop 1\n"
+        "ADD [Packet:Hop[0]],[Sram:Word3]\n"
+        "STORE [Sram:Word3],[Packet:Hop[0]]",
+        ((3, MIXED),), None),
+    "CEXEC anywhere": (
+        ".mode absolute\n.memory 3\n"
+        "CEXEC [Switch:SwitchID],[Packet:1],[Packet:2]\n"
+        "ADD [Packet:0],[Sram:Word3]\nSTORE [Sram:Word3],[Packet:0]",
+        ((3, MIXED),), None),
+    "cross-word store": (
+        ".mode absolute\n.memory 1\n"
+        "ADD [Packet:0],[Sram:Word3]\nSTORE [Sram:Word4],[Packet:0]\n"
+        "STORE [Sram:Word3],[Packet:0]",
+        ((3, MIXED), (4, MIXED)), None),
+    "coefficient two": (
+        ".mode absolute\n.memory 1\n"
+        "ADD [Packet:0],[Sram:Word3]\nADD [Packet:0],[Sram:Word3]\n"
+        "STORE [Sram:Word3],[Packet:0]",
+        ((3, MIXED),), None),
+    "two claims of one word": (
+        ".mode absolute\n.memory 2\n"
+        "CSTORE [Sram:Word5],[Packet:0],[Packet:1]\n"
+        "CSTORE [Sram:Word5],[Packet:0],[Packet:1]",
+        ((5, MIXED),), None),
+    "claim beside a plain write": (
+        ".mode absolute\n.memory 2\n"
+        "CSTORE [Sram:Word5],[Packet:0],[Packet:1]\n"
+        "STORE [Sram:Word5],[Packet:1]",
+        ((5, MIXED),), None),
+    "read-only program touches nothing": (
+        "PUSH [Switch:SwitchID]\nPUSH [Sram:Word3]", (), (None, None)),
+}
+
+
+class TestSramDataflow:
+    """``analyze_sram_dataflow``: the class of every written/claimed
+    word, as pinned on certificates and consumed by the batch plan."""
+
+    @pytest.mark.parametrize("case", sorted(DATAFLOW_TABLE))
+    def test_classes_and_roles(self, case):
+        source, classes, roles = DATAFLOW_TABLE[case]
+        program = assemble(source, memory_map=_MAP)
+        analysis = analyze_sram_dataflow(
+            program.instructions, mode=program.mode,
+            word_size=program.word_size)
+        assert analysis.classes == classes
+        assert analysis.ok == (roles is not None)
+        if roles is not None:
+            assert analysis.roles == roles
+        certificate = verify_program(
+            program, memory_map=_MAP).raise_on_error().certificate
+        assert certificate.sram_dataflow == classes
+
+    def test_affine_slots_name_what_the_epilogue_fixes_up(self):
+        source, _, _ = DATAFLOW_TABLE["heavy-hitter shape"]
+        program = assemble(source, memory_map=_MAP)
+        analysis = analyze_sram_dataflow(
+            program.instructions, mode=program.mode, word_size=4)
+        assert analysis.aff_slots == ((0, 3),)
+
+    def test_sketch_builders_pin_their_classes(self):
+        from repro.telemetry import (
+            DistinctCountLayout, HeavyHitterLayout, build_count_min_update,
+            build_distinct_update, build_heavy_hitter_update)
+        layout = HeavyHitterLayout(base_word=0, width=8, depth=3,
+                                   n_slots=2)
+        rows = dict.fromkeys(layout.countmin.words_for(42), ACC)
+        assert build_count_min_update(
+            layout.countmin, key=42).dataflow == rows
+        assert build_heavy_hitter_update(layout, key=42).dataflow == {
+            **rows, layout.slot_word(42): CLAIM}
+        distinct = build_distinct_update(
+            DistinctCountLayout(base_word=32, m=8), key=5)
+        assert distinct.dataflow == {distinct.words[0]: MIXED}
 
 
 class TestSummaries:

@@ -257,10 +257,10 @@ def test_three_engines_are_bit_identical(scenario):
 
 def test_sketch_burst_default_engine_takes_the_vector_lane():
     """The equivalence above is only interesting if the default run
-    batches: all 48 updates must ride 8-wide vector-write batches."""
+    batches: all 48 updates must ride 8-wide vector batches."""
     _, _, _, net = sketch_burst("default")
     tcpu = next(iter(net.switches.values())).tcpu
     assert tcpu.batch_occupancy == {8: 6}
     if HAVE_NUMPY:
-        assert tcpu.vector_write_tpps == 48
+        assert tcpu.vector_tpps == 48
         assert tcpu.batch_demotions == {}

@@ -7,9 +7,12 @@ from repro.core.assembler import assemble
 from repro.endhost.client import TPPEndpoint
 from repro.endhost.flows import Flow, FlowSink
 from repro.errors import ConfigurationError
+from repro.net.device import Device
 from repro.net.link import Link
+from repro.net.packet import ETHERTYPE_TPP, EthernetFrame
 from repro.net.routing import install_shortest_path_routes
 from repro.net.topology import TopologyBuilder
+from repro.sim.simulator import Simulator
 from repro.sim.trace import TraceLevel
 
 
@@ -85,6 +88,38 @@ class TestLoss:
         first, second = run_once(), run_once()
         assert first == second
         assert first[1] > 0
+
+    def test_unnamed_links_impair_identically_across_simulators(self):
+        """Same seed, same verdicts — also for a link nobody named (its
+        stream must not be keyed by a memory address)."""
+        program = assemble("PUSH [Switch:SwitchID]", hops=2)
+
+        def impaired_link(seed):
+            sim = Simulator(seed=seed)
+            link = Link(sim, rate_bps=units.GIGABITS_PER_SEC)
+            receiver = Device(sim, "rx")
+            receiver.receive = lambda frame, in_port: None
+            link.attach_receiver(receiver, 0)
+            link.set_impairments(loss_rate=0.3, corrupt_rate=0.3,
+                                 duplicate_rate=0.3)
+            return link
+
+        def verdicts(link):
+            out = []
+            for _ in range(200):
+                link.deliver_after_propagation(
+                    EthernetFrame(1, 2, ETHERTYPE_TPP, program.build()))
+                link.sim.run()
+                out.append((link.frames_delivered,
+                            link.frames_impaired_lost,
+                            link.frames_corrupted, link.frames_duplicated))
+            return out
+
+        # Both alive at once, so their ``id()``s differ.
+        first, second = impaired_link(7), impaired_link(7)
+        assert verdicts(first) == verdicts(second)
+        assert min(first.frames_impaired_lost, first.frames_corrupted,
+                   first.frames_duplicated) > 0
 
     def test_different_seeds_impair_differently(self):
         counts = []

@@ -20,9 +20,12 @@ allowed but counted, and the aggregate count is gated against the
 committed baseline in ``race_fp_baseline.json`` so it cannot regress
 silently.  The analysis runs with the ground-truth switch's stable
 registers bound (``fence_values``) *and* its seeded SRAM image bound
-(``sram_values``), mirroring how ``TCPU.trust`` deploys it per switch —
-so writes behind falsified fences and claims whose epochs are
-relationally unreachable no longer count as may-writes.
+(``sram_values``) — so writes behind falsified fences and claims whose
+epochs are relationally unreachable no longer count as may-writes.
+Only the first binding mirrors deployment: ``TCPU.trust`` builds its
+table with ``fence_values`` alone, and nothing under ``src/`` passes
+``sram_values`` to a ``FleetRaceTable`` (ROADMAP lists the incremental
+claim-epoch path as a deletion-or-wire-up decision).
 """
 
 import itertools
