@@ -29,6 +29,9 @@ class ParsedHeaders:
     src_port: Optional[int] = None
     dst_port: Optional[int] = None
     tos: int = 0
+    #: ECMP flow hash, memoised by the first switch that needs it: the
+    #: view travels with the frame, so a journey hashes its 5-tuple once.
+    flow_hash: Optional[int] = None
 
 
 def parse_frame(frame: EthernetFrame) -> ParsedHeaders:

@@ -25,6 +25,7 @@ from repro.asic.stats import (
     SwitchStats,
 )
 from repro.asic.tables import (
+    DROP,
     EntryAllocator,
     L2Entry,
     L2Table,
@@ -311,31 +312,66 @@ class TPPSwitch(Device):
 
     def _ingress_metadata(self, frame: EthernetFrame, in_port: int,
                           headers: ParsedHeaders):
-        """Forwarding lookup + metadata stamp; ``None`` means dropped."""
-        result = self._lookup(headers, in_port)
-        if result is None:
-            self.packets_dropped_no_route += 1
-            self.trace.emit(self.sim.now_ns, self.name, "switch.no_route",
-                            frame_uid=frame.uid, dst=frame.dst)
-            return None
-        if result.is_drop:
+        """Forwarding lookup + metadata stamp; ``None`` means dropped.
+
+        One frame for the stage every packet crosses: TCAM first, then L2
+        exact match, then L3 LPM (Figure 3); the matched entry's hit
+        counter; egress queue selection.
+        """
+        tcam = self.tcam
+        # An empty TCAM (the common case) is not walked.
+        result = tcam.lookup(headers, in_port) if tcam._rules else None
+        if result is not None:
+            hits = tcam.hit_counts[result.entry_id]
+        else:
+            l2 = self.l2
+            entry = l2._entries.get(headers.dst_mac)
+            if entry is not None:
+                result = entry.results[0]
+                if result.alternate_routes:
+                    # ECMP: a flow stays on one path (no reordering),
+                    # flows spread over the candidates.  Only here is the
+                    # stable 5-tuple hash needed; it is memoised because
+                    # it is the same at every switch of the journey.
+                    flow_hash = headers.flow_hash
+                    if flow_hash is None:
+                        flow_hash = headers.flow_hash = zlib.crc32((
+                            f"{headers.src_mac}|{headers.dst_mac}|"
+                            f"{headers.src_ip}|{headers.dst_ip}|"
+                            f"{headers.ip_protocol}|{headers.src_port}|"
+                            f"{headers.dst_port}").encode())
+                    result = entry.results[flow_hash % len(entry.results)]
+                hit_counts = l2.hit_counts
+                hits = hit_counts.get(entry.entry_id, 0) + 1
+                hit_counts[entry.entry_id] = hits
+            else:
+                result = self.l3.lookup(headers.dst_ip)
+                if result is None:
+                    self.packets_dropped_no_route += 1
+                    self.trace.emit(self.sim.now_ns, self.name,
+                                    "switch.no_route",
+                                    frame_uid=frame.uid, dst=frame.dst)
+                    return None
+                hits = self.l3.hit_counts[result.entry_id]
+        out_port = result.out_port
+        if out_port == DROP:
             self.packets_dropped_by_rule += 1
             self.trace.emit(self.sim.now_ns, self.name, "switch.rule_drop",
                             frame_uid=frame.uid, entry_id=result.entry_id)
             return None
 
-        queue_id = self._classify_queue(headers, result)
+        # Egress queue: a TCAM set-queue action wins, else the packet's IP
+        # traffic class.  Neither is negative (Tcam.install and Datagram
+        # refuse that); an id past the port's last queue joins the last.
+        queue_id = result.queue_id
+        if queue_id is None:
+            queue_id = headers.tos
+        if queue_id:
+            queue_id = min(queue_id, len(self.ports[out_port].queues) - 1)
         metadata = PacketMetadata(
-            input_port=in_port,
-            output_port=result.out_port,
-            matched_entry_id=result.entry_id,
-            matched_entry_version=result.version,
-            matched_entry_hits=self._entry_hits(result),
-            queue_id=queue_id,
-            packet_length=frame.size_bytes,
-            arrival_time_ns=self.sim.now_ns,
-            alternate_routes=result.alternate_routes,
-        )
+            in_port, out_port, result.entry_id, result.version, hits,
+            queue_id, frame.size_bytes, self.sim.now_ns,
+            result.alternate_routes)
         return result, metadata
 
     def _finalize(self, frame: EthernetFrame, result: LookupResult,
@@ -357,51 +393,12 @@ class TPPSwitch(Device):
         self.sim.schedule(self.pipeline_latency_ns, egress.enqueue, frame,
                           metadata.queue_id)
 
-    def _classify_queue(self, headers: ParsedHeaders,
-                        result: LookupResult) -> int:
-        """Egress queue selection: a TCAM set-queue action wins, else the
-        packet's IP traffic class, clamped to the port's queue count."""
-        queue_id = (result.queue_id if result.queue_id is not None
-                    else headers.tos)
-        egress = self.ports[result.out_port]
-        return min(queue_id, egress.n_queues - 1)
-
-    def _entry_hits(self, result: LookupResult) -> int:
-        """Match counter of the entry that just forwarded the packet."""
-        if result.table == "l2":
-            return self.l2.hit_counts.get(result.entry_id, 0)
-        if result.table == "l3":
-            return self.l3.hit_counts.get(result.entry_id, 0)
-        if result.table == "tcam":
-            return self.tcam.hit_counts.get(result.entry_id, 0)
-        return 0
-
     @staticmethod
     def _find_datagram(frame: EthernetFrame) -> Optional[Datagram]:
         payload = frame.payload
         if isinstance(payload, TPPSection):
             payload = payload.payload
         return payload if isinstance(payload, Datagram) else None
-
-    def _lookup(self, headers: ParsedHeaders,
-                in_port: int) -> Optional[LookupResult]:
-        """TCAM first, then L2 exact match, then L3 LPM (Figure 3)."""
-        result = self.tcam.lookup(headers, in_port)
-        if result is not None:
-            return result
-        result = self.l2.lookup(headers.dst_mac,
-                                flow_hash=self._flow_hash(headers))
-        if result is not None:
-            return result
-        return self.l3.lookup(headers.dst_ip)
-
-    @staticmethod
-    def _flow_hash(headers: ParsedHeaders) -> int:
-        """Stable 5-tuple hash for ECMP next-hop selection."""
-        key = (f"{headers.src_mac}|{headers.dst_mac}|{headers.src_ip}|"
-               f"{headers.dst_ip}|{headers.ip_protocol}|"
-               f"{headers.src_port}|{headers.dst_port}").encode()
-        return zlib.crc32(key)
 
     def _apply_tpp_policy(self, frame: EthernetFrame, tpp: TPPSection,
                           in_port: int

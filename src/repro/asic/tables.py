@@ -10,13 +10,17 @@ ndb debugger of §2.3 relies on ("stamping each flow entry with a unique
 version number"): re-installing a route creates a new version, and packets
 record the version of the entry that actually forwarded them, so end-hosts
 can detect packets forwarded by stale rules.
+
+``TPPSwitch._ingress_metadata``, the one per-packet caller, reads
+``Tcam._rules``, ``L2Table._entries`` and :attr:`L2Entry.results` in place;
+the ``lookup`` methods state the same decisions for every other caller.
 """
 
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from repro.asic.parser import ParsedHeaders
 from repro.errors import ConfigurationError
@@ -65,6 +69,21 @@ class L2Entry:
     out_ports: List[int]
     entry_id: int
     version: int
+    #: The (frozen) decision per next hop, index-aligned with
+    #: ``out_ports``: built when the next hops change and shared by every
+    #: matching packet, not rebuilt per packet.
+    results: Tuple[LookupResult, ...] = field(init=False, repr=False,
+                                              compare=False)
+
+    def __post_init__(self) -> None:
+        self.refresh_results()
+
+    def refresh_results(self) -> None:
+        """Rebuild :attr:`results` after ``out_ports`` changed."""
+        self.results = tuple(
+            LookupResult(out_port, self.entry_id, self.version, "l2",
+                         alternate_routes=len(self.out_ports) - 1)
+            for out_port in self.out_ports)
 
 
 class L2Table:
@@ -102,6 +121,7 @@ class L2Table:
                 f"no route for MAC {dst_mac:#x} to add an alternate to")
         if out_port not in entry.out_ports:
             entry.out_ports.append(out_port)
+            entry.refresh_results()
         return entry
 
     def remove(self, dst_mac: int) -> None:
@@ -122,14 +142,7 @@ class L2Table:
             return None
         self.hit_counts[entry.entry_id] = self.hit_counts.get(
             entry.entry_id, 0) + 1
-        if flow_hash is None or len(entry.out_ports) == 1:
-            out_port = entry.out_ports[0]
-        else:
-            out_port = entry.out_ports[flow_hash % len(entry.out_ports)]
-        return LookupResult(out_port=out_port,
-                            entry_id=entry.entry_id,
-                            version=entry.version, table="l2",
-                            alternate_routes=len(entry.out_ports) - 1)
+        return entry.results[(flow_hash or 0) % len(entry.results)]
 
     def entry_for(self, dst_mac: int) -> Optional[L2Entry]:
         """The live entry for a MAC (controller-side inspection)."""
@@ -249,6 +262,9 @@ class Tcam:
         if len(self._rules) >= self.capacity:
             raise ConfigurationError(
                 f"TCAM full ({self.capacity} rules)")
+        if rule.queue_id is not None and rule.queue_id < 0:
+            raise ConfigurationError(
+                f"set-queue id must be >= 0, got {rule.queue_id}")
         rule.entry_id = self._allocator.next_entry_id()
         rule.version = self._allocator.next_version()
         self._rules.append(rule)

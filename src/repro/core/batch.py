@@ -60,6 +60,7 @@ declares no dependencies): without it every batch takes the safe lane.
 
 from __future__ import annotations
 
+from importlib.util import find_spec
 from typing import Any, Dict, List, Optional, Sequence, Tuple, cast
 
 from repro.core.exceptions import FaultCode, TCPUFault
@@ -68,15 +69,12 @@ from repro.core.mmu import ExecutionContext
 from repro.core.tcpu import TCPU, ExecutionReport, pipeline_cycles
 from repro.core.tpp import FLAG_DONE, TPPSection
 
-try:  # pragma: no cover - CI runs the batch suites in both states
-    import numpy as _np
-except ImportError:  # pragma: no cover
-    _np = None  # type: ignore[assignment]
-
 #: Whether the vectorized lane is available at all.  When numpy is
 #: missing every batch takes the (pure-python) safe lane; results are
-#: identical, only slower.
-HAVE_NUMPY = _np is not None
+#: identical, only slower.  numpy itself is imported by the first batch
+#: that reaches the vector lane: *any* ingress batch loads this module,
+#: and safe-lane-only traffic should not pay numpy's ~16 MB and ~0.2 s.
+HAVE_NUMPY = find_spec("numpy") is not None
 
 #: Big-endian word dtypes matching the wire format (and
 #: ``fastpath._WORD_STRUCTS``).
@@ -99,8 +97,9 @@ class BatchArena:
     __slots__ = ("sections", "matrix")
 
     def __init__(self, sections: Sequence[TPPSection]) -> None:
-        if _np is None:
+        if not HAVE_NUMPY:
             raise RuntimeError("BatchArena requires numpy")
+        import numpy as np
         if not sections:
             raise ValueError("cannot build an arena over zero sections")
         width = len(sections[0].memory)
@@ -110,11 +109,11 @@ class BatchArena:
                     f"arena sections must share a memory length: "
                     f"{len(section.memory)} != {width}")
         self.sections: List[TPPSection] = list(sections)
-        matrix = _np.empty((len(self.sections), width), dtype=_np.uint8)
+        matrix = np.empty((len(self.sections), width), dtype=np.uint8)
         for index, section in enumerate(self.sections):
             if width:
-                matrix[index] = _np.frombuffer(section.memory,
-                                               dtype=_np.uint8)
+                matrix[index] = np.frombuffer(section.memory,
+                                              dtype=np.uint8)
             section.memory = cast(bytearray, memoryview(matrix[index]))
         self.matrix = matrix
 
@@ -246,6 +245,7 @@ def _run_vectorized(tcpu: TCPU, plan: BatchPlan,
     accumulate word, which hold ``value − entry_i(w)`` until the
     epilogue adds the prefix-scanned entry vector.
     """
+    import numpy as np
     arena = BatchArena(sections)
     matrix = arena.matrix
     word = sections[0].word_size
@@ -270,7 +270,7 @@ def _run_vectorized(tcpu: TCPU, plan: BatchPlan,
     # same relative representation).  ``events`` replays per-packet
     # ``switch_writes`` in program order.
     acc_vecs: Dict[int, Any] = {
-        w: _np.zeros(n, dtype=dtype) for w in plan.acc_words}
+        w: np.zeros(n, dtype=dtype) for w in plan.acc_words}
     events: List[Tuple[Any, ...]] = []
     claim_state: Dict[int, Tuple[int, bool]] = {}
 
@@ -335,7 +335,7 @@ def _run_vectorized(tcpu: TCPU, plan: BatchPlan,
             append_entry(running)
             running = (running + d) & mask
             append_incl(running)
-        entry_vecs[w] = _np.array(entries, dtype=dtype)
+        entry_vecs[w] = np.array(entries, dtype=dtype)
         incl_values[w] = incl
         mmu.poke_sram(w, running)
     for offset, w in plan.aff_slots:

@@ -156,7 +156,7 @@ def _sram_descriptor(word: int) -> StatDescriptor:
                           f"global scratch SRAM word {word}")
 
 
-#: Lazily built cache behind :meth:`MemoryMap.shared_standard`.
+#: The standard layout, built once by :meth:`MemoryMap.shared_standard`.
 _SHARED_STANDARD: Optional["MemoryMap"] = None
 
 
@@ -175,33 +175,41 @@ class MemoryMap:
 
     @classmethod
     def standard(cls) -> "MemoryMap":
-        """The network-wide standard layout."""
+        """The network-wide standard layout, as a map of the caller's own.
+
+        A copy of :meth:`shared_standard`'s three dicts: descriptors are
+        frozen and shared, but ``add`` / ``alias`` / ``register_symbol``
+        on one map never show on another.
+        """
+        layout = cls.shared_standard()
         memory_map = cls()
-        for descriptor in _STANDARD_STATS:
-            memory_map.add(descriptor)
-        for slot in range(LINK_SCRATCH_SLOTS):
-            memory_map.add(_link_scratch_descriptor(slot))
-        for word in range(SRAM_WORDS):
-            memory_map.add(_sram_descriptor(word))
-        # Aliases for the exact spellings used in the paper's listings.
-        memory_map.alias("Switch:ID", "Switch:SwitchID")
-        memory_map.alias("Link:QueueSize", "Queue:QueueSize")
+        memory_map._by_name = dict(layout._by_name)
+        memory_map._by_vaddr = dict(layout._by_vaddr)
+        memory_map._aliases = dict(layout._aliases)
         return memory_map
 
     @classmethod
     def shared_standard(cls) -> "MemoryMap":
-        """A process-wide cached :meth:`standard` map, for read-only
-        name resolution.
+        """The process-wide standard map, for read-only name resolution.
 
         Building the standard layout registers ~1100 descriptors, which
-        dominates any analysis that merely needs to *resolve* a handful
-        of names (the static race/relational passes run once per
-        program).  Callers must treat the result as immutable — anyone
-        who wants to ``add``/``alias`` builds their own ``standard()``.
+        would dominate every switch construction and any analysis that
+        merely *resolves* a handful of names.  Callers must treat the
+        result as immutable — to ``add``/``alias``, take a ``standard()``.
         """
         global _SHARED_STANDARD
         if _SHARED_STANDARD is None:
-            _SHARED_STANDARD = cls.standard()
+            memory_map = cls()
+            for descriptor in _STANDARD_STATS:
+                memory_map.add(descriptor)
+            for slot in range(LINK_SCRATCH_SLOTS):
+                memory_map.add(_link_scratch_descriptor(slot))
+            for word in range(SRAM_WORDS):
+                memory_map.add(_sram_descriptor(word))
+            # Aliases for the exact spellings used in the paper's listings.
+            memory_map.alias("Switch:ID", "Switch:SwitchID")
+            memory_map.alias("Link:QueueSize", "Queue:QueueSize")
+            _SHARED_STANDARD = memory_map
         return _SHARED_STANDARD
 
     # ------------------------------------------------------------------ #

@@ -166,7 +166,7 @@ class BoundaryIngress:
             else:
                 device.inbound_now = 0
         trace = device.trace
-        if trace.wants("link.deliver"):
+        if trace.firehose and trace.wants("link.deliver"):
             trace.emit(self.sim.now_ns, self.name, "link.deliver",
                        frame_uid=frame.uid, size_bytes=frame.size_bytes,
                        dst_device=device.name, port=self.port_index)

@@ -342,7 +342,7 @@ class Link:
             else:
                 peer.inbound_now = 0
         trace = peer.trace
-        if trace.wants("link.deliver"):
+        if trace.firehose and trace.wants("link.deliver"):
             # DEBUG firehose: one record per frame per link traversal.
             trace.emit(self.sim.now_ns, self.name or "link", "link.deliver",
                        frame_uid=frame.uid, size_bytes=frame.size_bytes,

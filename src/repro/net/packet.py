@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, List, Optional
 
 ETHERTYPE_IPV4 = 0x0800
@@ -87,6 +88,8 @@ class Datagram:
     route_record_slots: int = 0
 
     def __post_init__(self) -> None:
+        if not 0 <= self.tos <= 0xFF:
+            raise ValueError(f"tos must be in 0..255: {self.tos}")
         if self.route_record_slots and self.route_record is None:
             self.route_record = []
 
@@ -122,8 +125,6 @@ class EthernetFrame:
     payload: Any
     uid: int = field(default_factory=lambda: next(_frame_uid))
     hops: List[str] = field(default_factory=list)
-    _size_cache: Optional[int] = field(default=None, init=False, repr=False,
-                                       compare=False)
     #: Parsed-header view cached by the first switch parser to touch the
     #: frame; later hops reuse it (zero-reparse).  Cleared together with
     #: the size cache, since both are stale for the same reason: the
@@ -131,35 +132,33 @@ class EthernetFrame:
     _parsed_cache: Optional[Any] = field(default=None, init=False,
                                          repr=False, compare=False)
 
-    @property
+    @cached_property
     def size_bytes(self) -> int:
         """Total frame size, padded to the Ethernet minimum.
 
-        The size is computed once and cached — a frame's wire size is
-        queried half a dozen times per hop (admission, occupancy, DRR
-        deficit, serialization time, RX/TX accounting) and walking the
-        nested payload chain each time dominated the forwarding hot path.
+        Computed on first read, an instance attribute after — a frame's
+        wire size is queried nine times per link traversal (admission,
+        occupancy, DRR deficit, serialization time, RX/TX accounting,
+        metadata), too often for a payload-chain walk or a property call.
         Anything that swaps or resizes the payload after construction must
         call :meth:`invalidate_size_cache` (the switch does this after its
         strip action and after running datagram hooks).
         """
-        size = self._size_cache
-        if size is None:
-            size = (ETHERNET_HEADER_BYTES + payload_size(self.payload)
-                    + ETHERNET_FCS_BYTES)
-            if size < ETHERNET_MIN_FRAME_BYTES:
-                size = ETHERNET_MIN_FRAME_BYTES
-            self._size_cache = size
+        size = (ETHERNET_HEADER_BYTES + payload_size(self.payload)
+                + ETHERNET_FCS_BYTES)
+        if size < ETHERNET_MIN_FRAME_BYTES:
+            size = ETHERNET_MIN_FRAME_BYTES
         return size
 
     def invalidate_size_cache(self) -> None:
         """Force recomputation after a payload mutation changed the size.
 
-        Also drops the cached parsed-header view: any mutation that can
-        change the frame's size (payload swap, TPP truncation) can change
-        what the parser would extract.
+        Also drops the cached parsed-header view (and the flow hash
+        memoised on it): any mutation that can change the frame's size
+        (payload swap, TPP truncation) can change what the parser would
+        extract.
         """
-        self._size_cache = None
+        self.__dict__.pop("size_bytes", None)
         self._parsed_cache = None
 
     def clone(self) -> "EthernetFrame":

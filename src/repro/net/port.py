@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, List, Optional, Sequence
 
+from repro import units
 from repro.errors import ConfigurationError
 from repro.net.link import Link
 from repro.net.packet import EthernetFrame
@@ -91,24 +92,26 @@ class Port:
 
     def enqueue(self, frame: EthernetFrame, queue_id: int = 0) -> bool:
         """Queue a frame for transmission; returns ``False`` on tail drop."""
-        target = self.queue_for(queue_id)
+        # Queue 0 (best effort, every single-queue port) needs no clamp.
+        target = self.queue_for(queue_id) if queue_id else self.queues[0]
         accepted = target.offer(frame)
         if accepted and not self._transmitting:
             self._begin_next_transmission()
         device = self.device
         if device is None:
             return accepted
+        trace = device.trace
         if not accepted:
-            if device.trace.wants("queue.drop"):
-                device.trace.emit(
+            if trace.wants("queue.drop"):
+                trace.emit(
                     self.sim.now_ns, device.name, "queue.drop",
                     port=self.index, queue=queue_id, frame_uid=frame.uid,
                     size_bytes=frame.size_bytes,
                 )
-        elif device.trace.wants("queue.enqueue"):
+        elif trace.firehose and trace.wants("queue.enqueue"):
             # DEBUG firehose: per-frame admission records for deep queue
-            # forensics; free unless a run lowers the trace level.
-            device.trace.emit(
+            # forensics; one attribute read unless a run lowers the level.
+            trace.emit(
                 self.sim.now_ns, device.name, "queue.enqueue",
                 port=self.index, queue=queue_id, frame_uid=frame.uid,
                 size_bytes=frame.size_bytes,
@@ -124,7 +127,9 @@ class Port:
         frame = self.queues[queue_index].begin_transmit()
         assert frame is not None, "scheduler picked an empty queue"
         self._transmitting = True
-        tx_time = self.link.serialization_time_ns(frame)
+        # link.serialization_time_ns(), inlined; the rate is read live.
+        tx_time = units.transmission_time_ns(frame.size_bytes,
+                                             self.link.rate_bps)
         self.sim.schedule(tx_time, self._finish_transmission, frame,
                           queue_index)
 
@@ -134,4 +139,9 @@ class Port:
         self.tx_bytes += frame.size_bytes
         self.tx_frames += 1
         self.link.deliver_after_propagation(frame)
-        self._begin_next_transmission()
+        # An idle port does not ask: every scheduler answers ``None`` for
+        # all-empty queues without touching its state.
+        if any(map(len, self.queues)):
+            self._begin_next_transmission()
+        else:
+            self._transmitting = False

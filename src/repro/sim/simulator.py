@@ -34,7 +34,8 @@ class Simulator:
     """
 
     def __init__(self, seed: int = 0) -> None:
-        self._now_ns = 0
+        #: Current simulated time in nanoseconds; only :meth:`run` writes.
+        self.now_ns = 0
         self._queue = EventQueue()
         self._running = False
         self._stopped = False
@@ -44,14 +45,9 @@ class Simulator:
         self.rng = SeededRNG(seed)
 
     @property
-    def now_ns(self) -> int:
-        """Current simulated time in nanoseconds."""
-        return self._now_ns
-
-    @property
     def now_seconds(self) -> float:
         """Current simulated time in seconds (for reporting only)."""
-        return self._now_ns / 1_000_000_000
+        return self.now_ns / 1_000_000_000
 
     def pending_events(self) -> int:
         """Number of live events still queued.
@@ -75,16 +71,16 @@ class Simulator:
         if delay_ns < 0:
             raise SimulationError(
                 f"cannot schedule {delay_ns} ns in the past"
-                f" at t={self._now_ns}"
+                f" at t={self.now_ns}"
             )
-        return self._queue.push(self._now_ns + delay_ns, callback, args)
+        return self._queue.push(self.now_ns + delay_ns, callback, args)
 
     def schedule_at(self, time_ns: int, callback: Callable[..., None],
                     *args: Any) -> Event:
         """Schedule ``callback(*args)`` at absolute time ``time_ns``."""
-        if time_ns < self._now_ns:
+        if time_ns < self.now_ns:
             raise SimulationError(
-                f"cannot schedule at t={time_ns}, already at t={self._now_ns}"
+                f"cannot schedule at t={time_ns}, already at t={self.now_ns}"
             )
         return self._queue.push(time_ns, callback, args)
 
@@ -113,7 +109,7 @@ class Simulator:
                 event = pop_before(until_ns)
                 if event is None:
                     break
-                self._now_ns = event.time_ns
+                self.now_ns = event.time_ns
                 # pop_before never returns a cancelled event and nothing can
                 # run between the pop and this call, so invoke the callback
                 # directly instead of re-checking through Event.fire().
@@ -122,6 +118,6 @@ class Simulator:
         finally:
             self._running = False
         if until_ns is not None and not self._stopped:
-            self._now_ns = max(self._now_ns, until_ns)
+            self.now_ns = max(self.now_ns, until_ns)
         self.events_processed += processed
         return processed

@@ -20,7 +20,9 @@ listens::
 ``wants`` is a single cached dict lookup after the first call per kind, and
 just one attribute read when the recorder is disabled.  Per-frame firehose
 kinds (``link.deliver``, ``queue.enqueue``) default to
-:attr:`TraceLevel.DEBUG` and are therefore free unless a run opts in with
+:attr:`TraceLevel.DEBUG`; their emit sites test the plain attribute
+:attr:`TraceRecorder.firehose` before ``wants``, so they cost one
+attribute read per frame unless a run opts in with
 ``trace.set_level(TraceLevel.DEBUG)``.
 
 For long runs, ``max_records`` bounds memory: the recorder becomes a ring
@@ -95,6 +97,10 @@ class TraceRecorder:
         self._level = TraceLevel(level)
         self._kind_levels: Dict[str, TraceLevel] = dict(DEFAULT_KIND_LEVELS)
         self._wants_cache: Dict[str, bool] = {}
+        #: Whether any kind that defaults to DEBUG is at or above the
+        #: threshold; per-frame emit sites read it before :meth:`wants`.
+        self.firehose = False
+        self._levels_changed()
         self.max_records = max_records
         self._records: Any = (deque(maxlen=max_records)
                               if max_records is not None else [])
@@ -119,7 +125,7 @@ class TraceRecorder:
     def set_level(self, level: TraceLevel) -> None:
         """Change the recording threshold (e.g. DEBUG for the firehose)."""
         self._level = TraceLevel(level)
-        self._wants_cache.clear()
+        self._levels_changed()
 
     def set_kind_level(self, kind: str, level: TraceLevel) -> None:
         """Override the level of one record kind.
@@ -129,7 +135,14 @@ class TraceRecorder:
         :meth:`wants` — no allocation happens unless the kind is wanted.
         """
         self._kind_levels[kind] = TraceLevel(level)
-        self._wants_cache.pop(kind, None)
+        self._levels_changed()
+
+    def _levels_changed(self) -> None:
+        self._wants_cache.clear()
+        self.firehose = any(
+            self._kind_levels[kind] >= self._level
+            for kind, default in DEFAULT_KIND_LEVELS.items()
+            if default is TraceLevel.DEBUG)
 
     def kind_level(self, kind: str) -> TraceLevel:
         """Effective level of a kind (INFO unless configured otherwise)."""

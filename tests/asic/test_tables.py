@@ -2,6 +2,7 @@
 
 import pytest
 
+from repro import units
 from repro.asic.parser import ParsedHeaders
 from repro.asic.tables import (
     DROP,
@@ -12,6 +13,8 @@ from repro.asic.tables import (
     TcamRule,
 )
 from repro.errors import ConfigurationError
+from repro.net.packet import Datagram, RawPayload
+from repro.net.topology import Network
 
 
 def headers(**kwargs) -> ParsedHeaders:
@@ -156,6 +159,37 @@ class TestTcam:
         tcam.install(TcamRule(priority=2, out_port=1))
         with pytest.raises(ConfigurationError):
             tcam.install(TcamRule(priority=3, out_port=1))
+
+    def test_negative_set_queue_refused(self):
+        """A negative queue id used to reach ``port.queues[-5]`` at the
+        egress enqueue and raise ``IndexError`` out of ``sim.run()``."""
+        tcam = Tcam(EntryAllocator())
+        with pytest.raises(ConfigurationError):
+            tcam.install(TcamRule(priority=1, out_port=1, queue_id=-5))
+        assert len(tcam) == 0
+        tcam.install(TcamRule(priority=1, out_port=1, queue_id=0))
+
+    @pytest.mark.parametrize("n_queues, expected", [(1, 0), (2, 1), (3, 2)])
+    def test_set_queue_past_last_queue_joins_the_last(self, n_queues,
+                                                      expected):
+        """The upper half of the contract: a too-large class is clamped
+        to the egress port's queue count, never an error."""
+        net = Network(seed=1)
+        switch = net.add_switch("sw0")
+        h0, h1 = net.add_host(), net.add_host()
+        net.link(h0, switch, units.GIGABITS_PER_SEC)
+        egress, _ = net.link(switch, h1, units.GIGABITS_PER_SEC,
+                             n_queues=n_queues)
+        switch.install_tcam_rule(TcamRule(priority=1, out_port=egress.index,
+                                          queue_id=7))
+        got = []
+        h1.on_udp_port(9, lambda datagram, frame: got.append(datagram))
+        h0.send_datagram(h1.mac, Datagram(h0.ip, h1.ip, 1, 9,
+                                          RawPayload(100)))
+        net.run(until_seconds=0.01)
+        assert len(got) == 1
+        assert [q.stats.packets_enqueued for q in egress.queues] == [
+            int(index == expected) for index in range(n_queues)]
 
 
 class TestEntryAllocator:

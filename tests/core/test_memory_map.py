@@ -4,6 +4,7 @@ import pytest
 
 from repro.core import memory_map as mm
 from repro.errors import ConfigurationError
+from repro.net.topology import Network
 
 
 class TestStandardLayout:
@@ -104,6 +105,51 @@ class TestRegistration:
     def test_alias_target_must_exist(self, memory_map):
         with pytest.raises(ConfigurationError):
             memory_map.alias("X:Y", "Does:NotExist")
+
+
+class TestStandardCopies:
+    """``standard()`` copies a layout registered once per process; the
+    copies share descriptors but nothing a caller can change."""
+
+    def test_changes_to_one_map_never_show_on_another(self):
+        first, second = mm.MemoryMap.standard(), mm.MemoryMap.standard()
+        shared = mm.MemoryMap.shared_standard()
+        before = (shared.names(), dict(shared._aliases))
+        first.add(mm.StatDescriptor("Fresh:Name", 0x9000, False, "new"))
+        first.alias("My:Alias", "Queue:QueueSize")
+        first.register_symbol("Link:RCP-RateRegister", mm.LINK_SCRATCH_BASE)
+        first.unregister_symbol("Switch:ID")
+        for name in ("Fresh:Name", "My:Alias", "Link:RCP-RateRegister"):
+            assert first.resolve(name)
+            for other in (second, shared, mm.MemoryMap.standard()):
+                with pytest.raises(KeyError):
+                    other.resolve(name)
+        assert second.describe(0x9000) is None
+        assert second.resolve("Switch:ID") == second.resolve(
+            "Switch:SwitchID")
+        assert (shared.names(), dict(shared._aliases)) == before
+
+    def test_copy_equals_a_fresh_registration(self):
+        copy = mm.MemoryMap.standard()
+        assert len(copy.names()) == (len(mm._STANDARD_STATS)
+                                     + mm.LINK_SCRATCH_SLOTS + mm.SRAM_WORDS)
+        assert len(set(copy.names())) == len(copy.names())
+        for name in copy.names():
+            vaddr = copy.resolve(name)
+            assert copy.name_of(vaddr) == name
+            assert copy.describe(vaddr) is mm.MemoryMap.shared_standard(
+                ).describe(vaddr)
+
+    def test_switches_do_not_share_a_map(self):
+        """``apps.microburst`` registers symbols on ``mmu.memory_map``."""
+        net = Network(seed=1)
+        first, second = (net.add_switch(f"sw{i}").mmu.memory_map
+                         for i in range(2))
+        first.register_symbol("Link:Burst", mm.LINK_SCRATCH_BASE + 1)
+        assert first.resolve("Link:Burst") == mm.LINK_SCRATCH_BASE + 1
+        for other in (second, mm.MemoryMap.shared_standard()):
+            with pytest.raises(KeyError):
+                other.resolve("Link:Burst")
 
 
 class TestRegions:

@@ -7,6 +7,7 @@ from repro.errors import ConfigurationError
 from repro.net.device import Device
 from repro.net.link import Link, connect
 from repro.net.packet import EthernetFrame, RawPayload
+from repro.sim.trace import TraceLevel, TraceRecorder
 
 
 class RecordingDevice(Device):
@@ -122,3 +123,28 @@ class TestConnect:
         port_b.note_rx(frame)
         assert port_b.rx_bytes == 800
         assert port_b.rx_frames == 1
+
+
+class TestFirehoseMidRun:
+    """The per-frame DEBUG kinds are guarded by a plain attribute of the
+    recorder, not by a value captured when the network was built."""
+
+    def test_level_changes_apply_from_the_next_frame(self, sim):
+        trace = TraceRecorder()
+        a = RecordingDevice(sim, "a")
+        b = RecordingDevice(sim, "b")
+        a.trace = b.trace = trace
+        port_a, _ = connect(sim, a, b, units.GIGABITS_PER_SEC,
+                            delay_ns=1_000)
+        frames = [frame_of(100) for _ in range(6)]
+        for index, frame in enumerate(frames):
+            sim.schedule(10_000 * index, port_a.enqueue, frame)
+        # Frames 0-1 at INFO, 2-3 at DEBUG, 4-5 back at INFO.
+        sim.schedule(15_000, trace.set_level, TraceLevel.DEBUG)
+        sim.schedule(35_000, trace.set_level, TraceLevel.INFO)
+        sim.run()
+        assert len(b.received) == 6
+        wanted = [frame.uid for frame in frames[2:4]]
+        for kind in ("queue.enqueue", "link.deliver"):
+            assert [r.detail["frame_uid"]
+                    for r in trace.records(kind=kind)] == wanted

@@ -2,8 +2,11 @@
 
 import pytest
 
+from repro import units
+from repro.asic.parser import parse_frame
 from repro.core.assembler import assemble
 from repro.net import packet as pkt
+from repro.net.topology import Network
 
 
 class TestRawPayload:
@@ -31,6 +34,19 @@ class TestDatagram:
     def test_size_includes_headers(self):
         datagram = self._datagram(72)
         assert datagram.size_bytes == 20 + 8 + 72
+
+    @pytest.mark.parametrize("tos", [-3, -1, 256])
+    def test_tos_outside_one_byte_rejected(self, tos):
+        """``tos`` selects the egress queue; a negative one used to index
+        the port's queue list from the end (or past it)."""
+        with pytest.raises(ValueError):
+            pkt.Datagram(src_ip=1, dst_ip=2, src_port=10, dst_port=20,
+                         payload=pkt.RawPayload(0), tos=tos)
+
+    def test_tos_byte_range_accepted(self):
+        for tos in (0, 255):
+            assert pkt.Datagram(1, 2, 10, 20, pkt.RawPayload(0),
+                                tos=tos).tos == tos
 
     def test_congestion_shim_adds_bytes(self):
         class Shim:
@@ -65,6 +81,48 @@ class TestEthernetFrame:
         frame = pkt.EthernetFrame(1, 2, 0, object())
         with pytest.raises(TypeError):
             frame.size_bytes
+
+
+class TestSizeInvalidation:
+    def test_payload_swap_renews_size_view_and_flow_hash(self):
+        """``size_bytes`` is an instance attribute once read, and the
+        parsed view carries the memoised ECMP hash: one call drops all
+        three when the payload chain changes shape."""
+        net = Network(seed=1)
+        switch = net.add_switch("sw0")
+        hosts = [net.add_host() for _ in range(3)]
+        for host in hosts:
+            net.link(switch, host, units.GIGABITS_PER_SEC)
+        switch.install_l2_route(0xA1, 1)
+        switch.l2.add_alternate(0xA1, 2)
+
+        def datagram(src_port, size):
+            return pkt.Datagram(1, 2, src_port, 9, pkt.RawPayload(size))
+
+        frame = pkt.EthernetFrame(dst=0xA1, src=0x51,
+                                  ethertype=pkt.ETHERTYPE_IPV4,
+                                  payload=datagram(1000, 100))
+        assert frame.size_bytes == 14 + 4 + 28 + 100
+        switch.receive(frame, 0)
+        stale = parse_frame(frame)
+        assert stale.flow_hash is not None  # the ECMP entry asked for it
+
+        frame.payload = datagram(1001, 300)
+        # Not invalidated yet: every cached value is the old one.
+        assert frame.size_bytes == 146 and parse_frame(frame) is stale
+        frame.invalidate_size_cache()
+        assert frame.size_bytes == 14 + 4 + 28 + 300
+        fresh = parse_frame(frame)
+        assert fresh is not stale
+        assert (fresh.src_port, fresh.flow_hash) == (1001, None)
+        switch.receive(frame, 0)
+        assert fresh.flow_hash not in (None, stale.flow_hash)
+
+    def test_invalidate_before_first_read_is_harmless(self):
+        frame = pkt.EthernetFrame(dst=1, src=2, ethertype=0,
+                                  payload=pkt.RawPayload(100))
+        frame.invalidate_size_cache()
+        assert frame.size_bytes == 118
 
 
 class TestTPPFrameSizes:

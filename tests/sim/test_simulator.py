@@ -3,6 +3,7 @@
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim.simulator import Simulator
 
 
 class TestScheduling:
@@ -119,3 +120,60 @@ class TestStop:
     def test_now_seconds_view(self, sim):
         sim.run(until_ns=2_500_000_000)
         assert sim.now_seconds == pytest.approx(2.5)
+
+
+class TestCompactionMidRun:
+    """A callback that cancels enough timers makes the queue compact
+    (filter + re-heapify) underneath the loop that is popping it."""
+
+    CANCELLED = 200  # >= 128: well past compact_min_cancelled
+
+    def _scenario(self, sim, compacting: bool):
+        if not compacting:
+            sim._queue.compact_min_cancelled = 10 ** 9
+        fired = []
+        doomed = [sim.schedule(1_000 + index, fired.append, ("doomed", index))
+                  for index in range(self.CANCELLED)]
+        # Survivors interleave with the doomed in time and tie at t=1500.
+        for index in range(50):
+            sim.schedule(1_500 if index % 2 else 900 + 40 * index,
+                         fired.append, ("kept", index))
+
+        def purge():
+            for event in doomed:
+                event.cancel()
+            fired.append(("purged", sim.pending_events(),
+                          sim.cancelled_pending()))
+            # Scheduled after the rebuild: must land in the rebuilt heap.
+            sim.schedule(0, fired.append, ("after", 0))
+            sim.schedule(700, fired.append, ("after", 1))
+
+        sim.schedule(500, purge)
+        processed = sim.run()
+        return fired, processed
+
+    def test_agrees_with_an_uncompacted_twin(self):
+        sim, twin = Simulator(), Simulator()
+        fired, processed = self._scenario(sim, compacting=True)
+        twin_fired, twin_processed = self._scenario(twin, compacting=False)
+        assert sim._queue.compactions >= 1
+        assert twin._queue.compactions == 0
+        # The one difference allowed: stragglers the twin still holds.
+        purged, twin_purged = fired.pop(0), twin_fired.pop(0)
+        assert purged[:2] == twin_purged[:2] == ("purged", 50)
+        assert purged[2] < twin_purged[2] == self.CANCELLED
+        assert fired == twin_fired
+        assert not any(tag == "doomed" for tag, _ in fired)
+        assert processed == twin_processed == 1 + 50 + 2
+        assert sim.events_processed == twin.events_processed == processed
+        assert sim.pending_events() == twin.pending_events() == 0
+        assert sim.now_ns == twin.now_ns
+
+    def test_survivors_fire_in_time_then_schedule_order(self, sim):
+        fired, _ = self._scenario(sim, compacting=True)
+        kept = [index for tag, index in fired[1:] if tag == "kept"]
+        early = [i for i in range(50) if not i % 2 and 900 + 40 * i < 1_500]
+        ties = [i for i in range(50) if i % 2]
+        late = [i for i in range(50) if not i % 2 and 900 + 40 * i > 1_500]
+        assert kept == early + ties + late
+        assert fired[1] == ("after", 0)

@@ -107,6 +107,23 @@ class TestTraceLevels:
         trace.set_level(TraceLevel.DEBUG)
         assert trace.wants("link.deliver")
 
+    def test_firehose_flag_follows_the_levels(self):
+        """Per-frame emit sites read ``firehose`` before ``wants``: it
+        must be true whenever a default-DEBUG kind would be stored."""
+        trace = TraceRecorder()
+        assert not trace.firehose
+        trace.set_level(TraceLevel.DEBUG)
+        assert trace.firehose
+        trace.set_level(TraceLevel.INFO)
+        assert not trace.firehose
+        # Promoting one firehose kind opens the flag at INFO too.
+        trace.set_kind_level("queue.enqueue", TraceLevel.INFO)
+        assert trace.firehose and trace.wants("queue.enqueue")
+        assert not trace.wants("link.deliver")
+        trace.set_kind_level("queue.enqueue", TraceLevel.DEBUG)
+        assert not trace.firehose
+        assert TraceRecorder(level=TraceLevel.DEBUG).firehose
+
     def test_taps_do_not_see_suppressed_records(self):
         trace = TraceRecorder(level=TraceLevel.WARNING)
         seen = []
