@@ -13,7 +13,7 @@ pairs genuinely intersect), then measures:
   from decoded instructions (the certificate-embedding cost);
 - ``check_fleet + sram``   — the same from-scratch pass with a switch
   SRAM image bound, i.e. including the relational claim-epoch
-  fixpoint (``refine_for_switch``) over all 64 programs;
+  fixpoint (``reachable_values``) over all 64 programs;
 - ``relational``           — one program's relational abstract
   interpretation (``analyze_relations``), the per-certificate cost
   the verifier adds.

@@ -42,7 +42,7 @@ from __future__ import annotations
 import enum
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence
+from typing import Callable, Dict, Iterable, List, Sequence, Tuple
 
 from repro.core.exceptions import TPPEncodingError
 
@@ -187,3 +187,17 @@ def stack_prefix(instructions: Sequence[Instruction],
         prefix.append(prefix[-1] + word_size
                       * STACK_DELTA_WORDS.get(instruction.opcode, 0))
     return prefix
+
+
+def stack_extremes(instructions: Sequence[Instruction],
+                   word_size: int) -> Tuple[List[int], int, int]:
+    """``(prefix, dmin, dmax)``: :func:`stack_prefix` plus the smallest
+    and largest SP delta one execution can leave behind — the full
+    program, or the prefix ending at any CEXEC that disabled the suffix.
+    After ``h`` clean hops the SP lies in ``[h * dmin, h * dmax]``.
+    """
+    prefix = stack_prefix(instructions, word_size)
+    deltas = {prefix[-1]} | {
+        prefix[k] for k, i in enumerate(instructions)
+        if i.opcode == Opcode.CEXEC}
+    return prefix, min(deltas), max(deltas)

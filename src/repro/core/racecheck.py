@@ -41,11 +41,22 @@ truth).  Programs of *different* tasks are never paired — cross-task
 access is already a ``TPP007`` admission error and an
 ``SRAM_PROTECTION`` runtime fault.
 
+What an instruction can do is decided in one place, the relational walk
+(:mod:`repro.core.relational`); this module only scans for the SRAM
+operands (:func:`collect_sram_accesses`), rewrites the resulting access
+maps by the walk's facts (:func:`_refine_summary`, the one rewrite) and
+classifies pairs.  A summary built with ``entry=None`` — every
+certificate's — is *unpinned*: its facts hold at every hop of the
+program's budget.  One built at a known counter (``summarize_program``:
+``0``, ``summarize_section``: the header's) is *pinned*: true of the
+execution that starts from exactly that counter and image.
+
 The analysis is may-access, refined by *constant-mask CEXEC fences*: a
 CEXEC whose switch operand is a per-switch constant (``Switch:SwitchID``)
-and whose mask/value operand words provably survive every hop unmodified
-is a stable predicate — on any given switch it either always passes or
-always fails.  Accesses guarded by two mutually exclusive such fences
+and whose mask/value operand words the walk proves constant
+(``RelationalSummary.stable_fences``) is a stable predicate — on any
+given switch it either always passes or always fails.  Accesses guarded
+by two mutually exclusive such fences
 (same register and mask, different expected values) can never execute in
 the same switch's interleaving, so the pairwise classification only
 counts *co-executable* access pairs, and accesses behind self-
@@ -80,6 +91,12 @@ Two consumption modes:
   involving it.  The table's report is always identical to a
   from-scratch :func:`check_fleet` over the current membership
   (conformance-tested over random admit/revoke sequences).
+
+Only :func:`check_fleet` can also bind a switch's SRAM image
+(``sram_values``) and discount claims whose epochs are unreachable
+there: that describes a pinned deployment point (``tppasm racecheck
+--sram``, the oracle sweeps), not the any-hop certificates a table
+receives.
 """
 
 from __future__ import annotations
@@ -99,17 +116,13 @@ from typing import (
 )
 
 from repro.core.isa import (
-    HOP_RELATIVE_OPCODES,
     Instruction,
     Opcode,
-    PACKET_WRITING_OPCODES,
     SWITCH_READING_OPCODES,
     SWITCH_WRITING_OPCODES,
-    stack_prefix,
 )
 from repro.core.memory_map import MemoryMap, SRAM_BASE, is_sram
 from repro.core.relational import (
-    FIRE_NEVER,
     ReachTable,
     RelationalSummary,
     analyze_relations,
@@ -118,18 +131,6 @@ from repro.core.relational import (
     write_mutates,
 )
 from repro.core.tpp import AddressingMode, TPPSection, program_key_of
-
-#: Hop horizon used when a program declares no budget (mirrors the
-#: verifier's scan limit; a larger horizon only widens the written
-#: intervals, which is the conservative direction for fence constancy).
-FENCE_SCAN_LIMIT = 1024
-
-#: Switch registers whose value is a per-switch constant for the life of
-#: a run: set at boot, never written by the dataplane or control plane.
-#: Only CEXECs reading these can be *stable* fences — a fence on a
-#: counter or queue register can flip between two packets of the same
-#: interleaving and proves nothing.
-STABLE_FENCE_REGISTERS = ("Switch:SwitchID",)
 
 #: Stable race diagnostic codes with their severity.  Kept separate from
 #: the single-program ``TPP0xx`` table in :mod:`repro.core.verifier`:
@@ -171,8 +172,8 @@ class ProgramAccessSummary:
     :class:`~repro.core.verifier.VerifiedProgram` certificate.
 
     ``fences`` holds the program's provably-stable CEXEC fences as
-    ``(instruction_index, switch_vaddr, mask, expected)`` tuples (see
-    :func:`collect_constant_fences`); an access at index ``i`` is
+    ``(instruction_index, switch_vaddr, mask, expected)`` tuples (the
+    walk's ``stable_fences``); an access at index ``i`` is
     guarded by every fence at a smaller index.  Accesses whose own guard
     set is self-contradictory are statically unreachable and dropped at
     construction, so every index the maps carry can actually execute on
@@ -298,112 +299,6 @@ def collect_sram_accesses(
     return tuple(reads), tuple(writes), tuple(claims)
 
 
-def written_byte_intervals(instructions: Sequence[Instruction], *,
-                           mode: Any,
-                           word_size: int,
-                           memory_len: int,
-                           perhop_len_bytes: int = 0,
-                           max_hops: Optional[int] = None,
-                           ) -> List[Tuple[int, int]]:
-    """Over-approximated byte ranges any instruction can write into
-    packet memory across the whole hop horizon.
-
-    The single source of truth for "which packet-memory bytes are
-    provably constant": the verifier's dead-code analysis and the fence
-    extraction below both exclude these intervals.  PUSH coverage uses
-    the per-instruction SP prefix sums over the worst achievable per-hop
-    growth; LOAD/arithmetic write back at their operand (striding per
-    hop in hop mode); CSTORE writes the old switch value over its
-    condition word.
-    """
-    hop_mode = mode == AddressingMode.HOP
-    word = word_size
-    horizon = max_hops if max_hops is not None else FENCE_SCAN_LIMIT
-    top_hop = max(horizon - 1, 0)
-    prefix = stack_prefix(instructions, word)
-    # Worst per-hop SP growth: the full program, or the prefix ending
-    # at any CEXEC that disabled the suffix.
-    dmax = max({prefix[-1]} | {
-        prefix[k] for k, i in enumerate(instructions)
-        if i.opcode == Opcode.CEXEC})
-    pushes = [j for j, i in enumerate(instructions)
-              if i.opcode == Opcode.PUSH]
-    intervals: List[Tuple[int, int]] = []
-    if pushes:
-        growth = top_hop * max(dmax, 0)
-        hi = max(growth + prefix[j] + word for j in pushes)
-        intervals.append((0, min(hi, memory_len)))
-    for instruction in instructions:
-        opcode = instruction.opcode
-        if opcode == Opcode.PUSH or opcode not in PACKET_WRITING_OPCODES:
-            continue
-        # LOAD/arithmetic write their operand word; CSTORE writes the
-        # old switch value back over its (absolute) cond word.
-        base = instruction.offset * word
-        if hop_mode and opcode in HOP_RELATIVE_OPCODES:
-            intervals.append((base,
-                              top_hop * perhop_len_bytes + base + word))
-        else:
-            intervals.append((base, base + word))
-    return intervals
-
-
-def collect_constant_fences(instructions: Sequence[Instruction], *,
-                            mode: Any,
-                            word_size: int,
-                            memory_len: int,
-                            perhop_len_bytes: int = 0,
-                            initial_memory: Optional[bytes] = None,
-                            max_hops: Optional[int] = None,
-                            memory_map: Optional[MemoryMap] = None,
-                            ) -> Tuple[Tuple[int, int, int, int], ...]:
-    """Extract the provably-stable CEXEC fences of one program.
-
-    Returns ``(instruction_index, switch_vaddr, mask, expected)`` tuples
-    for every CEXEC that (a) reads a :data:`STABLE_FENCE_REGISTERS`
-    register and (b) takes its mask/value operand pair from packet-memory
-    bytes no instruction can overwrite on any hop within the horizon.
-    Such a fence evaluates identically on every execution of the program
-    on a given switch, so it partitions the fleet's interleavings; every
-    access at a later index is guarded by it (CEXEC kills the program
-    suffix).  Without an initial memory image nothing is provable and
-    the result is empty — the conservative, pre-fence behaviour.
-    """
-    if initial_memory is None:
-        return ()
-    resolver = (memory_map if memory_map is not None
-                else MemoryMap.shared_standard())
-    stable_addrs = set()
-    for name in STABLE_FENCE_REGISTERS:
-        try:
-            stable_addrs.add(resolver.resolve(name))
-        except KeyError:  # pragma: no cover - custom maps may omit it
-            continue
-    if not stable_addrs:
-        return ()
-    cexecs = [(j, i) for j, i in enumerate(instructions)
-              if i.opcode == Opcode.CEXEC and i.addr in stable_addrs]
-    if not cexecs:
-        return ()
-    written = written_byte_intervals(
-        instructions, mode=mode, word_size=word_size,
-        memory_len=memory_len, perhop_len_bytes=perhop_len_bytes,
-        max_hops=max_hops)
-    word = word_size
-    fences: List[Tuple[int, int, int, int]] = []
-    for j, instruction in cexecs:
-        base = instruction.offset * word
-        end = base + 2 * word
-        if end > len(initial_memory) or end > memory_len:
-            continue
-        if any(lo < end and base < hi for lo, hi in written):
-            continue  # operands are mutable: the fence can flip
-        mask = int.from_bytes(initial_memory[base:base + word], "big")
-        expected = int.from_bytes(initial_memory[base + word:end], "big")
-        fences.append((j, instruction.addr, mask, expected))
-    return tuple(fences)
-
-
 def _exclusive_guards(guards_a: Tuple[Tuple[int, int, int], ...],
                       guards_b: Tuple[Tuple[int, int, int], ...]) -> bool:
     """Whether two guard sets can never both pass on one switch.
@@ -450,72 +345,6 @@ def _self_contradictory(
         if expected & ~mask:
             return True
     return _exclusive_guards(guards, guards)
-
-
-def _apply_relational_statics(
-        reads: Dict[int, Tuple[int, ...]],
-        writes: Dict[int, Tuple[int, ...]],
-        claims: Dict[int, Tuple[int, ...]],
-        relational: RelationalSummary,
-) -> Tuple[Dict[int, Tuple[int, ...]], Dict[int, Tuple[int, ...]],
-           Dict[int, Tuple[int, ...]]]:
-    """Fold fleet-independent relational facts into the access maps.
-
-    These refinements hold on *every* switch, for any fleet around the
-    program, so they are applied once at summary construction:
-
-    - accesses past a relationally-false CEXEC never execute;
-    - reads whose value provably never reaches an observable cannot
-      produce divergence;
-    - stores proven to write the word's current value back are no-ops;
-    - claims that provably never fire (or that fire but store the value
-      they matched) never change the word — their old-value write-back
-      still *observes* it, so they demote to reads unless the write-back
-      itself is provably dead.
-    """
-    dead_at = relational.dead_suffix_at
-
-    def trim(table: Dict[int, Tuple[int, ...]],
-             drop: Set[int]) -> Dict[int, Tuple[int, ...]]:
-        out: Dict[int, Tuple[int, ...]] = {}
-        for word, indices in table.items():
-            live = tuple(
-                i for i in indices
-                if i not in drop and (dead_at is None or i <= dead_at))
-            if live:
-                out[word] = live
-        return out
-
-    reads = trim(reads, set(relational.dead_reads))
-    writes = trim(writes, {e.index for e in relational.writes
-                           if e.inert})
-    demoted: Set[int] = set()
-    observing: Dict[int, List[int]] = {}
-    obs_dead = set(relational.dead_claim_obs)
-    for effect in relational.claims:
-        if effect.fire == FIRE_NEVER:
-            inert_claim = True
-        else:
-            conds = (frozenset(a[1] for a in effect.conds)
-                     if effect.conds is not None and all(
-                         a[0] == "c" for a in effect.conds) else None)
-            srcs = (frozenset(a[1] for a in effect.srcs)
-                    if effect.srcs is not None and all(
-                        a[0] == "c" for a in effect.srcs) else None)
-            inert_claim = (conds is not None and srcs is not None
-                           and len(conds) == 1 and conds == srcs)
-        if inert_claim:
-            demoted.add(effect.index)
-            if effect.index not in obs_dead:
-                observing.setdefault(effect.word, []).append(
-                    effect.index)
-    if demoted:
-        claims = trim(claims, demoted)
-        reads = dict(reads)
-        for word, indices in observing.items():
-            merged = sorted(set(reads.get(word, ())) | set(indices))
-            reads[word] = tuple(merged)
-    return reads, writes, claims
 
 
 # --------------------------------------------------------------------- #
@@ -671,20 +500,14 @@ def summarize_instructions(instructions: Sequence[Instruction], *,
 
     The only builder: a certificate's ``summary`` is what this returns.
 
-    ``initial_memory`` (plus the memory geometry) enables the
-    constant-fence and relational refinements; without it the summary is
-    the plain may-access one.  ``entry`` pins the hop/SP counter
-    executions enter with at the deployment point under analysis (see
-    :func:`repro.core.relational.analyze_relations`); ``None`` keeps
-    the relational pass conservative over the whole counter interval.
-    ``relational`` hands in an :func:`analyze_relations` result already
-    computed for the same image and ``entry``.
-
-    The relational pass's ``stable_fences`` join ``fences`` only under a
-    pinned ``entry``: they are proved for the *first* execution, and a
-    passing fence lets its own suffix overwrite its operand words for
-    later hops (a hop-relative ``LOAD`` after the ``CEXEC``).  At any
-    entry counter only :func:`collect_constant_fences`' fences hold.
+    ``initial_memory`` (plus the memory geometry) enables the relational
+    refinements and the stable fences; without it the summary is the
+    plain may-access one.  ``entry`` pins the hop/SP counter executions
+    enter with at the deployment point under analysis; ``None`` makes
+    every fact hold at any hop within ``max_hops`` (see
+    :func:`repro.core.relational.analyze_relations`).  ``relational``
+    hands in an :func:`analyze_relations` result already computed for
+    the same image, ``entry`` and ``max_hops``.
     """
     mode = AddressingMode.STACK if mode is None else mode
     if program_key is None:
@@ -697,20 +520,19 @@ def summarize_instructions(instructions: Sequence[Instruction], *,
         word_size=word_size)
     if initial_memory is None:
         return may_access
-    packet = dict(mode=mode, word_size=word_size, memory_len=memory_len,
-                  perhop_len_bytes=perhop_len_bytes,
-                  initial_memory=initial_memory, memory_map=memory_map)
-    fences = collect_constant_fences(instructions, max_hops=max_hops, **packet)
     if relational is None:
-        relational = analyze_relations(instructions, entry=entry, **packet)
-    reads_map, writes_map, claims_map = _apply_relational_statics(
-        reads_map, writes_map, claims_map, relational)
-    if entry is not None:
-        fences = tuple(set(fences) | set(relational.stable_fences))
-    return ProgramAccessSummary(
+        relational = analyze_relations(
+            instructions, mode=mode, word_size=word_size,
+            memory_len=memory_len, perhop_len_bytes=perhop_len_bytes,
+            initial_memory=initial_memory, entry=entry,
+            max_hops=max_hops, memory_map=memory_map)
+    # An empty reach table knows no switch: what refines under it holds
+    # on every switch, for any fleet around the program.
+    return _refine_summary(ProgramAccessSummary(
         name, task_id, program_key, reads_map, writes_map, claims_map,
-        fences=fences, relational=relational, word_size=word_size,
-        image=bytes(initial_memory), widened=may_access)
+        fences=relational.stable_fences, relational=relational,
+        word_size=word_size, image=bytes(initial_memory),
+        widened=may_access), {})
 
 
 def summarize_section(tpp: TPPSection,
@@ -745,7 +567,6 @@ def summarize_program(program: Any, task_id: int = 0,
         memory_len=len(program.initial_memory),
         perhop_len_bytes=program.perhop_len_bytes,
         initial_memory=bytes(program.initial_memory),
-        max_hops=getattr(program, "hops", None),
         entry=0)
 
 
@@ -1003,82 +824,67 @@ class FleetRaceReport:
 
 def _refine_summary(summary: ProgramAccessSummary,
                     reach: ReachTable) -> ProgramAccessSummary:
-    """Apply claim-epoch facts for one switch to one summary.
+    """Rewrite one summary's access maps by its relational facts.
 
-    Claims whose condition constant is outside the word's reachable
-    epochs can never fire on this switch: they demote to reads (the
-    old-value write-back still observes the word) or vanish when the
-    write-back itself is provably dead.  Stores of a value the word
-    always holds can never change it and drop out.  Returns the summary
-    unchanged when nothing refines.
+    The one place relational facts reach the pairwise classification:
+
+    - accesses past a relationally-false CEXEC never execute;
+    - reads whose value provably never reaches an observable cannot
+      produce divergence;
+    - stores of a value the word always holds (its current value, or
+      the only value in its reachable epochs) never change it;
+    - claims that can never fire — in-program constants, or a condition
+      outside the word's reachable epochs in ``reach`` — and claims
+      that store the value they matched never change the word: they
+      demote to reads (the old-value write-back still observes it) or
+      vanish when the write-back itself is provably dead.
+
+    ``reach`` holds one switch's claim epochs
+    (:func:`repro.core.relational.reachable_values`); empty, only the
+    facts true on every switch apply.  Returns the summary unchanged
+    when nothing refines.
     """
     relational = summary.relational
     if relational is None:
         return summary
     mask = (1 << (8 * summary.word_size)) - 1
     task = summary.task_id
-    dropped_writes: Set[int] = set()
+    dead_at = relational.dead_suffix_at
+    dropped: Set[int] = set(relational.dead_reads)
     for effect in relational.writes:
         if not write_mutates(effect, task, reach, mask):
-            dropped_writes.add(effect.index)
-    dropped_claims: Set[int] = set()
-    observing: Dict[int, List[int]] = {}
-    obs_dead = set(relational.dead_claim_obs)
+            dropped.add(effect.index)
+    observing: Dict[int, Set[int]] = {}
     for effect in relational.claims:
         if claim_mutates(effect, task, reach, mask):
             continue
-        dropped_claims.add(effect.index)
-        if effect.index not in obs_dead:
-            observing.setdefault(effect.word, []).append(effect.index)
-    dropped_writes &= {i for idxs in summary.writes.values()
-                       for i in idxs}
-    dropped_claims &= {i for idxs in summary.claims.values()
-                       for i in idxs}
-    if not dropped_writes and not dropped_claims:
-        return summary
+        dropped.add(effect.index)
+        if effect.index not in relational.dead_claim_obs:
+            observing.setdefault(effect.word, set()).add(effect.index)
 
-    def strip(table: Dict[int, Tuple[int, ...]],
-              drop: Set[int]) -> Dict[int, Tuple[int, ...]]:
+    def trim(table: Dict[int, Tuple[int, ...]],
+             ) -> Dict[int, Tuple[int, ...]]:
         out: Dict[int, Tuple[int, ...]] = {}
         for word, indices in table.items():
-            live = tuple(i for i in indices if i not in drop)
+            live = tuple(
+                i for i in indices
+                if i not in dropped and (dead_at is None or i <= dead_at))
             if live:
                 out[word] = live
         return out
 
-    reads = dict(summary.reads)
+    reads = trim(summary.reads)
     for word, indices in observing.items():
-        reads[word] = tuple(sorted(
-            set(reads.get(word, ())) | set(indices)))
+        reads[word] = tuple(sorted(indices.union(reads.get(word, ()))))
+    writes, claims = trim(summary.writes), trim(summary.claims)
+    if (reads, writes, claims) == (summary.reads, summary.writes,
+                                   summary.claims):
+        return summary
     return ProgramAccessSummary(
         summary.name, summary.task_id, summary.program_key, reads,
-        strip(summary.writes, dropped_writes),
-        strip(summary.claims, dropped_claims),
-        fences=summary.fences, relational=relational,
+        writes, claims, fences=summary.fences, relational=relational,
         word_size=summary.word_size, image=summary.image,
         widened=summary.widened)
-
-
-def refine_for_switch(
-        summaries: Sequence[ProgramAccessSummary],
-        sram_values: Mapping[int, int],
-        floor: Optional[ReachTable] = None,
-) -> Tuple[List[ProgramAccessSummary], ReachTable]:
-    """Refine a fleet's summaries against one switch's SRAM image.
-
-    Runs the claim-epoch reachability fixpoint
-    (:func:`repro.core.relational.reachable_values`) over the whole
-    membership, then rewrites each summary so the pairwise
-    classification only counts accesses that can actually mutate or
-    observe on this switch.  ``floor`` seeds the fixpoint with values
-    already reachable from earlier membership states (see
-    :class:`FleetRaceTable`).
-    """
-    word_size = summaries[0].word_size if summaries else 4
-    reach = reachable_values(
-        [(s, s.relational) for s in summaries], sram_values,
-        word_size=word_size, floor=floor)
-    return [_refine_summary(s, reach) for s in summaries], reach
 
 
 def check_fleet(
@@ -1092,11 +898,18 @@ def check_fleet(
     must match; diagnostics come out in a canonical order so reports
     are directly comparable.  ``fence_values`` binds stable registers
     to one switch's values, refining every pair (see module docstring);
-    ``sram_values`` additionally binds the switch's initial SRAM image,
-    enabling the claim-epoch refinement (:func:`refine_for_switch`).
+    ``sram_values`` additionally binds the switch's SRAM image as the
+    fleet's executions find it — a *pinned* deployment point — and runs
+    the claim-epoch fixpoint over the whole membership
+    (:func:`repro.core.relational.reachable_values`), so the pairwise
+    classification only counts accesses that can actually mutate or
+    observe on this switch.
     """
     if sram_values is not None and summaries:
-        summaries = refine_for_switch(summaries, sram_values)[0]
+        reach = reachable_values(
+            [(s, s.relational) for s in summaries], sram_values,
+            word_size=summaries[0].word_size)
+        summaries = [_refine_summary(s, reach) for s in summaries]
     diagnostics: List[RaceDiagnostic] = []
     pairs = 0
     for i in range(len(summaries)):
@@ -1123,19 +936,12 @@ class FleetRaceTable:
     A table guards one deployment point.  When that point is a single
     switch (``TCPU.trust``), pass ``fence_values`` with the switch's
     stable register values so constant fences falsified there discount
-    their guarded accesses, and optionally ``sram_values`` with the
-    switch's SRAM image at binding time to enable the claim-epoch
-    refinement; a table spanning many switches (an edge policy) leaves
-    both unset and gets the conservative analysis.
-
-    With ``sram_values`` bound the refinement is *fleet-coupled*: an
-    admission can enlarge a word's reachable epochs and thereby revive a
-    claim an earlier pair check discounted, so the table re-checks every
-    pair one of whose refined summaries changed.  Reachability is
-    monotone over the table's whole membership **history** — a revoked
-    member's writes may persist in physical SRAM, so revocation never
-    shrinks the reachable sets (the table stays sound, merely more
-    conservative than a from-scratch pass over the survivors).
+    their guarded accesses; a table spanning many switches (an edge
+    policy) leaves it unset and gets the conservative analysis.  There
+    is no SRAM binding: the certificates a table receives hold at every
+    hop, where a claim's epoch is unknown by construction (each CSTORE
+    rewrites its own condition word) — the claim-epoch refinement is
+    :func:`check_fleet`'s, for a pinned deployment point.
 
     Membership is per memory image, at most :data:`MAX_IMAGES` per
     ``(program, task)``; the template's image-free summary *represents*
@@ -1146,23 +952,13 @@ class FleetRaceTable:
 
     def __init__(self,
                  fence_values: Optional[Mapping[int, int]] = None,
-                 sram_values: Optional[Mapping[int, int]] = None,
                  ) -> None:
         #: Stable-register bindings for the switch this table guards
         #: (``None`` = unknown, conservative).
         self.fence_values: Optional[Dict[int, int]] = (
             dict(fence_values) if fence_values else None)
-        #: Initial SRAM image of the switch this table guards
-        #: (``None`` = unknown, conservative).
-        self.sram_values: Optional[Dict[int, int]] = (
-            dict(sram_values) if sram_values is not None else None)
         self._members: Dict[MemberKey, ProgramAccessSummary] = {}
-        # Claim-epoch view: per-member refined summaries + the monotone
-        # reachable-value table (only populated with ``sram_values``).
-        self._refined: Dict[MemberKey, ProgramAccessSummary] = {}
-        self._reach: ReachTable = {}
-        # (task_id, word) -> member keys touching that word (unrefined
-        # words: stable under refinement changes).
+        # (task_id, word) -> member keys touching that word.
         self._word_index: Dict[Tuple[int, int], Set[MemberKey]] = {}
         # (program_key, task_id) -> the keys of its member images.
         self._by_program: Dict[Tuple[bytes, int], Set[MemberKey]] = {}
@@ -1211,76 +1007,25 @@ class FleetRaceTable:
         key = summary.key
         siblings.add(key)
         self._members[key] = summary
+        rivals: Set[MemberKey] = set()
         for word in summary.words:
-            index_key = (summary.task_id, word)
-            self._word_index.setdefault(index_key, set()).add(key)
-        if self.sram_values is not None:
-            self._resync({key})
-            introduced = self.diagnostics_for(key)
-        else:
-            rivals = self._rivals_of(key)
-            introduced = []
-            for rival_key in rivals:
-                rival = self._members[rival_key]
-                self.pair_checks += 1
-                findings = check_pair(summary, rival, self.fence_values)
-                if findings:
-                    self._pair_diagnostics[frozenset((key, rival_key))] = (
-                        findings)
-                    introduced.extend(findings)
-            introduced.sort(key=_sort_key)
+            bucket = self._word_index.setdefault(
+                (summary.task_id, word), set())
+            rivals.update(bucket)
+            bucket.add(key)
+        introduced: List[RaceDiagnostic] = []
+        for rival_key in rivals:
+            rival = self._members[rival_key]
+            self.pair_checks += 1
+            findings = check_pair(summary, rival, self.fence_values)
+            if findings:
+                self._pair_diagnostics[frozenset((key, rival_key))] = (
+                    findings)
+                introduced.extend(findings)
+        introduced.sort(key=_sort_key)
         if any(d.severity == "error" for d in introduced):
             self.racy_admissions += 1
         return introduced
-
-    def _rivals_of(self, key: MemberKey) -> Set[MemberKey]:
-        summary = self._members[key]
-        rivals: Set[MemberKey] = set()
-        for word in summary.words:
-            bucket = self._word_index.get((summary.task_id, word))
-            if bucket:
-                rivals.update(bucket)
-        rivals.discard(key)
-        return rivals
-
-    def _resync(self, seeds: Set[MemberKey]) -> None:
-        """Re-run the claim-epoch refinement after a membership change.
-
-        ``seeds`` are members whose pairs must be re-checked regardless
-        (the newcomer).  Any member whose *refined* summary changed —
-        the fixpoint is fleet-coupled, so an admission can revive a
-        claim elsewhere — joins them.  The previous reachable table
-        seeds the new fixpoint as a monotone floor.
-        """
-        assert self.sram_values is not None
-        keys = list(self._members)
-        refined, self._reach = refine_for_switch(
-            [self._members[k] for k in keys], self.sram_values,
-            floor=self._reach)
-        changed = set(seeds)
-        for k, view in zip(keys, refined):
-            old = self._refined.get(k)
-            if old is None or _access_fingerprint(old) != \
-                    _access_fingerprint(view):
-                changed.add(k)
-            self._refined[k] = view
-        for k in [k for k in self._refined if k not in self._members]:
-            del self._refined[k]
-        pairs_to_check: Set[FrozenSet[MemberKey]] = set()
-        for k in changed:
-            if k not in self._members:
-                continue
-            for rival_key in self._rivals_of(k):
-                pairs_to_check.add(frozenset((k, rival_key)))
-        for pair in pairs_to_check:
-            self._pair_diagnostics.pop(pair, None)
-            self.pair_checks += 1
-            first, second = pair
-            findings = check_pair(self._refined[first],
-                                  self._refined[second],
-                                  self.fence_values)
-            if findings:
-                self._pair_diagnostics[pair] = findings
 
     def revoke(self, key_or_summary: Any) -> bool:
         """Retire a member (and every diagnostic naming it).
@@ -1306,12 +1051,6 @@ class FleetRaceTable:
                     del self._word_index[index_key]
         for pair in [p for p in self._pair_diagnostics if key in p]:
             del self._pair_diagnostics[pair]
-        self._refined.pop(key, None)
-        if self.sram_values is not None and self._members:
-            # The floor keeps every historically reachable value, so
-            # surviving pairs normally need no re-check; _resync still
-            # runs to keep the refined view and diagnostics coherent.
-            self._resync(set())
         return True
 
     def diagnostics(self) -> List[RaceDiagnostic]:
@@ -1335,20 +1074,13 @@ class FleetRaceTable:
 
     def report(self) -> FleetRaceReport:
         """Snapshot equivalent to ``check_fleet(self.members,
-        self.fence_values, sram_values=self.sram_values)``."""
+        self.fence_values)``."""
         members = self.members
         n = len(members)
         return FleetRaceReport(
             programs=[s.name for s in members],
             diagnostics=self.diagnostics(),
             pairs_checked=n * (n - 1) // 2)
-
-
-def _access_fingerprint(summary: ProgramAccessSummary) -> Tuple:
-    """Hashable digest of the access maps a pair check consumes."""
-    return (tuple(sorted(summary.reads.items())),
-            tuple(sorted(summary.writes.items())),
-            tuple(sorted(summary.claims.items())))
 
 
 def _member_key(member: Any) -> MemberKey:

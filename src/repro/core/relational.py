@@ -1,56 +1,56 @@
-"""Relational abstract interpretation over TPP programs.
+"""Relational abstract interpretation over TPP programs: the one walk
+that decides what a program's CEXECs, claims and reads can do.
 
-The interval-only analyses this repo grew first — the verifier's
-written-byte intervals (PR 4) and the race checker's constant-mask
-fences (PR 5/7) — treat every packet-memory slot and every SRAM word as
-an opaque may-value.  That loses exactly the facts the paper's CSTORE
-protocol creates: a claim writes the word's *old value* back into packet
-memory (an equality between a packet slot and an SRAM word), a
-read-modify-write chain stores ``entry(w) + delta`` (an affine relation),
-and a claim only fires when the word equals a *known constant* (a
-disequality when it provably cannot).  This module tracks those
-relations instruction by instruction and exports them as machine-checkable
-facts the other layers consume:
+Treating every packet-memory slot and every SRAM word as an opaque
+may-value loses exactly the facts the paper's CSTORE protocol creates:
+a claim writes the word's *old value* back into packet memory (an
+equality between a packet slot and an SRAM word), a read-modify-write
+chain stores ``entry(w) + delta`` (an affine relation), and a claim only
+fires when the word equals a *known constant* (a disequality when it
+provably cannot).  This module tracks those relations instruction by
+instruction and exports them as machine-checkable facts:
 
 - :func:`analyze_relations` walks one program and produces a
   :class:`RelationalSummary`: per-write value descriptions (constant /
   affine-in-entry / unknown), claim fire conditions, provably
-  *unobservable* SRAM reads, provably dead claim write-backs, CEXECs with
-  relationally-constant operands (a superset of the interval-proven
-  fences), and the index of the first CEXEC that can never pass.
+  *unobservable* SRAM reads, provably dead claim write-backs, every
+  CEXEC with constant operands (``const_cexecs``: the verifier's
+  TPP008/TPP010 lint; ``stable_fences``: the race checker's fences) and
+  the index of the first CEXEC that can never pass.
 - :func:`reachable_values` runs a fleet-level fixpoint over those
-  summaries: given a switch's initial SRAM image (the per-switch
-  ``sram_values`` binding, the SRAM analog of ``fence_values``), it
-  computes a sound over-approximation of every value each word can ever
-  hold under *any* interleaving — the word's **claim epochs**.  A CSTORE
-  whose condition constant is outside the word's reachable set can never
-  fire on that switch; a store of a value the word always holds can
-  never change it.
-- :func:`refine_summary` applies both layers to a
-  :class:`~repro.core.racecheck.ProgramAccessSummary`, demoting claims
-  that cannot fire to plain reads (their write-back still observes the
-  word), deleting writes that cannot change the word and reads that
-  cannot reach an observable, so the pairwise race classification only
-  counts accesses that can actually produce divergence.
+  summaries: given a switch's SRAM image (the per-switch ``sram_values``
+  binding, the SRAM analog of ``fence_values``), it computes a sound
+  over-approximation of every value each word can ever hold under *any*
+  interleaving — the word's **claim epochs**.  A CSTORE whose condition
+  constant is outside the word's reachable set can never fire on that
+  switch (:func:`claim_mutates`); a store of a value the word always
+  holds can never change it (:func:`write_mutates`).
+  :func:`repro.core.racecheck._refine_summary` is the one place either
+  layer rewrites a program's access maps.
 
-Soundness contract
-------------------
+Pinned and unpinned facts
+-------------------------
 
-Relational facts are computed for **fault-free executions entering the
-switch with a known hop/SP counter** (``entry``).  Both assumptions are
-the ones the surrounding system already enforces: admission is gated on
-the verifier (TPP001–TPP011 prove in-guard executions cannot fault), and
-a race table guards one deployment point, where the entering counter is
-known the same way the switch's stable registers are (``fence_values``).
-When the entry counter is *not* pinned (``entry=None``) the analysis
-quantifies over the whole interval a PUSH could land in, degrading the
-affected slots to unknown — never unsound, only less precise.
+Relational facts are computed for **fault-free executions** (admission
+is gated on the verifier: TPP001–TPP011 prove in-guard executions cannot
+fault).  A TPP is the *same* program run at *every* hop, over one packet
+memory carried along, so which execution a fact describes matters:
 
-The oracle harness (``tests/props/test_race_harness.py``) measures the
-payoff: binding the ground-truth switch's SRAM image the way it already
-binds ``Switch:SwitchID`` retires the dominant remaining false-positive
-classes (never-firing claimers counted as writers, reads that never
-reach an observable) while the zero-false-negative bar holds.
+- **pinned** (``entry=<counter>``): the execution that enters with
+  exactly that hop/SP counter and exactly the given image —
+  ``summarize_program``'s first hop, ``summarize_section``'s in-flight
+  frame.  Every slot starts at its image value.
+- **unpinned** (``entry=None``, every certificate): the execution at
+  *any* hop of the horizon.  The counter ranges over what earlier hops
+  can have grown it to, and a slot starts at its image value only if no
+  instruction can write it on any hop (:func:`written_byte_intervals`)
+  — a CSTORE rewrites its own condition word with each switch's old
+  value, so from hop 1 on its condition is unknown.  Less precise,
+  and true wherever ``TCPU.trust`` installs the certificate.
+
+The oracle harness (``tests/props/test_race_harness.py``) holds both to
+zero false negatives: pinned facts against one switch with its SRAM
+image bound, unpinned ones against the second switch of a two-hop path.
 """
 
 from __future__ import annotations
@@ -73,6 +73,8 @@ from repro.core.isa import (
     HOP_RELATIVE_OPCODES,
     Instruction,
     Opcode,
+    PACKET_WRITING_OPCODES,
+    stack_extremes,
 )
 from repro.core.memory_map import MemoryMap, SRAM_BASE, is_sram
 from repro.core.tpp import AddressingMode
@@ -154,12 +156,12 @@ class RelationalSummary:
     #: after it is unreachable on every switch.
     dead_suffix_at: Optional[int] = None
     #: Every CEXEC whose mask/expected operands are relationally
-    #: constant, as ``(index, switch_vaddr, mask, expected)``.  Superset
-    #: of the interval-proven fences: a PUSH at a pinned entry counter
-    #: only clobbers the slots it actually reaches.
+    #: constant, as ``(index, switch_vaddr, mask, expected)`` —
+    #: including those past :attr:`dead_suffix_at`, decided on the final
+    #: slot state (lint only: nothing there executes).
     const_cexecs: Tuple[Tuple[int, int, int, int], ...] = ()
-    #: The :data:`const_cexecs` subset reading a stable register —
-    #: mergeable into ``ProgramAccessSummary.fences``.
+    #: The :data:`const_cexecs` subset that reads a stable register and
+    #: can execute: a summary's ``ProgramAccessSummary.fences``.
     stable_fences: Tuple[Tuple[int, int, int, int], ...] = ()
 
     def write_at(self, index: int) -> Optional[SRAMWriteEffect]:
@@ -193,6 +195,65 @@ class RelationalSummary:
             "const_cexecs": [list(f) for f in self.const_cexecs],
             "stable_fences": [list(f) for f in self.stable_fences],
         }
+
+
+#: Hop horizon when a program declares no budget.  Far beyond any real
+#: path length; it bounds the analysis, not programs (a larger horizon
+#: only widens what an unpinned walk treats as mutable, the conservative
+#: direction).
+HOP_SCAN_LIMIT = 1024
+
+#: Switch registers whose value is a per-switch constant for the life of
+#: a run: set at boot, never written by the dataplane or control plane.
+#: Only CEXECs reading these can be *stable* fences — a fence on a
+#: counter or queue register can flip between two packets of the same
+#: interleaving and proves nothing.
+STABLE_FENCE_REGISTERS = ("Switch:SwitchID",)
+
+
+def written_byte_intervals(instructions: Sequence[Instruction], *,
+                           mode: Any,
+                           word_size: int,
+                           memory_len: int,
+                           perhop_len_bytes: int = 0,
+                           max_hops: Optional[int] = None,
+                           ) -> List[Tuple[int, int]]:
+    """Over-approximated byte ranges any instruction can write into
+    packet memory across the whole hop horizon.
+
+    The single source of truth for "which packet-memory bytes are
+    provably constant at every hop": an unpinned walk seeds a slot from
+    the image only outside these intervals.  PUSH coverage uses the
+    per-instruction SP prefix sums over the worst achievable per-hop
+    growth; LOAD/arithmetic write back at their operand (striding per
+    hop in hop mode); CSTORE writes the old switch value over its
+    condition word.
+    """
+    hop_mode = mode == AddressingMode.HOP
+    word = word_size
+    horizon = max_hops if max_hops is not None else HOP_SCAN_LIMIT
+    top_hop = max(horizon - 1, 0)
+    prefix, _, dmax = stack_extremes(instructions, word)
+    pushes = [j for j, i in enumerate(instructions)
+              if i.opcode == Opcode.PUSH]
+    intervals: List[Tuple[int, int]] = []
+    if pushes:
+        growth = top_hop * max(dmax, 0)
+        hi = max(growth + prefix[j] + word for j in pushes)
+        intervals.append((0, min(hi, memory_len)))
+    for instruction in instructions:
+        opcode = instruction.opcode
+        if opcode == Opcode.PUSH or opcode not in PACKET_WRITING_OPCODES:
+            continue
+        # LOAD/arithmetic write their operand word; CSTORE writes the
+        # old switch value back over its (absolute) cond word.
+        base = instruction.offset * word
+        if hop_mode and opcode in HOP_RELATIVE_OPCODES:
+            intervals.append((base,
+                              top_hop * perhop_len_bytes + base + word))
+        else:
+            intervals.append((base, base + word))
+    return intervals
 
 
 def _join(a: Value, b: Value) -> Value:
@@ -266,6 +327,7 @@ class _Walker:
                  perhop_len_bytes: int,
                  initial_memory: bytes,
                  entry: Optional[int],
+                 max_hops: Optional[int],
                  stable_addrs: FrozenSet[int]) -> None:
         self.instructions = instructions
         self.hop_mode = mode == AddressingMode.HOP
@@ -274,22 +336,39 @@ class _Walker:
         self.memory_len = memory_len
         self.perhop = perhop_len_bytes
         self.stable_addrs = stable_addrs
-        # Slot state, keyed by absolute byte offset (word granularity).
+        # Entry counter: exact when pinned.  Unpinned, the execution is
+        # any hop of the horizon: the counter spans what earlier hops
+        # can have grown it to, and a slot any hop may rewrite
+        # (:func:`written_byte_intervals`) no longer holds its image
+        # value — a CSTORE's condition word carries the previous
+        # switch's old value from hop 1 on.
+        mutable: List[Tuple[int, int]] = []
+        if entry is not None:
+            self.sp_lo = self.sp_hi = entry
+        else:
+            horizon = max_hops if max_hops is not None else HOP_SCAN_LIMIT
+            top_hop = max(horizon - 1, 0)
+            dmax = stack_extremes(instructions, word_size)[2]
+            self.sp_lo = 0
+            self.sp_hi = (top_hop if self.hop_mode
+                          else top_hop * max(dmax, 0))
+            mutable = written_byte_intervals(
+                instructions, mode=mode, word_size=word_size,
+                memory_len=memory_len,
+                perhop_len_bytes=perhop_len_bytes, max_hops=max_hops)
+        # Slot state, keyed by absolute byte offset (word granularity);
+        # an absent slot is unknown.
         self.slots: Dict[int, Value] = {}
         self.taints: Dict[int, FrozenSet[Atom]] = {}
         for base in range(0, min(memory_len, len(initial_memory))
                           - word_size + 1, word_size):
-            chunk = initial_memory[base:base + word_size]
+            end = base + word_size
+            if any(lo < end and base < hi for lo, hi in mutable):
+                continue
             self.slots[base] = frozenset(
-                {("c", int.from_bytes(chunk, "big"))})
+                {("c", int.from_bytes(initial_memory[base:end], "big"))})
         # Current SRAM value per word, relative to program entry.
         self.sram_now: Dict[int, Value] = {}
-        # Entry counter: exact when pinned, else the conservative
-        # interval [0, memory_len] any in-guard execution could use.
-        if entry is not None:
-            self.sp_lo = self.sp_hi = entry
-        else:
-            self.sp_lo, self.sp_hi = 0, memory_len
         self.conditional = False
         self.live: Set[Atom] = set()
         self.writes: List[SRAMWriteEffect] = []
@@ -362,7 +441,8 @@ class _Walker:
                     ea_hi = self.sp_hi * self.perhop + base + word
             else:
                 ea = base
-            if opcode == Opcode.NOP:
+            dead = self.dead_suffix_at is not None
+            if opcode == Opcode.NOP or (dead and opcode != Opcode.CEXEC):
                 continue
             if opcode == Opcode.PUSH:
                 value = self.sram_value(w) if sram else None
@@ -375,6 +455,9 @@ class _Walker:
                         self.sp_lo + word <= self.memory_len:
                     self.set_slot(self.sp_lo, value, taint)
                 else:
+                    # Somewhere in the interval the word lands where
+                    # nothing overwrites it: the read stays live.
+                    self.mark_live(taint)
                     self.clobber(self.sp_lo, self.sp_hi + word)
                 self.sp_lo += word
                 self.sp_hi += word
@@ -401,6 +484,7 @@ class _Walker:
                 if ea is not None:
                     self.set_slot(ea, value, taint)
                 else:
+                    self.mark_live(taint)
                     self.clobber(ea_lo, ea_hi)
                 continue
             if opcode == Opcode.STORE:
@@ -426,17 +510,24 @@ class _Walker:
                     self.set_slot(base, None, frozenset())
                 continue
             if opcode == Opcode.CEXEC:
+                m = _consts(self.slot_value(base))
+                e = _consts(self.slot_value(base + word))
+                const = (m is not None and e is not None
+                         and len(m) == 1 and len(e) == 1)
+                if const:
+                    m_val, e_val = next(iter(m)), next(iter(e))
+                    self.const_cexecs.append((j, addr, m_val, e_val))
+                if dead:
+                    # Nothing past a dead fence executes, so the slot
+                    # state is final: later CEXECs are still decided
+                    # (lint), and contribute nothing else.
+                    continue
                 if sram:
                     self.read_indices.append(j)
                     self.live.add(("r", j))
                 self.mark_live(self.taint_of(base))
                 self.mark_live(self.taint_of(base + word))
-                m = _consts(self.slot_value(base))
-                e = _consts(self.slot_value(base + word))
-                if m is not None and e is not None \
-                        and len(m) == 1 and len(e) == 1:
-                    m_val, e_val = next(iter(m)), next(iter(e))
-                    self.const_cexecs.append((j, addr, m_val, e_val))
+                if const:
                     if addr in self.stable_addrs:
                         self.stable_fences.append(
                             (j, addr, m_val, e_val))
@@ -444,7 +535,7 @@ class _Walker:
                         sram, w, m_val, e_val)
                     if verdict is False:
                         self.dead_suffix_at = j
-                        return
+                        continue
                     if verdict is True:
                         continue  # fence always passes: not a branch
                 self.conditional = True
@@ -534,21 +625,25 @@ def analyze_relations(instructions: Sequence[Instruction], *,
                       perhop_len_bytes: int = 0,
                       initial_memory: Optional[bytes] = None,
                       entry: Optional[int] = 0,
+                      max_hops: Optional[int] = None,
                       memory_map: Optional[MemoryMap] = None,
                       ) -> RelationalSummary:
     """Relationally analyze one program.
 
     ``entry`` pins the hop/SP counter executions enter with at the
     deployment point under analysis (``build()`` stamps new programs
-    with ``0``); ``None`` quantifies over the whole interval, which
-    degrades PUSH/POP and hop-relative slot tracking to unknown but
-    never produces an unsound fact.  Without an ``initial_memory`` image
-    nothing is provable and the summary is empty.
+    with ``0``) and the image is what that execution starts from: the
+    facts are *pinned* — true of that one execution.  ``entry=None``
+    makes them *unpinned* — true of the execution at every hop within
+    ``max_hops`` (default :data:`HOP_SCAN_LIMIT`): the counter ranges
+    over what earlier hops can have grown it to, and only slots no hop
+    can rewrite start at their image value.  Without an
+    ``initial_memory`` image nothing is provable and the summary is
+    empty.
     """
     if initial_memory is None or not instructions:
         return RelationalSummary()
     resolved_mode = AddressingMode.STACK if mode is None else mode
-    from repro.core.racecheck import STABLE_FENCE_REGISTERS
     resolver = (memory_map if memory_map is not None
                 else MemoryMap.shared_standard())
     stable: Set[int] = set()
@@ -562,7 +657,7 @@ def analyze_relations(instructions: Sequence[Instruction], *,
         memory_len=memory_len or len(initial_memory),
         perhop_len_bytes=perhop_len_bytes,
         initial_memory=bytes(initial_memory), entry=entry,
-        stable_addrs=frozenset(stable))
+        max_hops=max_hops, stable_addrs=frozenset(stable))
     walker.run()
     # Everything still sitting in a packet slot at program end is part
     # of the final packet memory — observable.
@@ -617,8 +712,7 @@ def _concretize(atoms: Optional[Tuple[Atom, ...]], task_id: int,
 def reachable_values(
         members: Sequence[Tuple[Any, Optional[RelationalSummary]]],
         sram_values: Optional[Mapping[int, int]],
-        word_size: int = 4,
-        floor: Optional[ReachTable] = None) -> ReachTable:
+        word_size: int = 4) -> ReachTable:
     """Fixpoint over a fleet: every value each word can ever hold.
 
     ``members`` pairs each :class:`~repro.core.racecheck.
@@ -629,12 +723,6 @@ def reachable_values(
     over-approximates: every write adds every value it could store, a
     claim contributes its stored value whenever its fire condition
     intersects the current set, and widening only ever grows sets.
-
-    ``floor`` seeds words with values already reachable before this
-    call — an incremental table passes its previous table so values a
-    since-revoked member may have left in physical SRAM are never
-    forgotten (reachability is monotone over membership *history*, not
-    just current membership).
     """
     mask = (1 << (8 * word_size)) - 1
     reach: ReachTable = {}
@@ -647,16 +735,6 @@ def reachable_values(
                         {sram_values[word] & mask})
                 else:
                     reach[key] = None
-    if floor:
-        for key, values in floor.items():
-            if key not in reach:
-                reach[key] = values
-            elif values is None:
-                reach[key] = None
-            elif reach[key] is not None:
-                merged = reach[key] | values  # type: ignore[operator]
-                reach[key] = (frozenset(merged)
-                              if len(merged) <= MAX_REACH else None)
     changed = True
     while changed:
         changed = False

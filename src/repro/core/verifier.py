@@ -24,12 +24,12 @@ properties without executing a single instruction:
 - **CEXEC reachability**: a conditional whose operand words are provably
   constant and whose condition can never hold makes the rest of the
   program statically dead (``TPP008``); a constant-true conditional is
-  reported as ``TPP010``.  The interval analysis only trusts operand
-  words *no* instruction can overwrite; the relational pass
-  (:mod:`repro.core.relational`) additionally tracks the values writes
-  actually store, deciding fences the interval analysis must give up
-  on, and names each switch-state write stranded behind a
-  relationally-false fence with the ``TPP012`` info code;
+  reported as ``TPP010``.  Both are read off the one relational walk
+  (:mod:`repro.core.relational`), run *unpinned*: an operand word is
+  constant only if it holds that value at every hop of the budget — no
+  hop can rewrite it, or the program itself re-establishes it — and
+  each switch-state write stranded behind the first never-passing fence
+  is named with the ``TPP012`` info code;
 - **per-hop memory-budget accounting**: bytes consumed per hop times the
   hop budget against the allocated packet memory (``TPP009``).
 
@@ -50,12 +50,12 @@ addresses) depends on per-switch state the verifier cannot see, and
 stays inside the MMU accessors.
 
 The dead-code analyses (``TPP008``/``TPP012``) are deliberately
-lint-only: they read the program's *initial* memory image, which the
-batch guard never checks — a rebound template (``rebind``) shares its
-program key with every other image of itself.  Execution therefore
-reads only the certificate's image-independent fields; everything
-proved on the image lives in :attr:`VerifiedProgram.summary`, whose key
-carries that image, and is read by race tables only.
+lint-only: they read the program's memory image, which the batch guard
+never checks — a rebound template (``rebind``) shares its program key
+with every other image of itself.  Execution therefore reads only the
+certificate's image-independent fields; everything proved on the image
+lives in :attr:`VerifiedProgram.summary`, whose key carries that image,
+and is read by race tables only.
 """
 
 from __future__ import annotations
@@ -79,22 +79,21 @@ from repro.core.isa import (
     PAIR_OPERAND_OPCODES,
     SWITCH_READING_OPCODES,
     SWITCH_WRITING_OPCODES,
-    stack_prefix,
+    stack_extremes,
 )
 from repro.core.memory_map import MemoryMap, SRAM_BASE, is_sram, region_of
 from repro.core.racecheck import (
     ProgramAccessSummary,
     analyze_sram_dataflow,
     summarize_instructions,
-    written_byte_intervals,
 )
-from repro.core.relational import RelationalSummary, analyze_relations
+from repro.core.relational import (
+    HOP_SCAN_LIMIT,
+    RelationalSummary,
+    analyze_relations,
+)
 from repro.core.tcpu import DEFAULT_MAX_INSTRUCTIONS
 from repro.core.tpp import AddressingMode, TPPSection
-
-#: Hop horizon for the capacity scan when no explicit budget is given.
-#: Far beyond any real path length; it bounds the analysis, not programs.
-HOP_SCAN_LIMIT = 1024
 
 #: Upper clamp of certificate guards — the TPP header's hop/SP field is
 #: 16 bits, so no in-flight section can carry a larger counter.
@@ -201,8 +200,8 @@ class VerifiedProgram:
     guard_hi: int
     has_cexec: bool
     #: Everything the fleet race analysis needs — SRAM access sets,
-    #: stable fences and relational facts, valid for *any* in-guard
-    #: entry counter (:func:`repro.core.racecheck.summarize_instructions`).
+    #: stable fences and relational facts, true at *every* hop of
+    #: ``max_hops`` (:func:`repro.core.racecheck.summarize_instructions`).
     #: The only image-dependent part of a certificate (``summary.key``
     #: names the image); race tables read it, execution never does.
     summary: ProgramAccessSummary
@@ -251,9 +250,9 @@ class VerificationResult:
     diagnostics: List[Diagnostic] = field(default_factory=list)
     certificate: Optional[VerifiedProgram] = None
     #: Hop capacity of the allocated packet memory, from the TPP009
-    #: budget scan: the first hop whose worst-case stack or bounds
+    #: budget accounting: the first hop whose worst-case stack or bounds
     #: access would fault, or ``None`` when no violation exists inside
-    #: the scan horizon (effectively unbounded).  Surfaced structurally
+    #: the hop horizon (effectively unbounded).  Surfaced structurally
     #: so admission layers can budget hops without parsing diagnostics.
     hop_capacity: Optional[int] = None
 
@@ -441,15 +440,10 @@ class _Checker:
         self.lines = lines
         self.diagnostics: List[Diagnostic] = []
         self.hop_mode = mode == AddressingMode.HOP
-        # Running SP delta *before* each instruction (prefix sums).
-        self.prefix = stack_prefix(instructions, word_size)
-        # Achievable per-hop SP deltas: the full program, or the prefix
-        # ending at any CEXEC that disabled the suffix.
-        deltas = {self.prefix[-1]} | {
-            self.prefix[k] for k, i in enumerate(instructions)
-            if i.opcode == Opcode.CEXEC}
-        self.dmin = min(deltas)
-        self.dmax = max(deltas)
+        # Running SP delta *before* each instruction (prefix sums) and
+        # the extreme per-hop SP deltas.
+        self.prefix, self.dmin, self.dmax = stack_extremes(
+            instructions, word_size)
         self.pushes = [j for j, i in enumerate(instructions)
                        if i.opcode == Opcode.PUSH]
         self.pops = [j for j, i in enumerate(instructions)
@@ -458,8 +452,9 @@ class _Checker:
         self.hop_relative = [
             (j, i.offset * self.word) for j, i in enumerate(instructions)
             if self.hop_mode and i.opcode in HOP_RELATIVE_OPCODES]
-        # Relational facts, valid for any in-guard entry counter
-        # (``entry=None``): consumed by the dead-code analysis and
+        self.constraints = self._counter_constraints()
+        # Relational facts, unpinned (``entry=None``): true at every
+        # hop of the budget.  Consumed by the dead-code analysis and
         # handed to the certificate's summary builder.
         self.relational: Optional[RelationalSummary] = None
         if initial_memory is not None:
@@ -468,7 +463,7 @@ class _Checker:
                 memory_len=memory_len,
                 perhop_len_bytes=perhop_len_bytes,
                 initial_memory=initial_memory, entry=None,
-                memory_map=self.memory_map)
+                max_hops=max_hops, memory_map=self.memory_map)
 
     # -- diagnostics ---------------------------------------------------- #
 
@@ -566,41 +561,66 @@ class _Checker:
                           f"memory of {self.memory_len} bytes",
                           instruction=j)
 
-    def _violation_at(self, h: int) -> Optional[Tuple[str, str, int]]:
-        """First (code, message, instruction) violated when the hop/SP
-        counter arrives at its worst reachable value after ``h`` clean
-        hops."""
+    def _counter_constraints(
+            self) -> List[Tuple[str, int, int, int, int, str]]:
+        """Every packet-memory constraint that depends on the header's
+        hop/SP counter, stated once: the hop capacity, the
+        TPP002/TPP003/TPP004 text and the certificate guard are all read
+        from this list.
+
+        Each is ``(code, instruction, sense, bound, off, text)``: an
+        execution entering with counter ``c`` reaches ``r = coef * c +
+        off`` (``coef`` is the per-hop stride in hop mode, else 1) and
+        faults unless ``r <= bound`` (``sense`` 1) or ``r >= bound``
+        (``sense`` -1); ``text`` words the violation at ``r``.  Listed
+        push, pop, hop-relative: the order in which violations tied at
+        one hop are reported.
+        """
         memlen, word = self.memory_len, self.word
-        hi, lo = h * self.dmax, h * self.dmin
-        for j in self.pushes:
-            sp = hi + self.prefix[j]
-            if sp + word > memlen:
-                return ("TPP002",
-                        f"PUSH can reach SP={sp} past packet memory of "
-                        f"{memlen} bytes", j)
+        past = f"packet memory of {memlen} bytes"
+        if self.hop_mode:
+            return [("TPP004", j, 1, memlen - word, offset,
+                     f"{self.instructions[j].opcode.name} hop-relative "
+                     f"operand at byte {{}} overruns {past}")
+                    for j, offset in self.hop_relative]
+        constraints = [("TPP002", j, 1, memlen - word, self.prefix[j],
+                        f"PUSH can reach SP={{}} past {past}")
+                       for j in self.pushes]
         for j in self.pops:
-            if lo + self.prefix[j] < word:
-                return ("TPP003",
-                        f"POP can reach SP={lo + self.prefix[j]} with "
-                        f"an empty stack", j)
-            if hi + self.prefix[j] > memlen:
-                return ("TPP004",
-                        f"POP can read at byte "
-                        f"{hi + self.prefix[j] - word} past packet "
-                        f"memory of {memlen} bytes", j)
-        for j, offset in self.hop_relative:
-            ea = h * self.perhop + offset
-            if ea + word > memlen:
-                opcode = self.instructions[j].opcode
-                return ("TPP004",
-                        f"{opcode.name} hop-relative operand at byte "
-                        f"{ea} overruns packet memory of {memlen} "
-                        f"bytes", j)
-        return None
+            constraints.append(
+                ("TPP003", j, -1, word, self.prefix[j],
+                 "POP can reach SP={} with an empty stack"))
+            constraints.append(
+                ("TPP004", j, 1, memlen - word, self.prefix[j] - word,
+                 f"POP can read at byte {{}} past {past}"))
+        return constraints
+
+    def _first_violation(self) -> Optional[Tuple[int, str, str, int]]:
+        """``(hop, code, message, instruction)`` of the earliest
+        violation when each hop is entered with the worst counter
+        reachable after that many clean hops (``h * dmax`` against an
+        upper bound, ``h * dmin`` against a lower one, ``h`` itself in
+        hop mode).  Every constraint is linear in ``h``, so its first
+        violating hop is one division."""
+        first = None
+        for code, j, sense, bound, off, text in self.constraints:
+            step = (self.perhop if self.hop_mode
+                    else self.dmax if sense > 0 else self.dmin)
+            # Violated at hop h iff sense * step * h + excess > 0.
+            excess = sense * (off - bound)
+            if excess > 0:
+                h = 0
+            elif sense * step > 0:
+                h = -excess // (sense * step) + 1
+            else:
+                continue
+            if first is None or h < first[0]:
+                first = (h, code, text.format(h * step + off), j)
+        return first
 
     def check_hop_budget(self) -> Optional[int]:
-        """Scan hops for the first stack/bounds violation; returns the
-        memory's hop capacity (``None`` when unbounded in the horizon).
+        """Find the first stack/bounds violation; returns the memory's
+        hop capacity (``None`` when unbounded in the horizon).
 
         Emits the violation as an error when it falls inside the
         requested budget (always, for a hop-0 violation: the program
@@ -616,18 +636,14 @@ class _Checker:
                           f"stack discipline cannot be verified",
                           instruction=j)
             return 0
-        # Always scan the full horizon so the TPP009 record reports the
-        # memory's true capacity; only violations *inside* the requested
-        # budget become errors.
+        # The TPP009 record reports the memory's true capacity over the
+        # full horizon; only violations *inside* the requested budget
+        # become errors.
         capacity: Optional[int] = None
-        violation = None
-        for h in range(max(self.max_hops or 0, HOP_SCAN_LIMIT)):
-            violation = self._violation_at(h)
-            if violation is not None:
-                capacity = h
-                break
-        if violation is not None:
-            code, message, j = violation
+        violation = self._first_violation()
+        if violation is not None and violation[0] < max(
+                self.max_hops or 0, HOP_SCAN_LIMIT):
+            capacity, code, message, j = violation
             if capacity == 0:
                 self.diag(code, message + " (on the first execution)",
                           instruction=j, hop=0)
@@ -657,94 +673,47 @@ class _Checker:
 
     # -- CEXEC reachability --------------------------------------------- #
 
-    def _written_intervals(self) -> List[Tuple[int, int]]:
-        """Over-approximated byte ranges any instruction can write into
-        packet memory across the whole hop horizon (delegated to the
-        shared implementation the fence extraction also uses)."""
-        return written_byte_intervals(
-            self.instructions, mode=self.mode, word_size=self.word,
-            memory_len=self.memory_len, perhop_len_bytes=self.perhop,
-            max_hops=(self.max_hops if self.max_hops is not None
-                      else HOP_SCAN_LIMIT))
-
     def check_dead_code(self) -> None:
-        """Constant-condition CEXEC analysis (lint-only).
+        """Constant-condition CEXEC analysis (lint-only), read off the
+        relational walk.
 
-        Requires the initial memory image, and only trusts operand words
-        no instruction can overwrite on any hop.
+        The walk ran unpinned, so an operand word counts as constant
+        only if it holds that value at every hop of the budget.  A
+        fence that can never pass yields ``TPP008``; each switch-state
+        write stranded behind the first one a ``TPP012`` info record; a
+        constant-true fence ``TPP010``.
         """
-        memory = self.initial_memory
-        if memory is None:
+        relational = self.relational
+        if relational is None:
             return
-        cexecs = [j for j, i in enumerate(self.instructions)
-                  if i.opcode == Opcode.CEXEC]
-        if not cexecs:
-            return
-        written = self._written_intervals()
-        word = self.word
+        last = len(self.instructions) - 1
         reported: set = set()
-        for k in cexecs:
-            base = self.instructions[k].offset * word
-            end = base + 2 * word
-            if end > len(memory):
-                continue  # already a TPP004 error
-            if any(lo < end and base < hi for lo, hi in written):
-                continue  # operands are mutable: outcome unknown
-            mask = int.from_bytes(memory[base:base + word], "big")
-            expected = int.from_bytes(memory[base + word:end], "big")
+        for k, _, mask, expected in relational.const_cexecs:
             if expected & ~mask:
-                dead = len(self.instructions) - 1 - k
-                if dead > 0:
+                if k < last:
                     reported.add(k)
                     self.diag(
                         "TPP008",
                         f"CEXEC condition can never hold (value "
                         f"{expected:#x} has bits outside mask "
-                        f"{mask:#x}): the {dead} following "
+                        f"{mask:#x}): the {last - k} following "
                         f"instruction(s) are statically dead",
                         instruction=k)
             elif mask == 0 and expected == 0:
-                reported.add(k)
                 self.diag("TPP010",
                           "CEXEC condition is constant-true (mask 0, "
                           "value 0): the conditional never disables "
                           "anything", instruction=k)
-        self._check_relational_dead(reported)
-
-    def _check_relational_dead(self, reported: set) -> None:
-        """Relational tightening of the CEXEC analysis.
-
-        The interval pass above gives up as soon as a fence operand lies
-        inside *any* written byte range; the relational walker tracks
-        the values those writes actually store, so it decides strictly
-        more fences.  A relationally-false fence yields the same
-        ``TPP008`` (when the interval pass missed it) plus one
-        ``TPP012`` info record per switch-state write stranded behind
-        it.
-        """
-        relational = self.relational
-        if relational is None:
-            return
-        for k, _, mask, expected in relational.const_cexecs:
-            if k in reported:
-                continue
-            if mask == 0 and expected == 0:
-                reported.add(k)
-                self.diag("TPP010",
-                          "CEXEC condition is relationally "
-                          "constant-true (mask 0, value 0): the "
-                          "conditional never disables anything",
-                          instruction=k)
         dead_at = relational.dead_suffix_at
         if dead_at is None:
             return
-        dead = len(self.instructions) - 1 - dead_at
-        if dead > 0 and dead_at not in reported:
+        if dead_at < last and dead_at not in reported:
+            # Decided by an SRAM operand the program itself made constant.
             self.diag(
                 "TPP008",
                 f"CEXEC condition is relationally never true: the "
-                f"{dead} following instruction(s) are statically "
-                f"dead", instruction=dead_at)
+                f"{last - dead_at} following instruction(s) are "
+                f"statically dead", instruction=dead_at)
         for j in range(dead_at + 1, len(self.instructions)):
             opcode = self.instructions[j].opcode
             if opcode in SWITCH_WRITING_OPCODES:
@@ -761,19 +730,14 @@ class _Checker:
         """Build the per-execution safety guard for a clean program."""
         word, memlen = self.word, self.memory_len
         guard_lo, guard_hi = 0, GUARD_MAX
-        if self.hop_mode:
-            for _, offset in self.hop_relative:
-                if self.perhop > 0:
-                    guard_hi = min(guard_hi,
-                                   (memlen - offset - word) // self.perhop)
-                elif offset + word > memlen:  # unreachable: TPP004 above
-                    guard_hi = -1
-        else:
-            for j in self.pushes:
-                guard_hi = min(guard_hi, memlen - word - self.prefix[j])
-            for j in self.pops:
-                guard_lo = max(guard_lo, word - self.prefix[j])
-                guard_hi = min(guard_hi, memlen - self.prefix[j])
+        coef = self.perhop if self.hop_mode else 1
+        for _, _, sense, bound, off, _ in self.constraints:
+            if sense < 0:
+                guard_lo = max(guard_lo, bound - off)
+            elif coef > 0:
+                guard_hi = min(guard_hi, (bound - off) // coef)
+            elif off > bound:  # unreachable: TPP004 above
+                guard_hi = -1
         max_hops = self.max_hops
         if max_hops is None:
             max_hops = capacity if capacity is not None else HOP_SCAN_LIMIT

@@ -5,9 +5,10 @@ once against the domain's own contract (the summary says what it
 should), and once against the reference interpreter — a fact that
 claims an instruction can never execute, a claim can never fire, or a
 fleet is order-insensitive must match what actually happens when the
-programs run.  The fleet-level claim-epoch refinement is additionally
-held to the :func:`check_fleet` reference semantics from the
-incremental :class:`FleetRaceTable`.
+programs run.  Facts come *pinned* (``summarize_program``: the first
+execution, from the image as built) or *unpinned* (a certificate: the
+execution at every hop of the budget); the unpinned ones are also run
+across two switches, because that is where a first-hop fact goes wrong.
 """
 
 import pytest
@@ -113,9 +114,9 @@ class TestDomain:
         assert claim.srcs == ((("c", 1),))
 
     def test_entry_none_degrades_push_tracking(self):
-        """Unpinned entry counters quantify PUSH over the whole guard
-        interval: no slot is trackable, so no dead-suffix fact — a
-        documented precision loss, never an unsound fact."""
+        """Unpinned entry counters quantify PUSH over every SP the hop
+        horizon can reach: the slots it may land on are untrackable —
+        a documented precision loss, never an unsound fact."""
         source = """.memory 3
             PUSH [Switch:SwitchID]
             CEXEC [Switch:SwitchID], 0x0F, 0xF0
@@ -143,13 +144,6 @@ class TestDomain:
         reach = reachable_values([(sa, sa.relational)], {0: 0})
         # 0 is the initial value; 1 becomes reachable once a fires.
         assert reach[(0, 0)] == frozenset({0, 1})
-
-    def test_reachable_values_floor_is_monotone(self):
-        sa = summarize_program(assemble(CLAIM_A), task_id=0, name="a")
-        floor = {(0, 0): frozenset({9})}
-        reach = reachable_values([(sa, sa.relational)], {0: 0},
-                                 floor=floor)
-        assert reach[(0, 0)] >= frozenset({0, 1, 9})
 
     def test_claim_can_fire_respects_epochs(self):
         sb = summarize_program(assemble(CLAIM_B), task_id=0, name="b")
@@ -303,53 +297,148 @@ class TestMultiSwitch:
 
 
 class TestTableConformance:
-    """Incremental table vs the from-scratch reference, with the
-    claim-epoch refinement bound."""
+    """The claim-epoch refinement is fleet-coupled: what one member can
+    store decides which of another member's claims can fire."""
 
     def summaries(self):
         return [summarize_program(assemble(CLAIM_A), 0, name="a"),
                 summarize_program(assemble(CLAIM_B), 0, name="b")]
 
-    def test_admit_only_matches_check_fleet(self):
-        for image in ({0: 0}, {0: 5}, {0: 2}):
-            summaries = self.summaries()
-            table = FleetRaceTable(sram_values=image)
-            for summary in summaries:
-                table.admit(summary)
-            reference = check_fleet(summaries, sram_values=image)
-            assert [d.to_dict() for d in table.diagnostics()] \
-                == [d.to_dict() for d in reference.diagnostics], image
-
     def test_admission_can_revive_a_discounted_claim(self):
-        """b alone is inert under word0=0; admitting a writer that
-        reaches b's epoch must resurrect b's claim fleet-wide."""
-        summaries = self.summaries()
+        """b alone is inert under word0=0; a fleet with a writer that
+        reaches b's epoch must resurrect b's claim."""
+        b = self.summaries()[1]
         writer = summarize_program(
             assemble(".memory 1\n"
                      "LOAD [Queue:QueueSize], [Packet:0]\n"
                      "STORE [Sram:Word0], [Packet:0]"),
             0, name="w")
-        table = FleetRaceTable(sram_values={0: 0})
-        table.admit(summaries[1])            # b: claim 2 -> 3, inert
-        assert table.diagnostics() == []
-        table.admit(writer)                  # word0 goes to top
-        codes = {d.code for d in table.diagnostics()}
-        assert "TPP022" in codes             # b's claim is live again
-        reference = check_fleet([summaries[1], writer],
-                                sram_values={0: 0})
-        assert sorted(d.code for d in table.diagnostics()) \
-            == sorted(d.code for d in reference.diagnostics)
+        alone = check_fleet([b], sram_values={0: 0})
+        assert alone.race_free               # b: claim 2 -> 3, inert
+        joined = check_fleet([b, writer], sram_values={0: 0})
+        assert "TPP022" in joined.by_code()  # word0 at top: live again
+        table = FleetRaceTable()             # a table binds no SRAM
+        table.admit(b)
+        table.admit(writer)
+        assert "TPP022" in {d.code for d in table.diagnostics()}
 
-    def test_revocation_stays_sound_but_conservative(self):
-        """The reachable floor is history-monotone: revoking a never
-        un-reaches the values it may have left in SRAM, so survivors'
-        verdicts never get *less* conservative than the reference."""
-        summaries = self.summaries()
-        table = FleetRaceTable(sram_values={0: 0})
+
+def certificate_summary(source, name, max_hops=2):
+    result = verify_program(assemble(source), memory_map=_MAP,
+                            max_instructions=8, max_hops=max_hops)
+    assert result.ok, result.format()
+    summary = result.certificate.summary
+    summary.name = name
+    return summary
+
+
+class TestUnpinnedFactsHoldAtEveryHop:
+    """Regressions for facts a certificate used to prove on the first
+    hop's image and counter only (each red on the parent)."""
+
+    SELF_CLAIM = (".mode absolute\n.memory 2\n.data 0 {v}\n.data 1 {v}\n"
+                  "CSTORE [Sram:Word0], [Packet:0], [Packet:1]")
+
+    def test_claim_condition_is_unknown_after_the_first_hop(self):
+        """``CSTORE w, c, c`` stores what it matched — on hop 0.  The
+        write-back replaces ``c`` with switch A's old value, so on B
+        the claim is ``CSTORE w, 3, c`` and really writes."""
+        sources = [self.SELF_CLAIM.format(v=7),
+                   self.SELF_CLAIM.format(v=9)]
+        pinned = [summarize_program(assemble(src), 0, name=f"p{i}")
+                  for i, src in enumerate(sources)]
+        assert all(s.claims == {} for s in pinned)      # first hop: inert
+        summaries = [certificate_summary(src, f"p{i}")
+                     for i, src in enumerate(sources)]
         for summary in summaries:
-            table.admit(summary)
-        table.revoke(summaries[0])
-        survivors = table.diagnostics()
-        reference = check_fleet([summaries[1]], sram_values={0: 0})
-        assert {d.code for d in survivors} \
-            >= {d.code for d in reference.diagnostics}
+            assert summary.claims == {0: (0,)}
+            assert summary.relational.claims[0].conds is None
+        assert [d.code for d in check_fleet(summaries).diagnostics] \
+            == ["TPP023"]
+        # Ground truth: A (word 0 = 3) fires neither and leaves 3 in
+        # both condition words; B (word 0 = 3) then depends on order.
+        finals = []
+        for order in ((0, 1), (1, 0)):
+            sections = [assemble(src).build(task_id=0) for src in sources]
+            for mmu in (make_mmu(**{"0": 3}), make_mmu(**{"0": 3})):
+                tcpu = TCPU(mmu, max_instructions=8, compile=False)
+                for index in order:
+                    report = tcpu.execute(sections[index], make_ctx())
+                    assert report.fault == FaultCode.NONE
+            finals.append(mmu.peek_sram(0))
+        assert finals == [7, 9]
+
+    def test_read_with_an_imprecise_destination_stays_live(self):
+        """At SP = 4 the PUSH lands in word 1, which nothing
+        overwrites: the read reaches final packet memory."""
+        reader = certificate_summary(
+            ".memory 3\nPUSH [Sram:Word0]\n"
+            "LOAD [Switch:SwitchID], [Packet:0]", "reader")
+        assert reader.reads == {0: (0,)}
+        assert reader.relational.dead_reads == ()
+        writer = certificate_summary(
+            ".memory 1\n.data 0 5\nSTORE [Sram:Word0], [Packet:0]",
+            "writer")
+        assert [d.code for d in check_fleet([reader, writer]).diagnostics] \
+            == ["TPP021"]
+        # Pinned to the first hop the LOAD does overwrite it.
+        first_hop = summarize_program(assemble(
+            ".memory 3\nPUSH [Sram:Word0]\n"
+            "LOAD [Switch:SwitchID], [Packet:0]"), 0, name="reader")
+        assert first_hop.reads == {}
+
+    def test_hop_relative_load_at_an_interval_hop_stays_live(self):
+        rel = relations_of(assemble(
+            ".mode hop\n.hops 3\n.perhop 2\n"
+            "LOAD [Sram:Word0], [Packet:Hop[0]]\n"
+            "LOAD [Switch:SwitchID], [Packet:Hop[0]]"), entry=None)
+        assert 0 not in rel.dead_reads
+
+    def test_claim_behind_a_false_fence_is_dropped(self):
+        """The verifier calls the CSTORE unreachable (TPP012); the
+        summary must not keep it as a claim."""
+        program = assemble(".memory 2\n"
+                           "CEXEC [Queue:QueueSize], 0x0F, 0xF0\n"
+                           "CSTORE [Sram:Word1], 1, 2")
+        result = verify_program(program, memory_map=_MAP,
+                                max_instructions=8)
+        assert [(d.code, d.instruction) for d in result.diagnostics
+                if d.code == "TPP012"] == [("TPP012", 1)]
+        assert summarize_program(program, 0).claims == {}
+        assert result.certificate.summary.claims == {}
+        assert not result.certificate.summary.touches_sram
+
+    def test_unpinned_counter_spans_the_hop_horizon_only(self):
+        """One PUSH over a 2-hop budget reaches SP 0 or 4, never the
+        literal pool at bytes 8..15: the fence stays decidable."""
+        program = assemble(""".memory 2
+            PUSH [Switch:SwitchID]
+            CEXEC [Switch:SwitchID], 0x0F, 0xF0
+            STORE [Sram:Word0], [Packet:0]
+        """, hops=2)
+        kwargs = dict(
+            mode=program.mode, word_size=program.word_size,
+            memory_len=len(program.initial_memory),
+            initial_memory=bytes(program.initial_memory), entry=None,
+            memory_map=_MAP)
+        near = analyze_relations(program.instructions, max_hops=2,
+                                 **kwargs)
+        assert near.dead_suffix_at == 1 and near.stable_fences
+        # Over the default horizon the PUSH can land on the pool.
+        far = analyze_relations(program.instructions, **kwargs)
+        assert far.dead_suffix_at is None and not far.stable_fences
+
+    def test_second_dead_fence_is_still_reported(self):
+        """The walk goes on deciding CEXECs past the first dead one."""
+        result = verify_program(assemble(""".memory 2
+            CEXEC [Switch:SwitchID], 0x0F, 0xF0
+            CEXEC [Switch:SwitchID], 0x0F, 0xF0
+            STORE [Sram:Word0], [Packet:0]
+        """), memory_map=_MAP, max_instructions=8)
+        dead = [(d.instruction, d.message) for d in result.diagnostics
+                if d.code == "TPP008"]
+        assert [k for k, _ in dead] == [0, 1]
+        assert all("0xf0 has bits outside mask 0xf" in m for _, m in dead)
+        relational = result.certificate.summary.relational
+        assert relational.dead_suffix_at == 0
+        assert [f[0] for f in relational.stable_fences] == [0]

@@ -18,14 +18,21 @@ static analysis reasons at.  False positives (flagged fleets that never
 diverge — e.g. TPP021 reads whose observables happen to coincide) are
 allowed but counted, and the aggregate count is gated against the
 committed baseline in ``race_fp_baseline.json`` so it cannot regress
-silently.  The analysis runs with the ground-truth switch's stable
-registers bound (``fence_values``) *and* its seeded SRAM image bound
-(``sram_values``) — so writes behind falsified fences and claims whose
-epochs are relationally unreachable no longer count as may-writes.
-Only the first binding mirrors deployment: ``TCPU.trust`` builds its
-table with ``fence_values`` alone, and nothing under ``src/`` passes
-``sram_values`` to a ``FleetRaceTable`` (ROADMAP lists the incremental
-claim-epoch path as a deletion-or-wire-up decision).
+silently.
+
+Two deployment points are swept.  The single-switch sweeps analyse a
+*pinned* point — every program fresh from ``build()`` (``entry=0``,
+``summarize_program``), the ground-truth switch's stable registers
+bound (``fence_values``) *and* its seeded SRAM image bound
+(``sram_values``) — which is what ``tppasm racecheck --sram`` does, so
+writes behind falsified fences and claims whose epochs are relationally
+unreachable do not count as may-writes.  The two-hop sweep
+(:class:`TestTwoHopOracle`) is the one that mirrors ``TCPU.trust``: it
+analyses the *certificates'* summaries (``verify_program(...,
+max_hops=2)``, unpinned: true at every hop) with ``fence_values`` alone,
+sends every program through one switch first, and holds the oracle on
+the second — where a fact proved on the first hop's image or counter
+shows up as a false negative.
 """
 
 import itertools
@@ -42,6 +49,7 @@ from repro.core.memory_map import MemoryMap
 from repro.core.mmu import MMU, ExecutionContext
 from repro.core.racecheck import check_fleet, summarize_program
 from repro.core.tcpu import TCPU
+from repro.core.verifier import verify_program
 from repro.telemetry import (
     DistinctCountLayout,
     HeavyHitterLayout,
@@ -113,13 +121,15 @@ def make_ctx(task_id=0):
                             task_id=task_id)
 
 
-def random_program(rng):
+def random_program(rng, self_claims=False):
     """One random absolute-mode TPP over the contested SRAM words.
 
     Uses LOAD/STORE/ADD-family/CSTORE/CEXEC/PUSH so every access class
     the classifier distinguishes shows up; all operands are in-bounds
     by construction, so programs never fault and every interleaving
-    runs every program to completion.
+    runs every program to completion.  ``self_claims`` makes a third of
+    the CSTOREs ``CSTORE w, c, c`` — inert on the hop that built them,
+    a real claim once an earlier switch has rewritten the condition.
     """
     n_data = 3
     lines = [".memory {}".format(n_data + 2)]
@@ -141,6 +151,8 @@ def random_program(rng):
         elif kind == "cstore":
             cond = rng.randrange(0, 50)
             src = rng.randrange(0, 50)
+            if self_claims and rng.randrange(3) == 0:
+                src = cond
             ops.append(f"CSTORE [Sram:Word{word}], {cond}, {src}")
         elif kind == "rmw":
             ops.append(f"ADD [Packet:{slot}], [Sram:Word{word}]")
@@ -157,9 +169,9 @@ def random_program(rng):
     return assemble("\n".join(lines))
 
 
-def build_fleet(seed, n_min=2, n_max=6):
+def build_fleet(seed, n_min=2, n_max=6, self_claims=False):
     rng = random.Random(seed)
-    return [random_program(rng)
+    return [random_program(rng, self_claims)
             for _ in range(rng.randint(n_min, n_max))]
 
 
@@ -268,6 +280,88 @@ class TestRandomizedOracle:
     def test_oracle_property(self, seed, size):
         programs = build_fleet(seed, n_min=size, n_max=size)
         check_oracle(programs, seed)
+
+
+#: Fleets per generator in the two-hop sweep: the main sweep's fleets,
+#: then as many again drawn with ``self_claims``.
+TWO_HOP_N_FLEETS = 220
+
+
+def check_two_hop_oracle(programs, seed):
+    """One fleet across two switches; ``(diverged, flagged)`` on the
+    second, or ``None`` when the fleet is unusable (a program fails
+    ``verify_program(max_hops=2)`` or faults on the way).
+
+    The static side is what ``TCPU.trust`` receives on switch B: the
+    certificates' summaries, B's stable registers, no SRAM image.
+    Every program crosses switch A once, in index order; B then runs
+    the sections A left behind under every interleaving.
+    """
+    results = [verify_program(program, memory_map=_MAP,
+                              max_instructions=8, max_hops=2)
+               for program in programs]
+    if not all(result.ok for result in results):
+        return None
+    summaries = [result.certificate.summary for result in results]
+    for i, summary in enumerate(summaries):
+        summary.name = f"prog{i}"
+    report = check_fleet(summaries, BINDINGS)
+    first = TCPU(make_mmu(seed), max_instructions=8, race_mode="off")
+    sections = [program.build(task_id=0) for program in programs]
+    for section in sections:
+        if not first.execute(section, make_ctx()).ok:
+            return None
+    rng = random.Random(seed ^ 0x5EED)
+    outcomes = set()
+    for order in orders_for(len(programs), rng):
+        mmu = make_mmu(seed ^ 0xB0B)    # B holds a different image
+        second = TCPU(mmu, max_instructions=8, race_mode="off")
+        arrived = [section.copy() for section in sections]
+        for index in order:
+            if not second.execute(arrived[index], make_ctx()).ok:
+                return None
+        outcomes.add((tuple(mmu.peek_sram(word) for word in range(WORDS)),
+                      tuple(bytes(tpp.memory) for tpp in arrived)))
+    diverged = len(outcomes) > 1
+    flagged = bool(report.diagnostics)
+    if diverged:
+        assert flagged, (
+            f"false negative on the second hop (seed {seed}): "
+            f"{len(outcomes)} distinct outcomes but the certificates' "
+            f"summaries raise no race diagnostic")
+    return diverged, flagged
+
+
+class TestTwoHopOracle:
+    """Programs travel: the certificates ``TCPU.trust`` installs on
+    every switch must be right on the second hop too."""
+
+    def test_oracle_holds_on_the_second_switch(self):
+        stats = {"usable": 0, "skipped": 0, "diverged": 0, "flagged": 0,
+                 "false_positive": 0}
+        for self_claims in (False, True):
+            for seed in range(TWO_HOP_N_FLEETS):
+                verdict = check_two_hop_oracle(
+                    build_fleet(seed, self_claims=self_claims), seed)
+                if verdict is None:
+                    stats["skipped"] += 1
+                    continue
+                diverged, flagged = verdict
+                stats["usable"] += 1
+                stats["diverged"] += diverged
+                stats["flagged"] += flagged
+                stats["false_positive"] += (flagged and not diverged)
+        assert stats["usable"] >= 200, stats
+        assert stats["diverged"] > 10
+        assert stats["usable"] - stats["flagged"] > 10  # race-free too
+        assert stats["usable"] == FP_BASELINE["two_hop_sweep_fleets"], (
+            stats)
+        assert (stats["false_positive"]
+                <= FP_BASELINE["two_hop_max_fp_fleets"]), (
+            f"two-hop FP regression: {stats['false_positive']} "
+            f"false-positive fleets exceed the committed baseline "
+            f"{FP_BASELINE['two_hop_max_fp_fleets']} "
+            f"({FP_BASELINE_PATH})")
 
 
 def fleet_from_sources(*sources):
