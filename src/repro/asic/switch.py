@@ -14,6 +14,7 @@ packet before it is copied to switch memory" (§3.3).
 from __future__ import annotations
 
 import zlib
+from operator import attrgetter
 from typing import Any, Callable, Optional
 
 from repro.asic.metadata import PacketMetadata
@@ -306,7 +307,8 @@ class TPPSwitch(Device):
         index = 0
         for frame, result, metadata, tpp in staged:
             if tpp is not None:
-                self._emit_tpp_exec(frame, tpp, reports[index])
+                if self.trace.firehose:
+                    self._emit_tpp_exec(frame, tpp, reports[index])
                 index += 1
             self._finalize(frame, result, metadata)
 
@@ -437,23 +439,24 @@ class TPPSwitch(Device):
                     metadata: PacketMetadata,
                     in_port: int) -> Optional[EthernetFrame]:
         """Apply edge policy, then execute the TPP on the TCPU."""
-        forwarded, execute = self._apply_tpp_policy(frame, tpp, in_port)
-        if forwarded is None or not execute:
-            return forwarded
-
-        ctx = ExecutionContext(metadata=metadata,
-                               egress_port=self.ports[metadata.output_port],
-                               time_ns=self.sim.now_ns,
-                               task_id=tpp.task_id)
-        report = self.tcpu.execute(tpp, ctx)
-        self._emit_tpp_exec(forwarded, tpp, report)
-        return forwarded
+        if self.tpp_policy is not None:
+            forwarded, execute = self._apply_tpp_policy(frame, tpp, in_port)
+            if forwarded is None or not execute:
+                return forwarded
+            frame = forwarded
+        elif not self.tpp_enabled:  # _apply_tpp_policy's no-policy answer
+            return frame
+        report = self.tcpu.execute(tpp, ExecutionContext(
+            metadata, self.ports[metadata.output_port], self.sim.now_ns,
+            tpp.task_id))
+        if self.trace.firehose:
+            self._emit_tpp_exec(frame, tpp, report)
+        return frame
 
     def _emit_tpp_exec(self, frame: EthernetFrame, tpp: TPPSection,
                        report: Any) -> None:
-        # wants() guard: snapshotting packet memory (tpp.words()) and
-        # building the kwargs dict is the expensive part — skip it all
-        # when nobody records tpp.exec.
+        # tpp.exec is DEBUG firehose: callers test trace.firehose first,
+        # and the packet-memory snapshot is built only if it is recorded.
         if self.trace.wants("tpp.exec"):
             self.trace.emit(
                 self.sim.now_ns, self.name, "tpp.exec",
@@ -483,7 +486,7 @@ class TPPSwitch(Device):
         bind("Switch:PacketsSwitched", lambda ctx: self.packets_switched)
 
         # PacketMetadata: the packet in the pipeline.
-        meta = lambda attr: (lambda ctx: getattr(ctx.metadata, attr))
+        meta = lambda attr: attrgetter(f"metadata.{attr}")
         bind("PacketMetadata:InputPort", meta("input_port"))
         bind("PacketMetadata:OutputPort", meta("output_port"))
         bind("PacketMetadata:MatchedEntryID", meta("matched_entry_id"))
@@ -500,8 +503,11 @@ class TPPSwitch(Device):
 
         # Queue: the packet's egress queue.  QueueSize is the backlog
         # awaiting transmission (the packet currently on the wire has left
-        # the buffer from the memory manager's point of view).
-        bind("Queue:QueueSize", lambda ctx: ctx.queue.backlog_bytes)
+        # the buffer from the memory manager's point of view).  It is the
+        # register queue probes read, so it skips ctx.queue: the metadata's
+        # queue id was clamped to the port's queues when it was stamped.
+        bind("Queue:QueueSize", lambda ctx: (
+            ctx.egress_port.queues[ctx.metadata.queue_id].backlog_bytes))
         bind("Queue:QueueSizePackets", lambda ctx: len(ctx.queue))
         bind("Queue:BytesEnqueued",
              lambda ctx: ctx.queue.stats.bytes_enqueued)
@@ -522,7 +528,7 @@ class TPPSwitch(Device):
         bind("Link:FramesReceived", lambda ctx: ctx.egress_port.rx_frames)
         bind("Link:FramesTransmitted", lambda ctx: ctx.egress_port.tx_frames)
         bind("Link:CapacityMbps",
-             lambda ctx: ctx.egress_port.rate_bps // 1_000_000)
+             lambda ctx: ctx.egress_port.link.rate_bps // 1_000_000)
         bind("Link:SNR-MilliDb", self._snr_milli_db)
 
     def _avg_queue_size(self, ctx: ExecutionContext) -> int:

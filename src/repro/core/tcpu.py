@@ -278,10 +278,17 @@ class TCPU:
             return report
 
         ctx.task_id = tpp.task_id
-        if self.compile_enabled:
-            return self._run_entry(tpp, ctx, self._compiled_entry(tpp),
-                                   report)
-        return self._run_interpreted(tpp, ctx, report)
+        if not self.compile_enabled:
+            return self._run_interpreted(tpp, ctx, report)
+        # _compiled_entry's memo hit, inlined: same program as last time,
+        # same MMU layout (so _sweep_stale would do nothing).
+        entry = self._last_entry
+        if (entry is None or tpp._program_key != self._last_key
+                or self.mmu.layout_version != self._cache_layout_version):
+            entry = self._compiled_entry(tpp)
+        else:
+            self.cache.hits += 1
+        return self._run_entry(tpp, ctx, entry, report)
 
     def execute_batch(self, sections, ctxs):
         """Execute a group of same-program TPPs in one pass.
@@ -336,8 +343,11 @@ class TCPU:
             self._fault(tpp, report, TCPUFault(
                 FaultCode.MEMORY_BOUNDS, str(exc)))
         report.executed = executed
-        self._advance_hop(tpp)
-        report.cycles = pipeline_cycles(executed)
+        # _advance_hop and pipeline_cycles, inlined.
+        if tpp.mode == AddressingMode.HOP:
+            tpp.hop_or_sp += 1
+        report.cycles = (PIPELINE_LATENCY_CYCLES + executed - 1
+                         if executed > 0 else 0)
         self.tpps_executed += 1
         self.instructions_executed += executed
         return report

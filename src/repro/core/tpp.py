@@ -36,6 +36,7 @@ from repro.core.isa import (
     decode_program,
     encode_program,
 )
+from repro.net.packet import payload_size
 
 TPP_HEADER_BYTES = 12
 _HEADER_STRUCT = struct.Struct("!HHBBHBBBB")
@@ -180,7 +181,6 @@ class TPPSection:
     @property
     def size_bytes(self) -> int:
         """Wire size including the encapsulated payload."""
-        from repro.net.packet import payload_size  # avoid import cycle
         return self.tpp_length_bytes + payload_size(self.payload)
 
     # ------------------------------------------------------------------ #

@@ -259,7 +259,11 @@ class VerificationResult:
     @property
     def ok(self) -> bool:
         """No error-severity diagnostics (warnings/info allowed)."""
-        return not self.errors
+        # Read on every endpoint send: one frame, no list built.
+        for diagnostic in self.diagnostics:
+            if diagnostic.severity == "error":
+                return False
+        return True
 
     @property
     def errors(self) -> List[Diagnostic]:

@@ -47,7 +47,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.core.assembler import AssembledProgram
 from repro.core.exceptions import FaultCode
 from repro.core.memory_map import MemoryMap
-from repro.core.tpp import TPPSection
+from repro.core.tpp import FLAG_DONE, TPPSection
 from repro.core.verifier import (
     AdmissionKey,
     Diagnostic,
@@ -369,18 +369,6 @@ class TPPEndpoint:
             self._admissions.popitem(last=False)
         return result
 
-    def _gate(self, program: AssembledProgram) -> None:
-        """Apply the admission mode before a transmission."""
-        if self.verify_mode == "off":
-            return
-        result = self.admit(program)
-        if result.ok:
-            return
-        if self.verify_mode == "enforce":
-            self.probes_rejected += 1
-            raise VerificationError(result)
-        self.probes_warned += 1
-
     # ------------------------------------------------------------------ #
     # Hop budgeting (verifier-driven allocation sizing)
     # ------------------------------------------------------------------ #
@@ -485,13 +473,8 @@ class TPPEndpoint:
             dst_mac = self.default_dst_mac
         if dst_mac is None:
             raise ValueError("no destination MAC for TPP probe")
-        program = self.budget(program)
-        self._gate(program)
-        policy = (retry_policy if retry_policy is not None
-                  else self.retry_policy)
-        record = self._register(program, dst_mac, payload, task_id,
-                                on_response, on_timeout, policy)
-        seq = record.seq if record is not None else self._alloc_free_seq()
+        program, seq = self._prepare(program, dst_mac, payload, task_id,
+                                     on_response, on_timeout, retry_policy)
         tpp = program.build(payload=payload, task_id=task_id, seq=seq)
         frame = EthernetFrame(dst=dst_mac, src=self.host.mac,
                               ethertype=ETHERTYPE_TPP, payload=tpp)
@@ -519,13 +502,8 @@ class TPPEndpoint:
         comes back.  ``dst_mac`` (the intended receiver) is optional but
         enables response matching and standalone retransmission on loss.
         """
-        program = self.budget(program)
-        self._gate(program)
-        policy = (retry_policy if retry_policy is not None
-                  else self.retry_policy)
-        record = self._register(program, dst_mac, None, task_id,
-                                on_response, on_timeout, policy)
-        seq = record.seq if record is not None else self._alloc_free_seq()
+        program, seq = self._prepare(program, dst_mac, None, task_id,
+                                     on_response, on_timeout, retry_policy)
         return program.build(payload=payload, task_id=task_id, seq=seq)
 
     def enable_trimmed_echo(self, task_id: int) -> None:
@@ -547,15 +525,30 @@ class TPPEndpoint:
             f"{self.host.name}: all {SEQ_SPACE} probe sequence numbers "
             f"are in flight")
 
-    def _register(self, program: Optional[AssembledProgram],
-                  dst_mac: Optional[int], payload: object, task_id: int,
-                  on_response: Optional[ResponseCallback],
-                  on_timeout: Optional[TimeoutCallback],
-                  policy: Optional[RetryPolicy]) -> Optional[ProbeRequest]:
-        """Create and arm a request record (``None`` for fire-and-forget)."""
-        if on_response is None and on_timeout is None and policy is None:
-            return None
+    def _prepare(self, program: AssembledProgram, dst_mac: Optional[int],
+                 payload: object, task_id: int,
+                 on_response: Optional[ResponseCallback],
+                 on_timeout: Optional[TimeoutCallback],
+                 retry_policy: Optional[RetryPolicy]
+                 ) -> Tuple[AssembledProgram, int]:
+        """Everything :meth:`send` and :meth:`wrap` do before building the
+        section: fit the program to the hop budget, apply the admission
+        mode, and create and arm a request record (none for
+        fire-and-forget).  Returns the program to build and its seq."""
+        if self.hop_budget is not None:
+            program = self.budget(program)
+        if self.verify_mode != "off":
+            result = self.admit(program)
+            if not result.ok:
+                if self.verify_mode == "enforce":
+                    self.probes_rejected += 1
+                    raise VerificationError(result)
+                self.probes_warned += 1
+        policy = (retry_policy if retry_policy is not None
+                  else self.retry_policy)
         seq = self._alloc_free_seq()
+        if on_response is None and on_timeout is None and policy is None:
+            return program, seq
         record = ProbeRequest(
             probe_id=next(self._probe_ids), seq=seq, task_id=task_id,
             responder_mac=dst_mac, program=program, payload=payload,
@@ -567,7 +560,7 @@ class TPPEndpoint:
                                         self._on_deadline, record)
             record.timer.start(policy.timeout_for(1, self._jitter_rng(),
                                                   self.rtt_ewma_ns))
-        return record
+        return program, seq
 
     def _jitter_rng(self) -> random.Random:
         if self._retry_rng is None:
@@ -634,7 +627,7 @@ class TPPEndpoint:
         tpp = frame.payload
         if not isinstance(tpp, TPPSection):
             return
-        if tpp.done:
+        if tpp.flags & FLAG_DONE:
             self._on_response(tpp, frame)
             return
         for tap in self._taps:
@@ -652,7 +645,13 @@ class TPPEndpoint:
     def _on_response(self, tpp: TPPSection, frame: EthernetFrame) -> None:
         self.responses_received += 1
         record = self._pending.get(tpp.seq)
-        if record is None or not self._matches(record, tpp, frame):
+        # An echo answers the recorded request only if the task id agrees
+        # and, when the request knew its responder, it comes from that
+        # host: a reflected or misrouted echo of someone else's probe
+        # must not consume our record.
+        if (record is None or tpp.task_id != record.task_id
+                or (record.responder_mac is not None
+                    and frame.src != record.responder_mac)):
             entry = self._completed.get((tpp.seq, tpp.task_id))
             outcome = entry[0] if entry is not None else None
             if outcome == "done":
@@ -684,24 +683,8 @@ class TPPEndpoint:
         if record.on_response is not None:
             record.on_response(TPPResultView(tpp, now, rtt_ns=rtt))
 
-    @staticmethod
-    def _matches(record: ProbeRequest, tpp: TPPSection,
-                 frame: EthernetFrame) -> bool:
-        """Does this echo answer the recorded request?
-
-        Task id must agree, and when the request knew its responder the
-        echo must come from that host — a reflected or misrouted echo of
-        someone else's probe must not consume our record.
-        """
-        if tpp.task_id != record.task_id:
-            return False
-        if (record.responder_mac is not None
-                and frame.src != record.responder_mac):
-            return False
-        return True
-
     def _echo(self, tpp: TPPSection, frame: EthernetFrame) -> None:
-        tpp.mark_done()
+        tpp.flags |= FLAG_DONE  # tpp.mark_done(), inlined
         self.tpps_echoed += 1
         echo = EthernetFrame(dst=frame.src, src=self.host.mac,
                              ethertype=ETHERTYPE_TPP, payload=tpp)

@@ -117,7 +117,9 @@ class Simulator:
                 processed += 1
         finally:
             self._running = False
+            # Counted even when a callback raises: every event whose
+            # callback returned was processed.
+            self.events_processed += processed
         if until_ns is not None and not self._stopped:
             self.now_ns = max(self.now_ns, until_ns)
-        self.events_processed += processed
         return processed

@@ -1,33 +1,35 @@
 """Structured trace recording.
 
-Devices emit :class:`TraceRecord` entries (packet enqueued, TPP executed,
-rate register written, ...) into a shared :class:`TraceRecorder`.  The
-benchmark harness and the ndb collector both consume these traces.
+Devices emit :class:`TraceRecord` entries (queue drop, routing miss, TPP
+executed, ...) into a shared :class:`TraceRecorder`; tests, benchmarks and
+live taps consume them.
 
 Trace levels and the hot-path guard
 -----------------------------------
 
 Every record kind has a :class:`TraceLevel`; the recorder stores records
-whose level is at or above its threshold (default :attr:`TraceLevel.INFO`).
-Hot callers must guard record construction with :meth:`TraceRecorder.wants`
-so that building the ``**detail`` kwargs — often the expensive part, e.g.
-snapshotting a TPP's packet memory — is skipped entirely when nobody
-listens::
+whose level is at or above its threshold (default :attr:`TraceLevel.INFO`),
+and taps see exactly the records it stores.  Hot callers must guard record
+construction with :meth:`TraceRecorder.wants` so that building the
+``**detail`` kwargs is skipped entirely when nobody listens::
 
-    if trace.wants("tpp.exec"):
-        trace.emit(now, name, "tpp.exec", memory_words=tpp.words(), ...)
+    if trace.wants("switch.no_route"):
+        trace.emit(now, name, "switch.no_route", frame_uid=frame.uid)
 
 ``wants`` is a single cached dict lookup after the first call per kind, and
-just one attribute read when the recorder is disabled.  Per-frame firehose
-kinds (``link.deliver``, ``queue.enqueue``) default to
-:attr:`TraceLevel.DEBUG`; their emit sites test the plain attribute
-:attr:`TraceRecorder.firehose` before ``wants``, so they cost one
-attribute read per frame unless a run opts in with
-``trace.set_level(TraceLevel.DEBUG)``.
+just one attribute read when the recorder is disabled.  Firehose kinds
+default to :attr:`TraceLevel.DEBUG`: the ``link.*`` impairment kinds and
+the ones emitted per frame or per TPP hop (``link.deliver``,
+``queue.enqueue``, and ``tpp.exec``, whose records snapshot a TPP's whole
+packet memory).  The per-frame and per-hop emit sites test the plain
+attribute :attr:`TraceRecorder.firehose` before ``wants``, so they cost one
+attribute read unless a run opts in with
+``trace.set_level(TraceLevel.DEBUG)`` or, for one kind,
+``trace.set_kind_level("tpp.exec", TraceLevel.INFO)``.
 
 For long runs, ``max_records`` bounds memory: the recorder becomes a ring
-buffer keeping the most recent records (taps still see every record live,
-so online consumers like the ndb collector lose nothing).
+buffer keeping the most recent records (taps still see every stored record
+live, so online consumers lose nothing).
 """
 
 from __future__ import annotations
@@ -51,8 +53,11 @@ DEFAULT_KIND_LEVELS: Dict[str, TraceLevel] = {
     # Per-frame firehose (opt-in).  The link impairment kinds live here
     # too: under an injected loss_rate they fire on a fixed fraction of
     # *all* frames, which is firehose volume, not rare-event evidence.
+    # So does tpp.exec: one record per TPP hop, each with a snapshot of
+    # the whole packet memory.
     "link.deliver": TraceLevel.DEBUG,
     "queue.enqueue": TraceLevel.DEBUG,
+    "tpp.exec": TraceLevel.DEBUG,
     "link.lost": TraceLevel.DEBUG,
     "link.corrupt": TraceLevel.DEBUG,
     "link.dup": TraceLevel.DEBUG,
@@ -86,8 +91,8 @@ class TraceRecord:
 class TraceRecorder:
     """Append-only in-memory trace with filtered views and live taps.
 
-    A *tap* is a callback invoked synchronously on every matching record;
-    the ndb trace collector uses one to reassemble packet journeys online.
+    A *tap* is a callback invoked synchronously on every stored record;
+    a kind below the level is neither stored nor tapped.
     """
 
     def __init__(self, enabled: bool = True,
@@ -98,7 +103,8 @@ class TraceRecorder:
         self._kind_levels: Dict[str, TraceLevel] = dict(DEFAULT_KIND_LEVELS)
         self._wants_cache: Dict[str, bool] = {}
         #: Whether any kind that defaults to DEBUG is at or above the
-        #: threshold; per-frame emit sites read it before :meth:`wants`.
+        #: threshold; per-frame and per-hop emit sites read it before
+        #: :meth:`wants`.
         self.firehose = False
         self._levels_changed()
         self.max_records = max_records

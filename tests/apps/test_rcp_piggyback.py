@@ -8,6 +8,7 @@ from repro.control.agent import ControlPlaneAgent
 from repro.core.memory_map import MemoryMap
 from repro.net.routing import install_shortest_path_routes
 from repro.net.topology import TopologyBuilder
+from repro.sim.trace import TraceLevel
 
 CAPACITY = 10 * units.MEGABITS_PER_SEC
 
@@ -35,6 +36,7 @@ def make_flow(net, task, index, n_pairs, **kwargs):
 class TestPiggyback:
     def test_every_nth_packet_carries_tpp(self):
         net, task = build()
+        net.trace.set_kind_level("tpp.exec", TraceLevel.INFO)
         flow = make_flow(net, task, 0, 1, piggyback_every=4)
         flow.start()
         net.run(until_seconds=0.5)

@@ -13,6 +13,7 @@ from repro.control.agent import ControlPlaneAgent
 from repro.core.memory_map import MemoryMap
 from repro.net.routing import install_shortest_path_routes
 from repro.net.topology import Network
+from repro.sim.trace import TraceLevel
 
 CAPACITY = 10 * units.MEGABITS_PER_SEC
 
@@ -82,6 +83,7 @@ class TestMultiBottleneck:
         """The long flow's updates go to A's switch while the short
         flow congests only A — verified via the TPP execution trace."""
         net = build_two_bottleneck_net()
+        net.trace.set_kind_level("tpp.exec", TraceLevel.INFO)
         agent = ControlPlaneAgent(list(net.switches.values()),
                                   memory_map=MemoryMap.standard())
         task = RCPStarTask(agent)

@@ -90,6 +90,22 @@ class TestRunHorizon:
         assert sim.run() == 7
         assert sim.events_processed == 7
 
+    def test_tally_survives_a_raising_callback(self, sim):
+        """Events whose callbacks returned are counted even when a later
+        callback raises out of ``run()``, and resuming counts on."""
+        def boom():
+            raise RuntimeError("callback failed")
+
+        for _ in range(5):
+            sim.schedule(1, lambda: None)
+        sim.schedule(10, boom)
+        sim.schedule(11, lambda: None)
+        with pytest.raises(RuntimeError):
+            sim.run()
+        assert sim.events_processed == 5
+        assert sim.run() == 1
+        assert sim.events_processed == 6
+
 
 class TestStop:
     def test_stop_from_callback(self, sim):

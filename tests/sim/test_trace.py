@@ -7,9 +7,9 @@ class TestTraceRecorder:
     def test_emit_and_filter_by_kind(self):
         trace = TraceRecorder()
         trace.emit(1, "sw0", "queue.drop", port=1)
-        trace.emit(2, "sw1", "tpp.exec", seq=5)
-        trace.emit(3, "sw0", "tpp.exec", seq=6)
-        assert len(trace.records(kind="tpp.exec")) == 2
+        trace.emit(2, "sw1", "fastpath.summary", hits=5)
+        trace.emit(3, "sw0", "fastpath.summary", hits=6)
+        assert len(trace.records(kind="fastpath.summary")) == 2
 
     def test_filter_by_source(self):
         trace = TraceRecorder()
@@ -67,12 +67,14 @@ class TestTraceLevels:
         trace = TraceRecorder()  # default threshold: INFO
         trace.emit(1, "sw0", "link.deliver", frame_uid=1)
         trace.emit(2, "sw0", "tpp.exec", seq=1)
-        assert [r.kind for r in trace.records()] == ["tpp.exec"]
+        trace.emit(3, "sw0", "fastpath.summary", hits=1)
+        assert [r.kind for r in trace.records()] == ["fastpath.summary"]
 
     def test_wants_guards_the_hot_path(self):
         trace = TraceRecorder()
         assert not trace.wants("link.deliver")
-        assert trace.wants("tpp.exec")
+        assert not trace.wants("tpp.exec")
+        assert trace.wants("fastpath.summary")
         assert trace.wants("queue.drop")
         assert not TraceRecorder(enabled=False).wants("queue.drop")
 
@@ -123,6 +125,20 @@ class TestTraceLevels:
         trace.set_kind_level("queue.enqueue", TraceLevel.DEBUG)
         assert not trace.firehose
         assert TraceRecorder(level=TraceLevel.DEBUG).firehose
+
+    def test_tpp_exec_is_an_opt_in_firehose_kind(self):
+        """One record per TPP hop: off by default, on through either the
+        kind's own level or the DEBUG threshold, and ``firehose`` (which
+        its emit sites read first) follows."""
+        trace = TraceRecorder()
+        assert trace.kind_level("tpp.exec") is TraceLevel.DEBUG
+        trace.set_kind_level("tpp.exec", TraceLevel.INFO)
+        assert trace.firehose and trace.wants("tpp.exec")
+        assert not trace.wants("link.deliver")
+        trace.set_kind_level("tpp.exec", TraceLevel.DEBUG)
+        assert not trace.firehose and not trace.wants("tpp.exec")
+        trace.set_level(TraceLevel.DEBUG)
+        assert trace.firehose and trace.wants("tpp.exec")
 
     def test_taps_do_not_see_suppressed_records(self):
         trace = TraceRecorder(level=TraceLevel.WARNING)
