@@ -7,12 +7,8 @@ and reports, per point:
 - the **determinism fingerprint** — must be byte-identical at every
   shard count, or the sweep exits non-zero (sharding must never buy
   throughput with correctness);
-- **aggregate packets/s and logical flows/s against the modeled
-  critical path**: per barrier round, the slowest shard's busy time is
-  what the barrier waits on, so ``sum(max-per-round)`` is the time an
-  S-machine deployment would take even when this process is pinned to
-  one core;
-- real wall time, for honesty about driver overhead.
+- barrier rounds and boundary messages exchanged;
+- measured wall time.
 
 Usage::
 
@@ -47,8 +43,8 @@ def sweep(shard_counts: List[int], duration_ns: int,
     specs = build_specs(quick)
     # Warm-up: the first run in a process pays one-time costs (imports,
     # allocator growth, bytecode caches) that would otherwise be billed
-    # to whichever shard count happens to run first and fake a
-    # superlinear speedup.  Run once and discard.
+    # to whichever shard count happens to run first.  Run once and
+    # discard.
     run_fleet(specs, duration_ns, shards=1)
     points = []
     for shards in shard_counts:
@@ -58,36 +54,23 @@ def sweep(shard_counts: List[int], duration_ns: int,
             "fingerprint": result.fingerprint(),
             "rounds": result.rounds,
             "messages": result.messages_exchanged,
-            "logical_flows": result.counters["logical_flows"],
-            "packets_switched": result.counters["packets_switched"],
-            "modeled_seconds": result.modeled_seconds,
             "wall_seconds": result.wall_seconds,
-            "packets_per_sec": result.packets_per_modeled_second,
-            "flows_per_sec": result.flows_per_modeled_second,
             "result": result,
         })
     return points
 
 
 def render(points: List[Dict[str, Any]]) -> str:
-    base = points[0]
-    rows = []
-    for point in points:
-        speedup = (point["packets_per_sec"] / base["packets_per_sec"]
-                   if base["packets_per_sec"] else 0.0)
-        rows.append([
-            point["shards"],
-            f"{point['modeled_seconds'] * 1e3:.2f}",
-            f"{point['packets_per_sec']:,.0f}",
-            f"{point['flows_per_sec']:,.0f}",
-            f"{speedup:.2f}x",
-            f"{point['wall_seconds'] * 1e3:.0f}",
-            point["fingerprint"][:16],
-        ])
+    rows = [[
+        point["shards"],
+        point["rounds"],
+        point["messages"],
+        f"{point['wall_seconds'] * 1e3:.0f}",
+        point["fingerprint"][:16],
+    ] for point in points]
     return format_table(
-        ["shards", "modeled-ms", "packets/s", "flows/s", "speedup",
-         "wall-ms", "fingerprint[:16]"],
-        rows, title="Fleet scale sweep (modeled critical path)")
+        ["shards", "rounds", "messages", "wall-ms", "fingerprint[:16]"],
+        rows, title="Fleet scale sweep")
 
 
 def main(argv=None) -> int:

@@ -10,14 +10,16 @@ monitoring boxes, trusted) and two tenants.  Tenant ports are marked
 untrusted with the strip policy.  The operator's probes work; a tenant's
 probes are silently removed while the tenant's *data* keeps flowing; SRAM
 isolation stops a task from touching another task's registers even from
-a trusted port.
+a trusted port.  Finally the tenant ports move behind the static
+verifier: a tenant's provably-safe probe executes, an unsafe one is
+stripped.
 
 Run:  python examples/multitenant_security.py
 """
 
 from repro import units
 from repro.control.agent import ControlPlaneAgent
-from repro.control.security import EdgeTPPPolicy
+from repro.control.security import EdgeTPPPolicy, VerifierPolicy
 from repro.core import assemble
 from repro.core.exceptions import FaultCode
 from repro.core.memory_map import MemoryMap
@@ -89,5 +91,31 @@ print(f"[isolation] foreign-task STORE to monitoring SRAM -> fault "
       f"{switch.mmu.peek_sram(0) == 0})")
 
 assert fault == FaultCode.SRAM_PROTECTION
-print("\nEdge stripping + per-task SRAM domains give the operator the "
-      "controls §4 calls for.")
+
+# 5) Verify instead of strip: the tenant ports now admit any TPP the
+#    static verifier proves safe.  Responses return through the trusted
+#    collector port, so only the tenant's two sends are verified.
+verifier = VerifierPolicy(untrusted_action="strip")
+for local_port, peer, _ in adjacency:
+    if peer in ("h1", "h2"):
+        verifier.mark_untrusted("sw0", local_port)
+switch.tpp_policy = verifier
+certificates_before = switch.tcpu.certificates
+verified_results = []
+tenant_a.tpp.send(assemble("PUSH [Switch:SwitchID]"), dst_mac=collector.mac,
+                  on_response=verified_results.append)
+tenant_a.tpp.send(assemble("POP [Sram:Word0]"), dst_mac=collector.mac,
+                  on_response=verified_results.append)
+net.run(until_seconds=0.05)
+print(f"[verifier] tenant TPPs verified = {verifier.tpps_verified}, "
+      f"admitted = {verifier.tpps_admitted}, "
+      f"rejected = {verifier.tpps_rejected}; safe probe executed on "
+      f"{verified_results[0].hops()} switch(es), certificates trusted = "
+      f"{switch.tcpu.certificates - certificates_before}")
+
+assert (verifier.tpps_verified, verifier.tpps_admitted,
+        verifier.tpps_rejected) == (2, 1, 1)
+assert len(verified_results) == 1 and verified_results[0].hops() == 1
+assert switch.tcpu.certificates == certificates_before + 1
+print("\nEdge stripping, static verification and per-task SRAM domains "
+      "give the operator the controls §4 calls for.")

@@ -141,8 +141,7 @@ def fleet_report(result) -> str:
 
     The headline numbers an operator compares across shard counts: the
     determinism fingerprint (must not move), the admission amortization
-    (verifier runs vs logical flows covered), and the modeled
-    critical-path throughput the sharding bought.
+    (verifier runs vs logical flows covered), and the measured wall time.
     """
     counters = result.counters
     lines = [
@@ -161,9 +160,6 @@ def fleet_report(result) -> str:
         f"{counters.get('certificates_installed', 0)} certificate(s)",
         f"  switching       {counters.get('packets_switched', 0)} packets, "
         f"{counters.get('tpps_executed', 0)} TPP executions",
-        f"  modeled time    {result.modeled_seconds * 1e3:.2f} ms "
-        f"({result.packets_per_modeled_second:,.0f} packets/s, "
-        f"{result.flows_per_modeled_second:,.0f} flows/s)",
         f"  wall time       {result.wall_seconds * 1e3:.2f} ms",
     ]
     return "\n".join(lines)

@@ -7,7 +7,6 @@
   collect/compute/update TPP phases.
 - :mod:`repro.apps.rcp_router` -- the in-network RCP baseline (equivalent
   of the paper's ns-2 simulation) used as Figure 2's reference curve.
-- :mod:`repro.apps.aimd` -- a simple AIMD end-host controller for context.
 - :mod:`repro.apps.ndb` -- Section 2.3: the forwarding-plane debugger:
   per-packet path/rule traces, reassembly, and policy verification.
 """
@@ -25,17 +24,11 @@ from repro.apps.rcp_router import (
     RCPLinkAgent,
     RCPRouterNetwork,
 )
-from repro.apps.aimd import AIMDFlow
 from repro.apps.ndb import NdbCollector, NdbTagger, PathVerifier
 from repro.apps.inband_baselines import (
     ECNFlow,
     install_ecn,
     install_record_route,
-)
-from repro.apps.accounting import (
-    LedgerAuditor,
-    LedgerPublisher,
-    TrafficLedger,
 )
 from repro.apps.latency import LatencyProfiler, PathProfile
 from repro.apps.pathprobe import PathBottleneckProbe, SwitchInventory
@@ -52,16 +45,12 @@ __all__ = [
     "RCPLinkAgent",
     "RCPRouterNetwork",
     "RCPBaselineFlow",
-    "AIMDFlow",
     "NdbCollector",
     "NdbTagger",
     "PathVerifier",
     "ECNFlow",
     "install_ecn",
     "install_record_route",
-    "LedgerAuditor",
-    "LedgerPublisher",
-    "TrafficLedger",
     "LatencyProfiler",
     "PathProfile",
     "PathBottleneckProbe",

@@ -210,8 +210,8 @@ class TcamRule:
     """A ternary rule: any field left ``None`` is a wildcard.
 
     ``queue_id`` is an optional set-queue action: matching packets are
-    placed in that egress queue (traffic classing for the priority/DRR
-    schedulers).
+    placed in that egress queue (traffic classing for strict-priority
+    ports).
     """
 
     priority: int

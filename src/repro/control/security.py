@@ -62,33 +62,6 @@ class EdgeTPPPolicy:
         return "execute"
 
 
-class TaskQuotaPolicy:
-    """Executes only TPPs whose task id has been admitted.
-
-    A second, stricter policy useful when the operator wants a whitelist of
-    network tasks regardless of ingress port.
-    """
-
-    def __init__(self, default_action: str = "strip") -> None:
-        if default_action not in ("strip", "drop", "forward"):
-            raise ValueError(f"bad default action {default_action!r}")
-        self.default_action = default_action
-        self._admitted: Set[int] = set()
-
-    def admit(self, task_id: int) -> None:
-        """Allow TPPs carrying this task id to execute."""
-        self._admitted.add(task_id)
-
-    def revoke(self, task_id: int) -> None:
-        """Stop executing TPPs of this task id."""
-        self._admitted.discard(task_id)
-
-    def action_for(self, switch, in_port: int, tpp: TPPSection) -> str:
-        if tpp.task_id in self._admitted:
-            return "execute"
-        return self.default_action
-
-
 class VerifierPolicy:
     """Static verification at untrusted edge ports.
 

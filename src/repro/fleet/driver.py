@@ -25,18 +25,8 @@ Transports
 within each barrier round — same API, no processes, exact on any
 machine.  ``fork`` runs each shard as a forked worker process holding
 its regions, with a pipe command loop (run / inject / finish); on a
-multi-core box the shards' windows genuinely overlap.
-
-Throughput modeling
--------------------
-
-Each region accounts the wall-clock time its simulator is busy.  The
-driver folds these into a *modeled critical path*: per round, the
-slowest shard's busy time (the barrier waits for it); summed over
-rounds.  ``aggregate packets/s = packets / modeled seconds`` is then a
-machine-honest estimate of fleet throughput at S shards even when the
-transport is inline on one core — and the real wall time is reported
-alongside it.
+multi-core box the shards' windows genuinely overlap.  Both transports
+produce the same digests; only :attr:`FleetResult.wall_seconds` differs.
 """
 
 from __future__ import annotations
@@ -53,8 +43,8 @@ from repro.fleet.region import Region, RegionSpec, build_region
 
 TRANSPORTS = ("inline", "fork")
 
-#: What one shard's window produces: boundary messages and busy seconds.
-RunResult = Tuple[List[BoundaryMessage], float]
+#: What one shard's window produces: its regions' boundary messages.
+RunResult = List[BoundaryMessage]
 #: What one shard reports at the end: per-region (digest, counters).
 FinishResult = Dict[int, Tuple[Dict[str, str], Dict[str, int]]]
 
@@ -74,8 +64,6 @@ class FleetResult:
     digests: List[Dict[str, str]]
     #: Summed region counters (probes, flows, admissions, switching).
     counters: Dict[str, int]
-    #: Sum over rounds of the slowest shard's busy seconds.
-    modeled_seconds: float
     #: Real elapsed time of the whole run (driver overhead included).
     wall_seconds: float
 
@@ -87,18 +75,6 @@ class FleetResult:
             rollup.update(digest["flows"].encode())
             rollup.update(digest["switches"].encode())
         return rollup.hexdigest()
-
-    @property
-    def packets_per_modeled_second(self) -> float:
-        if self.modeled_seconds <= 0:
-            return 0.0
-        return self.counters.get("packets_switched", 0) / self.modeled_seconds
-
-    @property
-    def flows_per_modeled_second(self) -> float:
-        if self.modeled_seconds <= 0:
-            return 0.0
-        return self.counters.get("logical_flows", 0) / self.modeled_seconds
 
 
 class _InlineShard:
@@ -121,12 +97,9 @@ class _InlineShard:
 
     def run_until(self, until_ns: int) -> RunResult:
         messages: List[BoundaryMessage] = []
-        busy = 0.0
         for region in self.regions.values():
-            before = region.busy_seconds
             messages.extend(region.run_until(until_ns))
-            busy += region.busy_seconds - before
-        return messages, busy
+        return messages
 
     def inject(self, region_index: int,
                messages: List[BoundaryMessage]) -> None:
@@ -261,7 +234,6 @@ class ShardedFleet:
         horizon = 0
         rounds = 0
         messages_exchanged = 0
-        modeled = 0.0
         try:
             while horizon < duration_ns:
                 horizon = min(horizon + quantum, duration_ns)
@@ -273,10 +245,9 @@ class ShardedFleet:
                 for worker in workers:
                     worker.start_run(horizon)
                 results = [worker.collect_run() for worker in workers]
-                modeled += max(busy for _msgs, busy in results)
                 # Phase 2: the barrier exchange, in canonical order.
                 pending: Dict[int, List[BoundaryMessage]] = {}
-                for messages, _busy in results:
+                for messages in results:
                     for message in messages:
                         pending.setdefault(message.dst_region,
                                            []).append(message)
@@ -302,7 +273,7 @@ class ShardedFleet:
             transport=self.transport, duration_ns=duration_ns,
             quantum_ns=quantum, rounds=rounds,
             messages_exchanged=messages_exchanged, digests=digests,
-            counters=counters, modeled_seconds=modeled,
+            counters=counters,
             wall_seconds=time.perf_counter() - started)
 
 

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import time
 from typing import Any, Dict, List
 
 from repro import units
@@ -130,10 +129,6 @@ class Region:
     def __init__(self, spec: RegionSpec) -> None:
         self.spec = spec
         self.outbox: List[BoundaryMessage] = []
-        #: Wall-clock seconds this region's simulator has been busy —
-        #: the raw material for the driver's modeled critical path.
-        #: Deliberately *not* part of any digest (it is nondeterministic).
-        self.busy_seconds = 0.0
 
         net = Network(seed=spec.seed, trace_enabled=spec.trace_enabled,
                       index_base=spec.index_base)
@@ -217,9 +212,7 @@ class Region:
 
     def run_until(self, until_ns: int) -> List[BoundaryMessage]:
         """Advance to the barrier; return (and clear) the outbox."""
-        started = time.perf_counter()
         self.net.sim.run(until_ns=until_ns)
-        self.busy_seconds += time.perf_counter() - started
         exported = list(self.outbox)
         self.outbox.clear()
         return exported

@@ -23,7 +23,7 @@ non-TPP frame is dropped at the receiver the way a bad-FCS frame would be.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, Optional, Sequence, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
 from repro import units
 from repro.errors import ConfigurationError
@@ -353,14 +353,12 @@ class Link:
 def connect(sim: Simulator, device_a: "Device", device_b: "Device",
             rate_bps: int, delay_ns: int = 1_000,
             queue_capacity_bytes: int = 512 * 1024,
-            n_queues: int = 1, scheduler: str = "fifo",
-            scheduler_weights: Optional[Sequence[float]] = None,
-            ) -> Tuple["Port", "Port"]:
+            n_queues: int = 1) -> Tuple["Port", "Port"]:
     """Create a full-duplex connection between two devices.
 
     Adds one new port to each device, backed by ``n_queues`` drop-tail
-    queues of ``queue_capacity_bytes`` each (scheduled per ``scheduler``),
-    and returns ``(port_on_a, port_on_b)``.
+    queues of ``queue_capacity_bytes`` each (strict priority when there
+    is more than one), and returns ``(port_on_a, port_on_b)``.
     """
     from repro.net.port import Port  # local import to avoid a cycle
 
@@ -369,10 +367,8 @@ def connect(sim: Simulator, device_a: "Device", device_b: "Device",
     link_ba = Link(sim, rate_bps, delay_ns,
                    name=f"{device_b.name}->{device_a.name}")
 
-    port_a = Port(sim, link_ab, queue_capacity_bytes, n_queues,
-                  scheduler, scheduler_weights)
-    port_b = Port(sim, link_ba, queue_capacity_bytes, n_queues,
-                  scheduler, scheduler_weights)
+    port_a = Port(sim, link_ab, queue_capacity_bytes, n_queues)
+    port_b = Port(sim, link_ba, queue_capacity_bytes, n_queues)
     index_a = device_a.add_port(port_a)
     index_b = device_b.add_port(port_b)
 

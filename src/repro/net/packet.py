@@ -137,9 +137,9 @@ class EthernetFrame:
         """Total frame size, padded to the Ethernet minimum.
 
         Computed on first read, an instance attribute after — a frame's
-        wire size is queried nine times per link traversal (admission,
-        occupancy, DRR deficit, serialization time, RX/TX accounting,
-        metadata), too often for a payload-chain walk or a property call.
+        wire size is queried many times per link traversal (admission,
+        occupancy, serialization time, RX/TX accounting, metadata), too
+        often for a payload-chain walk or a property call.
         Anything that swaps or resizes the payload after construction must
         call :meth:`invalidate_size_cache` (the switch does this after its
         strip action and after running datagram hooks).

@@ -1,9 +1,9 @@
 """A device port: egress queue(s) draining onto a link, plus RX accounting.
 
 The port implements store-and-forward output: frames wait in one or more
-drop-tail queues; when the link is idle a scheduler (FIFO by default,
-strict-priority or deficit-round-robin optionally — Figure 3's "egress
-queues and scheduling" block) picks the next queue, whose head frame
+drop-tail queues; when the link is idle a scheduler (FIFO for one queue,
+strict priority for more — Figure 3's "egress queues and scheduling"
+block) picks the next queue, whose head frame
 occupies the wire for its serialization time and is then handed to the
 link for propagation.  All the per-port statistics the paper's ``Link:``
 namespace exposes (bytes received/transmitted, drops — Table 2) are
@@ -13,14 +13,18 @@ what the ``Queue:`` namespace resolves to.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, List, Optional, Sequence
+from typing import TYPE_CHECKING, List, Optional
 
 from repro import units
 from repro.errors import ConfigurationError
 from repro.net.link import Link
 from repro.net.packet import EthernetFrame
 from repro.net.queues import DropTailQueue
-from repro.net.schedulers import make_scheduler
+from repro.net.schedulers import (
+    FifoScheduler,
+    Scheduler,
+    StrictPriorityScheduler,
+)
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -32,20 +36,16 @@ class Port:
 
     def __init__(self, sim: Simulator, link: Link,
                  queue_capacity_bytes: int = 512 * 1024,
-                 n_queues: int = 1, scheduler: str = "fifo",
-                 scheduler_weights: Optional[Sequence[float]] = None
-                 ) -> None:
+                 n_queues: int = 1) -> None:
         if n_queues < 1:
             raise ConfigurationError(f"need >= 1 queue, got {n_queues}")
-        if scheduler == "fifo" and n_queues > 1:
-            scheduler = "priority"
         self.sim = sim
         self.link = link
         self.queues: List[DropTailQueue] = [
             DropTailQueue(queue_capacity_bytes) for _ in range(n_queues)
         ]
-        self.scheduler = make_scheduler(scheduler, n_queues,
-                                        scheduler_weights)
+        self.scheduler: Scheduler = (FifoScheduler() if n_queues == 1
+                                     else StrictPriorityScheduler())
         self.device: Optional["Device"] = None
         self.index: int = -1
         self._transmitting = False

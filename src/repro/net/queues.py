@@ -79,16 +79,6 @@ class DropTailQueue:
             stats.peak_occupancy_bytes = occupancy
         return True
 
-    def head_size_bytes(self) -> int:
-        """Wire size of the packet at the head (0 when empty).
-
-        Used by byte-accurate schedulers (DRR) to decide whether the
-        queue's deficit covers its next packet.
-        """
-        if not self._packets:
-            return 0
-        return self._packets[0].size_bytes
-
     def begin_transmit(self) -> Optional[EthernetFrame]:
         """Dequeue the head packet for transmission.
 

@@ -2,22 +2,20 @@
 
 Figure 3's pipeline ends in "egress queues and scheduling": the scheduler
 decides, using packet metadata such as priority, when each buffered packet
-is transmitted.  Three classic disciplines are provided:
+is transmitted.  The port's queue count picks the discipline:
 
 - :class:`FifoScheduler` — single service order across one queue;
-- :class:`StrictPriorityScheduler` — queue 0 is highest priority and
-  always drains first (can starve lower classes — by design);
-- :class:`DeficitRoundRobinScheduler` — byte-accurate weighted sharing
-  (Shreedhar & Varghese's DRR), the standard line-rate-friendly WRR.
+- :class:`StrictPriorityScheduler` — for more than one queue: queue 0 is
+  highest priority and always drains first (can starve lower classes —
+  by design).
 
 A scheduler only picks *which queue* sends next; the port owns timing.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Union
+from typing import List, Optional, Union
 
-from repro.errors import ConfigurationError
 from repro.net.queues import DropTailQueue
 
 
@@ -40,84 +38,4 @@ class StrictPriorityScheduler:
         return None
 
 
-class DeficitRoundRobinScheduler:
-    """Deficit round robin: long-run byte shares proportional to weights.
-
-    Each queue holds a deficit counter; on its turn it receives
-    ``quantum * weight`` bytes of credit and may send head packets while
-    credit covers them.  Empty queues forfeit their deficit, which is what
-    keeps DRR O(1) and work-conserving.
-    """
-
-    def __init__(self, weights: Sequence[float],
-                 quantum_bytes: int = 1500) -> None:
-        if not weights or any(w <= 0 for w in weights):
-            raise ConfigurationError(
-                f"DRR weights must be positive, got {weights}")
-        self.weights = list(weights)
-        self.quantum_bytes = quantum_bytes
-        self._deficits = [0.0] * len(weights)
-        self._current = 0
-        self._turn_credited = False
-
-    def select(self, queues: List[DropTailQueue]) -> Optional[int]:
-        """Pick the next queue whose deficit covers its head packet.
-
-        A queue's *turn* gets exactly one quantum of credit; the queue
-        keeps being selected while its deficit covers head packets, then
-        the turn passes on (deficit preserved for backlogged queues).
-        """
-        if len(queues) != len(self.weights):
-            raise ConfigurationError(
-                f"scheduler configured for {len(self.weights)} queues, "
-                f"port has {len(queues)}")
-        if not any(len(queue) for queue in queues):
-            return None
-        # Each pass credits every queue once; several passes accumulate
-        # deficit when packets are much larger than the quantum.
-        for _ in range(64 * len(queues)):
-            index = self._current
-            queue = queues[index]
-            if len(queue) == 0:
-                self._deficits[index] = 0.0  # forfeit when idle
-                self._end_turn()
-                continue
-            if not self._turn_credited:
-                self._deficits[index] += (self.quantum_bytes
-                                          * self.weights[index])
-                self._turn_credited = True
-            head = queue.head_size_bytes()
-            if self._deficits[index] >= head:
-                self._deficits[index] -= head
-                return index
-            self._end_turn()
-        # Unreachable in practice; stay work-conserving regardless.
-        for index, queue in enumerate(queues):
-            if len(queue):
-                self._deficits[index] = 0.0
-                return index
-        return None
-
-    def _end_turn(self) -> None:
-        self._turn_credited = False
-        self._current = (self._current + 1) % len(self.weights)
-
-
-Scheduler = Union["FifoScheduler", "StrictPriorityScheduler",
-                  "DeficitRoundRobinScheduler"]
-
-
-def make_scheduler(kind: str, n_queues: int,
-                   weights: Optional[Sequence[float]] = None) -> Scheduler:
-    """Factory used by the port: ``fifo`` / ``priority`` / ``drr``."""
-    if kind == "fifo":
-        if n_queues != 1:
-            raise ConfigurationError("fifo scheduling requires one queue")
-        return FifoScheduler()
-    if kind == "priority":
-        return StrictPriorityScheduler()
-    if kind == "drr":
-        if weights is None:
-            weights = [1.0] * n_queues
-        return DeficitRoundRobinScheduler(weights)
-    raise ConfigurationError(f"unknown scheduler kind {kind!r}")
+Scheduler = Union[FifoScheduler, StrictPriorityScheduler]

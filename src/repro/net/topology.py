@@ -15,7 +15,7 @@ experiments use:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro import units
 from repro.errors import ConfigurationError
@@ -116,13 +116,10 @@ class Network:
     def link(self, a: Device, b: Device, rate_bps: int,
              delay_ns: int = 1_000,
              queue_capacity_bytes: int = 512 * 1024,
-             n_queues: int = 1, scheduler: str = "fifo",
-             scheduler_weights: Optional[Sequence[float]] = None,
-             ) -> Tuple[Port, Port]:
+             n_queues: int = 1) -> Tuple[Port, Port]:
         """Wire a full-duplex link and record the adjacency."""
         port_a, port_b = connect(self.sim, a, b, rate_bps, delay_ns,
-                                 queue_capacity_bytes, n_queues,
-                                 scheduler, scheduler_weights)
+                                 queue_capacity_bytes, n_queues)
         self.edges.append(Edge(a.name, port_a.index, b.name, port_b.index,
                                rate_bps, delay_ns))
         return port_a, port_b

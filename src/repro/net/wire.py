@@ -187,6 +187,11 @@ def decode_datagram(raw: bytes) -> Tuple[Datagram, int]:
     if version_ihl >> 4 != 4:
         raise WireFormatError(f"not IPv4: version {version_ihl >> 4}")
     ihl_bytes = (version_ihl & 0xF) * 4
+    if ihl_bytes < 20:
+        raise WireFormatError(f"IPv4 IHL below 5: {ihl_bytes // 4}")
+    if ihl_bytes > len(raw):
+        raise WireFormatError(
+            f"IPv4 header claims {ihl_bytes} bytes, only {len(raw)} present")
     if internet_checksum(raw[:ihl_bytes]) != 0:
         raise WireFormatError("bad IPv4 header checksum")
 
@@ -198,6 +203,10 @@ def decode_datagram(raw: bytes) -> Tuple[Datagram, int]:
         pointer = options[2]
         route_slots = (length - 3) // 4
         filled = (pointer - 4) // 4
+        if not 3 <= length <= len(options) or not 0 <= filled <= route_slots:
+            raise WireFormatError(
+                f"record-route option: length {length}, pointer {pointer} "
+                f"in {len(options)} option bytes")
         entries = options[3:3 + 4 * route_slots]
         route_record = [int.from_bytes(entries[i * 4:(i + 1) * 4], "big")
                         for i in range(filled)]
@@ -206,12 +215,16 @@ def decode_datagram(raw: bytes) -> Tuple[Datagram, int]:
     congestion_header = None
     if protocol == IP_PROTO_RCP_SHIM:
         from repro.apps.rcp_common import RCPHeader
+        if len(raw) < offset + _RCP_SHIM.size:
+            raise WireFormatError("RCP shim truncated")
         rate, rtt, real_protocol, _pad = _RCP_SHIM.unpack(
             raw[offset:offset + _RCP_SHIM.size])
         congestion_header = RCPHeader(rate_bps=rate, rtt_ns=rtt)
         protocol = real_protocol
         offset += _RCP_SHIM.size
 
+    if len(raw) < offset + _UDP.size:
+        raise WireFormatError("UDP header truncated")
     src_port, dst_port, udp_length, _ = _UDP.unpack(
         raw[offset:offset + 8])
     inner_raw = raw[offset + 8:offset + udp_length]

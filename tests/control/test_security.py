@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.control.security import EdgeTPPPolicy, TaskQuotaPolicy
+from repro.control.security import EdgeTPPPolicy
 from repro.core.assembler import assemble
 from repro.core.verifier import verify_section
 from repro.endhost.client import TPPEndpoint
@@ -122,62 +122,6 @@ class TestEdgeTPPPolicy:
         assert seen[0].hops_executed() == 3
 
 
-class TestTaskQuotaPolicy:
-    def test_admitted_task_executes(self, single_switch_net):
-        net = single_switch_net
-        policy = TaskQuotaPolicy()
-        policy.admit(5)
-        net.switch("sw0").tpp_policy = policy
-        results = []
-        h0, h1 = net.host("h0"), net.host("h1")
-        TPPEndpoint(h0).send(assemble("PUSH [Switch:SwitchID]"),
-                             dst_mac=h1.mac, task_id=5,
-                             on_response=results.append)
-        TPPEndpoint(h1)
-        net.run(until_seconds=0.01)
-        assert results[0].hops() == 1
-
-    def test_unadmitted_task_stripped(self, single_switch_net):
-        net = single_switch_net
-        policy = TaskQuotaPolicy(default_action="strip")
-        net.switch("sw0").tpp_policy = policy
-        results = []
-        h0, h1 = net.host("h0"), net.host("h1")
-        TPPEndpoint(h0).send(assemble("PUSH [Switch:SwitchID]"),
-                             dst_mac=h1.mac, task_id=5,
-                             on_response=results.append)
-        TPPEndpoint(h1)
-        net.run(until_seconds=0.01)
-        assert results == []
-
-    def test_revoke(self):
-        policy = TaskQuotaPolicy()
-        policy.admit(1)
-        policy.revoke(1)
-        assert policy.action_for(None, 0, type("T", (), {"task_id": 1})()
-                                 ) == "strip"
-
-    def test_forward_action_carries_without_executing(
-            self, single_switch_net):
-        net = single_switch_net
-        policy = TaskQuotaPolicy(default_action="forward")
-        switch = net.switch("sw0")
-        switch.tpp_policy = policy
-        results = []
-        h0, h1 = net.host("h0"), net.host("h1")
-        TPPEndpoint(h0).send(assemble("PUSH [Switch:SwitchID]"),
-                             dst_mac=h1.mac, on_response=results.append)
-        TPPEndpoint(h1)
-        net.run(until_seconds=0.01)
-        # Echoed back with zero hops executed.
-        assert results[0].hops() == 0
-        assert switch.tcpu.tpps_executed == 0
-
-    def test_bad_default_action_rejected(self):
-        with pytest.raises(ValueError):
-            TaskQuotaPolicy(default_action="execute")
-
-
 class TestVerifierPolicy:
     GOOD = "PUSH [Switch:SwitchID]"
     BAD = "POP [Sram:Word0]"  # underflows immediately
@@ -237,6 +181,22 @@ class TestVerifierPolicy:
         net.run(until_seconds=0.01)
         assert got == []
         assert switch.tpps_dropped == 1
+
+    def test_forward_action_carries_without_executing(
+            self, single_switch_net):
+        net = single_switch_net
+        policy = self.wire(net, action="forward")
+        switch = net.switch("sw0")
+        results = []
+        h0, h1 = net.host("h0"), net.host("h1")
+        TPPEndpoint(h0).send(assemble(self.BAD), dst_mac=h1.mac,
+                             on_response=results.append)
+        TPPEndpoint(h1)
+        net.run(until_seconds=0.01)
+        # Echoed back with zero hops executed.
+        assert results[0].hops() == 0
+        assert switch.tcpu.tpps_executed == 0
+        assert policy.tpps_rejected == 1
 
     def test_trusted_port_skips_verification(self, single_switch_net):
         from repro.control.security import VerifierPolicy

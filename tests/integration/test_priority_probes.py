@@ -34,7 +34,7 @@ def build(probe_queue):
     h2 = net.add_host()   # sink
     net.link(h0, switch, units.GIGABITS_PER_SEC)
     net.link(h1, switch, units.GIGABITS_PER_SEC)
-    net.link(h2, switch, RATE, n_queues=2, scheduler="priority")
+    net.link(h2, switch, RATE, n_queues=2)
     install_shortest_path_routes(net)
     egress_index = [local for local, peer, _ in net.adjacency()["sw0"]
                     if peer == "h2"][0]

@@ -1,18 +1,13 @@
-"""Multi-queue ports: priority and DRR scheduling."""
-
-import pytest
+"""Multi-queue ports: FIFO and strict-priority scheduling."""
 
 from repro import units
-from repro.errors import ConfigurationError
 from repro.net.device import Device
 from repro.net.link import connect
 from repro.net.packet import EthernetFrame, RawPayload
 from repro.net.queues import DropTailQueue
 from repro.net.schedulers import (
-    DeficitRoundRobinScheduler,
     FifoScheduler,
     StrictPriorityScheduler,
-    make_scheduler,
 )
 
 
@@ -60,54 +55,6 @@ class TestSchedulerUnits:
     def test_priority_empty(self):
         assert StrictPriorityScheduler().select(queues_with([], [])) is None
 
-    def test_drr_weights_validated(self):
-        with pytest.raises(ConfigurationError):
-            DeficitRoundRobinScheduler([1.0, 0.0])
-
-    def test_drr_queue_count_checked(self):
-        scheduler = DeficitRoundRobinScheduler([1.0, 1.0])
-        with pytest.raises(ConfigurationError):
-            scheduler.select(queues_with([frame_of(100)]))
-
-    def test_drr_alternates_equal_weights(self):
-        scheduler = DeficitRoundRobinScheduler([1.0, 1.0],
-                                               quantum_bytes=1000)
-        queues = queues_with([frame_of(500) for _ in range(10)],
-                             [frame_of(500) for _ in range(10)])
-        served = []
-        for _ in range(12):  # 3 whole rounds of [0, 0, 1, 1]
-            index = scheduler.select(queues)
-            served.append(index)
-            frame = queues[index].begin_transmit()
-            queues[index].transmit_complete(frame)
-        assert served.count(0) == 6
-        assert served.count(1) == 6
-
-    def test_drr_respects_weights(self):
-        scheduler = DeficitRoundRobinScheduler([3.0, 1.0],
-                                               quantum_bytes=500)
-        queues = queues_with([frame_of(500) for _ in range(40)],
-                             [frame_of(500) for _ in range(40)])
-        served = []
-        for _ in range(24):
-            index = scheduler.select(queues)
-            served.append(index)
-            frame = queues[index].begin_transmit()
-            queues[index].transmit_complete(frame)
-        ratio = served.count(0) / max(1, served.count(1))
-        assert 2.0 < ratio < 4.5
-
-    def test_drr_work_conserving(self):
-        scheduler = DeficitRoundRobinScheduler([1.0, 1.0])
-        queues = queues_with([], [frame_of(100)])
-        assert scheduler.select(queues) == 1
-
-    def test_make_scheduler_validation(self):
-        with pytest.raises(ConfigurationError):
-            make_scheduler("fifo", 2)
-        with pytest.raises(ConfigurationError):
-            make_scheduler("bogus", 1)
-
 
 class TestMultiQueuePort:
     def _port_pair(self, sim, **kwargs):
@@ -117,9 +64,14 @@ class TestMultiQueuePort:
                             **kwargs)
         return port_a, b
 
+    def test_scheduler_follows_queue_count(self, sim):
+        single, _ = self._port_pair(sim)
+        assert isinstance(single.scheduler, FifoScheduler)
+        multi, _ = self._port_pair(sim, n_queues=2)
+        assert isinstance(multi.scheduler, StrictPriorityScheduler)
+
     def test_priority_queue_preempts_between_packets(self, sim):
-        port, receiver = self._port_pair(sim, n_queues=2,
-                                         scheduler="priority")
+        port, receiver = self._port_pair(sim, n_queues=2)
         # Fill the low-priority queue, then add one high-priority frame.
         for index in range(5):
             port.enqueue(frame_of(1000, tag=f"low{index}"), queue_id=1)
@@ -131,22 +83,12 @@ class TestMultiQueuePort:
         # goes right after it, ahead of the remaining low ones.
         assert order[1] == "urgent"
 
-    def test_drr_splits_bandwidth(self, sim):
-        port, receiver = self._port_pair(
-            sim, n_queues=2, scheduler="drr", scheduler_weights=[1.0, 1.0])
-        for index in range(20):
-            port.enqueue(frame_of(1000, tag="a"), queue_id=0)
-            port.enqueue(frame_of(1000, tag="b"), queue_id=1)
-        sim.run()
-        first_half = [f.tag for f in receiver.received[:20]]
-        assert 8 <= first_half.count("a") <= 12
-
     def test_queue_for_clamps(self, sim):
-        port, _ = self._port_pair(sim, n_queues=2, scheduler="priority")
+        port, _ = self._port_pair(sim, n_queues=2)
         assert port.queue_for(7) is port.queues[1]
 
     def test_total_occupancy(self, sim):
-        port, _ = self._port_pair(sim, n_queues=2, scheduler="priority")
+        port, _ = self._port_pair(sim, n_queues=2)
         port.enqueue(frame_of(100), queue_id=0)
         port.enqueue(frame_of(200), queue_id=1)
         assert port.total_occupancy_bytes() == 300
@@ -170,8 +112,7 @@ class TestQueueClassificationInSwitch:
         h0 = net.add_host()
         h1 = net.add_host()
         net.link(h0, switch, units.GIGABITS_PER_SEC)
-        net.link(h1, switch, units.GIGABITS_PER_SEC, n_queues=3,
-                 scheduler="priority")
+        net.link(h1, switch, units.GIGABITS_PER_SEC, n_queues=3)
         install_shortest_path_routes(net)
         h1.on_udp_port(9, lambda d, f: None)
         h0.send_datagram(h1.mac, Datagram(h0.ip, h1.ip, 1, 9,
@@ -193,7 +134,7 @@ class TestQueueClassificationInSwitch:
         h1 = net.add_host()
         net.link(h0, switch, units.GIGABITS_PER_SEC)
         out_port, _ = net.link(h1, switch, units.GIGABITS_PER_SEC,
-                               n_queues=2, scheduler="priority")
+                               n_queues=2)
         install_shortest_path_routes(net)
         egress_index = [local for local, peer, _ in net.adjacency()["sw0"]
                         if peer == "h1"][0]
@@ -221,7 +162,7 @@ class TestQueueClassificationInSwitch:
         net.link(hosts[0], switch, units.GIGABITS_PER_SEC)
         net.link(hosts[1], switch, units.GIGABITS_PER_SEC)
         net.link(hosts[2], switch, 10 * units.MEGABITS_PER_SEC,
-                 n_queues=2, scheduler="priority")
+                 n_queues=2)
         install_shortest_path_routes(net)
         h0, h1, h2 = hosts
         # Congest the low-priority queue (tos=1 from h1).

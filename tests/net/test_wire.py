@@ -1,5 +1,8 @@
 """Wire serialization: real bytes for every simulated frame."""
 
+import struct
+import zlib
+
 import pytest
 
 from repro.apps.rcp_common import RCPHeader
@@ -20,6 +23,25 @@ def datagram(**kwargs):
                     dst_port=5678, payload=RawPayload(32, data=b"hello"))
     defaults.update(kwargs)
     return Datagram(**defaults)
+
+
+def ipv4_header(ihl=5, protocol=17, options=b""):
+    """A 20-byte IPv4 header (+ options) whose IHL field says ``ihl``
+    words, checksummed over its first ``ihl * 4`` bytes (zero padding
+    after it adds nothing to the sum)."""
+    header = bytearray(struct.pack("!BBHHHBBH4s4s", 0x40 | ihl, 0, 0, 0,
+                                   0, 64, protocol, 0, b"\x0a\0\0\x01",
+                                   b"\x0a\0\0\x02") + options)
+    checksum = wire.internet_checksum(bytes(header[:ihl * 4]))
+    header[10:12] = checksum.to_bytes(2, "big")
+    return bytes(header)
+
+
+def ethernet_frame(payload):
+    """Wire bytes of an IPv4 Ethernet frame around ``payload``."""
+    body = bytes(6) + bytes(6) + ETHERTYPE_IPV4.to_bytes(2, "big") + payload
+    body += bytes(max(0, 60 - len(body)))
+    return body + (zlib.crc32(body) & 0xFFFF_FFFF).to_bytes(4, "big")
 
 
 class TestChecksum:
@@ -89,6 +111,43 @@ class TestDatagramRoundTrip:
             if d.congestion_header:
                 expected += 16 - d.congestion_header.size_bytes
             assert len(encoded) == expected
+
+
+class TestMalformedDatagram:
+    """Hostile headers raise ``WireFormatError``, never ``struct.error``,
+    and never decode to a datagram that re-encodes to other lengths."""
+
+    def test_header_without_udp_rejected(self):
+        with pytest.raises(WireFormatError, match="UDP"):
+            wire.decode_datagram(ipv4_header())
+
+    def test_truncated_rcp_shim_rejected(self):
+        raw = ipv4_header(protocol=wire.IP_PROTO_RCP_SHIM) + bytes(10)
+        with pytest.raises(WireFormatError, match="shim"):
+            wire.decode_datagram(raw)
+
+    def test_ihl_below_five_rejected(self):
+        raw = ipv4_header(ihl=4) + bytes(8)
+        with pytest.raises(WireFormatError, match="IHL"):
+            wire.decode_datagram(raw)
+
+    @pytest.mark.parametrize("protocol", [17, wire.IP_PROTO_RCP_SHIM])
+    def test_ihl_past_input_rejected_through_frame(self, protocol):
+        raw = ethernet_frame(ipv4_header(ihl=15, protocol=protocol))
+        with pytest.raises(WireFormatError, match="claims 60 bytes"):
+            wire.decode_frame(raw)
+
+    def test_record_route_pointer_past_slots_rejected(self):
+        original = datagram(route_record_slots=2)
+        original.route_record.extend([7, 7])
+        raw = bytearray(wire.encode_datagram(original))
+        assert raw[20:23] == bytes([wire.IP_OPTION_RECORD_ROUTE, 11, 12])
+        raw[22] = 24  # five entries' worth, in a two-slot option
+        raw[10:12] = bytes(2)
+        raw[10:12] = wire.internet_checksum(bytes(raw[:32])).to_bytes(
+            2, "big")
+        with pytest.raises(WireFormatError, match="record-route"):
+            wire.decode_datagram(bytes(raw))
 
 
 class TestFrameRoundTrip:

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from repro.tools import run_experiment, tppasm
+from repro.tools import tppasm
 
 
 class TestTppasmAssemble:
@@ -65,28 +65,6 @@ class TestTppasmMemmap:
         assert "Switch:SwitchID" in out
         assert "Link:RX-Utilization" in out
         assert "Sram:Word0..Word1023" in out
-
-
-class TestRunExperiment:
-    def test_fig1(self, capsys):
-        assert run_experiment.main(["fig1", "--switches", "2"]) == 0
-        out = capsys.readouterr().out
-        assert "hop 0" in out and "hop 1" in out
-
-    def test_microburst(self, capsys):
-        assert run_experiment.main(
-            ["microburst", "--duration", "0.3"]) == 0
-        assert "micro-bursts detected" in capsys.readouterr().out
-
-    def test_ndb(self, capsys):
-        assert run_experiment.main(["ndb"]) == 0
-        out = capsys.readouterr().out
-        assert "violations:" in out
-        assert "wrong-path" in out or "unknown-rule" in out
-
-    def test_fig2_short(self, capsys):
-        assert run_experiment.main(["fig2", "--duration", "1.5"]) == 0
-        assert "R(t)/C" in capsys.readouterr().out
 
 
 class TestTppasmLint:
