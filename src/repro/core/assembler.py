@@ -10,15 +10,12 @@ Source syntax (everything case-insensitive except ``$symbols``)::
     .perhop 3              ; override: words per hop (hop mode)
     .data 2 0x1234         ; initialize packet-memory word 2
 
-    ; --- instructions (operand order follows the paper's listings) ------
-    PUSH [Queue:QueueSize]                     ; switch -> packet[SP]
-    POP  [Sram:Word3]                          ; packet[--SP] -> switch
-    LOAD [Switch:SwitchID], [Packet:Hop[1]]    ; switch -> packet memory
-    STORE [Link:RCP-RateRegister], [Packet:0]  ; packet memory -> switch
+    ; --- instructions: operands in their ISA row's ``syntax`` order ---
+    PUSH [Queue:QueueSize]
+    LOAD [Switch:SwitchID], [Packet:Hop[1]]
     CSTORE [Sram:Word0], [Packet:0], [Packet:1]
     CEXEC [Switch:SwitchID], 0xFFFFFFFF, $BottleneckSwitchID
-    ADD [Packet:2], [Queue:QueueSize]          ; packet[2] += queue size
-    MIN [Packet:0], [Link:Reg0]                ; packet[0] = min(., reg)
+    ADD [Packet:2], [Queue:QueueSize]
 
 Operand kinds:
 
@@ -47,7 +44,7 @@ from dataclasses import dataclass, field, replace
 from typing import Any, Dict, List, Optional, Set, Tuple
 
 from repro.core.exceptions import AssemblerError
-from repro.core.isa import Instruction, Opcode, PAIR_OPERAND_OPCODES
+from repro.core.isa import ISA, Instruction, Opcode
 from repro.core.memory_map import MemoryMap
 from repro.core.tpp import AddressingMode, TPPSection, program_key_of
 
@@ -289,35 +286,30 @@ class _Assembler:
         except KeyError as exc:
             raise AssemblerError(f"unknown mnemonic {mnemonic!r}",
                                  number, raw) from exc
-        operands = [self._operand(text.strip(), number, raw)
-                    for text in _split_operands(rest)]
-        self._check_arity(opcode, operands, number, raw)
+        row = ISA[opcode]
+        operands: List[_Operand] = []
+        for text in _split_operands(rest):
+            # A pair (always the last operand) spells its second word as
+            # the first plus one, so word 256 may follow word 255.
+            after_255 = (row.syntax[-1:] == ("pair",)
+                         and len(operands) == row.arity - 1
+                         and operands[-1] == _Operand("packet", 0xFF))
+            operands.append(self._operand(text.strip(), number, raw,
+                                          0x100 if after_255 else 0xFF))
+        if len(operands) != row.arity:
+            raise AssemblerError(
+                f"{opcode.name} takes {row.arity} operand(s), "
+                f"got {len(operands)}", number, raw)
         self.parsed.append((opcode, operands, number, raw))
 
-    @staticmethod
-    def _check_arity(opcode: Opcode, operands: List[_Operand],
-                     number: int, raw: str) -> None:
-        expected = {
-            Opcode.NOP: (0,),
-            Opcode.PUSH: (1,),
-            Opcode.POP: (1,),
-            Opcode.LOAD: (2,),
-            Opcode.STORE: (2,),
-            Opcode.CSTORE: (3,),
-            Opcode.CEXEC: (3,),
-        }.get(opcode, (2,))
-        if len(operands) not in expected:
-            raise AssemblerError(
-                f"{opcode.name} takes {expected[0]} operand(s), "
-                f"got {len(operands)}", number, raw)
-
-    def _operand(self, text: str, number: int, raw: str) -> _Operand:
+    def _operand(self, text: str, number: int, raw: str,
+                 limit: int = 0xFF) -> _Operand:
         if not text:
             raise AssemblerError("empty operand", number, raw)
         match = _PACKET_OPERAND.match(text)
         if match:
             offset = int(match.group(1) or match.group(2))
-            if offset > 0xFF:
+            if offset > limit:
                 raise AssemblerError(
                     f"packet offset {offset} exceeds 255", number, raw)
             return _Operand("packet", offset)
@@ -365,8 +357,12 @@ class _Assembler:
 
     def _emit(self, source: str) -> AssembledProgram:
         pushes = sum(1 for opcode, *_ in self.parsed
-                     if opcode == Opcode.PUSH)
-        max_packet_word = self._max_packet_word()
+                     if ISA[opcode].packet == "push")
+        # Highest packet word any operand touches (a pair spells both).
+        max_packet_word = max(
+            (operand.value for _, operands, _, _ in self.parsed
+             for operand in operands if operand.kind == "packet"),
+            default=-1)
 
         if self.perhop_words is not None:
             perhop_words = self.perhop_words
@@ -434,61 +430,46 @@ class _Assembler:
             for name, indices in words.items()}
         return program
 
-    def _max_packet_word(self) -> int:
-        """Highest packet word any operand touches (pairs take two)."""
-        highest = -1
-        for opcode, operands, _, _ in self.parsed:
-            for position, operand in enumerate(operands):
-                if operand.kind != "packet":
-                    continue
-                width = 2 if (opcode in PAIR_OPERAND_OPCODES
-                              and position == 1) else 1
-                highest = max(highest, operand.value + width - 1)
-        return highest
-
     def _encode(self, opcode: Opcode, operands: List[_Operand],
-                pool: List[int], pool_base: int,
+                pool: List[_Operand], pool_base: int,
                 number: int, raw: str) -> Instruction:
-        if opcode == Opcode.NOP:
-            return Instruction(Opcode.NOP)
+        addr = offset = 0
+        for position, kind in enumerate(ISA[opcode].syntax):
+            operand = operands[position]
+            if kind == "switch":
+                addr = self._expect(operand, "switch", number, raw).value
+            elif kind == "packet":
+                offset = self._expect(operand, "packet", number, raw).value
+            else:  # a pair is the last operand and spells two
+                offset = self._pair(opcode, position, operand,
+                                    operands[position + 1], pool,
+                                    pool_base, number, raw)
+        return Instruction(opcode, addr=addr, offset=offset)
 
-        if opcode in (Opcode.PUSH, Opcode.POP):
-            switch = self._expect(operands[0], "switch", number, raw)
-            return Instruction(opcode, addr=switch.value)
-
-        if opcode in (Opcode.LOAD, Opcode.STORE):
-            switch = self._expect(operands[0], "switch", number, raw)
-            packet = self._expect(operands[1], "packet", number, raw)
-            return Instruction(opcode, addr=switch.value,
-                               offset=packet.value)
-
-        if opcode in PAIR_OPERAND_OPCODES:
-            switch = self._expect(operands[0], "switch", number, raw)
-            second, third = operands[1], operands[2]
-            if second.kind == "packet" and third.kind == "packet":
-                if third.value != second.value + 1:
-                    raise AssemblerError(
-                        f"{opcode.name} packet operands must be "
-                        f"consecutive words, got {second.value} and "
-                        f"{third.value}", number, raw)
-                return Instruction(opcode, addr=switch.value,
-                                   offset=second.value)
-            if second.kind == "immediate" and third.kind == "immediate":
-                offset = pool_base + len(pool)
-                pool.extend([second, third])
-                if offset + 1 > 0xFF:
-                    raise AssemblerError(
-                        "literal pool exceeds addressable packet memory",
-                        number, raw)
-                return Instruction(opcode, addr=switch.value, offset=offset)
-            raise AssemblerError(
-                f"{opcode.name} operands 2 and 3 must both be packet "
-                f"references or both immediates", number, raw)
-
-        # Arithmetic: OP [Packet:N], [Namespace:Stat]
-        packet = self._expect(operands[0], "packet", number, raw)
-        switch = self._expect(operands[1], "switch", number, raw)
-        return Instruction(opcode, addr=switch.value, offset=packet.value)
+    @staticmethod
+    def _pair(opcode: Opcode, position: int, first: _Operand,
+              second: _Operand, pool: List[_Operand], pool_base: int,
+              number: int, raw: str) -> int:
+        """Offset of a pair: consecutive packet words or pooled immediates."""
+        if first.kind == "packet" and second.kind == "packet":
+            if second.value != first.value + 1:
+                raise AssemblerError(
+                    f"{opcode.name} packet operands must be "
+                    f"consecutive words, got {first.value} and "
+                    f"{second.value}", number, raw)
+            return first.value
+        if first.kind == "immediate" and second.kind == "immediate":
+            offset = pool_base + len(pool)
+            pool.extend([first, second])
+            if offset + 1 > 0xFF:
+                raise AssemblerError(
+                    "literal pool exceeds addressable packet memory",
+                    number, raw)
+            return offset
+        raise AssemblerError(
+            f"{opcode.name} operands {position + 1} and {position + 2} "
+            f"must both be packet references or both immediates",
+            number, raw)
 
     @staticmethod
     def _expect(operand: _Operand, kind: str, number: int,

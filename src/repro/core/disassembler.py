@@ -10,32 +10,25 @@ from __future__ import annotations
 
 from typing import Iterable, List, Optional
 
-from repro.core.isa import Instruction, Opcode, PAIR_OPERAND_OPCODES
+from repro.core.isa import ISA, Instruction
 from repro.core.memory_map import MemoryMap
 from repro.core.tpp import TPPSection
 
 
 def disassemble_instruction(instruction: Instruction,
                             memory_map: Optional[MemoryMap] = None) -> str:
-    """One instruction as assembly text."""
+    """One instruction as assembly text, operands in the row's ``syntax``."""
     if memory_map is None:
         memory_map = MemoryMap.standard()
-    opcode = instruction.opcode
-    switch = f"[{memory_map.name_of(instruction.addr)}]"
-    packet = f"[Packet:{instruction.offset}]"
-
-    if opcode == Opcode.NOP:
-        return "NOP"
-    if opcode in (Opcode.PUSH, Opcode.POP):
-        return f"{opcode.name} {switch}"
-    if opcode in (Opcode.LOAD, Opcode.STORE):
-        return f"{opcode.name} {switch}, {packet}"
-    if opcode in PAIR_OPERAND_OPCODES:
-        pair = (f"[Packet:{instruction.offset}], "
-                f"[Packet:{instruction.offset + 1}]")
-        return f"{opcode.name} {switch}, {pair}"
-    # Arithmetic prints destination (packet) first, as assembled.
-    return f"{opcode.name} {packet}, {switch}"
+    offset = instruction.offset
+    text = {
+        "switch": f"[{memory_map.name_of(instruction.addr)}]",
+        "packet": f"[Packet:{offset}]",
+        "pair": f"[Packet:{offset}], [Packet:{offset + 1}]",
+    }
+    operands = ", ".join(text[kind]
+                         for kind in ISA[instruction.opcode].syntax)
+    return f"{instruction.opcode.name} {operands}".rstrip()
 
 
 def disassemble(instructions: Iterable[Instruction],

@@ -49,12 +49,7 @@ from collections import OrderedDict
 from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.core.exceptions import FaultCode, TCPUFault
-from repro.core.isa import (
-    ALU_FUNCTIONS,
-    HOP_RELATIVE_OPCODES,
-    Instruction,
-    Opcode,
-)
+from repro.core.isa import ISA, Instruction, Opcode
 from repro.core.mmu import MMU
 from repro.core.racecheck import DATAFLOW_ACCUMULATE, analyze_sram_dataflow
 from repro.core.tpp import AddressingMode
@@ -300,7 +295,8 @@ def _compile_instruction(instruction: Instruction, hop_mode: bool,
     addr = instruction.addr
     offset_bytes = instruction.offset * word
     mask = (1 << (8 * word)) - 1
-    hop_relative = hop_mode and opcode in HOP_RELATIVE_OPCODES
+    row = ISA[opcode]
+    hop_relative = hop_mode and row.packet == "word"
     codec = _WORD_STRUCTS[word]
     pack_into = codec.pack_into
     unpack_from = codec.unpack_from
@@ -427,7 +423,7 @@ def _compile_instruction(instruction: Instruction, hop_mode: bool,
 
         return step_cexec
 
-    operation = ALU_FUNCTIONS.get(opcode)
+    operation = row.alu
     if operation is not None:
         read = mmu.reader_for(addr)
 

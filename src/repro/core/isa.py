@@ -1,48 +1,54 @@
-"""The TPP instruction set (paper Table 1, §3.2.3).
+"""The TPP instruction set (paper Table 1, §3.2.3): one row per opcode.
 
 Every instruction fits in exactly 4 bytes — the paper: "we were able to
-encode an instruction and its operands in a 4-byte integer".  The layout is
+encode an instruction and its operands in a 4-byte integer": an 8-bit
+:class:`Opcode`, a 16-bit switch virtual address ``addr`` (see
+``memory_map``) and an 8-bit packet-memory word ``offset``.
 
-====== ======= ====================================================
-field  width   meaning
-====== ======= ====================================================
-opcode 8 bits  one of :class:`Opcode`
-addr   16 bits switch virtual address (see ``memory_map``)
-offset 8 bits  packet-memory word offset (interpretation per opcode)
-====== ======= ====================================================
+:data:`ISA` states what each opcode does, once; the assembler, the
+disassembler, the verifier, the relational walk and the race summaries
+read its rows instead of keeping their own opcode lists.  The reference
+interpreter (``TCPU._step``) and the closure compiler
+(``fastpath._compile_instruction``) stay hand-written;
+``tests/core/test_isa_table.py`` holds both of them to the table.
 
-Operand conventions (matching the paper's listings):
+Operand conventions (the paper's listings; stated here only):
 
-- ``PUSH addr`` / ``POP addr`` use the TPP's stack pointer; ``offset`` is
-  unused.
-- ``LOAD addr, offset`` copies ``switch[addr]`` into packet memory at the
-  *effective address* of ``offset`` (hop-relative in hop mode, absolute
-  otherwise).  ``STORE addr, offset`` copies the other way.
-- ``CSTORE addr, offset``: the conditional store of §3.2.3
-  (``CSTORE dst, cond, src``): ``cond`` is the packet word at absolute
-  offset ``offset`` and ``src`` the word after it.  The old value of
-  ``switch[addr]`` is written back over ``cond`` so the end-host can tell
-  whether the store won — this is what makes the primitive linearizable.
-- ``CEXEC addr, offset``: conditional execute; ``mask`` is the packet word
-  at absolute offset ``offset`` and ``value`` the word after it.  Execution
-  of *all subsequent instructions* on this switch is disabled unless
+- ``syntax`` is the assembly operand order.  ``switch`` is ``addr``;
+  ``packet`` is ``offset``; ``pair`` is two packet operands, ``offset``
+  and the word after it (``offset`` may be 255: the second word is then
+  word 256), or two immediates the assembler places in its literal pool.
+- ``packet`` is the packet operand's shape.  ``push``: the word at SP,
+  then SP grows by one word.  ``pop``: SP shrinks by one word, then the
+  word at SP.  ``word``: word ``offset``, hop-relative in hop-addressed
+  programs (``hop * perhop_len + offset``), absolute otherwise.
+  ``pair``: words ``offset`` and ``offset + 1``, absolute in every mode,
+  so a program's immediates resolve to the same bytes on every hop.
+- ``CSTORE dst, cond, src`` (§3.2.3): the old value of ``switch[addr]``
+  is written back over ``cond`` so the end-host can tell whether the
+  store won — this is what makes the primitive linearizable — and
+  ``src`` is stored only when the old value equals ``cond``.
+- ``CEXEC reg, mask, value`` is the one ``fence``: *all subsequent
+  instructions* on this switch are disabled unless
   ``(switch[addr] & mask) == value``.
-- Arithmetic (``ADD``..``MAX``) accumulates a switch statistic into packet
-  memory: ``packet[ea(offset)] = packet[ea(offset)] OP switch[addr]``.
-  ``MIN`` is how a single packet word can collect the minimum fair-share
-  rate along a path.
+- ``alu`` rows accumulate a switch statistic into packet memory:
+  ``packet[ea] = alu(packet[ea], switch[addr])``, masked to the word
+  width (``MIN`` collects the minimum fair-share rate along a path).
 
-Conditional operands (CSTORE/CEXEC) use **absolute** word offsets even in
-hop-addressed programs, so a program's immediates (materialized by the
-assembler into a literal pool) resolve to the same bytes on every hop.
+**Fault order.**  An instruction performs its accesses in one order, so
+the first failing access names its fault: packet reads, then the switch
+read, then the packet write, then the switch write.  A bounds or stack
+check belongs to the access it guards (``PUSH``'s overflow check is its
+packet write, ``POP``'s underflow check its packet read).
 """
 
 from __future__ import annotations
 
 import enum
+import operator
 import struct
 from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, List, Sequence, Tuple
+from typing import Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.core.exceptions import TPPEncodingError
 
@@ -69,47 +75,64 @@ class Opcode(enum.IntEnum):
     MAX = 0x16
 
 
-# --------------------------------------------------------------------- #
-# Opcode classes — the one statement of each opcode's operand behaviour.
-# The interpreter, the closure compiler and the static analyses all
-# import these; none keeps a private copy.
-# --------------------------------------------------------------------- #
+@dataclass(frozen=True)
+class OpcodeRow:
+    """What one opcode does (conventions: the module docstring)."""
 
-#: ALU semantics: ``packet[ea] = ALU_FUNCTIONS[op](packet[ea], switch[addr])``
-#: on raw operands, masked to the word width by the caller afterwards.
-ALU_FUNCTIONS: Dict[Opcode, Callable[[int, int], int]] = {
-    Opcode.ADD: lambda a, b: a + b,
-    Opcode.SUB: lambda a, b: a - b,
-    Opcode.AND: lambda a, b: a & b,
-    Opcode.OR: lambda a, b: a | b,
-    Opcode.XOR: lambda a, b: a ^ b,
-    Opcode.MIN: min,
-    Opcode.MAX: max,
+    #: Assembly operands in order: ``switch``, ``packet`` or ``pair``.
+    syntax: Tuple[str, ...]
+    #: Packet operand shape: ``None``, ``push``, ``pop``, ``word`` or
+    #: ``pair``.
+    packet: Optional[str] = None
+    reads_switch: bool = False
+    writes_switch: bool = False
+    reads_packet: bool = False
+    writes_packet: bool = False
+    #: A false condition disables every later instruction on this switch.
+    fence: bool = False
+    #: ``packet[ea] = alu(packet[ea], switch[addr])`` on raw operands.
+    alu: Optional[Callable[[int, int], int]] = None
+
+    @property
+    def stack_delta(self) -> int:
+        """SP movement in words."""
+        return {"push": 1, "pop": -1}.get(self.packet or "", 0)
+
+    @property
+    def arity(self) -> int:
+        """Assembly operand count (a pair is two)."""
+        return sum(2 if kind == "pair" else 1 for kind in self.syntax)
+
+
+def _alu(function: Callable[[int, int], int]) -> OpcodeRow:
+    return OpcodeRow(("packet", "switch"), "word", reads_switch=True,
+                     reads_packet=True, writes_packet=True, alu=function)
+
+
+#: The instruction set, one row per opcode.
+ISA: Dict[Opcode, OpcodeRow] = {
+    Opcode.NOP: OpcodeRow(()),
+    Opcode.LOAD: OpcodeRow(("switch", "packet"), "word",
+                           reads_switch=True, writes_packet=True),
+    Opcode.STORE: OpcodeRow(("switch", "packet"), "word",
+                            writes_switch=True, reads_packet=True),
+    Opcode.PUSH: OpcodeRow(("switch",), "push",
+                           reads_switch=True, writes_packet=True),
+    Opcode.POP: OpcodeRow(("switch",), "pop",
+                          writes_switch=True, reads_packet=True),
+    Opcode.CSTORE: OpcodeRow(("switch", "pair"), "pair",
+                             reads_switch=True, writes_switch=True,
+                             reads_packet=True, writes_packet=True),
+    Opcode.CEXEC: OpcodeRow(("switch", "pair"), "pair", reads_switch=True,
+                            reads_packet=True, fence=True),
+    Opcode.ADD: _alu(operator.add),
+    Opcode.SUB: _alu(operator.sub),
+    Opcode.AND: _alu(operator.and_),
+    Opcode.OR: _alu(operator.or_),
+    Opcode.XOR: _alu(operator.xor),
+    Opcode.MIN: _alu(min),
+    Opcode.MAX: _alu(max),
 }
-
-#: The arithmetic opcodes (``ADD``..``MAX``).
-ALU_OPCODES = frozenset(ALU_FUNCTIONS)
-
-#: Opcodes that read a packet operand pair at (offset, offset+1 word).
-PAIR_OPERAND_OPCODES = frozenset({Opcode.CSTORE, Opcode.CEXEC})
-
-#: Opcodes whose packet operand is hop-relative in hop-addressed programs.
-HOP_RELATIVE_OPCODES = ALU_OPCODES | {Opcode.LOAD, Opcode.STORE}
-
-#: Opcodes that read their switch virtual address.
-SWITCH_READING_OPCODES = ALU_OPCODES | {
-    Opcode.PUSH, Opcode.LOAD, Opcode.CSTORE, Opcode.CEXEC}
-
-#: Opcodes that write into switch memory (need write permission).
-SWITCH_WRITING_OPCODES = frozenset({Opcode.STORE, Opcode.POP, Opcode.CSTORE})
-
-#: Opcodes that write packet memory (CSTORE writes the old switch value
-#: back over its condition word).
-PACKET_WRITING_OPCODES = ALU_OPCODES | {
-    Opcode.PUSH, Opcode.LOAD, Opcode.CSTORE}
-
-#: Stack-pointer movement in words; every other opcode leaves SP alone.
-STACK_DELTA_WORDS = {Opcode.PUSH: 1, Opcode.POP: -1}
 
 
 @dataclass(frozen=True)
@@ -179,13 +202,13 @@ def stack_prefix(instructions: Sequence[Instruction],
 
     ``prefix[j]`` is the stack-pointer movement of instructions
     ``[0, j)``; ``prefix[len(instructions)]`` is the whole program's.
-    CEXEC has delta zero, so ``prefix[k]`` is also the delta of the path
-    a disabling CEXEC at ``k`` truncates the program to.
+    A fence has delta zero, so ``prefix[k]`` is also the delta of the
+    path a disabling fence at ``k`` truncates the program to.
     """
     prefix = [0]
     for instruction in instructions:
         prefix.append(prefix[-1] + word_size
-                      * STACK_DELTA_WORDS.get(instruction.opcode, 0))
+                      * ISA[instruction.opcode].stack_delta)
     return prefix
 
 
@@ -193,11 +216,11 @@ def stack_extremes(instructions: Sequence[Instruction],
                    word_size: int) -> Tuple[List[int], int, int]:
     """``(prefix, dmin, dmax)``: :func:`stack_prefix` plus the smallest
     and largest SP delta one execution can leave behind — the full
-    program, or the prefix ending at any CEXEC that disabled the suffix.
+    program, or the prefix ending at any fence that disabled the suffix.
     After ``h`` clean hops the SP lies in ``[h * dmin, h * dmax]``.
     """
     prefix = stack_prefix(instructions, word_size)
     deltas = {prefix[-1]} | {
         prefix[k] for k, i in enumerate(instructions)
-        if i.opcode == Opcode.CEXEC}
+        if ISA[i.opcode].fence}
     return prefix, min(deltas), max(deltas)

@@ -42,10 +42,10 @@ access is already a ``TPP007`` admission error and an
 ``SRAM_PROTECTION`` runtime fault.
 
 What an instruction can do is decided in one place, the relational walk
-(:mod:`repro.core.relational`); this module only scans for the SRAM
-operands (:func:`collect_sram_accesses`), rewrites the resulting access
-maps by the walk's facts (:func:`_refine_summary`, the one rewrite) and
-classifies pairs.  A summary built with ``entry=None`` — every
+(:mod:`repro.core.relational`); this module only reads the SRAM
+operands off the ISA rows (:func:`_access_maps`), rewrites the resulting
+access maps by the walk's facts (:func:`_refine_summary`, the one
+rewrite) and classifies pairs.  A summary built with ``entry=None`` — every
 certificate's — is *unpinned*: its facts hold at every hop of the
 program's budget.  One built at a known counter (``summarize_program``:
 ``0``, ``summarize_section``: the header's) is *pinned*: true of the
@@ -106,7 +106,6 @@ from typing import (
     Any,
     Dict,
     FrozenSet,
-    Iterable,
     List,
     Mapping,
     Optional,
@@ -115,12 +114,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.isa import (
-    Instruction,
-    Opcode,
-    SWITCH_READING_OPCODES,
-    SWITCH_WRITING_OPCODES,
-)
+from repro.core.isa import ISA, Instruction, Opcode
 from repro.core.memory_map import MemoryMap, SRAM_BASE, is_sram
 from repro.core.relational import (
     ReachTable,
@@ -152,14 +146,25 @@ MemberKey = Tuple[bytes, int, Optional[bytes]]
 MAX_IMAGES = 16
 
 
-def _index_map(
-        pairs: Iterable[Tuple[int, int]]) -> Dict[int, Tuple[int, ...]]:
-    """Group ``(word, instruction)`` pairs into word → sorted indices."""
-    grouped: Dict[int, List[int]] = {}
-    for word, index in pairs:
-        grouped.setdefault(word, []).append(index)
-    return {word: tuple(sorted(indices))
-            for word, indices in grouped.items()}
+def _access_maps(instructions: Sequence[Instruction],
+                 ) -> Tuple[Dict[int, Tuple[int, ...]], ...]:
+    """``(reads, writes, claims)``: SRAM word → sorted instruction
+    indices, read off the ISA rows.
+
+    A row that both reads and writes its switch word (CSTORE) is the
+    claim protocol itself: a claim, not a read or a write.
+    """
+    maps: Tuple[Dict[int, List[int]], ...] = ({}, {}, {})
+    for index, instruction in enumerate(instructions):
+        row = ISA[instruction.opcode]
+        if is_sram(instruction.addr) and (row.reads_switch
+                                          or row.writes_switch):
+            kind = 2 if row.reads_switch and row.writes_switch else (
+                1 if row.writes_switch else 0)
+            maps[kind].setdefault(instruction.addr - SRAM_BASE,
+                                  []).append(index)
+    return tuple({word: tuple(indices) for word, indices in m.items()}
+                 for m in maps)
 
 
 class ProgramAccessSummary:
@@ -268,35 +273,6 @@ class ProgramAccessSummary:
             "relational": (self.relational.to_dict()
                            if self.relational else None),
         }
-
-
-def collect_sram_accesses(
-        instructions: Sequence[Instruction],
-) -> Tuple[Tuple[Tuple[int, int], ...],
-           Tuple[Tuple[int, int], ...],
-           Tuple[Tuple[int, int], ...]]:
-    """Scan a program for SRAM accesses.
-
-    Returns ``(reads, writes, claims)``, each a tuple of
-    ``(absolute_sram_word, instruction_index)`` pairs.
-    """
-    reads: List[Tuple[int, int]] = []
-    writes: List[Tuple[int, int]] = []
-    claims: List[Tuple[int, int]] = []
-    for index, instruction in enumerate(instructions):
-        if not is_sram(instruction.addr):
-            continue
-        word = instruction.addr - SRAM_BASE
-        opcode = instruction.opcode
-        if opcode == Opcode.CSTORE:
-            # CSTORE both reads and writes its destination, but that is
-            # the claim protocol itself: a claim, not a read or a write.
-            claims.append((word, index))
-        elif opcode in SWITCH_WRITING_OPCODES:
-            writes.append((word, index))
-        elif opcode in SWITCH_READING_OPCODES:
-            reads.append((word, index))
-    return tuple(reads), tuple(writes), tuple(claims)
 
 
 def _exclusive_guards(guards_a: Tuple[Tuple[int, int, int], ...],
@@ -410,9 +386,8 @@ def analyze_sram_dataflow(instructions: Sequence[Instruction], *,
     word as mixed, as do cross-word dataflow, a word stored from a slot
     that is not affine in it, and reads or plain writes beside a claim.
     """
-    _, writes_p, claims_p = collect_sram_accesses(instructions)
-    claims_map = _index_map(claims_p)
-    touched = {w for w, _ in writes_p} | set(claims_map)
+    _, writes_map, claims_map = _access_maps(instructions)
+    touched = set(writes_map) | set(claims_map)
     no_roles: Tuple[Optional[Tuple[str, int]], ...] = \
         (None,) * len(instructions)
     all_mixed = SRAMDataflow(
@@ -513,8 +488,7 @@ def summarize_instructions(instructions: Sequence[Instruction], *,
     if program_key is None:
         program_key = program_key_of(list(instructions), mode, word_size)
     name = name or f"{program_key.hex()[:12]}/t{task_id}"
-    reads_map, writes_map, claims_map = map(
-        _index_map, collect_sram_accesses(instructions))
+    reads_map, writes_map, claims_map = _access_maps(instructions)
     may_access = ProgramAccessSummary(
         name, task_id, program_key, reads_map, writes_map, claims_map,
         word_size=word_size)

@@ -55,9 +55,11 @@ image bound, unpinned ones against the second switch of a two-hop path.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import (
     Any,
+    Callable,
     Dict,
     FrozenSet,
     List,
@@ -68,14 +70,7 @@ from typing import (
     Tuple,
 )
 
-from repro.core.isa import (
-    ALU_FUNCTIONS,
-    HOP_RELATIVE_OPCODES,
-    Instruction,
-    Opcode,
-    PACKET_WRITING_OPCODES,
-    stack_extremes,
-)
+from repro.core.isa import ISA, Instruction, Opcode, stack_extremes
 from repro.core.memory_map import MemoryMap, SRAM_BASE, is_sram
 from repro.core.tpp import AddressingMode
 
@@ -223,32 +218,29 @@ def written_byte_intervals(instructions: Sequence[Instruction], *,
 
     The single source of truth for "which packet-memory bytes are
     provably constant at every hop": an unpinned walk seeds a slot from
-    the image only outside these intervals.  PUSH coverage uses the
-    per-instruction SP prefix sums over the worst achievable per-hop
-    growth; LOAD/arithmetic write back at their operand (striding per
-    hop in hop mode); CSTORE writes the old switch value over its
-    condition word.
+    the image only outside these intervals.  ``push`` operands cover
+    the per-instruction SP prefix sums over the worst achievable per-hop
+    growth; a written ``word`` strides per hop in hop mode; a written
+    ``pair`` (CSTORE's old-value write-back) is its first word.
     """
     hop_mode = mode == AddressingMode.HOP
     word = word_size
     horizon = max_hops if max_hops is not None else HOP_SCAN_LIMIT
     top_hop = max(horizon - 1, 0)
     prefix, _, dmax = stack_extremes(instructions, word)
-    pushes = [j for j, i in enumerate(instructions)
-              if i.opcode == Opcode.PUSH]
+    shapes = [ISA[i.opcode].packet if ISA[i.opcode].writes_packet
+              else None for i in instructions]
+    pushes = [j for j, shape in enumerate(shapes) if shape == "push"]
     intervals: List[Tuple[int, int]] = []
     if pushes:
         growth = top_hop * max(dmax, 0)
         hi = max(growth + prefix[j] + word for j in pushes)
         intervals.append((0, min(hi, memory_len)))
-    for instruction in instructions:
-        opcode = instruction.opcode
-        if opcode == Opcode.PUSH or opcode not in PACKET_WRITING_OPCODES:
+    for instruction, shape in zip(instructions, shapes):
+        if shape is None or shape == "push":
             continue
-        # LOAD/arithmetic write their operand word; CSTORE writes the
-        # old switch value back over its (absolute) cond word.
         base = instruction.offset * word
-        if hop_mode and opcode in HOP_RELATIVE_OPCODES:
+        if hop_mode and shape == "word":
             intervals.append((base,
                               top_hop * perhop_len_bytes + base + word))
         else:
@@ -276,36 +268,28 @@ def _consts(value: Value) -> Optional[FrozenSet[int]]:
     return frozenset(out)
 
 
-def _binop(opcode: Opcode, slot: Value, word_v: Value,
+def _binop(alu: Callable[[int, int], int], slot: Value, word_v: Value,
            mask: int) -> Value:
-    """Abstract ``packet[slot] = packet[slot] OP switch[word]``."""
+    """Abstract ``packet[slot] = alu(packet[slot], switch[word])``.
+
+    Constants fold; ``entry(w) + d`` stays affine under ``+``/``-`` of a
+    constant, and under ``+`` of it to a constant."""
     if slot is None or word_v is None:
         return None
+    affine = alu is operator.add or alu is operator.sub
     out: Set[Atom] = set()
     for sa in slot:
         for wa in word_v:
             s_const = sa[0] == "c"
             w_const = wa[0] == "c"
-            if opcode is Opcode.ADD:
-                if s_const and w_const:
-                    out.add(("c", (sa[1] + wa[1]) & mask))
-                elif s_const:
-                    out.add(("e", wa[1], (wa[2] + sa[1]) & mask))
-                elif w_const:
-                    out.add(("e", sa[1], (sa[2] + wa[1]) & mask))
-                else:
-                    return None
-            elif opcode is Opcode.SUB:
-                if s_const and w_const:
-                    out.add(("c", (sa[1] - wa[1]) & mask))
-                elif w_const and not s_const:
-                    out.add(("e", sa[1], (sa[2] - wa[1]) & mask))
-                else:
-                    return None
+            if s_const and w_const:
+                out.add(("c", alu(sa[1], wa[1]) & mask))
+            elif affine and w_const:
+                out.add(("e", sa[1], alu(sa[2], wa[1]) & mask))
+            elif alu is operator.add and s_const:
+                out.add(("e", wa[1], (wa[2] + sa[1]) & mask))
             else:
-                if not (s_const and w_const):
-                    return None
-                out.add(("c", ALU_FUNCTIONS[opcode](sa[1], wa[1]) & mask))
+                return None
             if len(out) > MAX_ATOMS:
                 return None
     return frozenset(out)
@@ -336,12 +320,9 @@ class _Walker:
         self.memory_len = memory_len
         self.perhop = perhop_len_bytes
         self.stable_addrs = stable_addrs
-        # Entry counter: exact when pinned.  Unpinned, the execution is
-        # any hop of the horizon: the counter spans what earlier hops
-        # can have grown it to, and a slot any hop may rewrite
-        # (:func:`written_byte_intervals`) no longer holds its image
-        # value — a CSTORE's condition word carries the previous
-        # switch's old value from hop 1 on.
+        # Entry counter: exact when pinned; unpinned, whatever earlier
+        # hops can have grown it to, and only slots no hop rewrites
+        # (:func:`written_byte_intervals`) hold their image value.
         mutable: List[Tuple[int, int]] = []
         if entry is not None:
             self.sp_lo = self.sp_hi = entry
@@ -392,9 +373,6 @@ class _Walker:
             value = _join(self.sram_value(w), value)
         self.sram_now[w] = value
 
-    def slot_value(self, base: int) -> Value:
-        return self.slots.get(base)
-
     def set_slot(self, base: int, value: Value,
                  taint: FrozenSet[Atom]) -> None:
         if self.conditional:
@@ -421,97 +399,58 @@ class _Walker:
 
     # ------------------------- the walk --------------------------- #
 
+    def locate(self, shape: Optional[str],
+               base: int) -> Tuple[Optional[int], int, int]:
+        """Resolve a one-word packet operand (moving SP for ``push`` /
+        ``pop``): ``(ea, lo, hi)`` — the exact byte offset, or ``None``
+        with the interval ``[lo, hi)`` the word may land in."""
+        word = self.word
+        exact = self.sp_lo == self.sp_hi
+        if shape == "push":
+            lo, hi = self.sp_lo, self.sp_hi + word
+            self.sp_lo += word
+            self.sp_hi += word
+            exact = exact and lo % word == 0 and lo + word <= self.memory_len
+        elif shape == "pop":
+            self.sp_lo -= word
+            self.sp_hi -= word
+            lo, hi = self.sp_lo, self.sp_hi + word
+        elif self.hop_mode:
+            lo = self.sp_lo * self.perhop + base
+            hi = self.sp_hi * self.perhop + base + word
+        else:
+            return base, base, base + word
+        return (lo if exact else None), lo, hi
+
     def run(self) -> None:
         word = self.word
         mask = self.mask
         for j, instruction in enumerate(self.instructions):
             opcode = instruction.opcode
+            row = ISA[opcode]
+            dead = self.dead_suffix_at is not None
+            if not row.syntax or (dead and not row.fence):
+                continue
             addr = instruction.addr
             sram = is_sram(addr)
             w = addr - SRAM_BASE if sram else -1
             base = instruction.offset * word
-            hop_rel = (self.hop_mode
-                       and opcode in HOP_RELATIVE_OPCODES)
-            if hop_rel:
-                if self.sp_lo == self.sp_hi:
-                    ea: Optional[int] = self.sp_lo * self.perhop + base
-                else:
-                    ea = None
-                    ea_lo = self.sp_lo * self.perhop + base
-                    ea_hi = self.sp_hi * self.perhop + base + word
-            else:
-                ea = base
-            dead = self.dead_suffix_at is not None
-            if opcode == Opcode.NOP or (dead and opcode != Opcode.CEXEC):
-                continue
-            if opcode == Opcode.PUSH:
-                value = self.sram_value(w) if sram else None
-                taint = (frozenset({("r", j)}) if sram
-                         else frozenset())
-                if sram:
-                    self.read_indices.append(j)
-                if self.sp_lo == self.sp_hi and \
-                        self.sp_lo % word == 0 and \
-                        self.sp_lo + word <= self.memory_len:
-                    self.set_slot(self.sp_lo, value, taint)
-                else:
-                    # Somewhere in the interval the word lands where
-                    # nothing overwrites it: the read stays live.
-                    self.mark_live(taint)
-                    self.clobber(self.sp_lo, self.sp_hi + word)
-                self.sp_lo += word
-                self.sp_hi += word
-                continue
-            if opcode == Opcode.POP:
-                self.sp_lo -= word
-                self.sp_hi -= word
-                if self.sp_lo == self.sp_hi:
-                    value = self.slot_value(self.sp_lo)
-                    taint = self.taint_of(self.sp_lo)
-                else:
-                    value, taint = None, frozenset()
-                self.mark_live(taint)
-                if sram:
-                    self._record_write(j, w, value)
-                continue
-            if opcode == Opcode.LOAD:
-                if sram:
-                    value = self.sram_value(w)
-                    taint = frozenset({("r", j)})
-                    self.read_indices.append(j)
-                else:
-                    value, taint = None, frozenset()
-                if ea is not None:
-                    self.set_slot(ea, value, taint)
-                else:
-                    self.mark_live(taint)
-                    self.clobber(ea_lo, ea_hi)
-                continue
-            if opcode == Opcode.STORE:
-                if ea is not None:
-                    value = self.slot_value(ea)
-                    taint = self.taint_of(ea)
-                else:
-                    value, taint = None, frozenset()
-                self.mark_live(taint)
-                if sram:
-                    self._record_write(j, w, value)
-                continue
+            if row.packet == "pair":
+                first = self.slots.get(base)
+                second = self.slots.get(base + word)
+                if not dead:
+                    self.mark_live(self.taint_of(base))
+                    self.mark_live(self.taint_of(base + word))
             if opcode == Opcode.CSTORE:
-                cond_v = self.slot_value(base)
-                src_v = self.slot_value(base + word)
-                self.mark_live(self.taint_of(base))
-                self.mark_live(self.taint_of(base + word))
                 if sram:
-                    self._record_claim(j, w, cond_v, src_v)
+                    self._record_claim(j, w, first, second)
                     old = self.sram_value(w)
                     self.set_slot(base, old, frozenset({("co", j)}))
                 else:
                     self.set_slot(base, None, frozenset())
                 continue
             if opcode == Opcode.CEXEC:
-                m = _consts(self.slot_value(base))
-                e = _consts(self.slot_value(base + word))
+                m, e = _consts(first), _consts(second)
                 const = (m is not None and e is not None
                          and len(m) == 1 and len(e) == 1)
                 if const:
@@ -525,8 +464,6 @@ class _Walker:
                 if sram:
                     self.read_indices.append(j)
                     self.live.add(("r", j))
-                self.mark_live(self.taint_of(base))
-                self.mark_live(self.taint_of(base + word))
                 if const:
                     if addr in self.stable_addrs:
                         self.stable_fences.append(
@@ -540,25 +477,34 @@ class _Walker:
                         continue  # fence always passes: not a branch
                 self.conditional = True
                 continue
-            if opcode in ALU_FUNCTIONS:
-                if ea is None:
-                    self.mark_live(frozenset({("r", j)}) if sram
-                                   else frozenset())
-                    if sram:
-                        self.read_indices.append(j)
-                    self.clobber(ea_lo, ea_hi)
-                    continue
-                slot_v = self.slot_value(ea)
-                taint = self.taint_of(ea)
+            # Every other opcode moves one word: switch -> packet,
+            # packet -> switch, or alu(packet, switch) -> packet.
+            ea, lo, hi = self.locate(row.packet, base)
+            value: Value = None
+            taint: FrozenSet[Atom] = frozenset()
+            if row.reads_packet and ea is not None:
+                value, taint = self.slots.get(ea), self.taint_of(ea)
+            if row.writes_switch:
+                self.mark_live(taint)
                 if sram:
-                    self.read_indices.append(j)
-                    word_v = self.sram_value(w)
-                    taint = taint | frozenset({("r", j)})
-                else:
-                    word_v = None
-                self.set_slot(ea, _binop(opcode, slot_v, word_v, mask),
-                              taint)
+                    self._record_write(j, w, value)
                 continue
+            read: Value = None
+            read_taint: FrozenSet[Atom] = frozenset()
+            if sram:
+                read = self.sram_value(w)
+                read_taint = frozenset({("r", j)})
+                self.read_indices.append(j)
+            if ea is None:
+                # Somewhere in the interval the word lands where nothing
+                # overwrites it: the read stays live.
+                self.mark_live(read_taint)
+                self.clobber(lo, hi)
+            elif row.alu is not None:
+                self.set_slot(ea, _binop(row.alu, value, read, mask),
+                              taint | read_taint)
+            else:
+                self.set_slot(ea, read, read_taint)
 
     def _evaluate_cexec(self, sram: bool, w: int, m_val: int,
                         e_val: int) -> Optional[bool]:

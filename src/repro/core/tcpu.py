@@ -31,12 +31,7 @@ from repro.core.fastpath import (
     build_batch_plan,
     compile_program,
 )
-from repro.core.isa import (
-    ALU_FUNCTIONS,
-    HOP_RELATIVE_OPCODES,
-    Instruction,
-    Opcode,
-)
+from repro.core.isa import ISA, Instruction, Opcode
 from repro.core.mmu import MMU, ExecutionContext
 from repro.core.racecheck import FleetRaceTable, RaceDiagnostic
 from repro.core.tpp import AddressingMode, FLAG_DONE, TPPSection
@@ -471,9 +466,6 @@ class TCPU:
             return True
 
         if opcode == Opcode.CSTORE:
-            # CSTORE dst, cond, src — linearizable conditional store; the
-            # old value of dst is written back over cond so the end-host
-            # can tell whether its store won.
             cond_offset = instruction.offset * word
             src_offset = cond_offset + word
             cond = tpp.read_word(cond_offset)
@@ -485,19 +477,18 @@ class TCPU:
             return True
 
         if opcode == Opcode.CEXEC:
-            # CEXEC reg, mask, value: run the rest of the program only if
-            # (reg & mask) == value.
             mask_offset = instruction.offset * word
             mask = tpp.read_word(mask_offset)
             expected = tpp.read_word(mask_offset + word)
             register = self.mmu.read(instruction.addr, ctx)
             return (register & mask) == expected
 
-        if opcode in ALU_FUNCTIONS:
+        alu = ISA[opcode].alu
+        if alu is not None:
             ea = self._effective_address(tpp, instruction)
             current = tpp.read_word(ea)
             operand = self.mmu.read(instruction.addr, ctx)
-            tpp.write_word(ea, ALU_FUNCTIONS[opcode](current, operand))
+            tpp.write_word(ea, alu(current, operand))
             return True
 
         raise TCPUFault(FaultCode.BAD_INSTRUCTION,
@@ -511,10 +502,9 @@ class TCPU:
     @staticmethod
     def _effective_address(tpp: TPPSection,
                            instruction: Instruction) -> int:
-        """Byte address in packet memory for a hop-relative operand."""
+        """Byte address in packet memory of a ``word`` operand."""
         byte_offset = instruction.offset * tpp.word_size
-        if (tpp.mode == AddressingMode.HOP
-                and instruction.opcode in HOP_RELATIVE_OPCODES):
+        if tpp.mode == AddressingMode.HOP:
             return tpp.hop * tpp.perhop_len_bytes + byte_offset
         return byte_offset
 

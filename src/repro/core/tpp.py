@@ -49,6 +49,8 @@ FLAG_DONE = 0x01
 FLAG_FAULT = 0x02
 
 _FAULT_SHIFT = 4
+#: The highest fault code; a fault stamp above it names no fault.
+_LAST_FAULT = max(FaultCode)
 
 SUPPORTED_WORD_SIZES = (4, 8)
 
@@ -109,6 +111,9 @@ class TPPSection:
             raise TPPEncodingError(
                 f"per-hop length must be 4-byte aligned, "
                 f"got {self.perhop_len_bytes}")
+        if (self.flags & FLAG_FAULT
+                and self.flags >> _FAULT_SHIFT > _LAST_FAULT):
+            self.flags &= ~FLAG_FAULT  # no switch stamps such a code
 
     # ------------------------------------------------------------------ #
     # Sizes
@@ -243,7 +248,8 @@ class TPPSection:
         """Stamp a fault code into the flags (first fault wins)."""
         if self.flags & FLAG_FAULT:
             return
-        self.flags |= FLAG_FAULT | (int(code) << _FAULT_SHIFT)
+        self.flags = ((self.flags & ~(0xF << _FAULT_SHIFT)) | FLAG_FAULT
+                      | (int(code) << _FAULT_SHIFT))
 
     # ------------------------------------------------------------------ #
     # Packet memory access (word granularity)
@@ -316,6 +322,9 @@ class TPPSection:
         if tpp_len != len(raw):
             raise TPPEncodingError(
                 f"TPP length field {tpp_len} != buffer length {len(raw)}")
+        if flags & FLAG_FAULT and flags >> _FAULT_SHIFT > _LAST_FAULT:
+            raise TPPEncodingError(
+                f"fault stamp {flags >> _FAULT_SHIFT} names no fault code")
         instruction_bytes = tpp_len - TPP_HEADER_BYTES - mem_len
         if instruction_bytes < 0 or instruction_bytes % INSTRUCTION_BYTES:
             raise TPPEncodingError(

@@ -8,15 +8,14 @@ budget, the word size, and the TCPU's instruction limit, proves program
 properties without executing a single instruction:
 
 - **instruction count** against the switch limit (``TPP001``);
-- **symbolic stack tracking** — PUSH/POP stack-pointer deltas are summed
-  per instruction; because CEXEC kills the *suffix* of a program, every
+- **symbolic stack tracking** — ``push``/``pop`` deltas are summed
+  per instruction; because a fence kills the *suffix* of a program, every
   per-hop SP delta is a prefix sum, so the reachable SP interval after
   ``h`` hops is exactly ``[h * dmin, h * dmax]`` over the achievable
   per-hop deltas.  Overflow (``TPP002``) and underflow (``TPP003``) are
   therefore decided exactly, not approximated;
-- **effective-address range analysis** for hop-relative and absolute
-  packet-memory operands, including the ``(offset, offset+1)`` absolute
-  pair reads of CSTORE/CEXEC (``TPP004``);
+- **effective-address range analysis** for ``word`` and ``pair`` packet
+  operands (``TPP004``);
 - **address resolution** against the memory map: unmapped regions
   (``TPP005``), writes into read-only statistics (``TPP006``), and —
   when the caller supplies the switch's SRAM allocations — accesses into
@@ -72,15 +71,7 @@ from typing import (
 )
 
 from repro.core.exceptions import FaultCode, TPPError
-from repro.core.isa import (
-    HOP_RELATIVE_OPCODES,
-    Instruction,
-    Opcode,
-    PAIR_OPERAND_OPCODES,
-    SWITCH_READING_OPCODES,
-    SWITCH_WRITING_OPCODES,
-    stack_extremes,
-)
+from repro.core.isa import ISA, Instruction, stack_extremes
 from repro.core.memory_map import MemoryMap, SRAM_BASE, is_sram, region_of
 from repro.core.racecheck import (
     ProgramAccessSummary,
@@ -448,14 +439,9 @@ class _Checker:
         # the extreme per-hop SP deltas.
         self.prefix, self.dmin, self.dmax = stack_extremes(
             instructions, word_size)
-        self.pushes = [j for j, i in enumerate(instructions)
-                       if i.opcode == Opcode.PUSH]
-        self.pops = [j for j, i in enumerate(instructions)
-                     if i.opcode == Opcode.POP]
-        # Hop-relative packet accesses: (index, first byte offset).
-        self.hop_relative = [
-            (j, i.offset * self.word) for j, i in enumerate(instructions)
-            if self.hop_mode and i.opcode in HOP_RELATIVE_OPCODES]
+        self.shapes = [ISA[i.opcode].packet for i in instructions]
+        self.pushes = [j for j, s in enumerate(self.shapes) if s == "push"]
+        self.pops = [j for j, s in enumerate(self.shapes) if s == "pop"]
         self.constraints = self._counter_constraints()
         # Relational facts, unpinned (``entry=None``): true at every
         # hop of the budget.  Consumed by the dead-code analysis and
@@ -512,9 +498,8 @@ class _Checker:
         """Resolve every switch operand against the network-wide map."""
         for j, instruction in enumerate(self.instructions):
             opcode = instruction.opcode
-            reads = opcode in SWITCH_READING_OPCODES
-            writes = opcode in SWITCH_WRITING_OPCODES
-            if not (reads or writes):
+            writes = ISA[opcode].writes_switch
+            if not (writes or ISA[opcode].reads_switch):
                 continue
             addr = instruction.addr
             descriptor = self.memory_map.describe(addr)
@@ -544,16 +529,16 @@ class _Checker:
     def check_absolute_accesses(self) -> None:
         """Hop-independent packet-memory accesses (decided at hop 0).
 
-        Covers CSTORE/CEXEC's absolute operand pairs in every mode, and
-        the single-word operands of LOAD/STORE/arithmetic when the
-        program is not hop-addressed.
+        Covers ``pair`` operands in every mode, and ``word`` operands
+        when the program is not hop-addressed.
         """
         for j, instruction in enumerate(self.instructions):
             opcode = instruction.opcode
+            shape = ISA[opcode].packet
             base = instruction.offset * self.word
-            if opcode in PAIR_OPERAND_OPCODES:
+            if shape == "pair":
                 width = 2 * self.word
-            elif (opcode in HOP_RELATIVE_OPCODES and not self.hop_mode):
+            elif shape == "word" and not self.hop_mode:
                 width = self.word
             else:
                 continue
@@ -582,21 +567,24 @@ class _Checker:
         """
         memlen, word = self.memory_len, self.word
         past = f"packet memory of {memlen} bytes"
+        names = [i.opcode.name for i in self.instructions]
         if self.hop_mode:
-            return [("TPP004", j, 1, memlen - word, offset,
-                     f"{self.instructions[j].opcode.name} hop-relative "
-                     f"operand at byte {{}} overruns {past}")
-                    for j, offset in self.hop_relative]
+            return [("TPP004", j, 1, memlen - word,
+                     self.instructions[j].offset * word,
+                     f"{names[j]} hop-relative operand at byte {{}} "
+                     f"overruns {past}")
+                    for j, shape in enumerate(self.shapes)
+                    if shape == "word"]
         constraints = [("TPP002", j, 1, memlen - word, self.prefix[j],
-                        f"PUSH can reach SP={{}} past {past}")
+                        f"{names[j]} can reach SP={{}} past {past}")
                        for j in self.pushes]
         for j in self.pops:
             constraints.append(
                 ("TPP003", j, -1, word, self.prefix[j],
-                 "POP can reach SP={} with an empty stack"))
+                 f"{names[j]} can reach SP={{}} with an empty stack"))
             constraints.append(
                 ("TPP004", j, 1, memlen - word, self.prefix[j] - word,
-                 f"POP can read at byte {{}} past {past}"))
+                 f"{names[j]} can read at byte {{}} past {past}"))
         return constraints
 
     def _first_violation(self) -> Optional[Tuple[int, str, str, int]]:
@@ -720,7 +708,7 @@ class _Checker:
                 f"statically dead", instruction=dead_at)
         for j in range(dead_at + 1, len(self.instructions)):
             opcode = self.instructions[j].opcode
-            if opcode in SWITCH_WRITING_OPCODES:
+            if ISA[opcode].writes_switch:
                 self.diag(
                     "TPP012",
                     f"{opcode.name} is relationally unreachable "
@@ -764,8 +752,7 @@ class _Checker:
             max_hops=max_hops,
             guard_lo=max(guard_lo, 0),
             guard_hi=max(min(guard_hi, GUARD_MAX), -1),
-            has_cexec=any(i.opcode == Opcode.CEXEC
-                          for i in self.instructions),
+            has_cexec=any(ISA[i.opcode].fence for i in self.instructions),
             summary=summary,
             task_id=self.task_id,
             sram_dataflow=dataflow.classes,

@@ -5,6 +5,7 @@ import pytest
 from repro.core.exceptions import FaultCode, TPPEncodingError
 from repro.core.isa import Instruction, Opcode
 from repro.core.tpp import (
+    FLAG_FAULT,
     TPP_HEADER_BYTES,
     AddressingMode,
     TPPSection,
@@ -188,6 +189,28 @@ class TestWireFormat:
         decoded = TPPSection.decode(tpp.encode())
         assert decoded.fault == FaultCode.WRITE_PROTECTED
         assert decoded.done
+
+    @pytest.mark.parametrize("code", range(max(FaultCode) + 1, 16))
+    def test_decode_rejects_a_fault_stamp_naming_no_code(self, code):
+        # Regression: readers of such a section (``.fault``, ``.ok``)
+        # raised ``ValueError`` from inside response callbacks.
+        raw = bytearray(make_tpp().encode())
+        raw[9] = FLAG_FAULT | code << 4  # flags byte
+        with pytest.raises(TPPEncodingError):
+            TPPSection.decode(bytes(raw))
+
+    def test_a_stray_code_nibble_does_not_corrupt_a_later_fault(self):
+        raw = bytearray(make_tpp().encode())
+        raw[9] = int(FaultCode.BAD_INSTRUCTION) << 4  # no FLAG_FAULT
+        decoded = TPPSection.decode(bytes(raw))
+        assert decoded.fault == FaultCode.NONE
+        decoded.record_fault(FaultCode.BAD_ADDRESS)
+        assert decoded.fault == FaultCode.BAD_ADDRESS
+
+    def test_constructor_drops_a_stamp_naming_no_code(self):
+        tpp = make_tpp(flags=FLAG_FAULT | 0xF0)
+        assert tpp.fault == FaultCode.NONE
+        assert TPPSection.decode(tpp.encode()).flags == tpp.flags
 
 
 class TestCopy:

@@ -7,6 +7,8 @@ import pytest
 
 from repro.apps.rcp_common import RCPHeader
 from repro.core.assembler import assemble
+from repro.core.exceptions import TPPEncodingError
+from repro.core.tpp import FLAG_FAULT
 from repro.errors import WireFormatError
 from repro.net import wire
 from repro.net.packet import (
@@ -179,6 +181,20 @@ class TestFrameRoundTrip:
                               payload=tpp)
         decoded = wire.decode_frame(wire.encode_frame(frame))
         assert decoded.payload.payload.dst_port == 5678
+
+    def test_fault_stamp_naming_no_code_rejected(self):
+        # Regression: the frame decoded, and reading the section's
+        # ``.fault`` (every response callback's ``.ok``) raised
+        # ``ValueError`` for a fault nibble of 9-15.
+        tpp = assemble("PUSH [Queue:QueueSize]", hops=2).build()
+        frame = EthernetFrame(dst=1, src=2, ethertype=ETHERTYPE_TPP,
+                              payload=tpp)
+        body = bytearray(wire.encode_frame(frame)[:-4])
+        body[14 + 9] = FLAG_FAULT | 0xF0  # the TPP header's flags byte
+        raw = bytes(body) + (zlib.crc32(body) & 0xFFFF_FFFF).to_bytes(
+            4, "big")
+        with pytest.raises(TPPEncodingError):
+            wire.decode_frame(raw)
 
     def test_fcs_detects_corruption(self):
         frame = EthernetFrame(dst=1, src=2, ethertype=ETHERTYPE_IPV4,
