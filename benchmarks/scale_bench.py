@@ -8,7 +8,9 @@ and reports, per point:
   shard count, or the sweep exits non-zero (sharding must never buy
   throughput with correctness);
 - barrier rounds and boundary messages exchanged;
-- measured wall time.
+- measured wall time;
+- the fleet's merged counters (``FleetResult.counters``), one column per
+  shard count — these must be equal too, or the sweep exits non-zero.
 
 Usage::
 
@@ -22,7 +24,7 @@ import argparse
 import sys
 from typing import Any, Dict, List
 
-from repro.analysis.reporting import fleet_report, format_table
+from repro.analysis.reporting import counters_table, format_table
 from repro.fleet import fleet_specs, run_fleet
 
 
@@ -87,12 +89,22 @@ def main(argv=None) -> int:
     points = sweep(args.shards, duration_ns, quick=args.quick)
     print(render(points))
     print()
-    print(fleet_report(points[-1]["result"]))
+    result = points[0]["result"]
+    print(counters_table(
+        {f"{point['shards']} shard(s)": point["result"].counters
+         for point in points},
+        title=f"Fleet counters: {result.n_regions} region(s) "
+              f"[{result.transport}], {result.quantum_ns} ns quantum"))
 
     fingerprints = {point["fingerprint"] for point in points}
     if len(fingerprints) != 1:
         print("FAIL: results differ across shard counts "
               f"({len(fingerprints)} distinct fingerprints)",
+              file=sys.stderr)
+        return 1
+    if any(point["result"].counters != result.counters
+           for point in points):
+        print("FAIL: merged counters differ across shard counts",
               file=sys.stderr)
         return 1
     print("\nbit-identical across shard counts: "

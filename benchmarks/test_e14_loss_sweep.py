@@ -14,12 +14,13 @@ from __future__ import annotations
 from bench_utils import banner, run_once
 
 from repro import units
-from repro.analysis.reporting import format_table, reliability_report
+from repro.analysis.reporting import counters_table, format_table
 from repro.apps.rcp import RCPStarFlow, RCPStarTask
 from repro.control.agent import ControlPlaneAgent
 from repro.core.memory_map import MemoryMap
 from repro.net.routing import install_shortest_path_routes
 from repro.net.topology import TopologyBuilder
+from repro.sim.trace import snapshot
 
 CAPACITY = 10 * units.MEGABITS_PER_SEC
 DURATION_S = 6.0
@@ -59,8 +60,13 @@ def run_at_loss(loss_rate):
         "timeouts": flow.endpoint.timeouts,
         "pending": flow.endpoint.pending_count,
         "rtt_ms": flow.endpoint.rtt_ewma_ns / 1e6,
-        "report": reliability_report(links=lossy_links,
-                                     endpoints=[flow.endpoint]),
+        "report": "\n\n".join((
+            counters_table({link.name: snapshot(link)
+                            for link in lossy_links},
+                           title="Link impairments"),
+            counters_table({flow.endpoint.host.name:
+                            snapshot(flow.endpoint)},
+                           title="Probe reliability"))),
     }
 
 

@@ -13,9 +13,8 @@ from repro.analysis.convergence import (
 )
 from repro.analysis.reporting import (
     ascii_plot,
-    fastpath_report,
+    counters_table,
     format_table,
-    reliability_report,
 )
 from repro.analysis.sketch import (
     CountMinDecoder,
@@ -32,9 +31,8 @@ __all__ = [
     "jain_fairness",
     "steady_state_mean",
     "ascii_plot",
-    "fastpath_report",
+    "counters_table",
     "format_table",
-    "reliability_report",
     "CountMinDecoder",
     "DistinctCountDecoder",
     "Estimate",

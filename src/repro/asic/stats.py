@@ -17,7 +17,7 @@ periodic sampler:
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Optional
+from typing import Callable, List, Optional
 
 from repro.net.port import Port
 from repro.sim.simulator import Simulator
@@ -98,11 +98,6 @@ class PortStats:
             for queue in port.queues
         ]
 
-    @property
-    def avg_queue(self) -> QueueAverager:
-        """The default queue's averager (single-queue view)."""
-        return self.per_queue_avg[0]
-
     def avg_queue_for(self, queue_id: int) -> QueueAverager:
         """The averager for a specific egress queue."""
         return self.per_queue_avg[min(queue_id,
@@ -118,22 +113,17 @@ class PortStats:
 class SwitchStats:
     """Periodic sampler that owns the per-port statistics of one switch.
 
-    Created lazily by :meth:`repro.asic.switch.TPPSwitch.start_stats` once
-    the switch's ports exist.
+    Created by :meth:`repro.asic.switch.TPPSwitch.start_stats`; a port
+    added later is adopted, and first sampled, at the next tick.
     """
 
     def __init__(self, sim: Simulator, ports: List[Port],
                  interval_ns: int = DEFAULT_STATS_INTERVAL_NS,
-                 alpha: float = DEFAULT_EWMA_ALPHA,
-                 fastpath: Optional[Callable[[], Dict]] = None) -> None:
+                 alpha: float = DEFAULT_EWMA_ALPHA) -> None:
         self.interval_ns = interval_ns
-        self._per_port: Dict[int, PortStats] = {
-            port.index: PortStats(port, alpha) for port in ports
-        }
-        #: Snapshot callable for the switch's execution fast path (program
-        #: cache + accessor counters); wired up by ``start_stats`` so the
-        #: sampler is the one-stop shop for a switch's health numbers.
-        self._fastpath = fastpath
+        self._alpha = alpha
+        self._ports = ports  # the switch's live list
+        self._per_port = [PortStats(port, alpha) for port in ports]
         self._timer = PeriodicTimer(sim, interval_ns, self._tick)
 
     def start(self) -> None:
@@ -144,18 +134,15 @@ class SwitchStats:
         """Stop sampling (values freeze at their last EWMA)."""
         self._timer.stop()
 
-    def port(self, index: int) -> PortStats:
-        """The statistics block for a port index."""
-        return self._per_port[index]
-
-    @property
-    def fastpath(self) -> Dict:
-        """Current fast-path counters (empty when no snapshot callable
-        was wired up, e.g. for a bare sampler built in tests)."""
-        if self._fastpath is None:
-            return {}
-        return self._fastpath()
+    def port(self, index: int) -> Optional[PortStats]:
+        """The statistics block for a port index (``None`` until the
+        port's first tick)."""
+        per_port = self._per_port
+        return per_port[index] if index < len(per_port) else None
 
     def _tick(self) -> None:
-        for stats in self._per_port.values():
+        per_port = self._per_port
+        for port in self._ports[len(per_port):]:
+            per_port.append(PortStats(port, self._alpha))
+        for stats in per_port:
             stats.sample(self.interval_ns)

@@ -43,7 +43,7 @@ from repro.core.tpp import TPPSection
 from repro.net.device import Device
 from repro.net.packet import ETHERTYPE_IPV4, Datagram, EthernetFrame
 from repro.sim.simulator import Simulator
-from repro.sim.trace import TraceRecorder
+from repro.sim.trace import TraceRecorder, snapshot
 
 #: Fixed pipeline latency between arrival and egress enqueue.  The paper
 #: quotes ~300 ns cut-through for low-latency ASICs; we default to 500 ns
@@ -57,6 +57,9 @@ class TPPSwitch(Device):
     # Links announce scheduled deliveries in our ``inbound_at`` ledger so
     # receive() can defer same-instant frames into one TCPU batch.
     batches_ingress = True
+
+    COUNTERS = ("packets_switched", "packets_dropped_no_route",
+                "packets_dropped_by_rule", "tpps_stripped", "tpps_dropped")
 
     def __init__(self, sim: Simulator, name: str, switch_id: int,
                  mac: int = 0, trace: Optional[TraceRecorder] = None,
@@ -130,43 +133,13 @@ class TPPSwitch(Device):
     def start_stats(self, interval_ns: int = DEFAULT_STATS_INTERVAL_NS,
                     alpha: float = DEFAULT_EWMA_ALPHA) -> SwitchStats:
         """Start the periodic statistics sampler over the current ports."""
-        self.stats = SwitchStats(self.sim, self.ports, interval_ns, alpha,
-                                 fastpath=self.fastpath_stats)
+        self.stats = SwitchStats(self.sim, self.ports, interval_ns, alpha)
         self.stats.start()
         return self.stats
 
     def fastpath_stats(self) -> dict:
-        """Counters for the compile-once execution fast path.
-
-        Program-cache hits/misses/evictions/invalidations from the TCPU,
-        plus the MMU's accessor-resolution count and layout version —
-        enough to answer "is the cache actually warm?" without attaching
-        a profiler.
-        """
-        stats = dict(self.tcpu.cache.stats())
-        stats["compile_enabled"] = self.tcpu.compile_enabled
-        stats["accessor_resolutions"] = self.mmu.accessor_resolutions
-        stats["layout_version"] = self.mmu.layout_version
-        stats["certificates"] = self.tcpu.certificates
-        stats["verified_executions"] = self.tcpu.verified_executions
-        stats["batch_enabled"] = self.tcpu.batch_enabled
-        stats["batches_executed"] = self.tcpu.batches_executed
-        stats["batched_tpps"] = self.tcpu.batched_tpps
-        stats["vector_batches"] = self.tcpu.vector_batches
-        stats["vector_tpps"] = self.tcpu.vector_tpps
-        stats["batch_occupancy"] = dict(self.tcpu.batch_occupancy)
-        stats["batch_demotions"] = dict(self.tcpu.batch_demotions)
-        return stats
-
-    def emit_fastpath_summary(self) -> dict:
-        """Emit one ``fastpath.summary`` INFO trace record and return the
-        counter snapshot (for end-of-run reporting, mirroring how
-        ``reliability_report`` consumes link/endpoint counters)."""
-        stats = self.fastpath_stats()
-        if self.trace.wants("fastpath.summary"):
-            self.trace.emit(self.sim.now_ns, self.name, "fastpath.summary",
-                            **stats)
-        return stats
+        """Snapshot of the TCPU, its program cache and the MMU counters."""
+        return snapshot(self.tcpu, self.tcpu.cache, self.mmu)
 
     # ------------------------------------------------------------------ #
     # Dataplane
@@ -531,19 +504,23 @@ class TPPSwitch(Device):
              lambda ctx: ctx.egress_port.link.rate_bps // 1_000_000)
         bind("Link:SNR-MilliDb", self._snr_milli_db)
 
+    def _port_stats(self, ctx: ExecutionContext) -> Optional[PortStats]:
+        """The egress port's sampled statistics, if it has any yet."""
+        return (None if self.stats is None
+                else self.stats.port(ctx.egress_port_index))
+
     def _avg_queue_size(self, ctx: ExecutionContext) -> int:
-        if self.stats is None:
+        port_stats = self._port_stats(ctx)
+        if port_stats is None:
             return ctx.queue.occupancy_bytes
-        port_stats = self.stats.port(ctx.egress_port_index)
         return port_stats.avg_queue_for(
             ctx.metadata.queue_id).average_bytes
 
     def _port_stat(self, extract: Callable[[PortStats], int]
                    ) -> Callable[[ExecutionContext], int]:
         def reader(ctx: ExecutionContext) -> int:
-            if self.stats is None:
-                return 0
-            return extract(self.stats.port(ctx.egress_port_index))
+            port_stats = self._port_stats(ctx)
+            return 0 if port_stats is None else extract(port_stats)
         return reader
 
     @staticmethod

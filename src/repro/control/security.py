@@ -84,12 +84,16 @@ class VerifierPolicy:
     admitted certificate: each admission is incrementally checked against
     the programs already in the fleet for SRAM races
     (``TPP020``–``TPP023``).  ``race_mode="warn"`` (default) admits racy
-    programs but surfaces the conflicts via :meth:`race_report`;
+    programs but counts them in ``tpps_racy`` and keeps the conflicts in
+    ``fleet.diagnostics()``;
     ``"enforce"`` applies ``untrusted_action`` to arrivals whose program
     races with an admitted one; ``"off"`` skips the fleet pass.  A racy
     program becomes admissible again once its rival is retired with
     :meth:`revoke` — the re-analysis runs per arrival.
     """
+
+    COUNTERS = ("tpps_verified", "tpps_admitted", "tpps_rejected",
+                "tpps_racy")
 
     def __init__(self, untrusted_action: str = "strip",
                  memory_map: Optional[MemoryMap] = None,
@@ -172,14 +176,6 @@ class VerifierPolicy:
         if switch is not None and getattr(switch, "tcpu", None) is not None:
             switch.tcpu.distrust(certificate)
         return removed
-
-    def race_report(self) -> str:
-        """Human-readable fleet race summary (diagnostics + counters)."""
-        report = self.fleet.report()
-        return (f"{report.format()}\n"
-                f"mode {self.race_mode}: {self.tpps_racy} racy "
-                f"arrival(s), {self.fleet.pair_checks} incremental "
-                f"pair check(s)")
 
     def _verdict(self, tpp: TPPSection):
         key = admission_key(tpp)

@@ -46,7 +46,7 @@ from __future__ import annotations
 
 import struct
 from collections import OrderedDict
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, List, Optional, Tuple
 
 from repro.core.exceptions import FaultCode, TCPUFault
 from repro.core.isa import ISA, Instruction, Opcode
@@ -213,6 +213,8 @@ class ProgramCache:
 
     __slots__ = ("capacity", "hits", "misses", "evictions",
                  "invalidations", "_entries")
+    COUNTERS = ("size", "capacity", "hits", "misses", "evictions",
+                "invalidations")
 
     def __init__(self,
                  capacity: int = DEFAULT_PROGRAM_CACHE_CAPACITY) -> None:
@@ -226,6 +228,11 @@ class ProgramCache:
         self._entries: "OrderedDict[bytes, Any]" = OrderedDict()
 
     def __len__(self) -> int:
+        return len(self._entries)
+
+    @property
+    def size(self) -> int:
+        """Entries currently cached."""
         return len(self._entries)
 
     def __contains__(self, key: bytes) -> bool:
@@ -262,17 +269,6 @@ class ProgramCache:
         if self._entries:
             self._entries.clear()
         self.invalidations += 1
-
-    def stats(self) -> Dict[str, int]:
-        """Counter snapshot for reporting."""
-        return {
-            "size": len(self._entries),
-            "capacity": self.capacity,
-            "hits": self.hits,
-            "misses": self.misses,
-            "evictions": self.evictions,
-            "invalidations": self.invalidations,
-        }
 
 
 def compile_program(instructions: List[Instruction], mode: AddressingMode,

@@ -84,6 +84,8 @@ class SRAMRegion:
 class MMU:
     """One switch's unified address space."""
 
+    COUNTERS = ("accessor_resolutions", "layout_version")
+
     def __init__(self, memory_map: Optional[MemoryMap] = None,
                  name: str = "") -> None:
         self.memory_map = memory_map if memory_map else MemoryMap.standard()

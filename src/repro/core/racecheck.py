@@ -924,6 +924,9 @@ class FleetRaceTable:
     :meth:`admit` and :meth:`revoke` resolve an image to that member.
     """
 
+    COUNTERS = ("fleet_size", "pair_checks", "racy_admissions",
+                "race_errors", "race_warnings")
+
     def __init__(self,
                  fence_values: Optional[Mapping[int, int]] = None,
                  ) -> None:
@@ -963,6 +966,21 @@ class FleetRaceTable:
     def members(self) -> List[ProgramAccessSummary]:
         """Current membership in admission order."""
         return list(self._members.values())
+
+    @property
+    def fleet_size(self) -> int:
+        """Members (``len(table)``)."""
+        return len(self._members)
+
+    @property
+    def race_errors(self) -> int:
+        """Active error-severity diagnostics."""
+        return len(self.report().errors)
+
+    @property
+    def race_warnings(self) -> int:
+        """Active warning-severity diagnostics."""
+        return len(self.report().warnings)
 
     def admit(self,
               summary: ProgramAccessSummary) -> List[RaceDiagnostic]:

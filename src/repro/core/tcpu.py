@@ -74,6 +74,13 @@ class ExecutionReport:
 class TCPU:
     """Executes TPPs against one switch's MMU."""
 
+    COUNTERS = ("tpps_executed", "instructions_executed", "faults",
+                "compile_enabled", "certificates", "verified_executions",
+                "certificates_refused", "certificates_swept",
+                "race_conflict_count", "batch_enabled", "batches_executed",
+                "batched_tpps", "vector_batches", "vector_tpps",
+                "batch_occupancy", "batch_demotions")
+
     def __init__(self, mmu: MMU,
                  max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
                  name: str = "tcpu", compile: bool = True,
@@ -227,6 +234,11 @@ class TCPU:
         """Number of trusted program certificates."""
         self._sweep_stale()
         return len(self._verified)
+
+    @property
+    def race_conflict_count(self) -> int:
+        """Diagnostics recorded in :attr:`race_conflicts`."""
+        return len(self.race_conflicts)
 
     def _sweep_stale(self) -> None:
         """Drop certificates (and compiled programs) proven against a

@@ -260,6 +260,12 @@ class TPPResultView:
 class TPPEndpoint:
     """Per-host TPP sender, echo responder, and demultiplexer."""
 
+    COUNTERS = ("probes_sent", "responses_received", "tpps_echoed",
+                "trimmed_echoes", "payloads_delivered", "timeouts",
+                "retries", "orphan_responses", "duplicate_responses",
+                "late_responses", "pending_count", "probes_rejected",
+                "probes_auto_sized", "probes_warned")
+
     def __init__(self, host: Host, default_dst_mac: Optional[int] = None,
                  echo_probes: bool = True,
                  retry_policy: Optional[RetryPolicy] = None,

@@ -62,6 +62,9 @@ class BatchedAdmission:
     batch — refusing 10^5 flows costs one analysis too.
     """
 
+    COUNTERS = ("programs_verified", "certificates_installed",
+                "flows_admitted", "flows_rejected", "verifications_saved")
+
     def __init__(self, switches: Iterable[Any],
                  memory_map: Optional[MemoryMap] = None,
                  max_instructions: int = DEFAULT_MAX_INSTRUCTIONS) -> None:
@@ -123,6 +126,9 @@ class FleetProbeController:
     :data:`FlowRecord` tuples — the raw material for the fleet's
     determinism digests.
     """
+
+    COUNTERS = ("bursts_fired", "probes_sent", "responses_received",
+                "logical_flows")
 
     def __init__(self, sim: Any, lanes: Iterable[Tuple[Any, int]],
                  program: AssembledProgram,

@@ -82,6 +82,8 @@ class BoundaryLink(Link):
     fleet experiments keep their impairments on in-region links.
     """
 
+    COUNTERS = Link.COUNTERS + ("frames_exported",)
+
     def __init__(self, sim: Simulator, rate_bps: int, delay_ns: int,
                  name: str, dst_region: int,
                  outbox: List[BoundaryMessage]) -> None:
@@ -125,6 +127,8 @@ class BoundaryIngress:
     ``Link._arrive``: retire the ledger entry, refresh ``inbound_now``,
     trace, then ``device.receive``.
     """
+
+    COUNTERS = ("frames_injected", "bytes_injected")
 
     def __init__(self, sim: Simulator, device: Any, port_index: int,
                  name: str = "") -> None:

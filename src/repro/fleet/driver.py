@@ -35,18 +35,19 @@ import dataclasses
 import hashlib
 import time
 from multiprocessing.connection import Connection
-from typing import Dict, List, Tuple, Union, cast
+from typing import Any, Dict, List, Tuple, Union, cast
 
 from repro.errors import ConfigurationError
 from repro.fleet.boundary import BoundaryMessage, injection_order
 from repro.fleet.region import Region, RegionSpec, build_region
+from repro.sim.trace import merge
 
 TRANSPORTS = ("inline", "fork")
 
 #: What one shard's window produces: its regions' boundary messages.
 RunResult = List[BoundaryMessage]
 #: What one shard reports at the end: per-region (digest, counters).
-FinishResult = Dict[int, Tuple[Dict[str, str], Dict[str, int]]]
+FinishResult = Dict[int, Tuple[Dict[str, str], Dict[str, Any]]]
 
 
 @dataclasses.dataclass
@@ -62,8 +63,8 @@ class FleetResult:
     messages_exchanged: int
     #: Per-region determinism digests, in region order.
     digests: List[Dict[str, str]]
-    #: Summed region counters (probes, flows, admissions, switching).
-    counters: Dict[str, int]
+    #: :func:`~repro.sim.trace.merge` of the region snapshots.
+    counters: Dict[str, Any]
     #: Real elapsed time of the whole run (driver overhead included).
     wall_seconds: float
 
@@ -264,10 +265,7 @@ class ShardedFleet:
                 worker.close()
 
         digests = [collected[spec.index][0] for spec in self.specs]
-        counters: Dict[str, int] = {}
-        for spec in self.specs:
-            for key, value in collected[spec.index][1].items():
-                counters[key] = counters.get(key, 0) + value
+        counters = merge(collected[spec.index][1] for spec in self.specs)
         return FleetResult(
             n_regions=len(self.specs), shards=self.shards,
             transport=self.transport, duration_ns=duration_ns,

@@ -45,6 +45,7 @@ from repro.fleet.boundary import (
 from repro.net.addresses import host_mac
 from repro.net.routing import install_shortest_path_routes
 from repro.net.topology import Network
+from repro.sim.trace import merge, snapshot
 
 #: Default probe program: the two-sample hop query of Figure 1.
 DEFAULT_PROBE = "PUSH [Switch:SwitchID]\nPUSH [Queue:QueueSize]"
@@ -153,11 +154,12 @@ class Region:
             self.hosts.append(host)
 
         self.gateway = self.switch_chain[-1]
-        _port, self.boundary_port_index, self.ingress = attach_boundary_port(
+        port, self.boundary_port_index, self.ingress = attach_boundary_port(
             net, self.gateway, spec.next_region, self.outbox,
             spec.rate_bps, spec.boundary_delay_ns,
             spec.queue_capacity_bytes,
             ingress_name=f"region{(r - 1) % spec.n_regions}->{r}")
+        self.boundary_link = port.link
         self._up_port[spec.switches - 1] = self.boundary_port_index
 
         install_shortest_path_routes(net)
@@ -241,25 +243,13 @@ class Region:
         return {"flows": flows.hexdigest(),
                 "switches": switches.hexdigest()}
 
-    def counters(self) -> Dict[str, int]:
-        """Aggregate region counters for fleet reporting."""
-        return {
-            "probes_sent": self.controller.probes_sent,
-            "responses_received": self.controller.responses_received,
-            "logical_flows": self.controller.logical_flows,
-            "programs_verified": self.admission.programs_verified,
-            "flows_admitted": self.admission.flows_admitted,
-            "verifications_saved": self.admission.verifications_saved,
-            "certificates_installed": self.admission.certificates_installed,
-            "packets_switched": sum(s.packets_switched
-                                    for s in self.switch_chain),
-            "tpps_executed": sum(s.tcpu.tpps_executed
-                                 for s in self.switch_chain),
-            "frames_exported": sum(
-                port.link.frames_exported for port in self.gateway.ports
-                if hasattr(port.link, "frames_exported")),
-            "frames_injected": self.ingress.frames_injected,
-        }
+    def counters(self) -> Dict[str, Any]:
+        """Region snapshot: probing, admission, the boundary, and every
+        switch's pipeline and TCPU counters summed over the chain."""
+        return merge([snapshot(self.controller, self.admission,
+                               self.boundary_link, self.ingress)]
+                     + [snapshot(switch, switch.tcpu)
+                        for switch in self.switch_chain])
 
 
 def build_region(spec: RegionSpec) -> Region:

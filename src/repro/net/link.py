@@ -64,6 +64,10 @@ class LinkImpairments:
 class Link:
     """One direction of a wire: ``rate_bps`` and ``delay_ns`` to the peer."""
 
+    COUNTERS: Tuple[str, ...] = (
+        "bytes_delivered", "frames_delivered", "frames_lost",
+        "frames_impaired_lost", "frames_corrupted", "frames_duplicated")
+
     def __init__(self, sim: Simulator, rate_bps: int, delay_ns: int = 1_000,
                  name: str = "") -> None:
         if rate_bps <= 0:

@@ -30,6 +30,10 @@ attribute read unless a run opts in with
 For long runs, ``max_records`` bounds memory: the recorder becomes a ring
 buffer keeping the most recent records (taps still see every stored record
 live, so online consumers lose nothing).
+
+Counters are the other half of observability: a class names its plain
+counter attributes once, in a class-level ``COUNTERS`` tuple, and
+:func:`snapshot` / :func:`merge` read and sum them.
 """
 
 from __future__ import annotations
@@ -37,7 +41,8 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, Iterator, List, Optional
+from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
+                    Optional)
 
 
 class TraceLevel(enum.IntEnum):
@@ -207,3 +212,33 @@ class TraceRecorder:
     def clear(self) -> None:
         """Drop all stored records (taps stay registered)."""
         self._records.clear()
+
+
+def snapshot(*objects: Any) -> Dict[str, Any]:
+    """The counters every object names in its class's ``COUNTERS``, as one
+    flat dict.  Dict-valued counters are copied, so the snapshot is not a
+    live alias; a name two objects share raises ``ValueError`` (snapshot
+    them separately and :func:`merge` instead)."""
+    counters: Dict[str, Any] = {}
+    for obj in objects:
+        for name in type(obj).COUNTERS:
+            if name in counters:
+                raise ValueError(f"counter {name!r} named twice")
+            value = getattr(obj, name)
+            counters[name] = dict(value) if isinstance(value, dict) else value
+    return counters
+
+
+def merge(snapshots: Iterable[Mapping[str, Any]]) -> Dict[str, Any]:
+    """Key-wise sum of snapshots; dict-valued counters sum key-wise too,
+    and a bool sums to the number of snapshots in which it was true."""
+    total: Dict[str, Any] = {}
+    for counters in snapshots:
+        for name, value in counters.items():
+            if isinstance(value, dict):
+                into = total.setdefault(name, {})
+                for key, count in value.items():
+                    into[key] = into.get(key, 0) + count
+            else:
+                total[name] = total.get(name, 0) + value
+    return total

@@ -1,7 +1,8 @@
 """Table and plot rendering."""
 
-from repro.analysis.reporting import ascii_plot, format_table
+from repro.analysis.reporting import ascii_plot, counters_table, format_table
 from repro.analysis.timeseries import TimeSeries
+from repro.sim.trace import snapshot
 
 
 class TestFormatTable:
@@ -55,12 +56,15 @@ class TestAsciiPlot:
 
 
 class TestRaceReport:
+    """The race-table counters of a TCPU and an admission policy, read
+    with ``snapshot`` and rendered with ``counters_table``."""
+
     def test_empty_inputs(self):
-        from repro.analysis.reporting import race_report
-        assert race_report() == "(nothing to report)"
+        assert counters_table({}).splitlines() == ["counter", "-------"]
+        assert counters_table({"sw0": {}}).splitlines()[0].split() == [
+            "counter", "|", "sw0"]
 
     def test_switch_and_policy_rows(self):
-        from repro.analysis.reporting import race_report
         from repro.control.security import VerifierPolicy
         from repro.core.assembler import assemble
         from repro.core.memory_map import MemoryMap
@@ -68,23 +72,32 @@ class TestRaceReport:
         from repro.core.tcpu import TCPU
         from repro.core.verifier import verify_program
 
-        class FakeSwitch:
-            name = "sw0"
-
-            def __init__(self):
-                self.tcpu = TCPU(MMU(name="sw0"), race_mode="warn")
-
-        switch = FakeSwitch()
+        tcpu = TCPU(MMU(name="sw0"), race_mode="warn")
         memory_map = MemoryMap.standard()
         for source in (".memory 1\nSTORE [Sram:Word0], [Packet:0]",
                        ".memory 2\nSTORE [Sram:Word0], [Packet:1]"):
             cert = verify_program(assemble(source),
                                   memory_map=memory_map).certificate
-            assert switch.tcpu.trust(cert)
-        out = race_report(switches=[switch],
-                          policies=[VerifierPolicy()])
-        assert "Certificate race table (TCPU)" in out
-        assert "Admission race table (VerifierPolicy)" in out
-        assert "sw0" in out and "policy0" in out
+            assert tcpu.trust(cert)
+        policy = VerifierPolicy()
         # Two writers to Word0: one pair checked, one error recorded.
-        assert " warn " in out
+        switch_row = snapshot(tcpu, tcpu.fleet)
+        assert {name: switch_row[name] for name in (
+            "fleet_size", "pair_checks", "race_errors", "race_warnings",
+            "race_conflict_count", "certificates_refused",
+            "certificates_swept")} == {
+            "fleet_size": 2, "pair_checks": 1, "race_errors": 1,
+            "race_warnings": 0, "race_conflict_count": 1,
+            "certificates_refused": 0, "certificates_swept": 0}
+        policy_row = snapshot(policy, policy.fleet)
+        assert policy_row["fleet_size"] == policy_row["tpps_racy"] == 0
+        out = counters_table({"sw0": switch_row, "policy0": policy_row})
+        header = out.splitlines()[0].split()
+        assert header == ["counter", "|", "sw0", "|", "policy0"]
+        pairs = [line.split("|") for line in out.splitlines()
+                 if line.startswith("pair_checks ")]
+        assert [cell.strip() for cell in pairs[0][1:]] == ["1", "0"]
+        racy = [line for line in out.splitlines()
+                if line.startswith("tpps_racy ")]
+        assert racy[0].split("|")[1].strip() == "-"
+

@@ -1,9 +1,13 @@
 """Utilization meters and queue averagers."""
 
+import json
+
 import pytest
 
 from repro import units
+from repro.analysis.reporting import counters_table
 from repro.asic.stats import QueueAverager, UtilizationMeter
+from repro.sim.trace import snapshot
 
 
 class Counter:
@@ -102,6 +106,37 @@ class TestSwitchStats:
         assert port_stats.rx_utilization.utilization > 0.5
         assert port_stats.tx_utilization.utilization > 0.5
 
+    def test_port_added_after_start_reads_zero_until_next_tick(self):
+        """A port linked after ``start_stats`` reads like an unsampled
+        switch (utilization 0) until the next tick adopts it."""
+        from repro.core.assembler import assemble
+        from repro.endhost.client import TPPEndpoint
+        from repro.net.routing import install_shortest_path_routes
+        from repro.net.topology import Network
+
+        net = Network()
+        switch = net.add_switch("sw0")
+        h0, h1 = net.add_host("h0"), net.add_host("h1")
+        net.link(h0, switch, units.GIGABITS_PER_SEC, 1_000)
+        stats = switch.start_stats(interval_ns=units.milliseconds(1))
+        net.link(h1, switch, units.GIGABITS_PER_SEC, 1_000)
+        install_shortest_path_routes(net)
+        client = TPPEndpoint(h0)
+        TPPEndpoint(h1)
+        program = assemble("PUSH [Link:RX-Utilization]\n"
+                           "PUSH [Link:TX-Utilization]\n"
+                           "PUSH [Queue:AvgQueueSize]")
+        results = []
+        client.send(program, dst_mac=h1.mac, on_response=results.append)
+        net.run(until_seconds=0.0005)
+        assert stats.port(1) is None
+        assert [r.tpp.words()[:3] for r in results] == [[0, 0, 0]]
+        net.run(until_seconds=0.0015)
+        assert stats.port(1) is not None
+        client.send(program, dst_mac=h1.mac, on_response=results.append)
+        net.run(until_seconds=0.002)
+        assert len(results) == 2
+
     def test_stop_freezes(self, single_switch_net):
         net = single_switch_net
         switch = net.switch("sw0")
@@ -138,29 +173,33 @@ class TestFastpathSurface:
         assert stats["accessor_resolutions"] >= 1
 
     def test_sampler_exposes_fastpath(self, single_switch_net):
+        """With the sampler running, the fast-path counters are the
+        switch's snapshot of its TCPU, cache and MMU."""
         net = single_switch_net
         switch = net.switch("sw0")
-        sampler = switch.start_stats()
+        switch.start_stats()
         self._probe(net)
-        assert sampler.fastpath["misses"] == 1
-        assert sampler.fastpath == switch.fastpath_stats()
+        stats = switch.fastpath_stats()
+        assert stats["misses"] == 1
+        assert stats == snapshot(switch.tcpu, switch.tcpu.cache, switch.mmu)
 
-    def test_emit_fastpath_summary_trace_record(self, single_switch_net):
+    def test_fastpath_snapshot_is_json_and_stable(self, single_switch_net):
         net = single_switch_net
         switch = net.switch("sw0")
         self._probe(net)
-        snapshot = switch.emit_fastpath_summary()
-        records = net.trace.records(kind="fastpath.summary")
-        assert len(records) == 1
-        assert records[0].source == "sw0"
-        assert records[0].detail["hits"] == snapshot["hits"]
-        assert records[0].detail["misses"] == 1
+        first = switch.fastpath_stats()
+        assert json.loads(json.dumps(first))["misses"] == 1
+        assert first["hits"] == switch.tcpu.cache.hits
+        assert switch.fastpath_stats() == first  # reading changes nothing
 
-    def test_fastpath_report_table(self, single_switch_net):
-        from repro.analysis.reporting import fastpath_report
+    def test_fastpath_counters_table(self, single_switch_net):
         net = single_switch_net
         self._probe(net)
-        table = fastpath_report([net.switch("sw0")])
-        assert "sw0" in table
-        assert "hits" in table
-        assert fastpath_report([]) == "(nothing to report)"
+        table = counters_table({"sw0": net.switch("sw0").fastpath_stats()},
+                               title="Execution fast path")
+        lines = table.splitlines()
+        assert lines[0] == "Execution fast path"
+        assert "sw0" in lines[1]
+        hits = [line for line in lines if line.startswith("hits ")]
+        assert hits and hits[0].split("|")[1].strip() == str(
+            net.switch("sw0").tcpu.cache.hits)

@@ -6,7 +6,7 @@ observable output relative to packet-at-a-time execution.
 """
 
 from repro import units
-from repro.analysis.reporting import batch_report
+from repro.analysis.reporting import counters_table
 from repro.core.assembler import assemble
 from repro.core.batch import HAVE_NUMPY
 from repro.core.verifier import verify_program
@@ -137,12 +137,19 @@ class TestBatchStats:
             assert key in stats
         assert isinstance(stats["batch_occupancy"], dict)
 
-    def test_batch_report_renders(self):
+    def test_batch_counters_table_renders(self):
         net = star_net()
         program = assemble("PUSH [Queue:QueueSize]", hops=2)
         burst_probes(net, program)
         net.run(until_seconds=0.01)
-        text = batch_report(net.switches.values())
-        assert "Batched execution" in text
-        assert "sw0" in text
-        assert batch_report([]) == "(nothing to report)"
+        switch = net.switch("sw0")
+        text = counters_table(
+            {name: sw.fastpath_stats() for name, sw in net.switches.items()},
+            title="Batched execution")
+        assert text.splitlines()[0] == "Batched execution"
+        assert "sw0" in text.splitlines()[1]
+        row = [line for line in text.splitlines()
+               if line.startswith("batched_tpps ")]
+        assert row and row[0].split("|")[1].strip() == str(
+            switch.tcpu.batched_tpps)
+        assert counters_table({}).splitlines()[0].strip() == "counter"

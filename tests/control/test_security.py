@@ -7,6 +7,7 @@ from repro.core.assembler import assemble
 from repro.core.verifier import verify_section
 from repro.endhost.client import TPPEndpoint
 from repro.net.packet import Datagram, RawPayload
+from repro.sim.trace import snapshot
 
 
 class TestEdgeTPPPolicy:
@@ -320,9 +321,12 @@ class TestVerifierPolicyRaces:
         assert policy.tpps_rejected == 0
         assert policy.tpps_racy == 1  # second arrival saw the race
         assert switch.tcpu.tpps_executed == 2
-        report = policy.race_report()
-        assert "TPP020" in report
-        assert "mode warn" in report
+        assert policy.race_mode == "warn"
+        assert "TPP020" in policy.fleet.report().format()
+        assert snapshot(policy, policy.fleet) == {
+            "tpps_verified": 2, "tpps_admitted": 2, "tpps_rejected": 0,
+            "tpps_racy": 1, "fleet_size": 2, "pair_checks": 1,
+            "racy_admissions": 1, "race_errors": 1, "race_warnings": 0}
 
     def test_enforce_mode_strips_racing_arrival(self, single_switch_net):
         net = single_switch_net

@@ -2,7 +2,7 @@
 
 The batched engine (:mod:`repro.core.batch`) increments
 ``TCPU.batch_demotions[reason]`` exactly once per demoted batch, and the
-switch surfaces the dict via ``fastpath_stats()``/``batch_report()``.
+switch surfaces the dict via ``fastpath_stats()`` / ``counters_table``.
 Each test here drives one demotion path end to end and asserts both the
 reason and that the batch still executed correctly through the safe
 lane.
@@ -230,18 +230,18 @@ class TestCounterSurface:
         fresh["batch_demotions"]["cexec"] = 99
         assert switch.tcpu.batch_demotions["cexec"] == 2
 
-    def test_batch_report_renders_demotions(self):
-        from repro.analysis.reporting import batch_report
+    def test_counters_table_renders_demotions(self):
+        from repro.analysis.reporting import counters_table
 
         switch = self._switch()
         switch.tcpu.batch_demotions.update(
             {"cexec": 2, "write_dataflow": 1})
         switch.tcpu.vector_batches = 4
-        text = batch_report([switch])
-        assert "vec-batches" in text
-        assert "demoted" in text
-        assert "cexec×2" in text
-        assert "write_dataflow×1" in text
+        text = counters_table({"sw0": switch.fastpath_stats()})
+        assert [line.split("|")[1].strip() for line in text.splitlines()
+                if line.startswith("vector_batches ")] == ["4"]
+        assert "batch_demotions" in text
+        assert "cexec×2 write_dataflow×1" in text
 
 
 DEAD_FENCE = (".memory 2\n"

@@ -15,6 +15,7 @@ from repro.core.fastpath import DEFAULT_PROGRAM_CACHE_CAPACITY, ProgramCache
 from repro.core.mmu import MMU, ExecutionContext
 from repro.core.tcpu import TCPU
 from repro.core.tpp import TPPSection
+from repro.sim.trace import snapshot
 
 
 class FakeQueue:
@@ -109,7 +110,7 @@ class TestTCPUCache:
         for _ in range(3):
             report = tcpu.execute(program.build(), make_ctx())
             assert report.ok
-        stats = tcpu.cache.stats()
+        stats = snapshot(tcpu.cache)
         assert stats["misses"] == 1
         assert stats["hits"] == 2
         assert stats["size"] == 1
@@ -121,7 +122,7 @@ class TestTCPUCache:
                    "LOAD [Switch:SwitchID], [Packet:0]"]
         for source in sources:
             assert tcpu.execute(assemble(source).build(), make_ctx()).ok
-        stats = tcpu.cache.stats()
+        stats = snapshot(tcpu.cache)
         assert stats["evictions"] == 1
         assert stats["size"] == 2
         # The evicted (oldest) program recompiles and still runs.
@@ -152,7 +153,7 @@ class TestTCPUCache:
         report = tcpu.execute(assemble("PUSH [Switch:SwitchID]").build(),
                               make_ctx())
         assert report.ok
-        assert tcpu.cache.stats()["misses"] == 0
+        assert tcpu.cache.misses == 0
 
     def test_compile_enabled_attribute_switches_live_tcpu(self):
         """Flipping the attribute on a built TCPU (how the engine
@@ -162,12 +163,12 @@ class TestTCPUCache:
         assert tcpu.compile_enabled
         program = assemble("PUSH [Switch:SwitchID]")
         assert tcpu.execute(program.build(), make_ctx()).ok
-        assert tcpu.cache.stats()["misses"] == 1
+        assert tcpu.cache.misses == 1
         tcpu.compile_enabled = False
         tpp = program.build()
         assert tcpu.execute(tpp, make_ctx()).ok
         assert tpp.read_word(0) == 7
-        stats = tcpu.cache.stats()
+        stats = snapshot(tcpu.cache)
         assert (stats["hits"], stats["misses"]) == (0, 1)  # cache untouched
 
     def test_default_capacity(self):

@@ -233,13 +233,13 @@ class TestTrustManagement:
         tcpu.trust(cert)
         tpp = program.build()
         tcpu.execute(tpp, make_ctx())
-        misses_after_first = tcpu.cache.stats()["misses"]
+        misses_after_first = tcpu.cache.misses
         for _ in range(5):
             tcpu.trust(cert)
             tpp = program.build()
             tcpu.execute(tpp, make_ctx())
         assert tcpu.verified_executions == 6
-        assert tcpu.cache.stats()["misses"] == misses_after_first
+        assert tcpu.cache.misses == misses_after_first
 
     def test_certificate_survives_cache_eviction(self):
         program, cert = self.program_and_cert()

@@ -7,11 +7,12 @@ probe never touches the network); ``"warn"`` counts but sends anyway;
 
 import pytest
 
-from repro.analysis.reporting import reliability_report
+from repro.analysis.reporting import counters_table
 from repro.core.assembler import assemble
 from repro.core.verifier import VerificationError
 from repro.endhost.client import TPPEndpoint
 from repro.endhost.probes import PeriodicProber
+from repro.sim.trace import snapshot
 
 GOOD = "PUSH [Switch:SwitchID]"
 BAD = "POP [Sram:Word0]"  # underflows on the first instruction
@@ -135,12 +136,14 @@ class TestProberAdmission:
 
 
 class TestReporting:
-    def test_rejected_column_in_reliability_report(self, net_hosts):
+    def test_rejected_counter_in_endpoint_table(self, net_hosts):
         net, h0, h1 = net_hosts
         client = TPPEndpoint(h0, verify_mode="enforce")
         with pytest.raises(VerificationError):
             client.send(assemble(BAD), dst_mac=h1.mac)
-        report = reliability_report(endpoints=[client])
-        assert "rejected" in report
-        lines = [line for line in report.splitlines() if "h0" in line]
+        assert snapshot(client)["probes_rejected"] == 1
+        report = counters_table({"h0": snapshot(client)})
+        assert "h0" in report.splitlines()[0]
+        lines = [line for line in report.splitlines()
+                 if line.startswith("probes_rejected ")]
         assert lines and lines[0].rstrip().endswith("1")

@@ -242,9 +242,9 @@ def test_three_engines_are_bit_identical(scenario):
         tcpus = [sw.tcpu for sw in net.switches.values()]
         # The three runs really are three engines, not one run thrice.
         if engine == "interpreted":
-            assert all(t.cache.stats()["misses"] == 0 for t in tcpus)
+            assert all(t.cache.misses == 0 for t in tcpus)
         else:
-            assert any(t.cache.stats()["misses"] > 0 for t in tcpus)
+            assert any(t.cache.misses > 0 for t in tcpus)
         if engine != "default":
             assert all(t.batches_executed == 0 for t in tcpus)
         if reference is None:
