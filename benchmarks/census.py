@@ -1,4 +1,5 @@
-"""Census of the function-body lines in ``src/repro`` that nothing reaches.
+"""Census of the functions in ``src/repro`` that nothing reaches, and the
+ratchet that keeps the list honest.
 
 Runs every entry point the repository's experiments and CI use:
 
@@ -14,18 +15,28 @@ Runs every entry point the repository's experiments and CI use:
 A ``sys.setprofile`` hook (the instrument of
 ``tests/integration/test_hop_budget.py``) records every code object that
 is called.  Every module under ``src/repro`` is then parsed with ``ast``,
-and the lines of each function whose code object never ran are counted
-as cold.  A cold function counts once with everything nested in it; a
-function that ran has its nested functions judged one by one.  The
-total is the lines of all outermost functions and methods, so cold and
-total are comparable.
+and each function whose code object never ran is cold, keyed
+``module:qualname`` (``repro.core.tpp:TPPSection.hop.setter`` for a
+property's setter, ``outer.<locals>.inner`` for a nested function).  A
+cold function counts once with everything nested in it; a function
+that ran has its nested functions judged one by one.  Lines run from
+the first decorator to the end of the body.
+
+``census_allow.json`` (beside this file) names every function that may
+stay cold, each with a ``reason`` from :data:`REASONS` — and, for
+``cli``, ``bench-hook`` and ``counter``, the ``reader`` that reaches it.
+The census exits 1 when a cold function is not listed, when a listed
+function is reached or gone, or when an entry's reason or reader is
+missing.  ``tests/test_census.py`` checks that comparison on a
+synthetic module.
 
 Usage::
 
     PYTHONPATH=src python benchmarks/census.py
 
-Prints cold / total lines per module (modules with a cold line only),
-then ``cold function lines: N / M``.  Takes a few minutes; the output is
+Prints cold / total function lines per module (modules with a cold line
+only), the cold lines per reason, every problem on stderr, and last
+``cold function lines: N / M``.  Takes a few minutes; the output is
 deterministic.
 """
 
@@ -36,6 +47,7 @@ import contextlib
 import importlib.util
 import inspect
 import io
+import json
 import os
 import runpy
 import sys
@@ -48,6 +60,20 @@ PACKAGE = ROOT / "src" / "repro"
 BENCHMARKS = ROOT / "benchmarks"
 EXAMPLES = ROOT / "examples"
 BENCH_E2E = ROOT / "bench_e2e"
+ALLOW = BENCHMARKS / "census_allow.json"
+
+#: The reasons a function may stay cold, and whether an entry with that
+#: reason must also name its reader (the doc line, CI step, ``bench_e2e``
+#: file:line or ``COUNTERS`` tuple that reaches it).
+REASONS: Dict[str, bool] = {
+    "spec": False,          # the reference interpreter
+    "error-path": False,    # hostile input and raised errors
+    "fork-child": False,    # runs in a process the profiler does not see
+    "impairment": False,    # link faults no experiment injects yet
+    "cli": True,
+    "bench-hook": True,
+    "counter": True,
+}
 
 #: A function's identity in both worlds: (absolute file, first line).
 Key = Tuple[str, int]
@@ -152,16 +178,6 @@ def called_functions(entry_points: Iterable[Callable[[], None]]
     return {key for key in keys if key[0].startswith(prefix)}
 
 
-def _functions(node: ast.AST) -> Iterable[ast.AST]:
-    """The functions directly inside ``node`` (through classes, not
-    through other functions)."""
-    for child in ast.iter_child_nodes(node):
-        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-            yield child
-        else:
-            yield from _functions(child)
-
-
 def _first_line(node) -> int:
     """``co_firstlineno`` of the function: its first decorator's line."""
     return min([node.lineno] + [d.lineno for d in node.decorator_list])
@@ -171,41 +187,110 @@ def _lines(node) -> int:
     return node.end_lineno - _first_line(node) + 1
 
 
-def module_census(path: Path, called: Set[Key]) -> Tuple[int, int]:
-    """``(cold, total)`` function lines of one module."""
+def _accessor(node) -> str:
+    """``.setter`` / ``.deleter`` for a property's second and third
+    functions, so they are keyed apart from the getter."""
+    for decorator in node.decorator_list:
+        if (isinstance(decorator, ast.Attribute)
+                and decorator.attr in ("setter", "deleter")):
+            return "." + decorator.attr
+    return ""
+
+
+def _functions(node: ast.AST, prefix: str
+               ) -> Iterable[Tuple[str, ast.AST]]:
+    """``(qualname, function)`` for the functions directly inside
+    ``node`` (through classes, not through other functions)."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            yield prefix + child.name + _accessor(child), child
+        elif isinstance(child, ast.ClassDef):
+            yield from _functions(child, prefix + child.name + ".")
+        else:
+            yield from _functions(child, prefix)
+
+
+def module_census(path: Path, module: str, called: Set[Key]
+                  ) -> Tuple[Dict[str, int], int]:
+    """The cold functions of one module, ``{"module:qualname": lines}``,
+    and the module's total function lines."""
     filename = str(path)
     tree = ast.parse(path.read_text(), filename)
-    total = cold = 0
-    for function in _functions(tree):
-        total += _lines(function)
-    pending = list(_functions(tree))
+    total = sum(_lines(function) for _, function in _functions(tree, ""))
+    cold: Dict[str, int] = {}
+    pending = list(_functions(tree, ""))
     while pending:
-        function = pending.pop()
+        qualname, function = pending.pop()
         if (filename, _first_line(function)) in called:
-            pending.extend(_functions(function))
-        else:
-            cold += _lines(function)
+            pending.extend(_functions(function, qualname + ".<locals>."))
+            continue
+        name = f"{module}:{qualname}"
+        twin = 2
+        while name in cold:  # a second definition of the same name
+            name = f"{module}:{qualname}#{twin}"
+            twin += 1
+        cold[name] = _lines(function)
     return cold, total
 
 
-def census(called: Set[Key]) -> Dict[str, Tuple[int, int]]:
-    """Per-module ``(cold, total)``, keyed by path under ``src/repro``."""
-    return {str(path.relative_to(PACKAGE)): module_census(path, called)
-            for path in sorted(PACKAGE.rglob("*.py"))}
+def census(called: Set[Key]) -> Dict[str, Tuple[Dict[str, int], int]]:
+    """Per module, keyed by path under ``src/repro``: its cold functions
+    and its total function lines."""
+    per_module = {}
+    for path in sorted(PACKAGE.rglob("*.py")):
+        module = ".".join(path.relative_to(PACKAGE.parent)
+                          .with_suffix("").parts)
+        per_module[str(path.relative_to(PACKAGE))] = module_census(
+            path, module.removesuffix(".__init__"), called)
+    return per_module
+
+
+def check(cold: Dict[str, int], allow: Dict[str, Dict[str, str]]
+          ) -> List[str]:
+    """What the ratchet refuses: a cold function the allow-list does not
+    name, an entry whose function is reached or gone, and an entry
+    without a known reason or without the reader its reason needs."""
+    problems = [f"unlisted cold function: {name} ({lines} lines)"
+                for name, lines in sorted(cold.items()) if name not in allow]
+    for name, entry in sorted(allow.items()):
+        if name not in cold:
+            problems.append(f"stale allow entry: {name} (reached or gone)")
+        reason = entry.get("reason")
+        if reason not in REASONS:
+            problems.append(f"{name}: reason {reason!r} is not one of "
+                            f"{', '.join(REASONS)}")
+        elif REASONS[reason] and not entry.get("reader"):
+            problems.append(f"{name}: a {reason!r} entry names its reader")
+    return problems
 
 
 def main() -> int:
     per_module = census(called_functions(ENTRY_POINTS))
-    cold = sum(c for c, _ in per_module.values())
-    total = sum(t for _, t in per_module.values())
+    allow = json.loads(ALLOW.read_text())
+    cold = {name: lines for module_cold, _ in per_module.values()
+            for name, lines in module_cold.items()}
     width = max(len(name) for name in per_module)
     print(f"{'module':<{width}}  {'cold':>5}  {'total':>5}")
-    for name, (module_cold, module_total) in sorted(
-            per_module.items(), key=lambda item: (-item[1][0], item[0])):
+    for name, (module_cold, total) in sorted(
+            per_module.items(),
+            key=lambda item: (-sum(item[1][0].values()), item[0])):
         if module_cold:
-            print(f"{name:<{width}}  {module_cold:>5}  {module_total:>5}")
-    print(f"cold function lines: {cold} / {total}")
-    return 0
+            print(f"{name:<{width}}  {sum(module_cold.values()):>5}  "
+                  f"{total:>5}")
+    per_reason: Dict[str, int] = {}
+    for name, lines in cold.items():
+        reason = allow.get(name, {}).get("reason", "unlisted")
+        per_reason[reason] = per_reason.get(reason, 0) + lines
+    print()
+    for reason in [*REASONS, "unlisted"]:
+        if reason in per_reason:
+            print(f"{reason:<{width}}  {per_reason[reason]:>5}")
+    problems = check(cold, allow)
+    for problem in problems:
+        print(problem, file=sys.stderr)
+    print(f"cold function lines: {sum(cold.values())} / "
+          f"{sum(total for _, total in per_module.values())}")
+    return 1 if problems else 0
 
 
 if __name__ == "__main__":

@@ -23,6 +23,7 @@ from repro.control.security import EdgeTPPPolicy, VerifierPolicy
 from repro.core import assemble
 from repro.core.exceptions import FaultCode
 from repro.core.memory_map import MemoryMap
+from repro.core.verifier import verify_section
 from repro.endhost.client import TPPEndpoint
 from repro.net.packet import Datagram, RawPayload
 from repro.net.routing import install_shortest_path_routes
@@ -117,5 +118,33 @@ assert (verifier.tpps_verified, verifier.tpps_admitted,
         verifier.tpps_rejected) == (2, 1, 1)
 assert len(verified_results) == 1 and verified_results[0].hops() == 1
 assert switch.tcpu.certificates == certificates_before + 1
+
+# 6) Retire and re-trust: a repeat of the safe probe reuses its verdict
+#    (no second analysis); the operator then revokes its certificate on
+#    the switch and re-trusts tenant A's port.
+tenant_a.tpp.send(assemble("PUSH [Switch:SwitchID]"), dst_mac=collector.mac,
+                  on_response=verified_results.append)
+net.run(until_seconds=0.06)
+probe = verify_section(assemble("PUSH [Switch:SwitchID]").build())
+retired = verifier.revoke(probe.certificate, switch)
+tenant_a_port = next(local for local, peer, _ in adjacency if peer == "h1")
+verifier.mark_trusted("sw0", tenant_a_port)
+print(f"[lifecycle] repeat probe executed on "
+      f"{verified_results[-1].hops()} switch(es) with "
+      f"{verifier.tpps_verified} verifications in all; certificate "
+      f"retired = {retired}, race-table members = "
+      f"{len(switch.tcpu.fleet)}, tenant A port untrusted = "
+      f"{verifier.is_untrusted('sw0', tenant_a_port)}")
+
+assert verifier.tpps_verified == 2 and len(verified_results) == 2
+assert retired and switch.tcpu.certificates == certificates_before
+assert not verifier.is_untrusted("sw0", tenant_a_port)
+
+# The switch kept warning-level evidence of every TPP it stripped.
+stripped = net.trace.records(kind="tpp.stripped")
+print(f"[trace] {len(stripped)} tpp.stripped record(s) of "
+      f"{len(net.trace)} kept, all at "
+      f"{sorted({record.source for record in stripped})}")
+assert stripped and {record.source for record in stripped} == {"sw0"}
 print("\nEdge stripping, static verification and per-task SRAM domains "
       "give the operator the controls §4 calls for.")

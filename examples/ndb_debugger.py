@@ -18,6 +18,7 @@ from repro.asic.tables import TcamRule
 from repro.endhost.flows import Flow, FlowSink
 from repro.net.routing import host_path, install_shortest_path_routes
 from repro.net.topology import TopologyBuilder
+from repro.sim.trace import TraceLevel
 
 # --- fabric: 2 spines, 4 leaves, 8 hosts ------------------------------------
 builder = TopologyBuilder(rate_bps=units.GIGABITS_PER_SEC, delay_ns=2_000)
@@ -63,6 +64,12 @@ def fat_finger():
 
 net.sim.schedule(units.milliseconds(30), fat_finger)
 
+# --- zoom in: a 1 ms DEBUG firehose window after the change -----------------
+net.sim.schedule(units.milliseconds(40), net.trace.set_level,
+                 TraceLevel.DEBUG)
+net.sim.schedule(units.milliseconds(41), net.trace.set_level,
+                 TraceLevel.INFO)
+
 flow.start()
 net.run(until_seconds=0.06)
 flow.stop()
@@ -90,5 +97,10 @@ rule_violation = next((v for v in violations if v.kind == "unknown-rule"),
 if rule_violation is not None:
     print(f"culprit rule seen in the dataplane on switch "
           f"{rule_violation.switch_id}: {rule_violation.detail}")
+detour = [record for record in net.trace.records(kind="link.deliver")
+          if record.detail["dst_device"] == wrong_spine]
+print(f"\nDEBUG window 40-41 ms: {len(detour)} frame deliveries into "
+      f"{wrong_spine}, the detour the traces flagged")
+assert detour
 print("\nndb pinpointed the divergence from per-packet dataplane traces "
       "— no packet copies, no switch CPU involvement (§2.3).")

@@ -15,6 +15,7 @@ Run:  python examples/network_inventory.py
 from repro import units
 from repro.apps.pathprobe import PathBottleneckProbe, SwitchInventory
 from repro.endhost.client import TPPEndpoint
+from repro.net.packet import Datagram, RawPayload
 from repro.net.routing import install_shortest_path_routes
 from repro.net.topology import Network
 
@@ -41,6 +42,15 @@ net.switch("sw2").install_tcam_rule(
 net.switch("sw2").install_tcam_rule(
     TcamRule(priority=2, out_port=1, dst_port=123))
 
+# ...and an IPv4 prefix route on sw0 for an off-fabric subnet: a datagram
+# whose next-hop MAC no L2 table knows is forwarded by longest-prefix
+# match (the pipeline's L3 stage); sw1 has no route for it and drops it.
+uplink = next(local for local, peer, _ in net.adjacency()["sw0"]
+              if peer == "sw1")
+route = net.switch("sw0").install_l3_route(0x0A630000, 16, uplink)
+h0.send_datagram(0x02FF_FFFF_FFFF,
+                 Datagram(h0.ip, 0x0A630001, 1, 9, RawPayload(100)))
+
 # --- one folded probe: two words describe the whole path -------------------
 summaries = []
 probe = PathBottleneckProbe(h0.tpp, h1.mac)
@@ -64,6 +74,13 @@ for switch_id, report in sorted(reports[0].items()):
     print(f"{switch_id:>8} {report.l2_entries:>4} "
           f"{report.tcam_entries:>8} {report.packets_switched:>14} "
           f"{report.tpps_executed:>9}")
+
+print(f"\noff-fabric datagram: sw0 routed it by prefix "
+      f"({net.switch('sw0').l3.hit_counts[route.entry_id]} L3 hit), sw1 "
+      f"dropped it ({net.switch('sw1').packets_dropped_no_route} no-route "
+      f"drop)")
+assert net.switch("sw0").l3.hit_counts[route.entry_id] == 1
+assert net.switch("sw1").packets_dropped_no_route == 1
 
 print("\nThe MIN fold needs 8 bytes of packet memory for any path length;"
       "\na PUSH-per-hop survey of the same two statistics needs "

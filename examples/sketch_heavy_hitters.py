@@ -14,7 +14,7 @@ Run:  python examples/sketch_heavy_hitters.py
 
 import random
 
-from repro.analysis.sketch import HeavyHitterDecoder
+from repro.analysis.sketch import CountMinDecoder, HeavyHitterDecoder
 from repro.apps.microburst import HeavyHitterMonitor
 from repro.core.memory_map import MemoryMap
 from repro.core.mmu import MMU
@@ -105,3 +105,11 @@ assert n_estimate == total == monitor.packets_observed
 print(f"\nrow-0 sum recovers the stream total: N = {n_estimate}")
 print("candidate slots:",
       [hex(k) for k in decoder.candidates(image)][:8])
+
+# A point query for any key, heavy or not, carries the same contract.
+mouse = min(truth, key=lambda key: (truth[key], key))
+point = CountMinDecoder(layout.countmin).estimate(image, mouse)
+print(f"point query for mouse key 0x{mouse:04X}: est {point.estimate} "
+      f"(true {truth[mouse]}, err <= {point.error_bound:.1f} "
+      f"w.p. {point.confidence:.2f})")
+assert point.estimate >= truth[mouse]

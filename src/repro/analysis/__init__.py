@@ -9,7 +9,6 @@ from repro.analysis.timeseries import TimeSeries
 from repro.analysis.convergence import (
     convergence_time_ns,
     jain_fairness,
-    steady_state_mean,
 )
 from repro.analysis.reporting import (
     ascii_plot,
@@ -29,7 +28,6 @@ __all__ = [
     "TimeSeries",
     "convergence_time_ns",
     "jain_fairness",
-    "steady_state_mean",
     "ascii_plot",
     "counters_table",
     "format_table",

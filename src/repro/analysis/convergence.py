@@ -30,12 +30,6 @@ def convergence_time_ns(series: TimeSeries, target: float,
     return entered
 
 
-def steady_state_mean(series: TimeSeries, start_ns: int,
-                      end_ns: int) -> float:
-    """Mean value over a window presumed to be steady state."""
-    return series.window(start_ns, end_ns).mean()
-
-
 def jain_fairness(allocations: Sequence[float]) -> float:
     """Jain's fairness index: 1.0 means perfectly equal shares."""
     if not allocations:
@@ -53,14 +47,3 @@ def jain_fairness(allocations: Sequence[float]) -> float:
         return 0.0
     return (total * total) / (len(allocations) * squares)
 
-
-def overshoot_fraction(series: TimeSeries, target: float,
-                       from_time_ns: int = 0) -> float:
-    """Worst relative excursion above the target after ``from_time_ns``."""
-    worst = 0.0
-    for time_ns, value in series.samples():
-        if time_ns < from_time_ns:
-            continue
-        if target > 0:
-            worst = max(worst, (value - target) / target)
-    return worst

@@ -149,7 +149,3 @@ class DistinctCountDecoder:
         if raw <= 2.5 * m and zeros > 0:
             return m * math.log(m / zeros)
         return raw
-
-    def relative_error(self) -> float:
-        """The estimator's relative standard error (one sigma)."""
-        return self.layout.standard_error

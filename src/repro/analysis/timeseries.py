@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import bisect
-from typing import List, Optional, Tuple
+from typing import List, Tuple
 
 
 class TimeSeries:
@@ -28,14 +28,6 @@ class TimeSeries:
                 f"time went backwards: {time_ns} < {self._times[-1]}")
         self._times.append(time_ns)
         self._values.append(float(value))
-
-    def times(self) -> List[int]:
-        """All sample times."""
-        return list(self._times)
-
-    def values(self) -> List[float]:
-        """All sample values."""
-        return list(self._values)
 
     def samples(self) -> List[Tuple[int, float]]:
         """All (time, value) pairs."""
@@ -64,17 +56,6 @@ class TimeSeries:
         """Smallest value (0.0 when empty)."""
         return min(self._values) if self._values else 0.0
 
-    def last(self) -> Optional[float]:
-        """Most recent value, or ``None`` when empty."""
-        return self._values[-1] if self._values else None
-
-    def value_at(self, time_ns: int) -> Optional[float]:
-        """Most recent value at or before ``time_ns`` (zero-order hold)."""
-        index = bisect.bisect_right(self._times, time_ns) - 1
-        if index < 0:
-            return None
-        return self._values[index]
-
     def percentile(self, fraction: float) -> float:
         """Value at a quantile in [0, 1] (nearest-rank; 0.0 when empty).
 
@@ -88,18 +69,6 @@ class TimeSeries:
         ordered = sorted(self._values)
         rank = min(len(ordered) - 1, int(fraction * len(ordered)))
         return ordered[rank]
-
-    def ewma(self, alpha: float) -> "TimeSeries":
-        """Exponentially smoothed copy."""
-        if not 0.0 < alpha <= 1.0:
-            raise ValueError(f"alpha must be in (0, 1], got {alpha}")
-        result = TimeSeries(f"{self.name}.ewma")
-        smoothed: Optional[float] = None
-        for time_ns, value in zip(self._times, self._values):
-            smoothed = value if smoothed is None else (
-                smoothed + alpha * (value - smoothed))
-            result.append(time_ns, smoothed)
-        return result
 
     def resample_mean(self, bucket_ns: int) -> "TimeSeries":
         """Mean per fixed-width time bucket (bucket timestamped at its

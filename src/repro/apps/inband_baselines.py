@@ -173,11 +173,6 @@ class ECNFlow:
         self.flow.start()
         self._updater.start()
 
-    def stop(self) -> None:
-        self._updater.stop()
-        self.flow.stop()
-
-
 def send_record_route_probe(src: Host, dst: Host, dst_mac: int,
                             slots: int = 9, dst_port: int = 46000) -> Datagram:
     """Emit one record-route datagram; the returned object's

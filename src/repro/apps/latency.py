@@ -105,10 +105,6 @@ class LatencyProfiler:
         """Begin profiling."""
         self.prober.start(first_delay_ns)
 
-    def stop(self) -> None:
-        """Stop profiling."""
-        self.prober.stop()
-
     def _on_result(self, result: TPPResultView) -> None:
         if not result.ok:
             return
@@ -122,11 +118,6 @@ class LatencyProfiler:
                 series = TimeSeries(f"segment.sw{hop.switch_id}")
                 self.segment_series[hop.switch_id] = series
             series.append(result.time_ns, hop.segment_latency_ns)
-
-    def mean_segment_latency_ns(self, switch_id: int) -> float:
-        """Average inbound-segment latency at one switch."""
-        return self.segment_series[switch_id].mean()
-
 
 def decode_profile(result: TPPResultView) -> PathProfile:
     """Turn a returned profile TPP into a :class:`PathProfile`."""

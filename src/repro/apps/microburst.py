@@ -80,20 +80,6 @@ class TelemetryStream:
         """Begin probing."""
         self.prober.start(first_delay_ns)
 
-    def stop(self) -> None:
-        """Stop probing."""
-        self.prober.stop()
-
-    @property
-    def probe_timeouts(self) -> int:
-        """Probes that expired unanswered (lost somewhere on the loop)."""
-        return self.prober.probes_timed_out
-
-    @property
-    def loss_rate_estimate(self) -> float:
-        """The prober's EWMA estimate of probe loss on this path."""
-        return self.prober.loss_rate_estimate
-
     def _on_result(self, result: TPPResultView) -> None:
         if not result.ok:
             self.faulted_probes += 1
@@ -129,10 +115,6 @@ class CoarsePoller:
     def start(self) -> None:
         """Begin polling (first sample after one interval)."""
         self._timer.start()
-
-    def stop(self) -> None:
-        """Stop polling."""
-        self._timer.stop()
 
     def _poll(self) -> None:
         self.series.append(self._sim.now_ns,

@@ -69,11 +69,6 @@ class RCPLinkAgent:
         self._sampler.start()
         self._updater.start()
 
-    def stop(self) -> None:
-        """Freeze the agent."""
-        self._sampler.stop()
-        self._updater.stop()
-
     def stamp(self, header: RCPHeader) -> None:
         """Lower the packet's advertised rate to this link's fair share."""
         if self.rate_bps < header.rate_bps:
@@ -137,12 +132,6 @@ class RCPRouterNetwork:
         for agent in self.agents.values():
             agent.start()
 
-    def stop(self) -> None:
-        """Stop every agent."""
-        for agent in self.agents.values():
-            agent.stop()
-
-
 FEEDBACK_PORT_BASE = 50000
 
 
@@ -176,7 +165,6 @@ class RCPBaselineFlow:
                          frame_factory=self._make_frame)
         self.sink = FlowSink(dst, data_port)
         self.rate_feedback = TimeSeries(f"rcp-flow{index}.rate")
-        dst.on_udp_port(feedback_port, self._on_data_feedback_request)
         src.on_udp_port(feedback_port, self._on_feedback)
 
     # -- sender side --------------------------------------------------- #
@@ -216,15 +204,7 @@ class RCPBaselineFlow:
                                 rtt_ns=header.rtt_ns))
         self.dst.send_datagram(self.src_mac, feedback)
 
-    def _on_data_feedback_request(self, datagram, frame) -> None:
-        # Placeholder handler so stray feedback datagrams at the receiver
-        # side are not counted as undelivered.
-        return
-
     def start(self) -> None:
         """Register the receiver and start pacing."""
         self.attach_receiver()
         self.flow.start()
-
-    def stop(self) -> None:
-        self.flow.stop()

@@ -41,11 +41,6 @@ class UtilizationMeter:
         self._utilization = 0.0
 
     @property
-    def utilization(self) -> float:
-        """Current EWMA utilization as a fraction of line rate."""
-        return self._utilization
-
-    @property
     def utilization_milli(self) -> int:
         """Integer milli-fraction exported to the TPP address space."""
         return round(self._utilization * 1000)
@@ -129,10 +124,6 @@ class SwitchStats:
     def start(self) -> None:
         """Begin sampling every ``interval_ns``."""
         self._timer.start()
-
-    def stop(self) -> None:
-        """Stop sampling (values freeze at their last EWMA)."""
-        self._timer.stop()
 
     def port(self, index: int) -> Optional[PortStats]:
         """The statistics block for a port index (``None`` until the

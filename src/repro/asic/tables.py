@@ -56,11 +56,6 @@ class LookupResult:
     alternate_routes: int = 0
     queue_id: Optional[int] = None  # TCAM set-queue action, if any
 
-    @property
-    def is_drop(self) -> bool:
-        return self.out_port == DROP
-
-
 @dataclass
 class L2Entry:
     """One unicast MAC entry, possibly with ECMP alternates."""
@@ -123,26 +118,6 @@ class L2Table:
             entry.out_ports.append(out_port)
             entry.refresh_results()
         return entry
-
-    def remove(self, dst_mac: int) -> None:
-        """Delete a MAC route (no-op if absent)."""
-        if self._entries.pop(dst_mac, None) is not None:
-            self.table_version = self._allocator.next_version()
-
-    def lookup(self, dst_mac: int,
-               flow_hash: Optional[int] = None) -> Optional[LookupResult]:
-        """Forwarding decision for a MAC.
-
-        When the entry has ECMP alternates and a ``flow_hash`` is given,
-        the next hop is picked by hash — packets of one flow stay on one
-        path (no reordering) while flows spread across the candidates.
-        """
-        entry = self._entries.get(dst_mac)
-        if entry is None:
-            return None
-        self.hit_counts[entry.entry_id] = self.hit_counts.get(
-            entry.entry_id, 0) + 1
-        return entry.results[(flow_hash or 0) % len(entry.results)]
 
     def entry_for(self, dst_mac: int) -> Optional[L2Entry]:
         """The live entry for a MAC (controller-side inspection)."""
@@ -270,12 +245,6 @@ class Tcam:
         self._rules.append(rule)
         self._rules.sort(key=lambda r: -r.priority)
         return rule
-
-    def remove(self, entry_id: int) -> bool:
-        """Remove a rule by entry id; returns whether it existed."""
-        before = len(self._rules)
-        self._rules = [r for r in self._rules if r.entry_id != entry_id]
-        return len(self._rules) != before
 
     def lookup(self, headers: ParsedHeaders,
                in_port: int) -> Optional[LookupResult]:

@@ -39,14 +39,6 @@ class TaskAllocation:
     sram_words: Dict[str, int] = field(default_factory=dict)
     link_slots: Dict[str, int] = field(default_factory=dict)
 
-    def sram_vaddr(self, symbol: str) -> int:
-        """Virtual address of an allocated SRAM word."""
-        return SRAM_BASE + self.sram_words[symbol]
-
-    def link_vaddr(self, symbol: str) -> int:
-        """Virtual address of an allocated per-port scratch register."""
-        return LINK_SCRATCH_BASE + self.link_slots[symbol]
-
 
 class ControlPlaneAgent:
     """Allocates scratch memory uniformly across a set of switches."""
@@ -75,10 +67,6 @@ class ControlPlaneAgent:
         allocation = TaskAllocation(task_id=next(self._task_ids), name=name)
         self._allocations[name] = allocation
         return allocation
-
-    def task(self, name: str) -> TaskAllocation:
-        """The allocation for a task name."""
-        return self._allocations[name]
 
     def allocate_sram(self, task_name: str, symbol: str,
                       n_words: int = 1) -> int:
@@ -117,14 +105,6 @@ class ControlPlaneAgent:
             self.memory_map.register_symbol(mnemonic, vaddr)
         return vaddr
 
-    def release_task(self, task_name: str) -> None:
-        """Free a task's SRAM on every switch (slots are not recycled)."""
-        allocation = self._allocations.pop(task_name, None)
-        if allocation is None:
-            return
-        for switch in self.switches:
-            switch.mmu.release_sram(allocation.task_id)
-
     # ------------------------------------------------------------------ #
     # Direct register initialization (control-plane writes)
     # ------------------------------------------------------------------ #
@@ -143,10 +123,3 @@ class ControlPlaneAgent:
                 switch.mmu.poke_link_scratch(
                     port.index, slot, value_for_port(switch, port.index))
 
-    def initialize_sram(self, vaddr: int, value: int) -> None:
-        """Write an initial value into an SRAM word on every switch."""
-        word = vaddr - SRAM_BASE
-        if not 0 <= word < SRAM_WORDS:
-            raise ConfigurationError(f"{vaddr:#06x} is not in SRAM")
-        for switch in self.switches:
-            switch.mmu.poke_sram(word, value)

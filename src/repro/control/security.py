@@ -35,11 +35,14 @@ class EdgeTPPPolicy:
     """Port-granular trust: untrusted ingress ports get their TPPs
     stripped (default) or dropped."""
 
+    #: What may happen to a TPP from an untrusted port.
+    UNTRUSTED_ACTIONS: Tuple[str, ...] = ("strip", "drop")
+
     def __init__(self, untrusted_action: str = "strip") -> None:
-        if untrusted_action not in ("strip", "drop"):
+        if untrusted_action not in self.UNTRUSTED_ACTIONS:
             raise ValueError(
-                f"untrusted_action must be strip or drop, "
-                f"got {untrusted_action!r}")
+                f"untrusted_action must be one of "
+                f"{self.UNTRUSTED_ACTIONS}, got {untrusted_action!r}")
         self.untrusted_action = untrusted_action
         self._untrusted: Set[Tuple[str, int]] = set()
 
@@ -62,10 +65,10 @@ class EdgeTPPPolicy:
         return "execute"
 
 
-class VerifierPolicy:
+class VerifierPolicy(EdgeTPPPolicy):
     """Static verification at untrusted edge ports.
 
-    The stricter sibling of :class:`EdgeTPPPolicy`: instead of refusing
+    :class:`EdgeTPPPolicy`'s ports, stricter: instead of refusing
     *all* TPPs from an untrusted port, it runs each arriving program
     through the static verifier (:mod:`repro.core.verifier`) and only
     lets provably-safe ones execute — unverifiable TPPs are stripped
@@ -94,26 +97,22 @@ class VerifierPolicy:
 
     COUNTERS = ("tpps_verified", "tpps_admitted", "tpps_rejected",
                 "tpps_racy")
+    UNTRUSTED_ACTIONS = ("strip", "drop", "forward")
 
     def __init__(self, untrusted_action: str = "strip",
                  memory_map: Optional[MemoryMap] = None,
                  max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
                  trust_on_admit: bool = True,
                  race_mode: str = "warn") -> None:
-        if untrusted_action not in ("strip", "drop", "forward"):
-            raise ValueError(
-                f"untrusted_action must be strip, drop or forward, "
-                f"got {untrusted_action!r}")
+        super().__init__(untrusted_action)
         if race_mode not in RACE_MODES:
             raise ValueError(
                 f"race_mode must be one of {RACE_MODES}, "
                 f"got {race_mode!r}")
-        self.untrusted_action = untrusted_action
         self.memory_map = memory_map
         self.max_instructions = max_instructions
         self.trust_on_admit = trust_on_admit
         self.race_mode = race_mode
-        self._untrusted: Set[Tuple[str, int]] = set()
         self._verdicts: "OrderedDict[AdmissionKey, object]" = OrderedDict()
         self.tpps_verified = 0
         self.tpps_admitted = 0
@@ -123,18 +122,6 @@ class VerifierPolicy:
         self.tpps_racy = 0
         #: Fleet race table over admitted certificates.
         self.fleet = FleetRaceTable()
-
-    def mark_untrusted(self, switch_name: str, port_index: int) -> None:
-        """Verify TPPs arriving on this port before they may execute."""
-        self._untrusted.add((switch_name, port_index))
-
-    def mark_trusted(self, switch_name: str, port_index: int) -> None:
-        """Re-trust a port (no-op if it was never untrusted)."""
-        self._untrusted.discard((switch_name, port_index))
-
-    def is_untrusted(self, switch_name: str, port_index: int) -> bool:
-        """Whether a port currently requires verification."""
-        return (switch_name, port_index) in self._untrusted
 
     def action_for(self, switch, in_port: int, tpp: TPPSection) -> str:
         """Policy decision for one TPP arrival (called by the switch)."""

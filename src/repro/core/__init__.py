@@ -28,7 +28,7 @@ from repro.core.tpp import AddressingMode, TPPSection, TPP_HEADER_BYTES
 from repro.core.memory_map import MemoryMap
 from repro.core.mmu import ExecutionContext, MMU
 from repro.core.assembler import AssembledProgram, assemble
-from repro.core.disassembler import disassemble
+from repro.core.disassembler import format_tpp
 from repro.core.fastpath import CompiledEntry, ProgramCache, compile_program
 from repro.core.tcpu import TCPU, ExecutionReport, PipelineModel
 from repro.core.exceptions import AssemblerError, TCPUFault, TPPError
@@ -53,7 +53,7 @@ __all__ = [
     "MMU",
     "AssembledProgram",
     "assemble",
-    "disassemble",
+    "format_tpp",
     "ProgramCache",
     "compile_program",
     "TCPU",

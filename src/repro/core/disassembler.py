@@ -8,7 +8,7 @@ visualizations in the examples.
 
 from __future__ import annotations
 
-from typing import Iterable, List, Optional
+from typing import List, Optional
 
 from repro.core.isa import ISA, Instruction
 from repro.core.memory_map import MemoryMap
@@ -29,15 +29,6 @@ def disassemble_instruction(instruction: Instruction,
     operands = ", ".join(text[kind]
                          for kind in ISA[instruction.opcode].syntax)
     return f"{instruction.opcode.name} {operands}".rstrip()
-
-
-def disassemble(instructions: Iterable[Instruction],
-                memory_map: Optional[MemoryMap] = None) -> str:
-    """A whole program as newline-separated assembly text."""
-    if memory_map is None:
-        memory_map = MemoryMap.standard()
-    return "\n".join(disassemble_instruction(instruction, memory_map)
-                     for instruction in instructions)
 
 
 def format_tpp(tpp: TPPSection,

@@ -227,16 +227,10 @@ class ProgramCache:
         self.invalidations = 0
         self._entries: "OrderedDict[bytes, Any]" = OrderedDict()
 
-    def __len__(self) -> int:
-        return len(self._entries)
-
     @property
     def size(self) -> int:
         """Entries currently cached."""
         return len(self._entries)
-
-    def __contains__(self, key: bytes) -> bool:
-        return key in self._entries
 
     def get(self, key: bytes) -> Any:
         """Compiled entry for ``key``, or ``None`` (counts hit/miss)."""

@@ -247,10 +247,6 @@ class MemoryMap:
                 f"{descriptor.name!r} is read-only")
         self._aliases[name.lower()] = descriptor.name.lower()
 
-    def unregister_symbol(self, name: str) -> None:
-        """Remove a dynamic symbol (no-op if absent)."""
-        self._aliases.pop(name.lower(), None)
-
     # ------------------------------------------------------------------ #
     # Lookup
     # ------------------------------------------------------------------ #
@@ -272,11 +268,6 @@ class MemoryMap:
         """Readable name for an address (hex literal if unmapped)."""
         descriptor = self._by_vaddr.get(vaddr)
         return descriptor.name if descriptor else f"{vaddr:#06x}"
-
-    def is_writable(self, vaddr: int) -> bool:
-        """Whether TPPs may STORE to this address."""
-        descriptor = self._by_vaddr.get(vaddr)
-        return descriptor is not None and descriptor.writable
 
     def names(self) -> Tuple[str, ...]:
         """All canonical statistic names."""

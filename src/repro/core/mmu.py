@@ -259,18 +259,6 @@ class MMU:
         self._sram_regions.append(region)
         return region
 
-    def release_sram(self, task_id: int) -> None:
-        """Free every region owned by ``task_id`` (contents are zeroed)."""
-        survivors = []
-        for region in self._sram_regions:
-            if region.task_id == task_id:
-                for word in range(region.start_word,
-                                  region.start_word + region.n_words):
-                    self._sram[word] = 0
-            else:
-                survivors.append(region)
-        self._sram_regions = survivors
-
     def sram_owner(self, word: int) -> Optional[int]:
         """Task owning an SRAM word, or ``None`` if unallocated."""
         for region in self._sram_regions:

@@ -48,8 +48,8 @@ access maps by the walk's facts (:func:`_refine_summary`, the one
 rewrite) and classifies pairs.  A summary built with ``entry=None`` — every
 certificate's — is *unpinned*: its facts hold at every hop of the
 program's budget.  One built at a known counter (``summarize_program``:
-``0``, ``summarize_section``: the header's) is *pinned*: true of the
-execution that starts from exactly that counter and image.
+``0``) is *pinned*: true of the execution that starts from exactly that
+counter and image.
 
 The analysis is may-access, refined by *constant-mask CEXEC fences*: a
 CEXEC whose switch operand is a per-switch constant (``Switch:SwitchID``)
@@ -124,7 +124,7 @@ from repro.core.relational import (
     reachable_values,
     write_mutates,
 )
-from repro.core.tpp import AddressingMode, TPPSection, program_key_of
+from repro.core.tpp import AddressingMode, program_key_of
 
 #: Stable race diagnostic codes with their severity.  Kept separate from
 #: the single-program ``TPP0xx`` table in :mod:`repro.core.verifier`:
@@ -249,11 +249,6 @@ class ProgramAccessSummary:
     def words(self) -> Set[int]:
         """Every SRAM word this program touches, any access kind."""
         return (set(self.reads) | set(self.writes) | set(self.claims))
-
-    @property
-    def touches_sram(self) -> bool:
-        """Whether the fleet analysis has anything to look at."""
-        return bool(self.reads or self.writes or self.claims)
 
     def to_dict(self) -> Dict[str, Any]:
         """JSON-ready representation (a certificate's ``summary`` in
@@ -507,24 +502,6 @@ def summarize_instructions(instructions: Sequence[Instruction], *,
         fences=relational.stable_fences, relational=relational,
         word_size=word_size, image=bytes(initial_memory),
         widened=may_access), {})
-
-
-def summarize_section(tpp: TPPSection,
-                      name: str = "") -> ProgramAccessSummary:
-    """Summary of an in-flight (wire-decoded) TPP section.
-
-    The section's current hop/SP counter is the entry counter any
-    further execution of this frame uses, so the relational pass runs
-    pinned to it.
-    """
-    return summarize_instructions(
-        tpp.instructions, task_id=tpp.task_id, mode=tpp.mode,
-        word_size=tpp.word_size, name=name,
-        program_key=tpp.program_key,
-        memory_len=len(tpp.memory),
-        perhop_len_bytes=tpp.perhop_len_bytes,
-        initial_memory=bytes(tpp.memory),
-        entry=tpp.hop_or_sp)
 
 
 def summarize_program(program: Any, task_id: int = 0,

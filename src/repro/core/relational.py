@@ -38,8 +38,7 @@ memory carried along, so which execution a fact describes matters:
 
 - **pinned** (``entry=<counter>``): the execution that enters with
   exactly that hop/SP counter and exactly the given image —
-  ``summarize_program``'s first hop, ``summarize_section``'s in-flight
-  frame.  Every slot starts at its image value.
+  ``summarize_program``'s first hop.  Every slot starts at its image value.
 - **unpinned** (``entry=None``, every certificate): the execution at
   *any* hop of the horizon.  The counter ranges over what earlier hops
   can have grown it to, and a slot starts at its image value only if no

@@ -139,16 +139,6 @@ class TPPSection:
             self._length_cache = length
         return length
 
-    def invalidate_length_cache(self) -> None:
-        """Force recomputation after something *resized* packet memory.
-
-        Only fault injection does this — a well-formed TPP's memory length
-        is immutable in the network — but the corruption injector models a
-        mangled length field by truncating ``memory``, and readers of the
-        damaged section must see its real (shorter) size.
-        """
-        self._length_cache = None
-
     # ------------------------------------------------------------------ #
     # Fast-path caches
     # ------------------------------------------------------------------ #
@@ -227,15 +217,6 @@ class TPPSection:
     # ------------------------------------------------------------------ #
     # Flags
     # ------------------------------------------------------------------ #
-
-    @property
-    def done(self) -> bool:
-        """Whether the done-bit is set (skip execution everywhere)."""
-        return bool(self.flags & FLAG_DONE)
-
-    def mark_done(self) -> None:
-        """Set the done-bit; switches will forward without executing."""
-        self.flags |= FLAG_DONE
 
     @property
     def fault(self) -> FaultCode:

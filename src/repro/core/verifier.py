@@ -264,10 +264,6 @@ class VerificationResult:
     def warnings(self) -> List[Diagnostic]:
         return [d for d in self.diagnostics if d.severity == "warning"]
 
-    def predicted_faults(self) -> List[FaultCode]:
-        """Runtime fault codes the error diagnostics predict, in order."""
-        return [d.fault for d in self.errors if d.fault is not None]
-
     def format(self, source_name: str = "") -> str:
         """All diagnostics plus a verdict line, human-readable."""
         lines = [d.format(source_name) for d in self.diagnostics]

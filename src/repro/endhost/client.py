@@ -243,15 +243,6 @@ class TPPResultView:
         return [words[hop * words_per_hop:(hop + 1) * words_per_hop]
                 for hop in range(min(self.hops(), max_hops))]
 
-    def hop_words(self, hop: int) -> List[int]:
-        """Samples collected at one hop."""
-        return self.per_hop_words()[hop]
-
-    def stack_words(self) -> List[int]:
-        """All words up to the stack pointer (stack-addressed TPPs)."""
-        word = self.tpp.word_size
-        return self.tpp.words()[:(max(0, self.tpp.sp) + word - 1) // word]
-
     def word(self, index: int) -> int:
         """One absolute packet-memory word."""
         return self.tpp.read_word(index * self.tpp.word_size)
@@ -489,7 +480,7 @@ class TPPEndpoint:
         return seq
 
     def send_tpp(self, tpp: TPPSection, dst_mac: int) -> None:
-        """Transmit an already-built TPP section (used by ndb's tagger)."""
+        """Transmit an already-built TPP section as a bare frame."""
         frame = EthernetFrame(dst=dst_mac, src=self.host.mac,
                               ethertype=ETHERTYPE_TPP, payload=tpp)
         self.host.send_frame(frame)
@@ -690,7 +681,7 @@ class TPPEndpoint:
             record.on_response(TPPResultView(tpp, now, rtt_ns=rtt))
 
     def _echo(self, tpp: TPPSection, frame: EthernetFrame) -> None:
-        tpp.flags |= FLAG_DONE  # tpp.mark_done(), inlined
+        tpp.flags |= FLAG_DONE
         self.tpps_echoed += 1
         echo = EthernetFrame(dst=frame.src, src=self.host.mac,
                              ethertype=ETHERTYPE_TPP, payload=tpp)

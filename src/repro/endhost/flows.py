@@ -93,10 +93,6 @@ class Flow:
     def packets_sent(self) -> int:
         return self.sender.packets_sent
 
-    @property
-    def bytes_sent(self) -> int:
-        return self.sender.bytes_sent
-
     def make_datagram(self, packet_bytes: int,
                       shim_bytes: int = 0) -> Datagram:
         """Build one data datagram whose enclosing frame will have the

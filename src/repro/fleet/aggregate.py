@@ -172,10 +172,6 @@ class FleetProbeController:
         self._timer.start(self.interval_ns if first_delay_ns is None
                           else first_delay_ns)
 
-    def stop(self) -> None:
-        """Stop firing; in-flight probes may still come back."""
-        self._timer.stop()
-
     def _fire(self) -> None:
         if (self.max_bursts is not None
                 and self.bursts_fired >= self.max_bursts):

@@ -8,7 +8,6 @@ lives in :mod:`repro.asic` and plugs into the :class:`~repro.net.device.Device`
 interface defined here.
 """
 
-from repro.net.addresses import format_mac, format_ipv4, parse_ipv4
 from repro.net.device import Device
 from repro.net.packet import (
     ETHERTYPE_IPV4,
@@ -25,9 +24,6 @@ from repro.net.topology import Network, TopologyBuilder
 from repro.net.routing import install_shortest_path_routes
 
 __all__ = [
-    "format_mac",
-    "format_ipv4",
-    "parse_ipv4",
     "Device",
     "ETHERTYPE_IPV4",
     "ETHERTYPE_TPP",

@@ -1,55 +1,10 @@
-"""MAC and IPv4 address helpers.
+"""Deterministic MAC addresses.
 
 Addresses are plain integers throughout the simulator (cheap to hash and
-compare in table lookups); these helpers convert to and from the usual
-human-readable notations for traces and error messages.
+compare in table lookups).
 """
 
 from __future__ import annotations
-
-from repro.errors import ConfigurationError
-
-MAC_BROADCAST = 0xFFFF_FFFF_FFFF
-
-
-def format_mac(mac: int) -> str:
-    """Render an integer MAC as ``aa:bb:cc:dd:ee:ff``."""
-    if not 0 <= mac <= MAC_BROADCAST:
-        raise ConfigurationError(f"MAC out of range: {mac:#x}")
-    raw = mac.to_bytes(6, "big")
-    return ":".join(f"{byte:02x}" for byte in raw)
-
-
-def parse_mac(text: str) -> int:
-    """Parse ``aa:bb:cc:dd:ee:ff`` into an integer MAC."""
-    parts = text.split(":")
-    if len(parts) != 6:
-        raise ConfigurationError(f"malformed MAC {text!r}")
-    try:
-        raw = bytes(int(part, 16) for part in parts)
-    except ValueError as exc:
-        raise ConfigurationError(f"malformed MAC {text!r}") from exc
-    return int.from_bytes(raw, "big")
-
-
-def format_ipv4(address: int) -> str:
-    """Render an integer IPv4 address as dotted quad."""
-    if not 0 <= address <= 0xFFFF_FFFF:
-        raise ConfigurationError(f"IPv4 address out of range: {address:#x}")
-    raw = address.to_bytes(4, "big")
-    return ".".join(str(byte) for byte in raw)
-
-
-def parse_ipv4(text: str) -> int:
-    """Parse a dotted quad into an integer IPv4 address."""
-    parts = text.split(".")
-    if len(parts) != 4:
-        raise ConfigurationError(f"malformed IPv4 address {text!r}")
-    try:
-        raw = bytes(int(part) for part in parts)
-    except ValueError as exc:
-        raise ConfigurationError(f"malformed IPv4 address {text!r}") from exc
-    return int.from_bytes(raw, "big")
 
 
 def host_mac(index: int) -> int:

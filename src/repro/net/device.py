@@ -56,13 +56,6 @@ class Device:
         self.ports.append(port)
         return port.index
 
-    def port(self, index: int) -> "Port":
-        """The port at ``index`` (raises ``IndexError`` if absent)."""
-        return self.ports[index]
-
     def receive(self, frame: "EthernetFrame", in_port: int) -> None:
         """Handle a frame arriving on ``in_port``.  Subclasses override."""
         raise NotImplementedError
-
-    def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name}>"

@@ -25,7 +25,6 @@ from __future__ import annotations
 import random
 from typing import TYPE_CHECKING, Dict, Optional, Tuple
 
-from repro import units
 from repro.errors import ConfigurationError
 from repro.net.packet import EthernetFrame
 from repro.sim.simulator import Simulator
@@ -103,10 +102,6 @@ class Link:
         # for receivers that batch their ingress.
         self._peer_inbound = (device.inbound_at if device.batches_ingress
                               else None)
-
-    def serialization_time_ns(self, frame: EthernetFrame) -> int:
-        """Time to clock the frame's bytes onto the wire."""
-        return units.transmission_time_ns(frame.size_bytes, self.rate_bps)
 
     def fail(self) -> None:
         """Take the link down; subsequent frames are lost."""

@@ -190,17 +190,3 @@ def payload_size(payload: Any) -> int:
     if size is None:
         raise TypeError(f"payload {payload!r} has no size_bytes")
     return size
-
-
-def innermost_payload(frame_or_payload: Any) -> Any:
-    """Follow nested payloads down to the application payload.
-
-    Used by hosts to deliver data regardless of whether a TPP section was
-    wrapped around it (or stripped at the network edge).
-    """
-    current = frame_or_payload
-    while True:
-        inner = getattr(current, "payload", None)
-        if inner is None:
-            return current
-        current = inner

@@ -61,11 +61,6 @@ class Port:
         return self.queues[0]
 
     @property
-    def n_queues(self) -> int:
-        """How many egress queues this port has."""
-        return len(self.queues)
-
-    @property
     def rate_bps(self) -> int:
         """Line rate of the attached egress link."""
         return self.link.rate_bps
@@ -74,10 +69,6 @@ class Port:
         """The queue a packet classified to ``queue_id`` joins (clamped
         to the configured queue count, as ASICs do with bad classes)."""
         return self.queues[min(queue_id, len(self.queues) - 1)]
-
-    def total_occupancy_bytes(self) -> int:
-        """Sum of all queues' occupancies (buffer usage of the port)."""
-        return sum(queue.occupancy_bytes for queue in self.queues)
 
     def offered_bytes(self) -> int:
         """Cumulative bytes offered to this port's queues (admitted plus
@@ -127,7 +118,7 @@ class Port:
         frame = self.queues[queue_index].begin_transmit()
         assert frame is not None, "scheduler picked an empty queue"
         self._transmitting = True
-        # link.serialization_time_ns(), inlined; the rate is read live.
+        # The link's rate is read live.
         tx_time = units.transmission_time_ns(frame.size_bytes,
                                              self.link.rate_bps)
         self.sim.schedule(tx_time, self._finish_transmission, frame,

@@ -97,8 +97,3 @@ class DropTailQueue:
         self._in_flight_bytes -= frame.size_bytes
         if self._in_flight_bytes < 0:
             raise RuntimeError("transmit_complete without begin_transmit")
-
-    def clear(self) -> None:
-        """Drop all queued packets without counting them as tail drops."""
-        self._packets.clear()
-        self._occupancy_bytes = 0

@@ -10,7 +10,7 @@ Installed entries carry a version number, which is what the ndb debugger
 from __future__ import annotations
 
 from collections import deque
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.errors import ConfigurationError
 from repro.net.topology import Network
@@ -34,14 +34,6 @@ def shortest_paths_from(net: Network, origin: str) -> Dict[str, List[str]]:
                 paths[peer] = paths[current] + [peer]
                 frontier.append(peer)
     return paths
-
-
-def next_hop_port(net: Network, device: str, toward: str) -> Optional[int]:
-    """The local port on ``device`` whose link leads to ``toward``."""
-    for local_port, peer, _ in net.adjacency()[device]:
-        if peer == toward:
-            return local_port
-    return None
 
 
 def host_path(net: Network, src_host: str, dst_host: str) -> List[str]:

@@ -8,7 +8,6 @@ experiments use:
 - ``dumbbell`` — n senders and n receivers sharing one bottleneck link
   (Figure 2's RCP experiment);
 - ``star``     — one switch, many hosts;
-- ``parking_lot`` — a chain of switches with one host pair per switch;
 - ``fat_tree`` — a small k-ary fat-tree for the ndb experiments.
 """
 
@@ -155,12 +154,6 @@ class Network:
         """The switch called ``name`` (raises ``KeyError`` if absent)."""
         return self.switches[name]
 
-    def device(self, name: str) -> Device:
-        """Any device by name."""
-        if name in self.hosts:
-            return self.hosts[name]
-        return self.switches[name]
-
     def all_devices(self) -> List[Device]:
         """Hosts then switches, in creation order."""
         return list(self.hosts.values()) + list(self.switches.values())
@@ -255,25 +248,6 @@ class TopologyBuilder:
         for _ in range(n_pairs):
             receiver = net.add_host()
             net.link(receiver, right, edge_bps, self.delay_ns,
-                     self.queue_capacity_bytes)
-        return net
-
-    def parking_lot(self, n_switches: int) -> Network:
-        """A switch chain with one host hanging off each switch.
-
-        Classic multi-bottleneck congestion-control topology: flows between
-        non-adjacent hosts share different subsets of the chain links.
-        """
-        if n_switches < 2:
-            raise ConfigurationError("need at least two switches")
-        net = self._network()
-        switches = [net.add_switch() for _ in range(n_switches)]
-        for left, right in zip(switches, switches[1:]):
-            net.link(left, right, self.rate_bps, self.delay_ns,
-                     self.queue_capacity_bytes)
-        for switch in switches:
-            host = net.add_host()
-            net.link(host, switch, self.rate_bps, self.delay_ns,
                      self.queue_capacity_bytes)
         return net
 

@@ -50,10 +50,6 @@ class WirelessChannel:
         """Begin evolving the channel."""
         self._timer.start()
 
-    def stop(self) -> None:
-        """Freeze the channel at its current value."""
-        self._timer.stop()
-
     def _step(self) -> None:
         # Mean-reverting random walk: drift toward the mean plus noise.
         drift = (self._mean_milli_db - self.current_snr_milli_db) // 20

@@ -65,9 +65,6 @@ class Event:
         # purge so cancelling a stale handle cannot skew live accounting.
         self._queue: Optional["EventQueue"] = None
 
-    def __lt__(self, other: "Event") -> bool:
-        return (self.time_ns, self.sequence) < (other.time_ns, other.sequence)
-
     def cancel(self) -> None:
         """Prevent this event from firing.  Idempotent."""
         if not self.cancelled:
@@ -75,17 +72,6 @@ class Event:
             queue = self._queue
             if queue is not None:
                 queue._note_cancelled()
-
-    def fire(self) -> None:
-        """Invoke the callback unless the event was cancelled."""
-        if not self.cancelled:
-            self.callback(*self.args)
-
-    def __repr__(self) -> str:
-        state = " cancelled" if self.cancelled else ""
-        return (f"<Event t={self.time_ns} seq={self.sequence}{state} "
-                f"{self.callback!r}>")
-
 
 class EventQueue:
     """Min-heap of :class:`Event` with deterministic FIFO tie-breaking."""
@@ -100,10 +86,6 @@ class EventQueue:
         self.compact_fraction = compact_fraction
         #: How many times the heap has been compacted (observability).
         self.compactions = 0
-
-    def __len__(self) -> int:
-        """Heap entries, including cancelled stragglers not yet purged."""
-        return len(self._heap)
 
     @property
     def live_count(self) -> int:
@@ -124,13 +106,6 @@ class EventQueue:
         event._queue = self
         heapq.heappush(self._heap, (time_ns, sequence, event))
         return event
-
-    def pop(self) -> Optional[Event]:
-        """Remove and return the earliest non-cancelled event, or ``None``.
-
-        Cancelled events encountered on the way are discarded silently.
-        """
-        return self.pop_before(None)
 
     def pop_before(self, horizon_ns: Optional[int]) -> Optional[Event]:
         """Pop the earliest live event strictly before ``horizon_ns``.
@@ -154,17 +129,6 @@ class EventQueue:
             heapq.heappop(heap)
             event._queue = None
             return event
-        return None
-
-    def peek_time(self) -> Optional[int]:
-        """Time of the earliest non-cancelled event, or ``None`` if empty."""
-        heap = self._heap
-        while heap and heap[0][2].cancelled:
-            entry = heapq.heappop(heap)
-            self._cancelled -= 1
-            entry[2]._queue = None
-        if heap:
-            return heap[0][0]
         return None
 
     def compact(self) -> int:

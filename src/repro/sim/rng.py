@@ -34,7 +34,3 @@ class SeededRNG:
             derived = int.from_bytes(digest[:8], "big")
             self._streams[name] = random.Random(derived)
         return self._streams[name]
-
-    def reset(self) -> None:
-        """Forget all streams; they will be re-created freshly seeded."""
-        self._streams.clear()

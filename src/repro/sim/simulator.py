@@ -24,8 +24,7 @@ class Simulator:
         sim.run(until_ns=units.seconds(1))
 
     The loop processes events in ``(time, schedule-order)`` order until the
-    queue drains, ``until_ns`` is reached, or :meth:`stop` is called from
-    inside a callback.
+    queue drains or ``until_ns`` is reached.
 
     The simulator also anchors the experiment's :class:`SeededRNG` family:
     any component holding a ``sim`` reference can draw from a named,
@@ -33,12 +32,15 @@ class Simulator:
     without threading an RNG through every constructor.
     """
 
+    #: Events run so far, and the event queue's live and cancelled
+    #: entries (a queue that only grows shows here first).
+    COUNTERS = ("events_processed", "pending_events", "cancelled_pending")
+
     def __init__(self, seed: int = 0) -> None:
         #: Current simulated time in nanoseconds; only :meth:`run` writes.
         self.now_ns = 0
         self._queue = EventQueue()
         self._running = False
-        self._stopped = False
         self.events_processed = 0
         #: Named-stream RNG family for every stochastic component in this
         #: simulation (link impairments, probe jitter, workloads).
@@ -49,6 +51,7 @@ class Simulator:
         """Current simulated time in seconds (for reporting only)."""
         return self.now_ns / 1_000_000_000
 
+    @property
     def pending_events(self) -> int:
         """Number of live events still queued.
 
@@ -57,6 +60,7 @@ class Simulator:
         """
         return self._queue.live_count
 
+    @property
     def cancelled_pending(self) -> int:
         """Cancelled events still occupying heap entries (lazy deletion)."""
         return self._queue.cancelled_pending
@@ -84,10 +88,6 @@ class Simulator:
             )
         return self._queue.push(time_ns, callback, args)
 
-    def stop(self) -> None:
-        """Request the run loop to exit after the current event."""
-        self._stopped = True
-
     def run(self, until_ns: Optional[int] = None) -> int:
         """Process events until the queue drains or ``until_ns`` is reached.
 
@@ -101,18 +101,16 @@ class Simulator:
         if self._running:
             raise SimulationError("Simulator.run() is not reentrant")
         self._running = True
-        self._stopped = False
         processed = 0
         pop_before = self._queue.pop_before
         try:
-            while not self._stopped:
+            while True:
                 event = pop_before(until_ns)
                 if event is None:
                     break
                 self.now_ns = event.time_ns
                 # pop_before never returns a cancelled event and nothing can
-                # run between the pop and this call, so invoke the callback
-                # directly instead of re-checking through Event.fire().
+                # run between the pop and this call.
                 event.callback(*event.args)
                 processed += 1
         finally:
@@ -120,6 +118,6 @@ class Simulator:
             # Counted even when a callback raises: every event whose
             # callback returned was processed.
             self.events_processed += processed
-        if until_ns is not None and not self._stopped:
+        if until_ns is not None:
             self.now_ns = max(self.now_ns, until_ns)
         return processed

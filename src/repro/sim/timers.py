@@ -25,9 +25,8 @@ class OneShotTimer:
     only the re-armed one runs; if it was scheduled *after*, the timer has
     already fired when the cancel executes (cancel is then a no-op on the
     spent event) and the re-arm fires again — plain FIFO order within the
-    instant.  Either way :attr:`armed` agrees with the live event queue:
-    superseded events are cancelled immediately and never counted by
-    ``Simulator.pending_events()``.
+    instant.  Either way superseded events are cancelled immediately and
+    never counted by ``Simulator.pending_events``.
     """
 
     def __init__(self, sim: Simulator, callback: Callable[..., None],
@@ -36,11 +35,6 @@ class OneShotTimer:
         self._callback = callback
         self._args = args
         self._event: Optional[Event] = None
-
-    @property
-    def armed(self) -> bool:
-        """Whether the timer is currently pending."""
-        return self._event is not None and not self._event.cancelled
 
     def start(self, delay_ns: int) -> None:
         """Arm (or re-arm) the timer ``delay_ns`` from now."""
@@ -78,11 +72,6 @@ class PeriodicTimer:
         self._args = args
         self._event: Optional[Event] = None
         self.fire_count = 0
-
-    @property
-    def running(self) -> bool:
-        """Whether the timer has a pending firing."""
-        return self._event is not None and not self._event.cancelled
 
     def start(self, first_delay_ns: Optional[int] = None) -> None:
         """Begin firing; the first tick is after ``first_delay_ns``

@@ -41,8 +41,7 @@ from __future__ import annotations
 import enum
 from collections import deque
 from dataclasses import dataclass, field
-from typing import (Any, Callable, Dict, Iterable, Iterator, List, Mapping,
-                    Optional)
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 
 
 class TraceLevel(enum.IntEnum):
@@ -128,11 +127,6 @@ class TraceRecorder:
     # Levels
     # ------------------------------------------------------------------ #
 
-    @property
-    def level(self) -> TraceLevel:
-        """Minimum level a kind must have to be recorded."""
-        return self._level
-
     def set_level(self, level: TraceLevel) -> None:
         """Change the recording threshold (e.g. DEBUG for the firehose)."""
         self._level = TraceLevel(level)
@@ -154,10 +148,6 @@ class TraceRecorder:
             self._kind_levels[kind] >= self._level
             for kind, default in DEFAULT_KIND_LEVELS.items()
             if default is TraceLevel.DEBUG)
-
-    def kind_level(self, kind: str) -> TraceLevel:
-        """Effective level of a kind (INFO unless configured otherwise)."""
-        return self._kind_levels.get(kind, TraceLevel.INFO)
 
     def wants(self, kind: str) -> bool:
         """Cheap fast-path guard: would a record of ``kind`` be stored?
@@ -204,15 +194,6 @@ class TraceRecorder:
         if source is not None:
             result = [r for r in result if r.source == source]
         return list(result)
-
-    def iter_kind(self, kind: str) -> Iterator[TraceRecord]:
-        """Iterate records of one kind in emission order."""
-        return (r for r in self._records if r.kind == kind)
-
-    def clear(self) -> None:
-        """Drop all stored records (taps stay registered)."""
-        self._records.clear()
-
 
 def snapshot(*objects: Any) -> Dict[str, Any]:
     """The counters every object names in its class's ``COUNTERS``, as one

@@ -17,9 +17,7 @@ from repro.telemetry.layout import (
     CountMinLayout,
     DistinctCountLayout,
     HeavyHitterLayout,
-    depth_for,
     disjoint_keys,
-    width_for,
 )
 from repro.telemetry.programs import (
     PROBE_CHUNK,
@@ -40,9 +38,7 @@ __all__ = [
     "CountMinLayout",
     "DistinctCountLayout",
     "HeavyHitterLayout",
-    "depth_for",
     "disjoint_keys",
-    "width_for",
     "PROBE_CHUNK",
     "SketchUpdate",
     "build_count_min_update",

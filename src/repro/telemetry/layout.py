@@ -8,10 +8,11 @@ agree on — base word, geometry, hash seed — and knows how to
 - ``register`` human-readable cell mnemonics (``Sketch:hh-r0c3``)
   through :meth:`repro.core.memory_map.MemoryMap.register_symbol`, the
   same dynamic-symbol mechanism the control-plane agent uses for RCP's
-  rate registers;
+  rate registers (count-min and heavy-hitter layouts);
 - ``allocate`` its word range as an owned
   :class:`~repro.core.mmu.SRAMRegion`, so the MMU's per-task SRAM
-  protection (TPP007) covers sketch memory like any other allocation;
+  protection (TPP007) covers sketch memory like any other allocation
+  (the heavy-hitter layout, whose empty claim slots need a value);
 - map a flow key to the concrete words its update program must touch
   (the hash evaluation the end host performs at program-generation
   time, see :mod:`repro.telemetry.hashing`).
@@ -46,20 +47,6 @@ from repro.telemetry.hashing import (
 )
 
 
-def width_for(epsilon: float) -> int:
-    """Columns needed for an additive error of ``εN``: ``ceil(e/ε)``."""
-    if epsilon <= 0:
-        raise ValueError(f"epsilon must be positive: {epsilon}")
-    return math.ceil(math.e / epsilon)
-
-
-def depth_for(delta: float) -> int:
-    """Rows needed for failure probability ``δ``: ``ceil(ln(1/δ))``."""
-    if not 0 < delta < 1:
-        raise ValueError(f"delta must be in (0, 1): {delta}")
-    return math.ceil(math.log(1.0 / delta))
-
-
 def _check_block(base_word: int, n_words: int, name: str) -> None:
     if n_words <= 0:
         raise ConfigurationError(f"{name}: empty layout")
@@ -85,14 +72,6 @@ class CountMinLayout:
                 f"{self.name}: width/depth must be >= 1 "
                 f"(got {self.width}x{self.depth})")
         _check_block(self.base_word, self.n_words, self.name)
-
-    @classmethod
-    def for_bounds(cls, epsilon: float, delta: float, base_word: int = 0,
-                   seed: int = DEFAULT_HASH_SEED,
-                   name: str = "cm") -> "CountMinLayout":
-        """Smallest layout guaranteeing ``err <= εN`` w.p. ``>= 1-δ``."""
-        return cls(base_word=base_word, width=width_for(epsilon),
-                   depth=depth_for(delta), seed=seed, name=name)
 
     # -- geometry ------------------------------------------------------ #
 
@@ -151,14 +130,6 @@ class CountMinLayout:
                     SRAM_BASE + self.cell_word(row, col))
                 count += 1
         return count
-
-    def allocate(self, mmu, task_id: int):
-        """Claim the layout's word range for ``task_id`` and zero it."""
-        region = mmu.allocate_sram(self.base_word, self.n_words, task_id)
-        for word in self.words():
-            mmu.poke_sram(word, 0)
-        return region
-
 
 @dataclass(frozen=True)
 class HeavyHitterLayout:
@@ -222,10 +193,6 @@ class HeavyHitterLayout:
     def slot_words(self) -> range:
         return range(self.slot_base, self.slot_base + self.n_slots)
 
-    def words_for(self, key: int) -> Tuple[int, ...]:
-        """Counter words plus the claim slot an update touches."""
-        return self.countmin.words_for(key) + (self.slot_word(key),)
-
     def words(self) -> range:
         return range(self.base_word, self.base_word + self.n_words)
 
@@ -279,25 +246,8 @@ class DistinctCountLayout:
     def word(self, bucket: int) -> int:
         return self.base_word + bucket
 
-    def word_for(self, key: int) -> int:
-        bucket, _ = self.bucket_and_rank(key)
-        return self.word(bucket)
-
     def words(self) -> range:
         return range(self.base_word, self.base_word + self.m)
-
-    def register(self, memory_map: MemoryMap) -> int:
-        for bucket in range(self.m):
-            memory_map.register_symbol(
-                f"Sketch:{self.name}-reg{bucket}",
-                SRAM_BASE + self.word(bucket))
-        return self.m
-
-    def allocate(self, mmu, task_id: int):
-        region = mmu.allocate_sram(self.base_word, self.m, task_id)
-        for word in self.words():
-            mmu.poke_sram(word, 0)
-        return region
 
 
 def disjoint_keys(layout, candidates: Iterable[int],

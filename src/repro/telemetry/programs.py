@@ -48,11 +48,6 @@ class SketchUpdate:
     #: SRAM words the update writes, in touch order.
     words: Tuple[int, ...]
 
-    @property
-    def dataflow(self) -> Dict[int, str]:
-        """Certificate-pinned ``word -> class`` map for written words."""
-        return dict(self.certificate.sram_dataflow)
-
     def build(self, task_id: Optional[int] = None, seq: int = 0):
         """Fresh TPP section (new packet-memory copy) for one packet."""
         tid = self.certificate.task_id if task_id is None else task_id

@@ -36,11 +36,6 @@ def microseconds(value: float) -> int:
     return round(value * MICROSECONDS)
 
 
-def to_seconds(time_ns: int) -> float:
-    """Convert integer nanoseconds back to (float) seconds for reporting."""
-    return time_ns / SECONDS
-
-
 def transmission_time_ns(size_bytes: int, rate_bps: int) -> int:
     """Time to serialize ``size_bytes`` onto a link of ``rate_bps``.
 
@@ -51,8 +46,3 @@ def transmission_time_ns(size_bytes: int, rate_bps: int) -> int:
         raise ValueError(f"link rate must be positive, got {rate_bps}")
     bits = size_bytes * 8
     return -(-bits * SECONDS // rate_bps)  # ceiling division
-
-
-def bytes_per_second(rate_bps: int) -> float:
-    """Express a bit rate as bytes per second."""
-    return rate_bps / 8.0

@@ -5,8 +5,6 @@ import pytest
 from repro.analysis.convergence import (
     convergence_time_ns,
     jain_fairness,
-    overshoot_fraction,
-    steady_state_mean,
 )
 from repro.analysis.timeseries import TimeSeries
 
@@ -59,17 +57,3 @@ class TestFairness:
         # (1+2+3)^2 / (3 * (1+4+9)) = 36/42
         assert jain_fairness([1.0, 2.0, 3.0]) == pytest.approx(36 / 42)
 
-
-class TestOthers:
-    def test_steady_state_mean(self):
-        series = series_of([(0, 100.0), (10, 1.0), (20, 3.0)])
-        assert steady_state_mean(series, 10, 30) == 2.0
-
-    def test_overshoot(self):
-        series = series_of([(0, 1.0), (10, 1.5), (20, 1.2)])
-        assert overshoot_fraction(series, target=1.0) == pytest.approx(0.5)
-
-    def test_overshoot_from_time(self):
-        series = series_of([(0, 2.0), (10, 1.1)])
-        assert overshoot_fraction(series, 1.0, from_time_ns=5) == (
-            pytest.approx(0.1))

@@ -17,9 +17,7 @@ from repro.telemetry import (
     CountMinLayout,
     DistinctCountLayout,
     HeavyHitterLayout,
-    depth_for,
     disjoint_keys,
-    width_for,
 )
 
 
@@ -30,13 +28,6 @@ class TestLayoutMath:
         assert layout.delta == pytest.approx(math.exp(-3))
         assert layout.error_bound(1000) == pytest.approx(
             1000 * math.e / 27)
-
-    def test_for_bounds_inverts_the_bounds(self):
-        layout = CountMinLayout.for_bounds(epsilon=0.05, delta=0.01)
-        assert layout.epsilon <= 0.05
-        assert layout.delta <= 0.01
-        assert layout.width == width_for(0.05)
-        assert layout.depth == depth_for(0.01)
 
     def test_rows_occupy_disjoint_word_ranges(self):
         layout = CountMinLayout(base_word=10, width=8, depth=4)
@@ -168,11 +159,6 @@ class TestDistinctCountDecoder:
         assert _hll_alpha(64) == 0.709
         assert _hll_alpha(128) == pytest.approx(
             0.7213 / (1 + 1.079 / 128))
-
-    def test_relative_error_is_the_layout_sigma(self):
-        layout = DistinctCountLayout(base_word=0, m=64)
-        assert DistinctCountDecoder(layout).relative_error() == \
-            pytest.approx(1.04 / 8)
 
 
 class TestImageFromMMU:

@@ -38,31 +38,13 @@ class TestQueries:
         assert series.mean() == 3.0
         assert series.max() == 5.0
         assert series.min() == 1.0
-        assert series.last() == 5.0
 
     def test_empty_stats(self):
         series = TimeSeries()
         assert series.mean() == 0.0
-        assert series.last() is None
-
-    def test_value_at_zero_order_hold(self):
-        series = series_of([(10, 1.0), (20, 2.0)])
-        assert series.value_at(5) is None
-        assert series.value_at(10) == 1.0
-        assert series.value_at(15) == 1.0
-        assert series.value_at(25) == 2.0
 
 
 class TestTransforms:
-    def test_ewma_smooths(self):
-        series = series_of([(0, 0.0), (1, 10.0), (2, 10.0)])
-        smoothed = series.ewma(0.5)
-        assert smoothed.values() == [0.0, 5.0, 7.5]
-
-    def test_ewma_alpha_validated(self):
-        with pytest.raises(ValueError):
-            series_of([(0, 1.0)]).ewma(0.0)
-
     def test_resample_mean(self):
         series = series_of([(0, 1.0), (5, 3.0), (10, 10.0), (15, 20.0)])
         resampled = series.resample_mean(10)

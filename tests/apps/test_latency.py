@@ -35,7 +35,7 @@ class TestLatencyProfiler:
                                    interval_ns=units.milliseconds(1))
         profiler.start(first_delay_ns=1)
         net.run(until_seconds=0.02)
-        profiler.stop()
+        profiler.prober.stop()
         profile = profiler.profiles[0]
         assert [hop.switch_id for hop in profile.hops] == [1, 2, 3]
         switch = net.switch("sw0")
@@ -66,7 +66,7 @@ class TestLatencyProfiler:
         cross.start()
         profiler.start(first_delay_ns=units.milliseconds(5))
         net.sim.schedule(units.milliseconds(9), cross.stop)
-        net.sim.schedule(units.milliseconds(9), profiler.stop)
+        net.sim.schedule(units.milliseconds(9), profiler.prober.stop)
         net.run(until_seconds=0.5)
         # Worst segment is into sw2 (id 3): behind the congested link.
         congested = [p.worst_segment() for p in profiler.profiles
@@ -94,7 +94,7 @@ class TestLatencyProfiler:
         profiler.start(first_delay_ns=1)
         net.run(until_seconds=0.05)
         assert set(profiler.segment_series) == {2, 3}
-        assert profiler.mean_segment_latency_ns(2) > 0
+        assert profiler.segment_series[2].mean() > 0
 
     def test_queue_bytes_recorded_per_hop(self, profiled_net):
         net = profiled_net

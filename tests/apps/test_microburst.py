@@ -136,7 +136,7 @@ class TestBurstyTrafficGenerator:
         duty = on_time / units.seconds(0.1)
         # sent bytes consistent with the ON duty cycle (loose bound)
         expected = 50e6 * duty * 0.1 / 8
-        assert flow.bytes_sent == pytest.approx(expected, rel=0.6)
+        assert flow.sender.bytes_sent == pytest.approx(expected, rel=0.6)
 
     def test_deterministic_with_seed(self):
         def run_once():
@@ -168,7 +168,7 @@ class TestTelemetryStream:
         TPPEndpoint(h2)
         stream.start(first_delay_ns=1)
         net.run(until_seconds=0.02)
-        stream.stop()
+        stream.prober.stop()
         assert 1 in stream.queue_series  # switch id 1
         assert len(stream.series_for(1)) > 30
 

@@ -173,7 +173,7 @@ def truncated_trace_tpp(hops_executed=3, keep_bytes=40):
     tpp = trace_program(hops=4).build()
     tpp.hop = hops_executed
     del tpp.memory[keep_bytes:]
-    tpp.invalidate_length_cache()
+    tpp.invalidate_caches()
     return tpp
 
 

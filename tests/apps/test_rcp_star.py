@@ -167,7 +167,7 @@ class TestUpdateTemplate:
                 (sw.mmu.peek_link_scratch(port.index, 0),
                  sw.mmu.peek_link_scratch(port.index, 1))
                 for sw in net.switches.values() for port in sw.ports],
-            "rates": [flow.rate_series.values() for flow in flows],
+            "rates": [flow.rate_series.samples() for flow in flows],
             "wire": wire,
         }
         return calls, flows, state

@@ -7,6 +7,7 @@ from repro.core.assembler import assemble
 from repro.core.exceptions import FaultCode
 from repro.net.packet import Datagram, EthernetFrame, RawPayload
 from repro.net.routing import install_shortest_path_routes
+from repro.net.topology import TopologyBuilder
 
 
 def send_datagram(net, src="h0", dst="h1", dst_port=9):
@@ -47,12 +48,12 @@ class TestForwarding:
         assert got == []
         assert switch.packets_dropped_by_rule == 1
 
-    def test_l3_fallback(self, single_switch_net):
-        net = single_switch_net
+    def test_l3_fallback(self):
+        # No L2 routes at all: an L3 prefix route carries the datagram.
+        net = TopologyBuilder(rate_bps=units.GIGABITS_PER_SEC,
+                              delay_ns=1_000).star(n_hosts=2)
         switch = net.switch("sw0")
         h0, h1 = net.host("h0"), net.host("h1")
-        # Remove the L2 route and install an L3 prefix route instead.
-        switch.l2.remove(h1.mac)
         port = None
         for local_port, peer, _ in net.adjacency()["sw0"]:
             if peer == "h1":

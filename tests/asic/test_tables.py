@@ -27,12 +27,12 @@ class TestL2Table:
     def test_install_and_lookup(self):
         table = L2Table(EntryAllocator())
         table.install(0xAA, out_port=3)
-        result = table.lookup(0xAA)
-        assert result is not None and result.out_port == 3
+        result = table.entry_for(0xAA).results[0]
+        assert result.out_port == 3
 
     def test_miss_returns_none(self):
         table = L2Table(EntryAllocator())
-        assert table.lookup(0xAB) is None
+        assert table.entry_for(0xAB) is None
 
     def test_reinstall_bumps_version_and_id(self):
         """ndb's mechanism: every rule change is a new version (§2.3)."""
@@ -41,7 +41,7 @@ class TestL2Table:
         second = table.install(0xAA, out_port=2)
         assert second.version > first.version
         assert second.entry_id != first.entry_id
-        assert table.lookup(0xAA).out_port == 2
+        assert table.entry_for(0xAA).results[0].out_port == 2
 
     def test_table_version_tracks_changes(self):
         table = L2Table(EntryAllocator())
@@ -51,19 +51,12 @@ class TestL2Table:
         table.install(0xBB, 1)
         assert table.table_version > v1
 
-    def test_remove(self):
-        table = L2Table(EntryAllocator())
-        table.install(0xAA, 1)
-        table.remove(0xAA)
-        assert table.lookup(0xAA) is None
-        assert len(table) == 0
-
     def test_ecmp_alternates_counted(self):
         table = L2Table(EntryAllocator())
         table.install(0xAA, 1)
         table.add_alternate(0xAA, 2)
         table.add_alternate(0xAA, 3)
-        result = table.lookup(0xAA)
+        result = table.entry_for(0xAA).results[0]
         assert result.alternate_routes == 2
         assert result.out_port == 1  # primary wins
 
@@ -138,20 +131,13 @@ class TestTcam:
         tcam = Tcam(EntryAllocator())
         tcam.install(TcamRule(priority=5, out_port=DROP, src_ip=0x0A000001))
         result = tcam.lookup(headers(src_ip=0x0A000001), 0)
-        assert result.is_drop
+        assert result.out_port == DROP
 
     def test_udp_port_match(self):
         tcam = Tcam(EntryAllocator())
         tcam.install(TcamRule(priority=1, out_port=1, dst_port=53))
         assert tcam.lookup(headers(dst_port=53), 0) is not None
         assert tcam.lookup(headers(dst_port=54), 0) is None
-
-    def test_remove_by_entry_id(self):
-        tcam = Tcam(EntryAllocator())
-        rule = tcam.install(TcamRule(priority=1, out_port=1))
-        assert tcam.remove(rule.entry_id)
-        assert not tcam.remove(rule.entry_id)
-        assert tcam.lookup(headers(), 0) is None
 
     def test_capacity_limit(self):
         tcam = Tcam(EntryAllocator(), capacity=2)

@@ -29,17 +29,12 @@ class TestTasks:
         with pytest.raises(ConfigurationError):
             agent.create_task("rcp")
 
-    def test_task_lookup(self, agent):
-        allocation = agent.create_task("rcp")
-        assert agent.task("rcp") is allocation
-
 
 class TestSramAllocation:
     def test_same_address_on_every_switch(self, agent, linear_net):
-        agent.create_task("rcp")
+        task_id = agent.create_task("rcp").task_id
         vaddr = agent.allocate_sram("rcp", "counter", n_words=2)
         word = vaddr - SRAM_BASE
-        task_id = agent.task("rcp").task_id
         for switch in linear_net.switches.values():
             assert switch.mmu.sram_owner(word) == task_id
 
@@ -52,17 +47,9 @@ class TestSramAllocation:
         assert abs(a - b) >= 4
 
     def test_allocation_recorded(self, agent):
-        agent.create_task("rcp")
+        allocation = agent.create_task("rcp")
         vaddr = agent.allocate_sram("rcp", "x")
-        assert agent.task("rcp").sram_vaddr("x") == vaddr
-
-    def test_release_frees_on_all_switches(self, agent, linear_net):
-        agent.create_task("rcp")
-        vaddr = agent.allocate_sram("rcp", "x")
-        word = vaddr - SRAM_BASE
-        agent.release_task("rcp")
-        for switch in linear_net.switches.values():
-            assert switch.mmu.sram_owner(word) is None
+        assert allocation.sram_words["x"] == vaddr - SRAM_BASE
 
     def test_exhaustion(self, agent):
         agent.create_task("big")
@@ -107,18 +94,6 @@ class TestLinkRegisters:
     def test_initialize_rejects_non_register(self, agent):
         with pytest.raises(ConfigurationError):
             agent.initialize_link_register(0xB000, lambda s, p: 0)
-
-    def test_initialize_sram(self, agent, linear_net):
-        agent.create_task("t")
-        vaddr = agent.allocate_sram("t", "x")
-        agent.initialize_sram(vaddr, 42)
-        for switch in linear_net.switches.values():
-            assert switch.mmu.peek_sram(vaddr - SRAM_BASE) == 42
-
-    def test_initialize_sram_rejects_bad_address(self, agent):
-        with pytest.raises(ConfigurationError):
-            agent.initialize_sram(0xC000, 1)
-
 
 class TestIsolationEnforcement:
     def test_enforcement_flag_propagates(self, linear_net):

@@ -2,7 +2,6 @@
 
 from repro.core.assembler import assemble
 from repro.core.disassembler import (
-    disassemble,
     disassemble_instruction,
     format_tpp,
 )
@@ -35,13 +34,13 @@ class TestDisassemble:
             LOAD [Switch:SwitchID], [Packet:3]
         """
         program = assemble(source)
-        text = disassemble(program.instructions)
+        text = "\n".join(map(disassemble_instruction, program.instructions))
         reassembled = assemble(text, hops=8)
         assert reassembled.instructions == program.instructions
 
     def test_arithmetic_round_trip(self):
         program = assemble(".memory 1\nMIN [Packet:0], [Queue:QueueSize]")
-        text = disassemble(program.instructions)
+        text = "\n".join(map(disassemble_instruction, program.instructions))
         assert assemble(text).instructions == program.instructions
 
     def test_nop(self):

@@ -58,16 +58,16 @@ class TestProgramCache:
         cache.put(b"b", (2,))
         cache.get(b"a")          # refresh a: b is now the LRU
         cache.put(b"c", (3,))    # evicts b
-        assert b"a" in cache and b"c" in cache
-        assert b"b" not in cache
         assert cache.evictions == 1
-        assert len(cache) == 2
+        assert cache.size == 2
+        assert cache.get(b"b") is None
+        assert cache.get(b"a") is not None and cache.get(b"c") is not None
 
     def test_clear_counts_invalidations(self):
         cache = ProgramCache(2)
         cache.put(b"a", (1,))
         cache.clear()
-        assert len(cache) == 0
+        assert cache.size == 0
         assert cache.invalidations == 1
 
     def test_same_length_different_bytes_are_distinct(self):

@@ -118,15 +118,6 @@ class TestSramProtection:
         with pytest.raises(TCPUFault):
             mmu.allocate_sram(100000, 4, task_id=1)
 
-    def test_release_zeroes_and_frees(self):
-        mmu = MMU()
-        mmu.allocate_sram(0, 2, task_id=1)
-        mmu.poke_sram(0, 99)
-        mmu.release_sram(1)
-        assert mmu.peek_sram(0) == 0
-        assert mmu.sram_owner(0) is None
-        mmu.allocate_sram(0, 2, task_id=2)  # region reusable
-
     def test_sram_owner(self):
         mmu = MMU()
         mmu.allocate_sram(4, 2, task_id=9)

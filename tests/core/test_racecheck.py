@@ -27,7 +27,6 @@ from repro.core.racecheck import (
     check_pair,
     summarize_instructions,
     summarize_program,
-    summarize_section,
 )
 from repro.core.verifier import verify_program
 
@@ -279,13 +278,15 @@ class TestSramDataflow:
         layout = HeavyHitterLayout(base_word=0, width=8, depth=3,
                                    n_slots=2)
         rows = dict.fromkeys(layout.countmin.words_for(42), ACC)
-        assert build_count_min_update(
-            layout.countmin, key=42).dataflow == rows
-        assert build_heavy_hitter_update(layout, key=42).dataflow == {
+        def dataflow(update):
+            return dict(update.certificate.sram_dataflow)
+        assert dataflow(build_count_min_update(
+            layout.countmin, key=42)) == rows
+        assert dataflow(build_heavy_hitter_update(layout, key=42)) == {
             **rows, layout.slot_word(42): CLAIM}
         distinct = build_distinct_update(
             DistinctCountLayout(base_word=32, m=8), key=5)
-        assert distinct.dataflow == {distinct.words[0]: MIXED}
+        assert dataflow(distinct) == {distinct.words[0]: MIXED}
 
 
 class TestSummaries:
@@ -300,19 +301,16 @@ class TestSummaries:
     def test_program_section_certificate_agree(self):
         program = assemble(self.SOURCE)
         from_program = summarize_program(program, task_id=3)
-        from_section = summarize_section(program.build(task_id=3))
         result = verify_program(program, memory_map=_MAP, task_id=3)
         assert result.ok
         from_cert = result.certificate.summary
-        for s in (from_program, from_section, from_cert):
+        for s in (from_program, from_cert):
             assert s.task_id == 3
             assert s.reads == {2: (0,)}
             assert s.writes == {2: (1,)}
             assert s.claims == {5: (2,)}
             assert s.words == {2, 5}
-            assert s.touches_sram
-        assert (from_program.program_key == from_section.program_key
-                == from_cert.program_key)
+        assert from_program.program_key == from_cert.program_key
 
     def test_certificate_embeds_access_sets(self):
         program = assemble(self.SOURCE)
@@ -337,8 +335,6 @@ class TestSummaries:
         assert certificate.summary.reads == {}
         assert certificate.summary.writes == {}
         assert certificate.summary.claims == {}
-        assert not certificate.summary.touches_sram
-        assert not summarize_program(program).touches_sram
 
     def test_summary_to_dict(self):
         blob = summary("a", (Opcode.STORE, 1), (Opcode.PUSH, 2)).to_dict()

@@ -406,7 +406,6 @@ class TestUnpinnedFactsHoldAtEveryHop:
                 if d.code == "TPP012"] == [("TPP012", 1)]
         assert summarize_program(program, 0).claims == {}
         assert result.certificate.summary.claims == {}
-        assert not result.certificate.summary.touches_sram
 
     def test_unpinned_counter_spans_the_hop_horizon_only(self):
         """One PUSH over a 2-hop budget reaches SP 0 or 4, never the

@@ -7,6 +7,7 @@ from repro.core.exceptions import FaultCode
 from repro.core.memory_map import SRAM_BASE
 from repro.core.mmu import MMU, ExecutionContext
 from repro.core.tcpu import TCPU, PipelineModel, pipeline_cycles
+from repro.core.tpp import FLAG_DONE
 
 
 class FakeQueue:
@@ -298,7 +299,7 @@ class TestLimitsAndFlags:
     def test_done_tpp_is_skipped(self):
         harness = Harness()
         tpp = build("PUSH [Queue:QueueSize]")
-        tpp.mark_done()
+        tpp.flags |= FLAG_DONE
         report = harness.run(tpp)
         assert report.executed == 0
         assert tpp.sp == 0

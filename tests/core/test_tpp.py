@@ -5,6 +5,7 @@ import pytest
 from repro.core.exceptions import FaultCode, TPPEncodingError
 from repro.core.isa import Instruction, Opcode
 from repro.core.tpp import (
+    FLAG_DONE,
     FLAG_FAULT,
     TPP_HEADER_BYTES,
     AddressingMode,
@@ -113,9 +114,9 @@ class TestMemoryAccess:
 class TestFlags:
     def test_done_flag(self):
         tpp = make_tpp()
-        assert not tpp.done
-        tpp.mark_done()
-        assert tpp.done
+        assert not tpp.flags & FLAG_DONE
+        tpp.flags |= FLAG_DONE
+        assert tpp.flags & FLAG_DONE
 
     def test_fault_recording(self):
         tpp = make_tpp()
@@ -185,10 +186,10 @@ class TestWireFormat:
     def test_flags_survive_round_trip(self):
         tpp = make_tpp()
         tpp.record_fault(FaultCode.WRITE_PROTECTED)
-        tpp.mark_done()
+        tpp.flags |= FLAG_DONE
         decoded = TPPSection.decode(tpp.encode())
         assert decoded.fault == FaultCode.WRITE_PROTECTED
-        assert decoded.done
+        assert decoded.flags & FLAG_DONE
 
     @pytest.mark.parametrize("code", range(max(FaultCode) + 1, 16))
     def test_decode_rejects_a_fault_stamp_naming_no_code(self, code):

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.core.assembler import assemble
-from repro.core.tpp import AddressingMode, TPPSection
+from repro.core.tpp import FLAG_DONE, AddressingMode, TPPSection
 from repro.endhost.client import TPPEndpoint, TPPResultView
 from repro.net.packet import Datagram, RawPayload
 
@@ -30,7 +30,7 @@ class TestProbeEcho:
         client.send(assemble("PUSH [Switch:SwitchID]"),
                     dst_mac=net.host("h1").mac, on_response=results.append)
         net.run(until_seconds=0.01)
-        assert results[0].tpp.done
+        assert results[0].tpp.flags & FLAG_DONE
         assert responder.tpps_echoed == 1
 
     def test_reverse_path_does_not_reexecute(self, endpoints):
@@ -127,15 +127,7 @@ class TestResultView:
         client.send(assemble("PUSH [Switch:SwitchID]"),
                     dst_mac=net.host("h1").mac, on_response=results.append)
         net.run(until_seconds=0.01)
-        assert results[0].hop_words(1) == [2]
-
-    def test_stack_words(self, endpoints):
-        net, client, _ = endpoints
-        results = []
-        client.send(assemble("PUSH [Switch:SwitchID]"),
-                    dst_mac=net.host("h1").mac, on_response=results.append)
-        net.run(until_seconds=0.01)
-        assert results[0].stack_words() == [1, 2, 3]
+        assert results[0].per_hop_words()[1] == [2]
 
     def test_word_accessor(self, endpoints):
         net, client, _ = endpoints
@@ -165,16 +157,10 @@ def _per_hop_words_by_word(tpp):
              for i in range(perhop // word)] for hop in range(hops)]
 
 
-def _stack_words_by_word(tpp):
-    word = tpp.word_size
-    limit = min(tpp.sp, len(tpp.memory) - len(tpp.memory) % word)
-    return [tpp.read_word(i) for i in range(0, max(0, limit), word)]
-
-
 class TestResultViewBulkDecode:
-    """per_hop_words / hop_words / stack_words slice one ``words()``
-    decode; on well-formed, truncated and hostile sections they return
-    what the ``read_word`` loops returned."""
+    """per_hop_words slices one ``words()`` decode; on well-formed,
+    truncated and hostile sections it returns what the ``read_word``
+    loops returned."""
 
     @given(st.binary(max_size=48).filter(lambda raw: len(raw) % 4 == 0),
            st.sampled_from((4, 8)), st.sampled_from((0, 4, 8, 12, 16)),
@@ -187,9 +173,8 @@ class TestResultViewBulkDecode:
         view = TPPResultView(tpp)
         expected = _per_hop_words_by_word(tpp)
         assert view.per_hop_words() == expected
-        assert view.stack_words() == _stack_words_by_word(tpp)
         for hop in range(-len(expected), len(expected)):
-            assert view.hop_words(hop) == expected[hop]
+            assert view.per_hop_words()[hop] == expected[hop]
         for hop in (len(expected), -len(expected) - 1):
             with pytest.raises(IndexError):
-                view.hop_words(hop)
+                view.per_hop_words()[hop]

@@ -3,6 +3,7 @@
 import pytest
 
 from repro.core.assembler import assemble
+from repro.core.tpp import FLAG_DONE
 from repro.endhost.client import TPPEndpoint
 from repro.net.packet import (
     ETHERTYPE_TPP,
@@ -59,7 +60,7 @@ class TestStrayTraffic:
         net, client, _ = pair
         h0, h1 = net.host("h0"), net.host("h1")
         tpp = assemble("NOP").build(seq=99)
-        tpp.mark_done()
+        tpp.flags |= FLAG_DONE
         h1.tpp = None  # not used; send from h1 toward h0's endpoint
         frame = EthernetFrame(dst=h0.mac, src=h1.mac,
                               ethertype=ETHERTYPE_TPP, payload=tpp)

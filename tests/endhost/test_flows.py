@@ -54,7 +54,7 @@ class TestFlow:
         flow.start()
         net.run(until_seconds=0.1)
         assert flow.packets_sent > 0
-        assert flow.bytes_sent == flow.packets_sent * 1000
+        assert flow.sender.bytes_sent == flow.packets_sent * 1000
 
     def test_custom_frame_factory(self, single_switch_net):
         net = single_switch_net

@@ -63,7 +63,8 @@ class TestBoundaryLink:
         # delay is shared, so arrivals preserve emission order.
         assert outbox[0].arrival_ns < outbox[1].arrival_ns
         # The export time is serialization end + boundary delay.
-        serialization = port.link.serialization_time_ns(a)
+        serialization = units.transmission_time_ns(a.size_bytes,
+                                                   port.link.rate_bps)
         assert outbox[0].arrival_ns == serialization + 10_000
         assert port.link.frames_exported == 2
 

@@ -113,7 +113,8 @@ def test_probe_budget():
         net.sim.schedule(index * SPACING_NS, probe)
     calls = calls_inside(net.sim.run)
     assert len(echoed) == PACKETS
-    assert all(len(result.stack_words()) == 9 for result in echoed)
+    assert all(result.tpp.sp == 9 * result.tpp.word_size
+               for result in echoed)
     assert hops(net) == 6 * PACKETS  # three out, three back
     per_hop = calls / hops(net)
     print(f"probe: {per_hop:.2f} calls/hop "

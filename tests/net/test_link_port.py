@@ -34,10 +34,6 @@ class TestLink:
         with pytest.raises(ConfigurationError):
             Link(sim, rate_bps=1000, delay_ns=-1)
 
-    def test_serialization_time(self, sim):
-        link = Link(sim, rate_bps=units.GIGABITS_PER_SEC)
-        assert link.serialization_time_ns(frame_of(1000)) == 8_000
-
     def test_delivery_requires_receiver(self, sim):
         link = Link(sim, rate_bps=1000)
         with pytest.raises(ConfigurationError):

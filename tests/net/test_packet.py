@@ -140,14 +140,3 @@ class TestTPPFrameSizes:
         tpp = program.build(payload=inner)
         assert tpp.size_bytes == tpp.tpp_length_bytes + inner.size_bytes
 
-
-class TestInnermostPayload:
-    def test_unwraps_nesting(self):
-        inner = pkt.RawPayload(10)
-        datagram = pkt.Datagram(1, 2, 3, 4, payload=inner)
-        frame = pkt.EthernetFrame(1, 2, pkt.ETHERTYPE_IPV4, datagram)
-        assert pkt.innermost_payload(frame) is inner
-
-    def test_plain_object_returned_as_is(self):
-        target = pkt.RawPayload(5)
-        assert pkt.innermost_payload(target) is target

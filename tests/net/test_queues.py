@@ -85,13 +85,6 @@ class TestTransmit:
         assert queue.backlog_bytes == 200
         assert queue.occupancy_bytes == 300
 
-    def test_clear_empties_without_drops(self):
-        queue = DropTailQueue()
-        queue.offer(frame_of(100))
-        queue.clear()
-        assert queue.occupancy_bytes == 0
-        assert queue.stats.packets_dropped == 0
-
     def test_len_counts_waiting_packets(self):
         queue = DropTailQueue()
         queue.offer(frame_of(100))

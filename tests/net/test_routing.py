@@ -6,7 +6,6 @@ from repro.errors import ConfigurationError
 from repro.net.routing import (
     host_path,
     install_shortest_path_routes,
-    next_hop_port,
     shortest_paths_from,
 )
 from repro.net.topology import TopologyBuilder
@@ -27,11 +26,6 @@ class TestShortestPaths:
         isolated = net.add_host("lonely")
         with pytest.raises(ConfigurationError):
             host_path(net, "h0", "lonely")
-
-    def test_next_hop_port(self, linear_net):
-        port = next_hop_port(linear_net, "sw0", "sw1")
-        assert port is not None
-        assert next_hop_port(linear_net, "sw0", "sw2") is None
 
     def test_fat_tree_paths_are_three_switches(self):
         net = TopologyBuilder().fat_tree(k=2)
@@ -59,9 +53,9 @@ class TestInstallRoutes:
     def test_intended_state_matches_tables(self, linear_net):
         intended = install_shortest_path_routes(linear_net)
         for (switch_name, mac), out_port in intended.items():
-            result = linear_net.switch(switch_name).l2.lookup(mac)
-            assert result is not None
-            assert result.out_port == out_port
+            entry = linear_net.switch(switch_name).l2.entry_for(mac)
+            assert entry is not None
+            assert entry.results[0].out_port == out_port
 
     def test_bidirectional_delivery(self, linear_net):
         from repro.net.packet import Datagram, RawPayload

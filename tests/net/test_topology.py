@@ -36,13 +36,6 @@ class TestNetwork:
         assert adjacency["sw0"] == [(0, "sw1", 0)]
         assert adjacency["sw1"] == [(0, "sw0", 0)]
 
-    def test_device_lookup(self):
-        net = Network()
-        host = net.add_host()
-        switch = net.add_switch()
-        assert net.device("h0") is host
-        assert net.device("sw0") is switch
-
     def test_run_advances_clock(self):
         net = Network()
         net.run(until_seconds=0.25)
@@ -87,12 +80,6 @@ class TestBuilders:
                       if {e.device_a, e.device_b} != {"swL", "swR"}]
         assert all(e.rate_bps == 10 * units.MEGABITS_PER_SEC
                    for e in edge_links)
-
-    def test_parking_lot_shape(self):
-        net = TopologyBuilder().parking_lot(n_switches=4)
-        assert len(net.switches) == 4
-        assert len(net.hosts) == 4
-        assert len(net.edges) == 3 + 4
 
     def test_fat_tree_shape(self):
         net = TopologyBuilder().fat_tree(k=2)

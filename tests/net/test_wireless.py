@@ -44,16 +44,6 @@ class TestWirelessChannel:
 
         assert run_once() == run_once()
 
-    def test_stop_freezes(self, sim):
-        channel = WirelessChannel(sim, random.Random(3),
-                                  update_interval_ns=1_000)
-        channel.start()
-        sim.run(until_ns=5_500)
-        channel.stop()
-        frozen = channel.current_snr_milli_db
-        sim.run(until_ns=50_000)
-        assert channel.current_snr_milli_db == frozen
-
     def test_attach_to_port(self, sim):
         class FakePort:
             pass

@@ -3,7 +3,7 @@
 from hypothesis import given, strategies as st
 
 from repro.core.assembler import assemble
-from repro.core.disassembler import disassemble
+from repro.core.disassembler import disassemble_instruction
 from repro.core.memory_map import MemoryMap
 
 _MAP = MemoryMap.standard()
@@ -32,7 +32,8 @@ class TestAssemblerProperties:
     @given(programs)
     def test_assemble_disassemble_reassemble(self, source):
         first = assemble(source, memory_map=_MAP)
-        text = disassemble(first.instructions, _MAP)
+        text = "\n".join(disassemble_instruction(i, _MAP)
+                         for i in first.instructions)
         second = assemble(text, memory_map=_MAP,
                           hops=first.memory_words or 1)
         assert second.instructions == first.instructions

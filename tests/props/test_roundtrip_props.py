@@ -11,7 +11,7 @@ end) reads back.
 from hypothesis import example, given, strategies as st
 
 from repro.core.assembler import assemble
-from repro.core.disassembler import disassemble, disassemble_instruction
+from repro.core.disassembler import disassemble_instruction
 from repro.core.isa import ISA, Instruction, Opcode
 from repro.core.memory_map import MemoryMap
 from repro.core.tpp import TPPSection
@@ -85,7 +85,8 @@ class TestWireRoundTrip:
         """The long way around the loop ends where it started."""
         program = assemble(source, memory_map=_MAP, hops=hops)
         decoded = TPPSection.decode(program.build().encode())
-        text = disassemble(decoded.instructions, _MAP)
+        text = "\n".join(disassemble_instruction(i, _MAP)
+                         for i in decoded.instructions)
         again = assemble(text, memory_map=_MAP, hops=hops)
         assert again.instructions == program.instructions
 

@@ -8,8 +8,9 @@ scored against an exact dict ground truth:
   invariant: counters only ever add), and exceed the truth by more
   than ``ε·N`` with frequency at most ``δ`` (the (ε, δ) contract,
   checked in aggregate over the seeded sweep);
-- distinct-count estimates land within the HLL standard-error budget
-  (per-trace at four sigma, in aggregate near one);
+- distinct-count estimates leave the HLL four-sigma budget on a
+  Chebyshev-bounded tail of traces, and sit near one sigma in
+  aggregate;
 - heavy-hitter candidate tables recover every flow whose claim slot
   was not stolen first.
 
@@ -20,7 +21,7 @@ failure shrinks to — and prints — the smallest offending trace seed.
 
 import random
 
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, example, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.sketch import (
@@ -168,27 +169,46 @@ def run_distinct_trace(seed, max_cardinality=400):
 
 
 class TestDistinctCountSweep:
+    """HLL's analysis gives the estimator's spread, a standard deviation
+    of σ·n (σ = 1.04/√m), not a worst case: a trace beyond k·σ·n is a
+    tail event, at most 1/k² of traces by Chebyshev (1/16 at k = 4).
+    Measured over trace seeds 0–399 at ``max_cardinality=150``, one
+    trace in 400 leaves the 4σ budget: seed 64, 254.5 for 122 keys,
+    two of its 32 registers at 8 and two at 7.  So the budget is
+    asserted as a tail count over a sweep, like count-min's δ."""
+
     #: Traces in the (slower: one TPP per distinct key) HLL sweep.
     N_HLL_TRACES = 60
     #: Per-trace tolerance: four sigma relative, plus a small absolute
     #: floor so tiny cardinalities (where "relative" degenerates) pass.
     SIGMAS = 4.0
     ABS_SLACK = 3.0
+    #: The property's sweep: this many consecutive trace seeds, of which
+    #: at most ``PROPERTY_TAIL`` may leave the budget.  Chebyshev's 1/16
+    #: expects 0.5 of 8; at the measured 1/400 a third is a ~1e-6 event.
+    PROPERTY_TRACES = 8
+    PROPERTY_TAIL = 2
 
-    def _check(self, cardinality, image, seed):
+    def _relative_error(self, cardinality, image):
         estimate = DistinctCountDecoder(HLL).estimate(image)
+        return abs(estimate - cardinality) / max(cardinality, 1)
+
+    def _outside_budget(self, cardinality, error):
         budget = (self.SIGMAS * HLL.standard_error * cardinality
                   + self.ABS_SLACK)
-        assert abs(estimate - cardinality) <= budget, (
-            f"trace seed {seed}: |{estimate:.1f} - {cardinality}| "
-            f"> {budget:.1f}")
-        return abs(estimate - cardinality) / max(cardinality, 1)
+        return error * max(cardinality, 1) > budget
 
     def test_estimates_within_standard_error_budget(self):
         relative_errors = []
+        outside = []
         for seed in range(self.N_HLL_TRACES):
             cardinality, image = run_distinct_trace(seed)
-            relative_errors.append(self._check(cardinality, image, seed))
+            error = self._relative_error(cardinality, image)
+            relative_errors.append(error)
+            if self._outside_budget(cardinality, error):
+                outside.append(seed)
+        assert len(outside) <= self.N_HLL_TRACES / self.SIGMAS ** 2, (
+            f"trace seeds {outside} exceed {self.SIGMAS:.0f} sigma")
         mean = sum(relative_errors) / len(relative_errors)
         # In aggregate the estimator must behave like its analysis
         # says: mean relative error around one sigma, not four.
@@ -199,9 +219,19 @@ class TestDistinctCountSweep:
     @settings(max_examples=15, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(seed=st.integers(min_value=0, max_value=10**9))
+    @example(seed=64)
     def test_bounded_error_property(self, seed):
-        cardinality, image = run_distinct_trace(seed, max_cardinality=150)
-        self._check(cardinality, image, seed)
+        """Of ``PROPERTY_TRACES`` consecutive trace seeds from ``seed``,
+        at most ``PROPERTY_TAIL`` leave the 4σ budget."""
+        outside = []
+        for trace_seed in range(seed, seed + self.PROPERTY_TRACES):
+            cardinality, image = run_distinct_trace(
+                trace_seed, max_cardinality=150)
+            if self._outside_budget(
+                    cardinality, self._relative_error(cardinality, image)):
+                outside.append(trace_seed)
+        assert len(outside) <= self.PROPERTY_TAIL, (
+            f"trace seeds {outside} exceed {self.SIGMAS:.0f} sigma")
 
 
 class TestHeavyHitterRecovery:

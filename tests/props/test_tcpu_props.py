@@ -11,7 +11,7 @@ from repro.asic.metadata import PacketMetadata
 from repro.core.isa import Instruction, Opcode
 from repro.core.mmu import MMU, ExecutionContext
 from repro.core.tcpu import TCPU
-from repro.core.tpp import AddressingMode, TPPSection
+from repro.core.tpp import FLAG_DONE, AddressingMode, TPPSection
 
 instructions = st.builds(
     Instruction,
@@ -87,7 +87,7 @@ class TestExecutionProperties:
     @given(tpps)
     def test_done_tpps_untouched(self, tpp):
         tcpu = harness()
-        tpp.mark_done()
+        tpp.flags |= FLAG_DONE
         before = bytes(tpp.memory)
         before_pos = tpp.hop_or_sp
         ctx = ExecutionContext(metadata=PacketMetadata(),

@@ -38,27 +38,10 @@ class TestSeriesProperties:
             return
         assert series.min() - 1e-6 <= series.mean() <= series.max() + 1e-6
 
-    @given(sample_lists, st.floats(min_value=0.01, max_value=1.0))
-    def test_ewma_bounded_by_extremes(self, pairs, alpha):
-        series = series_of(pairs)
-        if len(series) == 0:
-            return
-        smoothed = series.ewma(alpha)
-        assert smoothed.min() >= series.min() - 1e-6
-        assert smoothed.max() <= series.max() + 1e-6
-
     @given(sample_lists, st.integers(min_value=1, max_value=10**8))
     def test_resample_never_adds_samples(self, pairs, bucket):
         series = series_of(pairs)
         assert len(series.resample_mean(bucket)) <= max(1, len(series))
-
-    @given(sample_lists)
-    def test_value_at_returns_existing_value(self, pairs):
-        series = series_of(pairs)
-        values = set(series.values())
-        for time_ns, _ in pairs:
-            held = series.value_at(time_ns)
-            assert held in values
 
 
 class TestFairnessProperties:

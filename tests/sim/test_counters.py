@@ -61,7 +61,7 @@ def probe_network():
         net.sim.schedule(i * 5_000, sender.send, program, h1.mac)
     net.run(until_seconds=0.002)
     assert sender.responses_received == 20
-    owners = [policy, policy.fleet, sender, responder]
+    owners = [net.sim, policy, policy.fleet, sender, responder]
     for switch in net.switches.values():
         owners += [switch, switch.tcpu, switch.tcpu.cache, switch.mmu,
                    switch.tcpu.fleet]

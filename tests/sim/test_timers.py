@@ -30,14 +30,6 @@ class TestOneShotTimer:
         sim.run()
         assert fired == []
 
-    def test_armed_reflects_state(self, sim):
-        timer = OneShotTimer(sim, lambda: None)
-        assert not timer.armed
-        timer.start(100)
-        assert timer.armed
-        sim.run()
-        assert not timer.armed
-
     def test_can_rearm_from_callback(self, sim):
         times = []
 
@@ -90,14 +82,6 @@ class TestPeriodicTimer:
         sim.run(until_ns=55)
         assert timer.fire_count == 5
 
-    def test_running_property(self, sim):
-        timer = PeriodicTimer(sim, 10, lambda: None)
-        assert not timer.running
-        timer.start()
-        assert timer.running
-        timer.stop()
-        assert not timer.running
-
     def test_restart_resets_phase(self, sim):
         times = []
         timer = PeriodicTimer(sim, 100, lambda: times.append(sim.now_ns))
@@ -112,8 +96,8 @@ class TestSameInstantCancelRearm:
     """Regression: cancel() + start() at the timer's own firing instant.
 
     The cancelled event is lazily deleted from the heap; its deletion must
-    not fire the callback, flip ``armed``/``running``, or linger in
-    ``pending_events()`` (which counts live events only).
+    not fire the callback or linger in ``pending_events`` (which counts
+    live events only).
     """
 
     def test_cancel_before_fire_suppresses_old_firing(self, sim):
@@ -123,10 +107,9 @@ class TestSameInstantCancelRearm:
         def meddle():
             timer.cancel()
             timer.start(0)
-            assert timer.armed
             # The superseded event is a cancelled straggler, not pending.
-            assert sim.pending_events() == 1
-            assert sim.cancelled_pending() == 1
+            assert sim.pending_events == 1
+            assert sim.cancelled_pending == 1
 
         # meddle is scheduled FIRST, so at t=100 it runs before the
         # timer's own event: the old firing must be suppressed.
@@ -134,9 +117,8 @@ class TestSameInstantCancelRearm:
         timer.start(100)
         sim.run()
         assert fired == [100]
-        assert not timer.armed
-        assert sim.pending_events() == 0
-        assert sim.cancelled_pending() == 0
+        assert sim.pending_events == 0
+        assert sim.cancelled_pending == 0
 
     def test_cancel_after_fire_is_noop_and_rearm_fires_again(self, sim):
         fired = []
@@ -152,7 +134,7 @@ class TestSameInstantCancelRearm:
         sim.schedule(100, meddle)
         sim.run()
         assert fired == [100, 100]
-        assert not timer.armed
+        assert sim.pending_events == 0
 
     def test_rearm_same_instant_fires_after_other_events(self, sim):
         order = []
@@ -178,7 +160,7 @@ class TestSameInstantCancelRearm:
         def meddle():
             timer.stop()
             timer.start()  # re-phase exactly at the pending tick's time
-            assert timer.running
+            assert sim.pending_events == 1
 
         sim.schedule(100, meddle)
         timer.start()
@@ -186,15 +168,13 @@ class TestSameInstantCancelRearm:
         # The t=100 tick was superseded; ticks resume at 200 on the new
         # phase with no double-fire and no straggler accumulation.
         assert times == [200, 300, 400]
-        assert timer.running
-        assert sim.cancelled_pending() == 0
+        assert sim.pending_events == 1
+        assert sim.cancelled_pending == 0
 
-    def test_armed_agrees_with_live_pending_through_churn(self, sim):
+    def test_live_pending_stays_one_through_churn(self, sim):
         timer = OneShotTimer(sim, lambda: None)
         for _ in range(50):
             timer.start(1_000)  # each restart cancels the previous event
-        assert timer.armed
-        assert sim.pending_events() == 1
+        assert sim.pending_events == 1
         sim.run()
-        assert not timer.armed
-        assert sim.pending_events() == 0
+        assert sim.pending_events == 0

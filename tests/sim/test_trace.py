@@ -1,6 +1,6 @@
 """Trace recorder filtering, taps, levels, and the bounded ring buffer."""
 
-from repro.sim.trace import TraceLevel, TraceRecorder
+from repro.sim.trace import DEFAULT_KIND_LEVELS, TraceLevel, TraceRecorder
 
 
 class TestTraceRecorder:
@@ -43,23 +43,6 @@ class TestTraceRecorder:
         trace.emit(1, "sw0", "x")
         trace.emit(2, "sw0", "y")
         assert [r.kind for r in seen] == ["x", "y"]
-
-    def test_clear_keeps_taps(self):
-        trace = TraceRecorder()
-        seen = []
-        trace.add_tap(seen.append)
-        trace.emit(1, "a", "x")
-        trace.clear()
-        assert len(trace) == 0
-        trace.emit(2, "a", "y")
-        assert len(seen) == 2
-
-    def test_iter_kind(self):
-        trace = TraceRecorder()
-        trace.emit(1, "a", "x")
-        trace.emit(2, "a", "y")
-        trace.emit(3, "a", "x")
-        assert [r.time_ns for r in trace.iter_kind("x")] == [1, 3]
 
 
 class TestTraceLevels:
@@ -131,7 +114,7 @@ class TestTraceLevels:
         kind's own level or the DEBUG threshold, and ``firehose`` (which
         its emit sites read first) follows."""
         trace = TraceRecorder()
-        assert trace.kind_level("tpp.exec") is TraceLevel.DEBUG
+        assert DEFAULT_KIND_LEVELS["tpp.exec"] is TraceLevel.DEBUG
         trace.set_kind_level("tpp.exec", TraceLevel.INFO)
         assert trace.firehose and trace.wants("tpp.exec")
         assert not trace.wants("link.deliver")

@@ -1,6 +1,8 @@
 """Command-line tools."""
 
 import json
+import re
+from pathlib import Path
 
 import pytest
 
@@ -65,6 +67,37 @@ class TestTppasmMemmap:
         assert "Switch:SwitchID" in out
         assert "Link:RX-Utilization" in out
         assert "Sram:Word0..Word1023" in out
+
+    def test_docs_tables_agree_with_json(self, capsys):
+        """``docs/memory_map.md`` and ``memmap --json`` list the same
+        (name, vaddr, access) rows: the doc's per-namespace tables are
+        the entries, its writable namespace rows the ranges."""
+        assert tppasm.main(["memmap", "--json"]) == 0
+        blob = json.loads(capsys.readouterr().out)
+        emitted = {(row["name"], row["vaddr"], row["access"])
+                   for row in blob["entries"] + blob["ranges"]}
+        doc = (Path(__file__).resolve().parent.parent / "docs"
+               / "memory_map.md").read_text()
+        documented = set()
+        namespace = None
+        for line in doc.splitlines():
+            heading = re.match(r"## Per-\w+ \(`(\w+:)`\)", line)
+            if heading:
+                namespace = heading.group(1)
+            entry = re.match(
+                r"\| `([^`]+)`[^|]*\| (0x[0-9A-F]+) \| (ro|rw) \|", line)
+            if entry and namespace:
+                documented.add((namespace + entry.group(1),
+                                int(entry.group(2), 16), entry.group(3)))
+            writable = re.match(
+                r"\| `(0x[0-9A-F]+)–0x[0-9A-F]+` \| `([^`]+)` "
+                r"\|[^|]*\| \*\*yes\*\* \|", line)
+            if writable:
+                documented.add((writable.group(2),
+                                int(writable.group(1), 16), "rw"))
+        assert sorted(emitted - documented) == []
+        assert sorted(documented - emitted) == []
+        assert len(documented) == 37
 
 
 class TestTppasmLint:
