@@ -27,8 +27,10 @@ stay cold, each with a ``reason`` from :data:`REASONS` — and, for
 ``cli``, ``bench-hook`` and ``counter``, the ``reader`` that reaches it.
 The census exits 1 when a cold function is not listed, when a listed
 function is reached or gone, or when an entry's reason or reader is
-missing.  ``tests/test_census.py`` checks that comparison on a
-synthetic module.
+missing.  Functions are matched to source lines, so the census also
+exits 1, naming the files, when a ``src/repro`` source changed while
+the entry points ran.  ``tests/test_census.py`` checks that comparison
+on a synthetic module.
 
 Usage::
 
@@ -44,6 +46,7 @@ from __future__ import annotations
 
 import ast
 import contextlib
+import hashlib
 import importlib.util
 import inspect
 import io
@@ -178,6 +181,19 @@ def called_functions(entry_points: Iterable[Callable[[], None]]
     return {key for key in keys if key[0].startswith(prefix)}
 
 
+def fingerprints(root: Path = PACKAGE) -> Dict[str, str]:
+    """SHA-256 of every source under ``root``, keyed by relative path."""
+    return {str(path.relative_to(root)):
+            hashlib.sha256(path.read_bytes()).hexdigest()
+            for path in sorted(root.rglob("*.py"))}
+
+
+def changed(before: Dict[str, str], after: Dict[str, str]) -> List[str]:
+    """Paths added, removed or edited between two :func:`fingerprints`."""
+    return sorted(path for path in before.keys() | after.keys()
+                  if before.get(path) != after.get(path))
+
+
 def _first_line(node) -> int:
     """``co_firstlineno`` of the function: its first decorator's line."""
     return min([node.lineno] + [d.lineno for d in node.decorator_list])
@@ -265,7 +281,14 @@ def check(cold: Dict[str, int], allow: Dict[str, Dict[str, str]]
 
 
 def main() -> int:
-    per_module = census(called_functions(ENTRY_POINTS))
+    before = fingerprints()
+    called = called_functions(ENTRY_POINTS)
+    edited = changed(before, fingerprints())
+    for path in edited:
+        print(f"source changed during the run: {path}", file=sys.stderr)
+    if edited:
+        return 1
+    per_module = census(called)
     allow = json.loads(ALLOW.read_text())
     cold = {name: lines for module_cold, _ in per_module.values()
             for name, lines in module_cold.items()}

@@ -10,49 +10,3 @@
 - :mod:`repro.apps.ndb` -- Section 2.3: the forwarding-plane debugger:
   per-packet path/rule traces, reassembly, and policy verification.
 """
-
-from repro.apps.microburst import (
-    BurstDetector,
-    BurstyTrafficGenerator,
-    CoarsePoller,
-    TelemetryStream,
-)
-from repro.apps.rcp import RCPStarFlow, RCPStarTask
-from repro.apps.rcp_common import RCPHeader, rcp_rate_update
-from repro.apps.rcp_router import (
-    RCPBaselineFlow,
-    RCPLinkAgent,
-    RCPRouterNetwork,
-)
-from repro.apps.ndb import NdbCollector, NdbTagger, PathVerifier
-from repro.apps.inband_baselines import (
-    ECNFlow,
-    install_ecn,
-    install_record_route,
-)
-from repro.apps.latency import LatencyProfiler, PathProfile
-from repro.apps.pathprobe import PathBottleneckProbe, SwitchInventory
-
-__all__ = [
-    "BurstDetector",
-    "BurstyTrafficGenerator",
-    "CoarsePoller",
-    "TelemetryStream",
-    "RCPStarFlow",
-    "RCPStarTask",
-    "RCPHeader",
-    "rcp_rate_update",
-    "RCPLinkAgent",
-    "RCPRouterNetwork",
-    "RCPBaselineFlow",
-    "NdbCollector",
-    "NdbTagger",
-    "PathVerifier",
-    "ECNFlow",
-    "install_ecn",
-    "install_record_route",
-    "LatencyProfiler",
-    "PathProfile",
-    "PathBottleneckProbe",
-    "SwitchInventory",
-]

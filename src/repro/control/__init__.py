@@ -5,8 +5,3 @@ to partition switch SRAM and isolate concurrently executing network tasks"
 (§3.2), plus edge enforcement that strips or drops TPPs from untrusted
 sources (§4).  Both live here.
 """
-
-from repro.control.agent import ControlPlaneAgent, TaskAllocation
-from repro.control.security import EdgeTPPPolicy
-
-__all__ = ["ControlPlaneAgent", "TaskAllocation", "EdgeTPPPolicy"]

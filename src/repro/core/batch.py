@@ -8,7 +8,7 @@ its ingress queue as groups of same-``program_key`` frames pays the
 cache lookup once per group, and runs the one kind of program for which
 execution order across the group is the whole difficulty — the
 *stateful atoms* of "Packet Transactions": read-modify-write on switch
-state — as a handful of numpy array operations.
+state — one pass per instruction over the whole batch.
 
 Two lanes, selected per batch:
 
@@ -16,9 +16,11 @@ Two lanes, selected per batch:
 trusted certificate, consists solely of ``NOP`` and the two update
 shapes below on absolutely-addressed packet memory, and every section in
 the batch is flag-clean with identical geometry, task id and hop/SP
-counter inside the certificate guard.  Packet memories live as rows of
-one numpy byte matrix (:class:`BatchArena`) and the kernel runs
-*instruction-major*, one column operation per instruction.  The
+counter inside the certificate guard.  Each packet-memory word the
+program touches is read once into a *column* — a list of Python ints,
+one per section — and the kernel runs *instruction-major*, one column
+operation per instruction, masking every add to the word width; the
+epilogue packs each column back into the sections' own memories.  The
 certificate's pinned SRAM *dataflow classes*
 (:func:`repro.core.racecheck.analyze_sram_dataflow`) say the sequential
 write order is reproducible from per-packet data:
@@ -54,73 +56,18 @@ by reason in :attr:`repro.core.tcpu.TCPU.batch_demotions`.  With
 compilation disabled (``TCPU(compile=False)``) or batching disabled
 (``TCPU(batch=False)``) every batch degenerates to a loop over
 :meth:`repro.core.tcpu.TCPU.execute`, which is also the reference the
-differential tests compare against.  numpy is optional (the package
-declares no dependencies): without it every batch takes the safe lane.
+differential tests compare against.
 """
 
 from __future__ import annotations
 
-from importlib.util import find_spec
-from typing import Any, Dict, List, Optional, Sequence, Tuple, cast
+from typing import Any, Dict, List, Optional, Sequence, Tuple
 
 from repro.core.exceptions import FaultCode, TCPUFault
-from repro.core.fastpath import BatchPlan
+from repro.core.fastpath import _WORD_STRUCTS, BatchPlan
 from repro.core.mmu import ExecutionContext
 from repro.core.tcpu import TCPU, ExecutionReport, pipeline_cycles
 from repro.core.tpp import FLAG_DONE, TPPSection
-
-#: Whether the vectorized lane is available at all.  When numpy is
-#: missing every batch takes the (pure-python) safe lane; results are
-#: identical, only slower.  numpy itself is imported by the first batch
-#: that reaches the vector lane: *any* ingress batch loads this module,
-#: and safe-lane-only traffic should not pay numpy's ~16 MB and ~0.2 s.
-HAVE_NUMPY = find_spec("numpy") is not None
-
-#: Big-endian word dtypes matching the wire format (and
-#: ``fastpath._WORD_STRUCTS``).
-_WORD_DTYPES = {4: ">u4", 8: ">u8"}
-
-
-class BatchArena:
-    """Packet memories of N same-shape sections as one numpy matrix.
-
-    ``adopt`` semantics: each section's ``memory`` bytearray is replaced
-    by a writable :class:`memoryview` of its row, so the vectorized
-    kernel's column writes and every scalar code path (compiled
-    closures, the interpreter, ``encode()``) see the *same* bytes with
-    zero copying.  :meth:`release` moves the rows back into fresh
-    bytearrays — required before a section travels a link again (the
-    corruption injector resizes memory, which a row view cannot do).
-    Built transiently per vectorized batch.
-    """
-
-    __slots__ = ("sections", "matrix")
-
-    def __init__(self, sections: Sequence[TPPSection]) -> None:
-        if not HAVE_NUMPY:
-            raise RuntimeError("BatchArena requires numpy")
-        import numpy as np
-        if not sections:
-            raise ValueError("cannot build an arena over zero sections")
-        width = len(sections[0].memory)
-        for section in sections:
-            if len(section.memory) != width:
-                raise ValueError(
-                    f"arena sections must share a memory length: "
-                    f"{len(section.memory)} != {width}")
-        self.sections: List[TPPSection] = list(sections)
-        matrix = np.empty((len(self.sections), width), dtype=np.uint8)
-        for index, section in enumerate(self.sections):
-            if width:
-                matrix[index] = np.frombuffer(section.memory,
-                                              dtype=np.uint8)
-            section.memory = cast(bytearray, memoryview(matrix[index]))
-        self.matrix = matrix
-
-    def release(self) -> None:
-        """Move every section's memory back into an owned bytearray."""
-        for index, section in enumerate(self.sections):
-            section.memory = bytearray(self.matrix[index])
 
 
 def _demote(tcpu: TCPU, reason: str) -> None:
@@ -175,9 +122,7 @@ def execute_batch(tcpu: TCPU, sections: Sequence[TPPSection],
     task0 = first.task_id
     # First matching reason wins.
     demote: Optional[str] = None
-    if not HAVE_NUMPY:
-        demote = "no_numpy"
-    elif plan is None:  # only certified entries carry a plan
+    if plan is None:  # only certified entries carry a plan
         demote = "uncertified"
     elif plan.demote_reason is not None:
         # ``cexec`` (a per-packet branch on packet-memory contents,
@@ -239,38 +184,40 @@ def _run_vectorized(tcpu: TCPU, plan: BatchPlan,
     packet-memory offsets.  No reader is called and no offset leaves the
     certified memory length, so nothing below can fault.
 
-    Invariant: at every step, column ``i`` of the matrix holds exactly
-    the bytes packet ``i``'s memory would hold at that program point in
+    Invariant: at every step, entry ``i`` of a column holds exactly the
+    word packet ``i``'s memory would hold at that program point in
     *sequential* execution — except slots that are affine in an
     accumulate word, which hold ``value − entry_i(w)`` until the
-    epilogue adds the prefix-scanned entry vector.
+    epilogue adds the prefix-scanned entry vector.  Offsets are whole
+    words, so no two columns overlap.
     """
-    import numpy as np
-    arena = BatchArena(sections)
-    matrix = arena.matrix
-    word = sections[0].word_size
-    dtype = _WORD_DTYPES[word]
+    first = sections[0]
+    word = first.word_size
+    codec = _WORD_STRUCTS[word]
+    unpack_from = codec.unpack_from
     mask = (1 << (8 * word)) - 1
     mmu = tcpu.mmu
     n = len(sections)
-    task0 = sections[0].task_id
+    task0 = first.task_id
     for ctx in ctxs:
         ctx.task_id = task0  # as ``TCPU.execute`` leaves it
-    views: Dict[int, Any] = {}
+    memories = [section.memory for section in sections]
+    columns: Dict[int, List[int]] = {}
 
-    def column(ea: int) -> Any:
-        # Aliasing word-view of one packet-memory column.
-        col = views.get(ea)
+    def column(ea: int) -> List[int]:
+        # One packet-memory word per section, read on first use and
+        # written back by the epilogue.
+        col = columns.get(ea)
         if col is None:
-            col = views[ea] = matrix[:, ea:ea + word].view(dtype)[:, 0]
+            col = columns[ea] = [unpack_from(memory, ea)[0]
+                                 for memory in memories]
         return col
 
     # ``acc_vecs[w][i]`` is packet ``i``'s running *delta* against its
     # entry value of accumulate word ``w`` (the affine columns hold the
     # same relative representation).  ``events`` replays per-packet
     # ``switch_writes`` in program order.
-    acc_vecs: Dict[int, Any] = {
-        w: np.zeros(n, dtype=dtype) for w in plan.acc_words}
+    acc_vecs: Dict[int, List[int]] = {w: [0] * n for w in plan.acc_words}
     events: List[Tuple[Any, ...]] = []
     claim_state: Dict[int, Tuple[int, bool]] = {}
 
@@ -288,26 +235,26 @@ def _run_vectorized(tcpu: TCPU, plan: BatchPlan,
         if kind == "add_acc":
             _, w, offset = op
             lane = column(offset)
-            lane += acc_vecs[w]
+            lane[:] = [(value + delta) & mask
+                       for value, delta in zip(lane, acc_vecs[w])]
         elif kind == "store_acc":
             _, w, offset, vaddr = op
             col = column(offset)
-            vec = col if op is tail_op else col.copy()
+            vec = col if op is tail_op else col[:]
             events.append(("acc", vaddr, w, vec))
             acc_vecs[w] = vec
         else:  # cstore_claim: exact sequential first-match chain
             _, w, offset, vaddr = op
             cond_col = column(offset)
-            src_col = column(offset + word)
-            conds = cond_col.tolist()
-            srcs = src_col.tolist()
-            cur = int(mmu.peek_sram(w))
+            # A copy: the epilogue's fixups may still rewrite the column.
+            srcs = column(offset + word)[:]
+            cur = mmu.peek_sram(w)
             olds: List[int] = []
             wins: List[bool] = []
-            for i in range(n):
+            for cond, src in zip(cond_col, srcs):
                 olds.append(cur & mask)
-                if cur == conds[i]:
-                    cur = srcs[i]
+                if cur == cond:
+                    cur = src
                     wins.append(True)
                 else:
                     wins.append(False)
@@ -316,36 +263,38 @@ def _run_vectorized(tcpu: TCPU, plan: BatchPlan,
             claim_state[w] = (cur, any(wins))
 
     # Epilogue: entry-vector fixups, SRAM commits, per-packet writes.
-    entry_vecs: Dict[int, Any] = {}
+    entry_vecs: Dict[int, List[int]] = {}
     incl_values: Dict[int, List[int]] = {}
     for w in plan.acc_words:
-        # entry_i = S0 + Σ_{j<i} delta_j  (mod 2^width).  At switch
-        # drain sizes a python exclusive scan over the delta list is
-        # cheaper than the half-dozen numpy dispatches of a cumsum
-        # formulation, and exact by construction.  The inclusive
-        # values (entry_i + delta_i) fall out of the same pass — the
-        # per-packet switch-write values when the word's last store
-        # closed the program.
-        running = int(mmu.peek_sram(w)) & mask
+        # entry_i = S0 + Σ_{j<i} delta_j  (mod 2^width), an exclusive
+        # scan.  The inclusive values (entry_i + delta_i) fall out of
+        # the same pass — the per-packet switch-write values when the
+        # word's last store closed the program.
+        running = mmu.peek_sram(w) & mask
         entries: List[int] = []
         incl: List[int] = []
         append_entry = entries.append
         append_incl = incl.append
-        for d in acc_vecs[w].tolist():
+        for d in acc_vecs[w]:
             append_entry(running)
             running = (running + d) & mask
             append_incl(running)
-        entry_vecs[w] = np.array(entries, dtype=dtype)
+        entry_vecs[w] = entries
         incl_values[w] = incl
         mmu.poke_sram(w, running)
     for offset, w in plan.aff_slots:
         col = column(offset)
-        col += entry_vecs[w]
+        col[:] = [(value + entry) & mask
+                  for value, entry in zip(col, entry_vecs[w])]
     for w, (final_value, wrote) in claim_state.items():
         # An unclaimed word is never written back: the scalar path
         # only writes on a match.
         if wrote:
             mmu.poke_sram(w, final_value)
+    pack_into = codec.pack_into
+    for ea, col in columns.items():
+        for memory, value in zip(memories, col):
+            pack_into(memory, ea, value)
     switch_writes: List[List[Tuple[int, int]]] = [[] for _ in range(n)]
     for event in events:
         tag, vaddr = event[0], event[1]
@@ -362,7 +311,8 @@ def _run_vectorized(tcpu: TCPU, plan: BatchPlan,
             # this vec may alias.
             values = incl_values[w]
         else:
-            values = (vec + entry_vecs[w]).tolist()
+            values = [(value + entry) & mask
+                      for value, entry in zip(vec, entry_vecs[w])]
         for i in range(n):
             switch_writes[i].append((vaddr, values[i]))
 
@@ -389,5 +339,4 @@ def _run_vectorized(tcpu: TCPU, plan: BatchPlan,
     tcpu.instructions_executed += n_executed * n
     tcpu.vector_batches += 1
     tcpu.vector_tpps += n
-    arena.release()
     return reports

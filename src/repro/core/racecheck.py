@@ -952,12 +952,16 @@ class FleetRaceTable:
     @property
     def race_errors(self) -> int:
         """Active error-severity diagnostics."""
-        return len(self.report().errors)
+        return sum(d.severity == "error"
+                   for findings in self._pair_diagnostics.values()
+                   for d in findings)
 
     @property
     def race_warnings(self) -> int:
         """Active warning-severity diagnostics."""
-        return len(self.report().warnings)
+        return sum(d.severity == "warning"
+                   for findings in self._pair_diagnostics.values()
+                   for d in findings)
 
     def admit(self,
               summary: ProgramAccessSummary) -> List[RaceDiagnostic]:

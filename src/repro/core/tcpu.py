@@ -143,7 +143,7 @@ class TCPU:
         self.batches_executed = 0
         #: Sections that went through ``execute_batch`` (any lane).
         self.batched_tpps = 0
-        #: Batches / sections that ran the vectorized numpy kernel (the
+        #: Batches / sections that ran the instruction-major kernel (the
         #: SRAM write lane: accumulate / claim dataflow classes).
         self.vector_batches = 0
         self.vector_tpps = 0
@@ -159,8 +159,8 @@ class TCPU:
         #: claim SRAM updates: reads, stack or hop addressing, a write
         #: without a vectorizable dataflow class), ``non_uniform``
         #: (mixed flags/geometry/hop counter/task ids),
-        #: ``sram_protection`` (a touched word is foreign to the
-        #: batch's task) and ``no_numpy``.
+        #: and ``sram_protection`` (a touched word is foreign to the
+        #: batch's task).
         self.batch_demotions: dict = {}
 
     # ------------------------------------------------------------------ #
@@ -305,8 +305,8 @@ class TCPU:
         memory bytes, same fault stamping, same counters — but the
         program-cache lookup and certificate guard are paid once per
         batch, and eligible batches (verified certificate, nothing but
-        accumulate / claim updates of scratch SRAM) run a vectorized
-        numpy kernel over an arena of packet memories.  See
+        accumulate / claim updates of scratch SRAM) run an
+        instruction-major kernel over columns of packet-memory words.  See
         :mod:`repro.core.batch` for the engine and the eligibility
         rules.
         """

@@ -5,10 +5,15 @@ Same-instant arrivals of the same TPP program must be grouped into one
 observable output relative to packet-at-a-time execution.
 """
 
+import os
+import pathlib
+import subprocess
+import sys
+import textwrap
+
 from repro import units
 from repro.analysis.reporting import counters_table
 from repro.core.assembler import assemble
-from repro.core.batch import HAVE_NUMPY
 from repro.core.verifier import verify_program
 from repro.endhost.client import TPPEndpoint
 from repro.net.routing import install_shortest_path_routes
@@ -104,8 +109,7 @@ class TestDrainBatching:
         assert stats["batch_occupancy"] == {8: 1}
         assert stats["vector_tpps"] == 0
         assert stats["verified_executions"] == 8
-        if HAVE_NUMPY:
-            assert stats["batch_demotions"] == {"write_dataflow": 1}
+        assert stats["batch_demotions"] == {"write_dataflow": 1}
         assert scalar[3]["batches_executed"] == 0
 
     def test_mixed_programs_split_into_runs(self):
@@ -153,3 +157,51 @@ class TestBatchStats:
         assert row and row[0].split("|")[1].strip() == str(
             switch.tcpu.batched_tpps)
         assert counters_table({}).splitlines()[0].strip() == "counter"
+
+
+#: A same-ns burst of one certified sketch update from eight hosts
+#: through a star hub; prints the hub's vector-lane count and whether
+#: any module imported numpy on the way.
+SKETCH_BURST_SCRIPT = textwrap.dedent("""
+    import sys
+    from repro import units
+    from repro.endhost.client import TPPEndpoint
+    from repro.net.routing import install_shortest_path_routes
+    from repro.net.topology import TopologyBuilder
+    from repro.telemetry import HeavyHitterLayout, build_heavy_hitter_update
+
+    net = TopologyBuilder(rate_bps=10 * units.GIGABITS_PER_SEC).star(9)
+    install_shortest_path_routes(net)
+    switch = net.switch("sw0")
+    layout = HeavyHitterLayout(base_word=16, width=16, depth=3, n_slots=8)
+    layout.allocate(switch.mmu, 1)
+    switch.tcpu.max_instructions = 2 * layout.depth + 1
+    update = build_heavy_hitter_update(
+        layout, 7, task_id=1, memory_map=switch.mmu.memory_map)
+    assert switch.tcpu.trust(update.certificate)
+    sink = net.host("h8")
+    TPPEndpoint(sink, echo_probes=False)
+    senders = [TPPEndpoint(net.host(f"h{i}")) for i in range(8)]
+
+    def burst():
+        for sender in senders:
+            sender.send(update.program, dst_mac=sink.mac, task_id=1)
+
+    net.sim.schedule_at(1, burst)
+    net.run(until_seconds=0.001)
+    print(switch.tcpu.vector_tpps, "numpy" in sys.modules)
+""")
+
+
+def test_vector_lane_runs_without_importing_numpy():
+    """The SRAM write lane is plain Python: a sketch burst that takes it
+    leaves numpy unloaded (it cost the process ~10 MB of peak RSS)."""
+    src = pathlib.Path(__file__).resolve().parents[2] / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    completed = subprocess.run(
+        [sys.executable, "-c", SKETCH_BURST_SCRIPT], capture_output=True,
+        text=True, timeout=120, env=env)
+    assert completed.returncode == 0, completed.stderr[-2000:]
+    vector_tpps, numpy_loaded = completed.stdout.split()
+    assert int(vector_tpps) > 0
+    assert numpy_loaded == "False"

@@ -8,19 +8,13 @@ reason and that the batch still executed correctly through the safe
 lane.
 """
 
-import pytest
-
 from repro.asic.metadata import PacketMetadata
 from repro.core.assembler import assemble
-from repro.core.batch import HAVE_NUMPY
 from repro.core.exceptions import FaultCode
 from repro.core.memory_map import MemoryMap
 from repro.core.mmu import MMU, ExecutionContext
 from repro.core.tcpu import TCPU
 from repro.core.verifier import verify_program
-
-needs_numpy = pytest.mark.skipif(not HAVE_NUMPY,
-                                 reason="vector lane needs numpy")
 
 
 class FakeQueue:
@@ -79,28 +73,17 @@ ACCUMULATE = (".mode absolute\n.memory 1\n.data 0 1\n"
 
 
 class TestDemotionReasons:
-    @needs_numpy
     def test_vectorized_batch_records_no_demotion(self):
         tcpu, program = certified_tcpu(ACCUMULATE)
         run_batch(tcpu, program)
         assert tcpu.batch_demotions == {}
         assert tcpu.vector_batches == 1
 
-    def test_no_numpy(self, monkeypatch):
-        monkeypatch.setattr("repro.core.batch.HAVE_NUMPY", False)
-        tcpu, program = certified_tcpu(ACCUMULATE)
-        reports, _ = run_batch(tcpu, program)
-        assert tcpu.batch_demotions == {"no_numpy": 1}
-        assert tcpu.vector_batches == 0
-        assert all(r.ok for r in reports)
-
-    @needs_numpy
     def test_uncertified_program(self):
         tcpu, program = certified_tcpu(ACCUMULATE, trust=False)
         run_batch(tcpu, program)
         assert tcpu.batch_demotions == {"uncertified": 1}
 
-    @needs_numpy
     def test_uncertified_guard_miss(self):
         # Certified, but the uniform hop/SP counter sits outside the
         # certificate guard: the batch must not trust the vector
@@ -115,7 +98,6 @@ class TestDemotionReasons:
         assert all(r.ok for r in reports)
         assert tcpu.mmu.peek_sram(0) == 4
 
-    @needs_numpy
     def test_oversized_program_counts_uncertified(self):
         tcpu, program = certified_tcpu("\n".join(["NOP"] * 4),
                                        max_instructions=3, trust=False)
@@ -124,14 +106,12 @@ class TestDemotionReasons:
         assert all(r.fault == FaultCode.TOO_MANY_INSTRUCTIONS
                    for r in reports)
 
-    @needs_numpy
     def test_cexec(self):
         tcpu, program = certified_tcpu(
             "CEXEC [Switch:SwitchID], 0xFF, 9\nPUSH [Queue:QueueSize]")
         run_batch(tcpu, program)
         assert tcpu.batch_demotions == {"cexec": 1}
 
-    @needs_numpy
     def test_write_dataflow(self):
         # Non-additive read-modify-write: no dataflow class fits.
         tcpu, program = certified_tcpu(
@@ -142,7 +122,6 @@ class TestDemotionReasons:
         run_batch(tcpu, program)
         assert tcpu.batch_demotions == {"write_dataflow": 1}
 
-    @needs_numpy
     def test_link_scratch_write_counts_write_dataflow(self):
         # Link scratch certifies, but the target register depends on
         # each packet's egress port: not scratch SRAM, no dataflow class.
@@ -151,7 +130,6 @@ class TestDemotionReasons:
         run_batch(tcpu, program)
         assert tcpu.batch_demotions == {"write_dataflow": 1}
 
-    @needs_numpy
     def test_non_uniform_hop_counters(self):
         tcpu, program = certified_tcpu(ACCUMULATE)
 
@@ -162,7 +140,6 @@ class TestDemotionReasons:
         run_batch(tcpu, program, mutate=advance_one)
         assert tcpu.batch_demotions == {"non_uniform": 1}
 
-    @needs_numpy
     def test_mixed_program_keys_count_non_uniform(self):
         tcpu, _ = certified_tcpu(READ_ONLY, trust=False)
         a = assemble(READ_ONLY).build()
@@ -170,14 +147,12 @@ class TestDemotionReasons:
         tcpu.execute_batch([a, b], [make_ctx(), make_ctx()])
         assert tcpu.batch_demotions == {"non_uniform": 1}
 
-    @needs_numpy
     def test_mixed_task_ids_with_writes_count_non_uniform(self):
         tcpu, program = certified_tcpu(ACCUMULATE)
         run_batch(tcpu, program, task_ids=[1, 2, 1, 2])
         assert tcpu.batch_demotions == {"non_uniform": 1}
         assert tcpu.vector_batches == 0
 
-    @needs_numpy
     def test_aliased_ctx_mixed_task_ids_count_non_uniform(self):
         tcpu, program = certified_tcpu(ACCUMULATE)
         ctx = make_ctx()
@@ -185,7 +160,6 @@ class TestDemotionReasons:
                   ctxs=[ctx, ctx, ctx, ctx])
         assert tcpu.batch_demotions == {"non_uniform": 1}
 
-    @needs_numpy
     def test_sram_protection_precheck(self):
         mmu = make_mmu()
         mmu.allocate_sram(0, 2, task_id=3)
@@ -197,7 +171,6 @@ class TestDemotionReasons:
         # SRAM commits never ran: the owner's words are untouched.
         assert mmu.peek_sram(0) == 0
 
-    @needs_numpy
     def test_reasons_accumulate_across_batches(self):
         tcpu, program = certified_tcpu(READ_ONLY, trust=False)
         for _ in range(3):
@@ -257,7 +230,6 @@ class TestDeadFenceVectorization:
     shares the program key).  The scalar CEXEC bookkeeping is the safe
     lane's own."""
 
-    @needs_numpy
     def test_dead_fence_batch_demotes(self):
         tcpu, program = certified_tcpu(DEAD_FENCE, max_instructions=8)
         mmu = tcpu.mmu
@@ -271,7 +243,6 @@ class TestDeadFenceVectorization:
             assert report.cexec_disabled_at == 1
         assert mmu.peek_sram(0) == 0xBEEF  # the dead STORE never ran
 
-    @needs_numpy
     def test_live_cexec_still_demotes(self):
         tcpu, program = certified_tcpu(
             ".memory 2\n"
@@ -282,7 +253,6 @@ class TestDeadFenceVectorization:
         assert tcpu.batch_demotions == {"cexec": 1}
         assert tcpu.vector_batches == 0
 
-    @needs_numpy
     def test_write_in_live_prefix_still_demotes(self):
         tcpu, program = certified_tcpu(
             "PUSH [Switch:SwitchID]\n"

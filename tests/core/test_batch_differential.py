@@ -9,7 +9,7 @@ switch-side state (SRAM, link scratch).  Batch sizes 1, 2 and 32 are
 swept so the degenerate, pair and full-burst shapes all stay honest.
 
 Certified programs made solely of accumulate / claim updates of
-scratch SRAM go through the vectorized numpy lane (asserted explicitly
+scratch SRAM go through the vectorized write lane (asserted explicitly
 below); everything else — reads, stack or hop addressing, other writes,
 CEXEC, non-uniform batches — takes the packet-at-a-time safe lane, and
 the differential assertions are the same either way.
@@ -23,7 +23,6 @@ from hypothesis import strategies as st
 
 from repro.asic.metadata import PacketMetadata
 from repro.core.assembler import assemble
-from repro.core.batch import HAVE_NUMPY, BatchArena
 from repro.core.exceptions import FaultCode
 from repro.core.memory_map import SRAM_WORDS, MemoryMap
 from repro.core.mmu import MMU, ExecutionContext
@@ -215,12 +214,11 @@ class TestOpcodes:
 
 def assert_safe_lane(results, reason="write_dataflow"):
     """Every batch of ``results`` ran packet-at-a-time, demoted once for
-    ``reason`` (without numpy the only reason is ``no_numpy``)."""
+    ``reason``."""
     for sides in results:
         tcpu = sides[0][3]
         assert tcpu.vector_tpps == 0
-        assert tcpu.batch_demotions == {
-            reason if HAVE_NUMPY else "no_numpy": tcpu.batches_executed}
+        assert tcpu.batch_demotions == {reason: tcpu.batches_executed}
 
 
 class TestLaneSelection:
@@ -255,8 +253,7 @@ class TestLaneSelection:
         """)
         for (_, _, _, tcpu), _ in results:
             assert tcpu.vector_batches == 0
-            if HAVE_NUMPY:
-                assert tcpu.batch_demotions.get("write_dataflow", 0) >= 1
+            assert tcpu.batch_demotions.get("write_dataflow", 0) >= 1
 
     def test_unstable_readers_take_the_safe_lane(self):
         # A reader whose value moves with every call (as
@@ -284,7 +281,6 @@ class TestLaneSelection:
             assert all(r.fault == FaultCode.BAD_ADDRESS
                        for r in b_reports[0])
 
-    @pytest.mark.skipif(not HAVE_NUMPY, reason="vector lane needs numpy")
     def test_non_uniform_hop_counters_take_the_safe_lane(self):
         def advance_one(section, index):
             if index == 1:
@@ -471,34 +467,6 @@ class TestBatchMechanics:
         assert all(s.read_word(0) == 7 for s in sections)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="arena needs numpy")
-class TestBatchArena:
-    def test_adopt_aliases_rows(self):
-        sections = [assemble(".memory 1\n.data 0 1\nNOP").build()
-                    for _ in range(2)]
-        arena = BatchArena(sections)
-        arena.matrix[0, 0] = 0xAB
-        assert sections[0].memory[0] == 0xAB
-        sections[1].memory[0] = 0xCD
-        assert arena.matrix[1, 0] == 0xCD
-
-    def test_release_restores_bytearrays(self):
-        sections = [assemble(".memory 1\n.data 0 7\nNOP").build()]
-        before = bytes(sections[0].memory)
-        arena = BatchArena(sections)
-        arena.release()
-        assert isinstance(sections[0].memory, bytearray)
-        assert bytes(sections[0].memory) == before
-        # A released section survives the corruption injector's resize.
-        del sections[0].memory[:]
-
-    def test_mismatched_lengths_rejected(self):
-        a = assemble(".memory 1\nNOP").build()
-        b = assemble(".memory 2\nNOP").build()
-        with pytest.raises(ValueError):
-            BatchArena([a, b])
-
-
 class TestWriteLanes:
     """The SRAM write lane: batched ≡ interpreter with SRAM mutation in
     flight — accumulate and claim vectorized, every other write shape
@@ -523,9 +491,8 @@ class TestWriteLanes:
             # Packet i saw the counter after i predecessors bumped it.
             assert [s.read_word(0) for s in sections] == \
                 [100 + i + 1 for i in range(n)]
-            if HAVE_NUMPY:
-                assert tcpu.vector_batches == 1
-                assert tcpu.vector_tpps == n
+            assert tcpu.vector_batches == 1
+            assert tcpu.vector_tpps == n
 
     def test_accumulate_load_chain(self):
         # LOAD w; ADD delta; STORE w — accumulation through a LOAD is
@@ -634,8 +601,30 @@ class TestWriteLanes:
             assert wins[0] == [(mmu.memory_map.resolve("Sram:Word0"),
                                 1000)]
             assert all(w == [] for w in wins[1:])
-            if HAVE_NUMPY:
-                assert tcpu.vector_batches == 1
+            assert tcpu.vector_batches == 1
+
+    def test_claim_value_slot_later_accumulated(self):
+        # The claim's value slot is then folded into an accumulate
+        # word, whose epilogue fixup rewrites that column: the winner's
+        # switch write must still carry the value it claimed with.
+        def seed(mmu):
+            mmu.poke_sram(1, 5)
+
+        def stamp(section, index):
+            section.write_word(0, 0)
+            section.write_word(4, 1000 + index)
+
+        results = run_batch_vs_interpreter("""
+            .mode absolute
+            .memory 2
+            CSTORE [Sram:Word0], [Packet:0], [Packet:1]
+            ADD [Packet:1], [Sram:Word1]
+            STORE [Sram:Word1], [Packet:1]
+        """, prepare=seed, damage=stamp)
+        for (b_reports, _, mmu, tcpu), _ in results:
+            assert tcpu.vector_batches == 1
+            assert b_reports[0][0].switch_writes[0] == (
+                mmu.memory_map.resolve("Sram:Word0"), 1000)
 
     def test_claim_chained_wins(self):
         # Packet i expects value i and claims i+1: sequential chaining
@@ -721,8 +710,7 @@ class TestWriteLanes:
         """, sizes=(4,), task_ids=[3, 3, 3, 3], prepare=prepare)
         (_, _, mmu, tcpu), _ = results[0]
         assert mmu.peek_sram(1) == 10
-        if HAVE_NUMPY:
-            assert tcpu.vector_batches == 1
+        assert tcpu.vector_batches == 1
 
     def test_foreign_task_write_demotes_and_faults(self):
         # Uniform *intruder* task: precheck demotes to the safe lane,
@@ -926,8 +914,7 @@ class TestRandomizedSweep:
                 damage=scatter, shared_ctx=bool(round_index % 2))
             vectorized += all(sides[0][3].vector_batches == 1
                               for sides in results)
-        if HAVE_NUMPY:
-            assert rounds // 2 <= vectorized < rounds
+        assert rounds // 2 <= vectorized < rounds
 
     def test_random_write_stack_programs_agree(self):
         rng = random.Random(0x5Ac)
@@ -1019,9 +1006,8 @@ class TestSketchDifferential:
             # n packets, delta 3, one cell per row: pure accumulate.
             assert [mmu.peek_sram(w) for w in update.words] == \
                 [3 * n] * layout.depth
-            if HAVE_NUMPY:
-                assert tcpu.vector_batches == 1
-                assert tcpu.batch_demotions == {}
+            assert tcpu.vector_batches == 1
+            assert tcpu.batch_demotions == {}
 
     def test_heavy_hitter_update_accumulate_plus_claim(self):
         from repro.telemetry import build_heavy_hitter_update
@@ -1035,9 +1021,8 @@ class TestSketchDifferential:
             # First packet claims the slot; the rest find key 42 there
             # (CSTORE only writes on match) and leave it intact.
             assert mmu.peek_sram(slot) == 42
-            if HAVE_NUMPY:
-                assert tcpu.vector_batches == 1
-                assert tcpu.batch_demotions == {}
+            assert tcpu.vector_batches == 1
+            assert tcpu.batch_demotions == {}
 
     def test_claimed_slot_survives_rival_batch(self):
         # A batch of updates for a *different* key that hashes to the
@@ -1065,9 +1050,8 @@ class TestSketchDifferential:
         for n, ((_, _, mmu, tcpu), _) in zip(SIZES, results):
             # Idempotent MAX: any number of packets leaves the rank.
             assert mmu.peek_sram(update.words[0]) == rank
-            if HAVE_NUMPY:
-                assert tcpu.vector_batches == 0
-                assert tcpu.batch_demotions.get("write_dataflow", 0) >= 1
+            assert tcpu.vector_batches == 0
+            assert tcpu.batch_demotions.get("write_dataflow", 0) >= 1
 
     def test_mixed_key_sketch_batch_degrades_to_scalar(self):
         # Different keys are different programs (the hash is baked into
@@ -1104,8 +1088,7 @@ class TestSketchDifferential:
         reports = tcpu.execute_batch(sections,
                                      [make_ctx(t) for t in task_ids])
         assert all(r.ok for r in reports)
-        if HAVE_NUMPY:
-            assert tcpu.batch_demotions == {"non_uniform": 1}
+        assert tcpu.batch_demotions == {"non_uniform": 1}
         for word in update.words:
             assert tcpu.mmu.peek_sram(word) == 4
 
@@ -1165,8 +1148,7 @@ class TestTemplateImages:
                 assert (report.executed, report.skipped) == (3, 0)
                 assert report.cexec_disabled_at is None
             assert tcpu.vector_tpps == 0
-            if HAVE_NUMPY:
-                assert tcpu.batch_demotions == {"cexec": 1}
+            assert tcpu.batch_demotions == {"cexec": 1}
 
     def test_mixed_images_in_one_batch(self):
         results = run_batch_vs_interpreter(

@@ -456,6 +456,18 @@ class TestFleetRaceTable:
         assert_conformant(table, [b])
         assert not table.revoke(a)  # already gone
 
+    def test_severity_counters_follow_membership(self):
+        table = FleetRaceTable()
+        writer, rival = (summary(name, (Opcode.STORE, 0))
+                         for name in ("writer", "rival"))
+        for member in (writer, rival, summary("reader", (Opcode.PUSH, 0))):
+            table.admit(member)
+        report = table.report()
+        assert (table.race_errors, table.race_warnings) == (1, 2) == (
+            len(report.errors), len(report.warnings))
+        table.revoke(rival)
+        assert (table.race_errors, table.race_warnings) == (0, 1)
+
     def test_revoke_accepts_certificate_like_objects(self):
         program = assemble("STORE [Sram:Word0], [Packet:0]\n.memory 1")
         certificate = verify_program(

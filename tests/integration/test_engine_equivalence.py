@@ -17,7 +17,6 @@ from repro.apps.rcp import RCPStarFlow, RCPStarTask
 from repro.control.agent import ControlPlaneAgent
 from repro.control.security import VerifierPolicy
 from repro.core.assembler import assemble
-from repro.core.batch import HAVE_NUMPY
 from repro.core.memory_map import MemoryMap
 from repro.endhost.client import TPPEndpoint
 from repro.net.routing import install_shortest_path_routes
@@ -261,6 +260,5 @@ def test_sketch_burst_default_engine_takes_the_vector_lane():
     _, _, _, net = sketch_burst("default")
     tcpu = next(iter(net.switches.values())).tcpu
     assert tcpu.batch_occupancy == {8: 6}
-    if HAVE_NUMPY:
-        assert tcpu.vector_tpps == 48
-        assert tcpu.batch_demotions == {}
+    assert tcpu.vector_tpps == 48
+    assert tcpu.batch_demotions == {}

@@ -98,3 +98,19 @@ class TestCompare:
             "box:unused: a 'cli' entry names its reader"]
         assert census.check(cold, {"box:unused": {
             "reason": "cli", "reader": "README.md:1"}}) == []
+
+
+class TestFingerprints:
+    def test_edits_during_a_run_are_named(self, census, tmp_path):
+        (tmp_path / "kept.py").write_text("A = 1\n")
+        (tmp_path / "edited.py").write_text("B = 1\n")
+        (tmp_path / "removed.py").write_text("C = 1\n")
+        before = census.fingerprints(tmp_path)
+        assert census.changed(before, census.fingerprints(tmp_path)) == []
+        (tmp_path / "edited.py").write_text("B = 2\n")
+        (tmp_path / "removed.py").unlink()
+        (tmp_path / "pkg").mkdir()
+        (tmp_path / "pkg" / "added.py").write_text("")
+        assert census.changed(before, census.fingerprints(tmp_path)) == [
+            "edited.py", "pkg/added.py", "removed.py"]
+
