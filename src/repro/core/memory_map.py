@@ -112,9 +112,9 @@ _STANDARD_STATS = [
                    " (Table 2's flow-table counters)"),
     # --- Queue: the packet's egress queue (Table 2, "Per-Queue") --------
     StatDescriptor("Queue:QueueSize", 0xB000, False,
-                   "instantaneous occupancy in bytes"),
+                   "bytes waiting behind the frame in service"),
     StatDescriptor("Queue:QueueSizePackets", 0xB001, False,
-                   "instantaneous occupancy in packets"),
+                   "packets waiting behind the frame in service"),
     StatDescriptor("Queue:BytesEnqueued", 0xB002, False,
                    "cumulative bytes admitted"),
     StatDescriptor("Queue:BytesDropped", 0xB003, False,

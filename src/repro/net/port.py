@@ -1,14 +1,16 @@
 """A device port: egress queue(s) draining onto a link, plus RX accounting.
 
 The port implements store-and-forward output: frames wait in one or more
-drop-tail queues; when the link is idle a scheduler (FIFO for one queue,
-strict priority for more — Figure 3's "egress queues and scheduling"
-block) picks the next queue, whose head frame
+drop-tail queues; when the link goes idle the port serves the
+lowest-indexed non-empty queue (FIFO for one queue, strict priority for
+more — Figure 3's "egress queues and scheduling" block), whose head frame
 occupies the wire for its serialization time and is then handed to the
-link for propagation.  All the per-port statistics the paper's ``Link:``
-namespace exposes (bytes received/transmitted, drops — Table 2) are
-counted here; per-queue occupancies live in the queues themselves and are
-what the ``Queue:`` namespace resolves to.
+link for propagation.  A frame that reaches an idle port goes straight
+onto the wire: an idle port's queues are all empty.  All the per-port
+statistics the paper's ``Link:`` namespace exposes (bytes
+received/transmitted, drops — Table 2) are counted here; per-queue
+occupancies live in the queues themselves and are what the ``Queue:``
+namespace resolves to.
 """
 
 from __future__ import annotations
@@ -20,11 +22,6 @@ from repro.errors import ConfigurationError
 from repro.net.link import Link
 from repro.net.packet import EthernetFrame
 from repro.net.queues import DropTailQueue
-from repro.net.schedulers import (
-    FifoScheduler,
-    Scheduler,
-    StrictPriorityScheduler,
-)
 from repro.sim.simulator import Simulator
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -44,8 +41,6 @@ class Port:
         self.queues: List[DropTailQueue] = [
             DropTailQueue(queue_capacity_bytes) for _ in range(n_queues)
         ]
-        self.scheduler: Scheduler = (FifoScheduler() if n_queues == 1
-                                     else StrictPriorityScheduler())
         self.device: Optional["Device"] = None
         self.index: int = -1
         self._transmitting = False
@@ -82,12 +77,35 @@ class Port:
         self.rx_frames += 1
 
     def enqueue(self, frame: EthernetFrame, queue_id: int = 0) -> bool:
-        """Queue a frame for transmission; returns ``False`` on tail drop."""
+        """Queue a frame for transmission; returns ``False`` on tail drop.
+
+        Drop-tail admission, and on an idle port the start of the frame's
+        transmission, happen here in one frame: this runs on every hop.
+        """
         # Queue 0 (best effort, every single-queue port) needs no clamp.
         target = self.queue_for(queue_id) if queue_id else self.queues[0]
-        accepted = target.offer(frame)
-        if accepted and not self._transmitting:
-            self._begin_next_transmission()
+        size = frame.size_bytes
+        stats = target.stats
+        occupancy = target.backlog_bytes + target.in_flight_bytes + size
+        accepted = occupancy <= target.capacity_bytes
+        if not accepted:
+            stats.bytes_dropped += size
+            stats.packets_dropped += 1
+        else:
+            stats.bytes_enqueued += size
+            stats.packets_enqueued += 1
+            if occupancy > stats.peak_occupancy_bytes:
+                stats.peak_occupancy_bytes = occupancy
+            if self._transmitting:
+                target.waiting.append(frame)
+                target.backlog_bytes += size
+            else:
+                target.in_flight_bytes += size
+                self._transmitting = True
+                # The link's rate is read live.
+                self.sim.schedule(
+                    units.transmission_time_ns(size, self.link.rate_bps),
+                    self._finish_transmission, frame, target)
         device = self.device
         if device is None:
             return accepted
@@ -97,7 +115,7 @@ class Port:
                 trace.emit(
                     self.sim.now_ns, device.name, "queue.drop",
                     port=self.index, queue=queue_id, frame_uid=frame.uid,
-                    size_bytes=frame.size_bytes,
+                    size_bytes=size,
                 )
         elif trace.firehose and trace.wants("queue.enqueue"):
             # DEBUG firehose: per-frame admission records for deep queue
@@ -105,34 +123,29 @@ class Port:
             trace.emit(
                 self.sim.now_ns, device.name, "queue.enqueue",
                 port=self.index, queue=queue_id, frame_uid=frame.uid,
-                size_bytes=frame.size_bytes,
+                size_bytes=size,
                 occupancy_bytes=target.occupancy_bytes,
             )
         return accepted
 
-    def _begin_next_transmission(self) -> None:
-        queue_index = self.scheduler.select(self.queues)
-        if queue_index is None:
-            self._transmitting = False
-            return
-        frame = self.queues[queue_index].begin_transmit()
-        assert frame is not None, "scheduler picked an empty queue"
-        self._transmitting = True
-        # The link's rate is read live.
-        tx_time = units.transmission_time_ns(frame.size_bytes,
-                                             self.link.rate_bps)
-        self.sim.schedule(tx_time, self._finish_transmission, frame,
-                          queue_index)
-
     def _finish_transmission(self, frame: EthernetFrame,
-                             queue_index: int) -> None:
-        self.queues[queue_index].transmit_complete(frame)
-        self.tx_bytes += frame.size_bytes
+                             queue: DropTailQueue) -> None:
+        size = frame.size_bytes
+        queue.in_flight_bytes -= size
+        self.tx_bytes += size
         self.tx_frames += 1
         self.link.deliver_after_propagation(frame)
-        # An idle port does not ask: every scheduler answers ``None`` for
-        # all-empty queues without touching its state.
-        if any(map(len, self.queues)):
-            self._begin_next_transmission()
-        else:
-            self._transmitting = False
+        # Strict priority: the lowest-indexed non-empty queue sends next
+        # (FIFO when there is one queue).
+        for queue in self.queues:
+            waiting = queue.waiting
+            if waiting:
+                frame = waiting.popleft()
+                size = frame.size_bytes
+                queue.backlog_bytes -= size
+                queue.in_flight_bytes += size
+                self.sim.schedule(
+                    units.transmission_time_ns(size, self.link.rate_bps),
+                    self._finish_transmission, frame, queue)
+                return
+        self._transmitting = False

@@ -14,7 +14,7 @@ Public surface::
     sim.run(until_ns=units.seconds(30))
 """
 
-from repro.sim.events import Event, EventQueue
+from repro.sim.events import Event
 from repro.sim.simulator import Simulator
 from repro.sim.timers import OneShotTimer, PeriodicTimer
 from repro.sim.rng import SeededRNG
@@ -22,7 +22,6 @@ from repro.sim.trace import TraceLevel, TraceRecorder, TraceRecord
 
 __all__ = [
     "Event",
-    "EventQueue",
     "Simulator",
     "OneShotTimer",
     "PeriodicTimer",

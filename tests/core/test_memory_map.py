@@ -164,3 +164,41 @@ class TestRegions:
         assert mm.is_link_scratch(mm.LINK_SCRATCH_BASE)
         assert not mm.is_link_scratch(
             mm.LINK_SCRATCH_BASE + mm.LINK_SCRATCH_SLOTS)
+
+
+class TestQueueSizeMeaning:
+    """``Queue:QueueSize`` / ``QueueSizePackets`` read what waits behind
+    the frame in service, not what the buffer holds in all."""
+
+    def test_probe_reads_one_waiting_frame_behind_one_on_the_wire(self):
+        from repro import units
+        from repro.core.assembler import assemble
+        from repro.endhost.client import TPPEndpoint
+        from repro.net.packet import Datagram, RawPayload
+        from repro.net.routing import install_shortest_path_routes
+
+        net = Network()
+        switch = net.add_switch()
+        h0, h1 = net.add_host(), net.add_host()
+        net.link(h0, switch, units.GIGABITS_PER_SEC)
+        # A slow egress: the first datagram is still on its wire (~84 us)
+        # when the probe arrives, and the second waits behind it.
+        net.link(h1, switch, 100 * units.MEGABITS_PER_SEC)
+        install_shortest_path_routes(net)
+        h1.on_udp_port(9, lambda datagram, frame: None)
+        for _ in range(2):
+            h0.send_datagram(h1.mac,
+                             Datagram(h0.ip, h1.ip, 1, 9, RawPayload(1000)))
+        TPPEndpoint(h1)
+        endpoint = TPPEndpoint(h0)
+        results = []
+        net.sim.schedule(units.microseconds(20), lambda: endpoint.send(
+            assemble("PUSH [Queue:QueueSize]\n"
+                     "PUSH [Queue:QueueSizePackets]"),
+            dst_mac=h1.mac, on_response=results.append))
+        net.run(until_seconds=0.01)
+        egress = switch.ports[1]
+        waiting_frame_bytes = 1046  # 18 Ethernet + 28 IP/UDP + 1000
+        assert egress.queue.stats.bytes_enqueued >= 2 * waiting_frame_bytes
+        assert [results[0].word(0), results[0].word(1)] == [
+            waiting_frame_bytes, 1]

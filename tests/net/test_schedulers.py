@@ -4,11 +4,6 @@ from repro import units
 from repro.net.device import Device
 from repro.net.link import connect
 from repro.net.packet import EthernetFrame, RawPayload
-from repro.net.queues import DropTailQueue
-from repro.net.schedulers import (
-    FifoScheduler,
-    StrictPriorityScheduler,
-)
 
 
 class RecordingDevice(Device):
@@ -26,52 +21,54 @@ def frame_of(size_bytes, tag=0):
     return frame
 
 
-def queues_with(*packet_lists):
-    queues = []
-    for packets in packet_lists:
-        queue = DropTailQueue(10**9)
-        for packet in packets:
-            queue.offer(packet)
-        queues.append(queue)
-    return queues
+def port_pair(sim, **kwargs):
+    a = RecordingDevice(sim, "a")
+    b = RecordingDevice(sim, "b")
+    port_a, _ = connect(sim, a, b, units.MEGABITS_PER_SEC, delay_ns=0,
+                        **kwargs)
+    return port_a, b
+
+
+def served_after_blocker(sim, n_queues, *packet_lists):
+    """Queue ``packet_lists[i]`` on queue ``i`` behind a frame already on
+    the wire, run the port dry and return the tags in service order."""
+    port, receiver = port_pair(sim, n_queues=n_queues)
+    port.enqueue(frame_of(100, tag="blocker"), queue_id=n_queues - 1)
+    for queue_id, tags in enumerate(packet_lists):
+        for tag in tags:
+            port.enqueue(frame_of(100, tag=tag), queue_id=queue_id)
+    sim.run()
+    return [frame.tag for frame in receiver.received[1:]]
 
 
 class TestSchedulerUnits:
-    def test_fifo_empty(self):
-        assert FifoScheduler().select(queues_with([])) is None
+    def test_fifo_empty(self, sim):
+        port, receiver = port_pair(sim)
+        assert sim.run() == 0
+        assert port.tx_frames == 0 and receiver.received == []
 
-    def test_fifo_serves_queue_zero(self):
-        queues = queues_with([frame_of(100)])
-        assert FifoScheduler().select(queues) == 0
+    def test_fifo_serves_queue_zero(self, sim):
+        assert served_after_blocker(sim, 1, ["a", "b"]) == ["a", "b"]
 
-    def test_priority_prefers_lowest_index(self):
-        queues = queues_with([frame_of(100)], [frame_of(100)])
-        assert StrictPriorityScheduler().select(queues) == 0
+    def test_priority_prefers_lowest_index(self, sim):
+        assert served_after_blocker(sim, 2, ["high"], ["low"]) == [
+            "high", "low"]
 
-    def test_priority_falls_through(self):
-        queues = queues_with([], [frame_of(100)])
-        assert StrictPriorityScheduler().select(queues) == 1
+    def test_priority_falls_through(self, sim):
+        assert served_after_blocker(sim, 2, [], ["low"]) == ["low"]
 
-    def test_priority_empty(self):
-        assert StrictPriorityScheduler().select(queues_with([], [])) is None
+    def test_priority_empty(self, sim):
+        assert served_after_blocker(sim, 2, [], []) == []
 
 
 class TestMultiQueuePort:
-    def _port_pair(self, sim, **kwargs):
-        a = RecordingDevice(sim, "a")
-        b = RecordingDevice(sim, "b")
-        port_a, _ = connect(sim, a, b, units.MEGABITS_PER_SEC, delay_ns=0,
-                            **kwargs)
-        return port_a, b
-
     def test_scheduler_follows_queue_count(self, sim):
-        single, _ = self._port_pair(sim)
-        assert isinstance(single.scheduler, FifoScheduler)
-        multi, _ = self._port_pair(sim, n_queues=2)
-        assert isinstance(multi.scheduler, StrictPriorityScheduler)
+        # One queue serves in arrival order; more serve by priority.
+        assert served_after_blocker(sim, 1, ["x", "y"]) == ["x", "y"]
+        assert served_after_blocker(sim, 2, ["y"], ["x"]) == ["y", "x"]
 
     def test_priority_queue_preempts_between_packets(self, sim):
-        port, receiver = self._port_pair(sim, n_queues=2)
+        port, receiver = port_pair(sim, n_queues=2)
         # Fill the low-priority queue, then add one high-priority frame.
         for index in range(5):
             port.enqueue(frame_of(1000, tag=f"low{index}"), queue_id=1)
@@ -84,11 +81,11 @@ class TestMultiQueuePort:
         assert order[1] == "urgent"
 
     def test_queue_for_clamps(self, sim):
-        port, _ = self._port_pair(sim, n_queues=2)
+        port, _ = port_pair(sim, n_queues=2)
         assert port.queue_for(7) is port.queues[1]
 
     def test_single_queue_default_unchanged(self, sim):
-        port, receiver = self._port_pair(sim)
+        port, receiver = port_pair(sim)
         assert len(port.queues) == 1
         port.enqueue(frame_of(100))
         sim.run()

@@ -1,4 +1,4 @@
-"""Property tests: event-queue determinism under schedule/cancel/compact.
+"""Property tests: event-heap determinism under schedule/cancel/compact.
 
 Two contracts the whole reproduction rests on:
 
@@ -9,12 +9,21 @@ Two contracts the whole reproduction rests on:
   from ``run(t2)`` (same firings, same order, same final clock).
 """
 
+from unittest import mock
+
 from hypothesis import given, settings, strategies as st
 
-from repro.sim.events import EventQueue
+from repro.sim import simulator
 from repro.sim.simulator import Simulator
 
 times = st.integers(min_value=0, max_value=1_000)
+
+
+def eager_compaction():
+    """Low compaction thresholds, so short op lists compact on their own."""
+    return mock.patch.multiple(
+        simulator, COMPACT_MIN_CANCELLED=4, COMPACT_FRACTION=0.25)
+
 
 #: An op is (kind, value): schedule at a time, cancel the i-th scheduled
 #: event (index modulo the count so far), or compact the heap explicitly.
@@ -31,20 +40,20 @@ operations = st.lists(
 class TestFiringOrder:
     @given(operations)
     def test_schedule_cancel_compact_preserves_order(self, ops):
-        queue = EventQueue(compact_min_cancelled=4, compact_fraction=0.25)
+        sim = Simulator()
         fired = []
         handles = []
-        for kind, value in ops:
-            if kind == "schedule":
-                tag = len(handles)
-                handles.append(queue.push(value, fired.append, (tag,)))
-            elif kind == "cancel" and handles:
-                handles[value % len(handles)].cancel()
-            elif kind == "compact":
-                queue.compact()
+        with eager_compaction():
+            for kind, value in ops:
+                if kind == "schedule":
+                    tag = len(handles)
+                    handles.append(sim.schedule_at(value, fired.append, tag))
+                elif kind == "cancel" and handles:
+                    handles[value % len(handles)].cancel()
+                elif kind == "compact":
+                    sim.compact()
 
-        while (event := queue.pop_before(None)) is not None:
-            event.callback(*event.args)
+            sim.run()
 
         live = [(handle.time_ns, handle.sequence, tag)
                 for tag, handle in enumerate(handles)
@@ -54,18 +63,18 @@ class TestFiringOrder:
 
     @given(operations)
     def test_live_accounting_is_exact(self, ops):
-        queue = EventQueue(compact_min_cancelled=4, compact_fraction=0.25)
+        sim = Simulator()
         handles = []
-        for kind, value in ops:
-            if kind == "schedule":
-                handles.append(queue.push(value, lambda: None))
-            elif kind == "cancel" and handles:
-                handles[value % len(handles)].cancel()
-            elif kind == "compact":
-                queue.compact()
-            live = sum(1 for handle in handles if not handle.cancelled)
-            assert queue.live_count == live
-            assert queue.live_count == live
+        with eager_compaction():
+            for kind, value in ops:
+                if kind == "schedule":
+                    handles.append(sim.schedule_at(value, lambda: None))
+                elif kind == "cancel" and handles:
+                    handles[value % len(handles)].cancel()
+                elif kind == "compact":
+                    sim.compact()
+                live = sum(1 for handle in handles if not handle.cancelled)
+                assert sim.pending_events == live
 
 
 class TestRunComposition:

@@ -1,8 +1,11 @@
 """Simulator run-loop semantics."""
 
+from unittest import mock
+
 import pytest
 
 from repro.errors import SimulationError
+from repro.sim import simulator
 from repro.sim.simulator import Simulator
 
 
@@ -128,14 +131,19 @@ class TestStop:
 
 
 class TestCompactionMidRun:
-    """A callback that cancels enough timers makes the queue compact
+    """A callback that cancels enough timers makes the heap compact
     (filter + re-heapify) underneath the loop that is popping it."""
 
-    CANCELLED = 200  # >= 128: well past compact_min_cancelled
+    CANCELLED = 200  # >= 128: well past COMPACT_MIN_CANCELLED
 
     def _scenario(self, sim, compacting: bool):
-        if not compacting:
-            sim._queue.compact_min_cancelled = 10 ** 9
+        threshold = (simulator.COMPACT_MIN_CANCELLED if compacting
+                     else 10 ** 9)
+        with mock.patch.object(simulator, "COMPACT_MIN_CANCELLED",
+                               threshold):
+            return self._run_scenario(sim)
+
+    def _run_scenario(self, sim):
         fired = []
         doomed = [sim.schedule(1_000 + index, fired.append, ("doomed", index))
                   for index in range(self.CANCELLED)]
@@ -161,8 +169,8 @@ class TestCompactionMidRun:
         sim, twin = Simulator(), Simulator()
         fired, processed = self._scenario(sim, compacting=True)
         twin_fired, twin_processed = self._scenario(twin, compacting=False)
-        assert sim._queue.compactions >= 1
-        assert twin._queue.compactions == 0
+        assert sim.compactions >= 1
+        assert twin.compactions == 0
         # The one difference allowed: stragglers the twin still holds.
         purged, twin_purged = fired.pop(0), twin_fired.pop(0)
         assert purged[:2] == twin_purged[:2] == ("purged", 50)
