@@ -158,7 +158,9 @@ class TPPSwitch(Device):
         is unchanged: egress enqueue still happens at arrival +
         ``pipeline_latency_ns``.
         """
-        self.ports[in_port].note_rx(frame)
+        port = self.ports[in_port]
+        port.rx_bytes += frame.size_bytes
+        port.rx_frames += 1
         if not self._ingress and not self.inbound_now:
             # Inline fast path: the delivering link counts announced
             # arrivals and sets ``inbound_now`` to how many *other*

@@ -10,9 +10,8 @@ that end-host runtime:
   samples a returned TPP collected.
 - :class:`~repro.endhost.probes.PeriodicProber` — fires a program every
   interval and hands results to a callback.
-- :class:`~repro.endhost.rate_limiter.TokenBucket` /
-  :class:`~repro.endhost.rate_limiter.PacedSender` — the per-flow rate
-  limiter RCP* requires.
+- :class:`~repro.endhost.rate_limiter.PacedSender` — the per-flow
+  token-bucket rate limiter RCP* requires.
 - :class:`~repro.endhost.flows.Flow` / :class:`~repro.endhost.flows.FlowSink`
   — a paced UDP flow with receiver-side goodput accounting.
 """
@@ -25,7 +24,7 @@ from repro.endhost.client import (
     TPPResultView,
 )
 from repro.endhost.probes import PeriodicProber
-from repro.endhost.rate_limiter import PacedSender, TokenBucket
+from repro.endhost.rate_limiter import PacedSender
 from repro.endhost.flows import Flow, FlowSink
 
 __all__ = [
@@ -36,7 +35,6 @@ __all__ = [
     "RetryPolicy",
     "PeriodicProber",
     "PacedSender",
-    "TokenBucket",
     "Flow",
     "FlowSink",
 ]

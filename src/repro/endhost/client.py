@@ -40,6 +40,7 @@ from __future__ import annotations
 import dataclasses
 import itertools
 import random
+import struct
 from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Set, Tuple
@@ -47,7 +48,7 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 from repro.core.assembler import AssembledProgram
 from repro.core.exceptions import FaultCode
 from repro.core.memory_map import MemoryMap
-from repro.core.tpp import FLAG_DONE, TPPSection
+from repro.core.tpp import FLAG_DONE, FLAG_FAULT, TPPSection
 from repro.core.verifier import (
     AdmissionKey,
     Diagnostic,
@@ -192,6 +193,11 @@ class ProbeRequest:
     timer: Optional[OneShotTimer] = field(default=None, repr=False)
 
 
+#: One hop's words, big-endian, by (per-hop bytes, word size); the
+#: header's one-byte per-hop length bounds the keys.
+_HOP_ROWS: Dict[Tuple[int, int], struct.Struct] = {}
+
+
 class TPPResultView:
     """Decoded view of a TPP that came back from the network."""
 
@@ -216,7 +222,8 @@ class TPPResultView:
     @property
     def ok(self) -> bool:
         """True when the TPP executed without faulting anywhere."""
-        return self.tpp.fault == FaultCode.NONE
+        tpp = self.tpp
+        return not tpp.flags & FLAG_FAULT or tpp.fault == FaultCode.NONE
 
     def hops(self) -> int:
         """Number of switches that executed the TPP."""
@@ -229,19 +236,23 @@ class TPPResultView:
         (§2.1) — this is that interpretation, driven by the per-hop
         footprint the assembler recorded in the header.
         """
-        perhop = self.tpp.perhop_len_bytes
-        word = self.tpp.word_size
+        tpp = self.tpp
+        perhop = tpp.perhop_len_bytes
+        word = tpp.word_size
         if perhop == 0 or perhop % word:
             # Zero or ragged per-hop footprint: nothing interpretable
             # (the latter only happens to corrupted/hostile packets).
             return []
-        words_per_hop = perhop // word
+        memory = tpp.memory
         # Clamp to what the packet can actually hold: a malformed or
         # truncated TPP must not crash its reader.
-        max_hops = len(self.tpp.memory) // perhop
-        words = self.tpp.words()
-        return [words[hop * words_per_hop:(hop + 1) * words_per_hop]
-                for hop in range(min(self.hops(), max_hops))]
+        hops = min(tpp.hops_executed(), len(memory) // perhop)
+        row = _HOP_ROWS.get((perhop, word))
+        if row is None:
+            row = _HOP_ROWS[perhop, word] = struct.Struct(
+                f">{perhop // word}{'I' if word == 4 else 'Q'}")
+        return [list(row.unpack_from(memory, hop * perhop))
+                for hop in range(hops)]
 
     def word(self, index: int) -> int:
         """One absolute packet-memory word."""

@@ -1,76 +1,29 @@
 """Per-flow rate limiting (the enforcement half of RCP*).
 
 "The implementation consists of a rate limiter and a rate controller at
-end-hosts for every flow" (§2.2).  :class:`TokenBucket` is the classic
-token-bucket shaper; :class:`PacedSender` is the simulator-friendly packet
-pacer built on it that emits fixed-size datagrams whenever tokens allow.
+end-hosts for every flow" (§2.2).  :class:`PacedSender` is that rate
+limiter: a token-bucket shaper metered in bytes against the simulated
+clock that emits fixed-size datagrams whenever tokens allow.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Optional
 
+from repro.sim.events import Event
 from repro.sim.simulator import Simulator
-from repro.sim.timers import OneShotTimer
-
-
-class TokenBucket:
-    """A token bucket metered in bytes against the simulated clock."""
-
-    def __init__(self, sim: Simulator, rate_bps: int,
-                 burst_bytes: int = 3000) -> None:
-        if rate_bps < 0:
-            raise ValueError(f"rate must be >= 0, got {rate_bps}")
-        self.sim = sim
-        self._rate_bps = rate_bps
-        self.burst_bytes = burst_bytes
-        self._tokens = float(burst_bytes)
-        self._last_refill_ns = sim.now_ns
-
-    @property
-    def rate_bps(self) -> int:
-        """Current token fill rate."""
-        return self._rate_bps
-
-    def set_rate(self, rate_bps: int) -> None:
-        """Change the fill rate (refills at the old rate first)."""
-        self._refill()
-        self._rate_bps = max(0, int(rate_bps))
-
-    def _refill(self) -> None:
-        now = self.sim.now_ns
-        elapsed_s = (now - self._last_refill_ns) / 1e9
-        self._tokens = min(self.burst_bytes,
-                           self._tokens + elapsed_s * self._rate_bps / 8)
-        self._last_refill_ns = now
-
-    def try_consume(self, n_bytes: int) -> bool:
-        """Take ``n_bytes`` of tokens if available."""
-        self._refill()
-        if self._tokens >= n_bytes:
-            self._tokens -= n_bytes
-            return True
-        return False
-
-    def time_until_available_ns(self, n_bytes: int) -> int:
-        """Nanoseconds until ``n_bytes`` of tokens will exist (0 if now)."""
-        self._refill()
-        deficit = n_bytes - self._tokens
-        if deficit <= 0:
-            return 0
-        if self._rate_bps == 0:
-            return -1  # never at the current rate
-        return max(1, round(deficit * 8 / self._rate_bps * 1e9))
 
 
 class PacedSender:
     """Emits fixed-size packets at a controllable rate.
 
     ``send_fn(packet_bytes)`` is called for every emission; the caller
-    builds and transmits the actual datagram.  The sender self-schedules:
-    after each emission it sleeps exactly until the bucket can cover the
-    next packet, so the achieved rate tracks the configured rate without
-    busy polling.
+    builds and transmits the actual datagram.  Tokens accrue at the
+    pacing rate up to ``burst_bytes`` (default: two packets), and each
+    packet spends its size in tokens.  The sender self-schedules: after
+    each emission it sleeps exactly until the bucket can cover the next
+    packet, so the achieved rate tracks the configured rate without busy
+    polling.
     """
 
     def __init__(self, sim: Simulator, rate_bps: int, packet_bytes: int,
@@ -78,13 +31,18 @@ class PacedSender:
                  burst_bytes: Optional[int] = None) -> None:
         if packet_bytes <= 0:
             raise ValueError(f"packet size must be positive: {packet_bytes}")
+        if rate_bps < 0:
+            raise ValueError(f"rate must be >= 0, got {rate_bps}")
         if burst_bytes is None:
             burst_bytes = 2 * packet_bytes
         self.sim = sim
         self.packet_bytes = packet_bytes
         self.send_fn = send_fn
-        self.bucket = TokenBucket(sim, rate_bps, burst_bytes)
-        self._timer = OneShotTimer(sim, self._pump)
+        self.burst_bytes = burst_bytes
+        self._rate_bps = rate_bps
+        self._tokens = float(burst_bytes)
+        self._refilled_ns = sim.now_ns
+        self._wake: Optional[Event] = None
         self._running = False
         self.packets_sent = 0
         self.bytes_sent = 0
@@ -92,14 +50,24 @@ class PacedSender:
     @property
     def rate_bps(self) -> int:
         """Current pacing rate."""
-        return self.bucket.rate_bps
+        return self._rate_bps
 
     def set_rate(self, rate_bps: int) -> None:
-        """Change the pacing rate; wakes the pump if it was starved."""
-        was_zero = self.bucket.rate_bps == 0
-        self.bucket.set_rate(rate_bps)
+        """Change the pacing rate (tokens accrue at the old rate up to
+        now); wakes the pump if a zero rate had starved it."""
+        now = self.sim.now_ns
+        self._tokens = min(self.burst_bytes,
+                           self._tokens + (now - self._refilled_ns) / 1e9
+                           * self._rate_bps / 8)
+        self._refilled_ns = now
+        was_zero = self._rate_bps == 0
+        self._rate_bps = max(0, int(rate_bps))
         if self._running and was_zero and rate_bps > 0:
-            self._schedule_next()
+            # Starved at rate zero, the bucket cannot cover a packet, so
+            # the pump only sleeps until it will.
+            if self._wake is not None:
+                self._wake.cancel()
+            self._pump()
 
     def start(self) -> None:
         """Begin emitting packets."""
@@ -109,21 +77,41 @@ class PacedSender:
         self._pump()
 
     def stop(self) -> None:
-        """Stop emitting packets."""
+        """Stop emitting packets (also from inside ``send_fn``)."""
         self._running = False
-        self._timer.cancel()
+        if self._wake is not None:
+            self._wake.cancel()
+            self._wake = None
 
     def _pump(self) -> None:
+        """Refill, send while the bucket covers a packet, then sleep
+        until it will again — in one frame: this runs for every paced
+        packet."""
+        self._wake = None
         if not self._running:
             return
-        while self.bucket.try_consume(self.packet_bytes):
-            self.send_fn(self.packet_bytes)
+        now = self.sim.now_ns
+        size = self.packet_bytes
+        tokens = min(self.burst_bytes,
+                     self._tokens + (now - self._refilled_ns) / 1e9
+                     * self._rate_bps / 8)
+        self._refilled_ns = now
+        while tokens >= size:
+            self._tokens = tokens = tokens - size
+            self.send_fn(size)
             self.packets_sent += 1
-            self.bytes_sent += self.packet_bytes
-        self._schedule_next()
-
-    def _schedule_next(self) -> None:
-        wait_ns = self.bucket.time_until_available_ns(self.packet_bytes)
-        if wait_ns < 0:
-            return  # rate is zero; set_rate() will restart the pump
-        self._timer.start(max(wait_ns, 1))
+            self.bytes_sent += size
+            if not self._running:
+                return
+            # send_fn may have changed the rate; set_rate's refill adds
+            # nothing at the same instant.
+            tokens = self._tokens
+        self._tokens = tokens
+        if self._wake is not None:
+            # A pump woken by set_rate inside send_fn already slept.
+            self._wake.cancel()
+            self._wake = None
+        rate = self._rate_bps
+        if rate:  # at rate zero, set_rate() restarts the pump
+            self._wake = self.sim.schedule(
+                max(1, round((size - tokens) * 8 / rate * 1e9)), self._pump)

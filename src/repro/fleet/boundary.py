@@ -102,8 +102,10 @@ class BoundaryLink(Link):
                 f"boundary link {self.name!r} cannot be impaired; "
                 "impair in-region links instead")
 
-    def deliver_after_propagation(self, frame: EthernetFrame) -> None:
-        """Export the frame instead of scheduling a local arrival."""
+    def deliver_after_propagation(self, frame: EthernetFrame,
+                                  order: Optional[float] = None) -> None:
+        """Export the frame instead of scheduling a local arrival (the
+        ingress side orders it; ``order`` is unused)."""
         if not self.up:
             self.frames_lost += 1
             return
@@ -121,7 +123,7 @@ class BoundaryIngress:
     """The ingress half: re-materializes messages inside a region.
 
     Bound to the gateway device and the port index the frames notionally
-    arrive on.  :meth:`inject` mirrors ``Link._schedule_arrival`` — the
+    arrive on.  :meth:`inject` mirrors ``Link._schedule_at_peer`` — the
     arrival is announced in the device's ``inbound_at`` ledger at
     scheduling time — and the private arrival callback mirrors
     ``Link._arrive``: retire the ledger entry, refresh ``inbound_now``,

@@ -90,7 +90,9 @@ class Host(Device):
         return True
 
     def receive(self, frame: EthernetFrame, in_port: int) -> None:
-        self.ports[in_port].note_rx(frame)
+        port = self.ports[in_port]
+        port.rx_bytes += frame.size_bytes
+        port.rx_frames += 1
         self.frames_received += 1
         handler = self._ethertype_handlers.get(frame.ethertype)
         if handler is not None:

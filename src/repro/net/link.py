@@ -7,6 +7,15 @@ the port dequeues a packet, occupies the link for the packet's serialization
 time, and the link delivers the frame to the far device after the
 propagation delay.
 
+Two paths to the peer
+---------------------
+
+On a :attr:`Link.direct` link (up, unimpaired, with a local receiver)
+the port schedules :meth:`Link._arrive` when serialization starts; every
+other link decides when it ends (:meth:`deliver_after_propagation`).
+Either way same-instant arrivals land in the order their serializations
+started (docs/architecture.md, "Event representation").
+
 Impairments
 -----------
 
@@ -23,7 +32,7 @@ non-TPP frame is dropped at the receiver the way a bad-FCS frame would be.
 from __future__ import annotations
 
 import random
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Any, Callable, Dict, Optional, Tuple
 
 from repro.errors import ConfigurationError
 from repro.net.packet import EthernetFrame
@@ -80,6 +89,10 @@ class Link:
         self.peer_device: Optional["Device"] = None
         self.peer_port_index: Optional[int] = None
         self._peer_inbound: Optional[Dict[int, int]] = None
+        #: The port transmitting onto this link (set by the port).
+        self.port: Optional["Port"] = None
+        #: Internal state, kept by ``_choose_path``: see the docstring.
+        self.direct = False
         #: Administrative / physical state.  A downed link silently loses
         #: every frame handed to it (and everything already in flight
         #: arrives — photons in the fiber don't care about the failure).
@@ -102,14 +115,42 @@ class Link:
         # for receivers that batch their ingress.
         self._peer_inbound = (device.inbound_at if device.batches_ingress
                               else None)
+        self._choose_path()
 
     def fail(self) -> None:
-        """Take the link down; subsequent frames are lost."""
+        """Take the link down; frames whose serialization has not ended
+        are lost."""
         self.up = False
+        self._choose_path()
 
     def restore(self) -> None:
         """Bring the link back up."""
         self.up = True
+        self._choose_path()
+
+    def _choose_path(self) -> None:
+        """Set :attr:`direct`; leaving the direct path, hand the frame
+        still being serialized (until now, inclusive) to the decision at
+        the end, in its arrival's place, and retract that arrival."""
+        direct = (self.up and self.impairments is None
+                  and self.peer_device is not None)
+        port = self.port
+        if self.direct and not direct and port is not None:
+            arrival = port.wire_arrival
+            sim = self.sim
+            if (arrival is not None and arrival._sim is sim
+                    and port.wire_until_ns >= sim.now_ns):
+                arrival.cancel()
+                port.wire_arrival = None
+                arrivals = self._peer_inbound
+                if arrivals is not None:
+                    arrivals[arrival.time_ns] -= 1
+                    if not arrivals[arrival.time_ns]:
+                        del arrivals[arrival.time_ns]
+                sim.schedule_at(port.wire_until_ns,
+                                self.deliver_after_propagation,
+                                port.wire_frame, arrival.sequence)
+        self.direct = direct
 
     def set_impairments(self, loss_rate: float = 0.0,
                         corrupt_rate: float = 0.0,
@@ -127,6 +168,7 @@ class Link:
         """
         if not (loss_rate or corrupt_rate or duplicate_rate):
             self.impairments = None
+            self._choose_path()
             return
         if rng is None:
             streams = self.sim.rng
@@ -136,14 +178,23 @@ class Link:
         self.impairments = LinkImpairments(
             rng, loss_rate=loss_rate, corrupt_rate=corrupt_rate,
             duplicate_rate=duplicate_rate)
+        self._choose_path()
 
-    def deliver_after_propagation(self, frame: EthernetFrame) -> None:
+    def deliver_after_propagation(self, frame: EthernetFrame,
+                                  order: Optional[float] = None) -> None:
         """Schedule arrival at the peer one propagation delay from now.
 
-        Called by the owning port at the instant serialization completes.
+        Runs when the frame's serialization ends on a link that is not
+        :attr:`direct`.  What it schedules takes the place of ``order``,
+        the sequence number taken when serialization started (``None``:
+        after everything scheduled so far).
         """
         if self.peer_device is None or self.peer_port_index is None:
             raise ConfigurationError(f"link {self.name!r} has no receiver")
+        if order is not None:
+            # Just behind ``order`` itself, which the cancelled arrival of
+            # a frame handed over by ``_choose_path`` still holds.
+            order += 0.25
         if not self.up:
             self.frames_lost += 1
             trace = self.peer_device.trace
@@ -153,19 +204,16 @@ class Link:
                            reason="down")
             return
         if self.impairments is not None:
-            self._deliver_impaired(frame)
+            self._deliver_impaired(frame, order)
             return
-        # _schedule_arrival, inlined: this is the per-frame hot path.
-        event = self.sim.schedule(self.delay_ns, self._arrive, frame)
-        arrivals = self._peer_inbound
-        if arrivals is not None:
-            arrivals[event.time_ns] += 1
+        self._schedule_at_peer(order, self._arrive, frame)
 
     # ------------------------------------------------------------------ #
     # Impaired delivery (off the hot path: only runs when configured)
     # ------------------------------------------------------------------ #
 
-    def _deliver_impaired(self, frame: EthernetFrame) -> None:
+    def _deliver_impaired(self, frame: EthernetFrame,
+                          order: Optional[float]) -> None:
         imp = self.impairments
         assert imp is not None
         rng = imp.rng
@@ -177,17 +225,19 @@ class Link:
         # only when the dup roll fired — so a given seed replays one
         # byte-identical delivery sequence, regardless of outcomes.
         pristine = frame.clone() if imp.duplicate_rate else None
-        self._impair_one(frame, imp, rng, trace)
+        self._impair_one(frame, imp, rng, trace, order)
         if pristine is not None and rng.random() < imp.duplicate_rate:
             self.frames_duplicated += 1
             if trace is not None and trace.wants("link.dup"):
                 trace.emit(self.sim.now_ns, self.name or "link", "link.dup",
                            frame_uid=frame.uid, size_bytes=pristine.size_bytes)
-            self._impair_one(pristine, imp, rng, trace)
+            # The copy lands right behind the original.
+            self._impair_one(pristine, imp, rng, trace,
+                             None if order is None else order + 0.25)
 
     def _impair_one(self, frame: EthernetFrame, imp: "LinkImpairments",
-                    rng: random.Random,
-                    trace: Optional[TraceRecorder]) -> None:
+                    rng: random.Random, trace: Optional[TraceRecorder],
+                    order: Optional[float]) -> None:
         """Loss and corruption rolls for one copy; schedules its arrival.
 
         Verdicts are *drawn* here, at transmit time — the draw order is
@@ -200,17 +250,19 @@ class Link:
         leave a stale ledger instant behind for every in-flight loss.
         """
         if imp.loss_rate and rng.random() < imp.loss_rate:
-            self._schedule_tombstone(frame, "impairment")
+            self._schedule_at_peer(order, self._arrive_dead, frame,
+                                   "impairment")
             return
         if imp.corrupt_rate and rng.random() < imp.corrupt_rate:
             damaged = self._corrupt(frame, rng, trace)
             if damaged is None:
                 # Unreceivable (bad FCS at the far NIC): the bytes still
                 # cross the wire and die on arrival.
-                self._schedule_tombstone(frame, "corrupt-fcs")
+                self._schedule_at_peer(order, self._arrive_dead, frame,
+                                       "corrupt-fcs")
                 return
             frame = damaged
-        self._schedule_arrival(frame)
+        self._schedule_at_peer(order, self._arrive, frame)
 
     def _corrupt(self, frame: EthernetFrame, rng: random.Random,
                  trace: Optional[TraceRecorder]
@@ -254,40 +306,36 @@ class Link:
                        damage=damage)
         return frame
 
-    def _schedule_arrival(self, frame: EthernetFrame) -> None:
-        """Schedule ``_arrive`` and announce it in the peer's ledger.
+    def _schedule_at_peer(self, order: Optional[float],
+                          callback: Callable[..., None], *args: Any) -> None:
+        """Schedule ``callback`` one propagation delay from now, in the
+        place of ``order`` (see :meth:`deliver_after_propagation`), and
+        announce it in the peer's ledger.
 
-        The announcement is what lets the receiving switch decide, from
-        inside its ``receive`` callback, whether any *other* frame can
-        still land this instant (and therefore whether deferring for a
-        TCPU batch is worthwhile).  With a positive propagation delay
-        every arrival for time ``t`` is announced before ``t`` begins,
-        so the ledger is a complete signal; a zero-delay link can
-        announce mid-instant, which at worst forgoes a batch.
-
-        Non-batching receivers (hosts) have no ledger; ``deliver_after_
-        propagation`` inlines this body on its unimpaired hot path.
+        ``callback`` is ``_arrive``, or ``_arrive_dead`` for a copy whose
+        in-flight death is already decided.  The announcement is what
+        lets the receiving switch decide, from inside its ``receive``
+        callback, whether any *other* frame can still land this instant
+        (and therefore whether deferring for a TCPU batch is
+        worthwhile).  With a positive propagation delay every arrival for
+        time ``t`` is announced before ``t`` begins, so the ledger is a
+        complete signal; a zero-delay link can announce mid-instant,
+        which at worst forgoes a batch.  A dead copy is announced like a
+        live one and retired by ``_arrive_dead`` at its instant — without
+        that the instant's count would never return to zero and the
+        receiver would keep scheduling drains for a frame that is not
+        coming.  Non-batching receivers (hosts) have no ledger.  On the
+        direct path the port inlines this body when serialization starts.
         """
-        event = self.sim.schedule(self.delay_ns, self._arrive, frame)
+        sim = self.sim
+        time_ns = sim.now_ns + self.delay_ns
+        if order is None:
+            sim.schedule_at(time_ns, callback, *args)
+        else:
+            sim.schedule_ordered(time_ns, order, callback, *args)
         arrivals = self._peer_inbound
         if arrivals is not None:
-            arrivals[event.time_ns] += 1
-
-    def _schedule_tombstone(self, frame: EthernetFrame, reason: str) -> None:
-        """Announce a copy whose in-flight death is already decided.
-
-        The ledger must see every wire copy: the announcement is made
-        exactly like a live delivery, and ``_arrive_dead`` retires it at
-        the arrival instant without invoking ``receive``.  This is the
-        decrement path for announced-then-lost frames — without it the
-        instant's count would never return to zero and the receiver
-        would keep scheduling drains for a frame that is not coming.
-        """
-        event = self.sim.schedule(self.delay_ns, self._arrive_dead,
-                                  frame, reason)
-        arrivals = self._peer_inbound
-        if arrivals is not None:
-            arrivals[event.time_ns] += 1
+            arrivals[time_ns] += 1
 
     def _retire_announcement(self) -> None:
         """Retire one ledger entry for the current instant.

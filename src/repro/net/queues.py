@@ -10,9 +10,12 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Deque
+from typing import TYPE_CHECKING, Deque, Optional
 
 from repro.net.packet import EthernetFrame
+
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
+    from repro.net.port import Port
 
 
 @dataclass
@@ -36,27 +39,32 @@ class DropTailQueue:
     tracks per-queue occupancy until the scheduler has drained the packet.
 
     The queue is state of the owning :class:`~repro.net.port.Port`: the
-    port admits frames into :attr:`waiting`, moves the head onto the wire,
-    releases its bytes when serialization ends, and keeps the byte counts
-    below exact.
+    port admits frames into :attr:`waiting`, moves the head onto the wire
+    and keeps :attr:`backlog_bytes` exact; whether this queue's frame is
+    still on the wire is read from the port's wire record.
     """
 
-    def __init__(self, capacity_bytes: int = 512 * 1024) -> None:
+    def __init__(self, capacity_bytes: int = 512 * 1024,
+                 port: Optional["Port"] = None) -> None:
         if capacity_bytes <= 0:
             raise ValueError(f"capacity must be positive: {capacity_bytes}")
         self.capacity_bytes = capacity_bytes
+        self.port = port
         self.stats = QueueStats()
         #: Frames admitted and not yet on the wire, head first.
         self.waiting: Deque[EthernetFrame] = deque()
         #: Bytes waiting behind the packet currently being transmitted.
         self.backlog_bytes = 0
-        #: Bytes of this queue's packet on the wire (0 or one frame's size).
-        self.in_flight_bytes = 0
 
     def __len__(self) -> int:
         return len(self.waiting)
 
     @property
     def occupancy_bytes(self) -> int:
-        """Bytes buffered, including the packet on the wire right now."""
-        return self.backlog_bytes + self.in_flight_bytes
+        """Bytes buffered, including this queue's packet on the wire
+        until its serialization ends."""
+        port = self.port
+        if (port is not None and port.wire_queue is self
+                and port.sim.now_ns < port.wire_until_ns):
+            return self.backlog_bytes + port.wire_frame.size_bytes
+        return self.backlog_bytes

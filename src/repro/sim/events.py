@@ -21,7 +21,9 @@ class Event:
 
     Attributes:
         time_ns: absolute simulated time at which the event fires.
-        sequence: monotonically increasing tie-breaker.
+        sequence: tie-breaker among events at one instant — the order
+            of scheduling, or a place taken earlier
+            (:meth:`~repro.sim.simulator.Simulator.schedule_ordered`).
         callback: callable invoked as ``callback(*args)`` when fired.
         args: positional arguments for the callback.
         cancelled: set via :meth:`cancel`; cancelled events are skipped
@@ -32,7 +34,7 @@ class Event:
     __slots__ = ("time_ns", "sequence", "callback", "args", "cancelled",
                  "_sim")
 
-    def __init__(self, time_ns: int, sequence: int,
+    def __init__(self, time_ns: int, sequence: float,
                  callback: Callable[..., None],
                  args: Tuple[Any, ...] = (),
                  sim: Optional["Simulator"] = None) -> None:

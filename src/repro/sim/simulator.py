@@ -67,7 +67,7 @@ class Simulator:
     def __init__(self, seed: int = 0) -> None:
         #: Current simulated time in nanoseconds; only :meth:`run` writes.
         self.now_ns = 0
-        self._heap: List[Tuple[int, int, Event]] = []
+        self._heap: List[Tuple[int, float, Event]] = []
         self._sequence = 0
         self._cancelled = 0
         #: How many times the heap has been compacted (observability).
@@ -125,6 +125,27 @@ class Simulator:
             )
         sequence = self._sequence
         self._sequence = sequence + 1
+        event = Event(time_ns, sequence, callback, args, self)
+        heappush(self._heap, (time_ns, sequence, event))
+        return event
+
+    @property
+    def next_sequence(self) -> int:
+        """The sequence number the next scheduled event takes."""
+        return self._sequence
+
+    def schedule_ordered(self, time_ns: int, sequence: float,
+                         callback: Callable[..., None], *args: Any) -> Event:
+        """Schedule ``callback(*args)`` at ``time_ns`` in the place of
+        ``sequence`` among the events due then.
+
+        ``sequence`` is a number :attr:`next_sequence` gave earlier, plus
+        a fraction: no pending event may share it at ``time_ns``.
+        """
+        if time_ns < self.now_ns:
+            raise SimulationError(
+                f"cannot schedule at t={time_ns}, already at t={self.now_ns}"
+            )
         event = Event(time_ns, sequence, callback, args, self)
         heappush(self._heap, (time_ns, sequence, event))
         return event

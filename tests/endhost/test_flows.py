@@ -30,7 +30,7 @@ class TestFlow:
         net.run(until_seconds=0.01)
         flow.stop()
         # goodput counts datagram bytes: packet_bytes minus eth overhead
-        assert sink.arrivals[0][1] == 1000 - 18
+        assert sink.arrivals.sizes[0] == 1000 - 18
 
     def test_rate_history_recorded(self, flow_pair):
         net, flow, _ = flow_pair

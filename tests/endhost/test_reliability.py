@@ -3,11 +3,12 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from repro import units
 from repro.core.assembler import assemble
-from repro.core.tpp import FLAG_DONE
-from repro.endhost.client import RetryPolicy, TPPEndpoint
+from repro.core.tpp import FLAG_DONE, AddressingMode, TPPSection
+from repro.endhost.client import RetryPolicy, TPPEndpoint, TPPResultView
 from repro.endhost.probes import PeriodicProber
 from repro.net.packet import ETHERTYPE_TPP, EthernetFrame
 
@@ -267,3 +268,29 @@ class TestResultViewDefensiveParsing:
         # number of words.
         result.tpp.perhop_len_bytes = 6
         assert result.per_hop_words() == []
+
+
+def sliced_per_hop_words(tpp):
+    """The straightforward decode: every whole word of packet memory,
+    sliced into hops (the reference ``per_hop_words`` must match)."""
+    perhop, word = tpp.perhop_len_bytes, tpp.word_size
+    if perhop == 0 or perhop % word:
+        return []
+    per = perhop // word
+    words = tpp.words()
+    hops = min(tpp.hops_executed(), len(tpp.memory) // perhop)
+    return [words[hop * per:(hop + 1) * per] for hop in range(hops)]
+
+
+class TestPerHopWordsReference:
+    @given(st.sampled_from([4, 8]), st.integers(0, 8),
+           st.binary(max_size=64), st.integers(0, 40),
+           st.sampled_from(list(AddressingMode)))
+    def test_matches_the_sliced_decode(self, word, perhop_words, raw, hop,
+                                       mode):
+        memory = bytearray(raw[:len(raw) // 4 * 4])
+        tpp = TPPSection(instructions=[], memory=memory, mode=mode,
+                         word_size=word, hop_or_sp=hop,
+                         perhop_len_bytes=4 * perhop_words)
+        result = TPPResultView(tpp)
+        assert result.per_hop_words() == sliced_per_hop_words(tpp)

@@ -1,10 +1,11 @@
-"""The hop's Python budget: function calls per switched hop.
+"""The hop's Python budget: function calls and events per switched hop.
 
 Every workload crosses sim -> net -> asic before its first TPP instruction
 runs, and that path is many small calls rather than one hot function, so
 its cost is tracked as a *count*: ``call`` + ``c_call`` profile events
-inside ``sim.run()`` per switched hop.  The count is deterministic and the
-same on every machine, which a wall-clock threshold is not.
+inside ``sim.run()`` per switched hop, and simulator events per switched
+hop.  Both are deterministic and the same on every machine, which a
+wall-clock threshold is not.
 
 Figures this test measured on the commit before the event path and the
 port stages were merged (``de212b0``), with the senders and receivers
@@ -22,11 +23,19 @@ below:
 The merge brought them to 49.54 / 55.44 / 84.70: ``schedule`` builds and
 pushes its event in one frame, ``run`` pops the heap inline, and the port
 admits, starts and finishes a transmission without calling into its
-queue or a scheduler.  The budgets sit just above those figures.  A
-failure here means a per-hop value is being recomputed, a single-caller
-stage became its own frame again, an idle port went back to polling its
-queues, or a trace record is built that nobody asked for; see
-docs/architecture.md, "Hot path & trace levels".
+queue or a scheduler.  A link traversal still cost two events (the end
+of serialization, then the arrival): **3.997** events per forwarding or
+piggybacked hop, 3.833 per probe hop.
+
+Scheduling the arrival when serialization starts brought them to 35.92 /
+46.10 / 71.08 calls and 2.665 / 2.500 / 2.665 events per hop, with RX
+accounting inlined into the devices' ``receive`` and the flow pacer's
+refill, sends and wake-up in one frame.  The budgets sit just above those
+figures.  A failure here means a per-hop value is being recomputed, a
+single-caller stage became its own frame again, an idle port went back to
+polling its queues, a link traversal went back to two events, or a trace
+record is built that nobody asked for; see docs/architecture.md, "Hot
+path & trace levels" and "The hop's call budget".
 """
 
 import sys
@@ -39,13 +48,18 @@ from repro.endhost.flows import Flow, FlowSink
 from repro.net.routing import install_shortest_path_routes
 from repro.net.topology import TopologyBuilder
 
-PARENT_FORWARD_CALLS_PER_HOP = 74.85
-PARENT_PROBE_CALLS_PER_HOP = 80.77
-PARENT_PIGGYBACK_CALLS_PER_HOP = 110.01
+PARENT_FORWARD_CALLS_PER_HOP = 49.54
+PARENT_PROBE_CALLS_PER_HOP = 55.44
+PARENT_PIGGYBACK_CALLS_PER_HOP = 84.70
+PARENT_EVENTS_PER_HOP = 3.997
 
-FORWARD_BUDGET = 50.0
-PROBE_BUDGET = 56.0
-PIGGYBACK_BUDGET = 85.0
+FORWARD_BUDGET = 36.5
+PROBE_BUDGET = 46.5
+PIGGYBACK_BUDGET = 71.5
+#: A forwarding or piggybacked hop: 4/3 arrivals (one per link traversal,
+#: 4 links for 3 switches), one switch pipeline event and a third of the
+#: pacer's wake-up; a probe hop has no pacer.
+EVENTS_BUDGET = 2.7
 
 PACKETS = 200
 #: One 64-byte packet time at the flow's 200 Mb/s.
@@ -102,9 +116,12 @@ def test_bare_forwarding_budget():
     assert sink.packets_received == flow.packets_sent >= PACKETS
     assert hops(net) == 3 * flow.packets_sent
     per_hop = calls / hops(net)
+    events = net.sim.events_processed / hops(net)
     print(f"forwarding: {per_hop:.2f} calls/hop "
-          f"(parent {PARENT_FORWARD_CALLS_PER_HOP})")
+          f"(parent {PARENT_FORWARD_CALLS_PER_HOP}), {events:.3f} events/hop "
+          f"(parent {PARENT_EVENTS_PER_HOP})")
     assert per_hop <= FORWARD_BUDGET
+    assert events <= EVENTS_BUDGET
 
 
 def test_probe_budget():
@@ -124,9 +141,12 @@ def test_probe_budget():
                for result in echoed)
     assert hops(net) == 6 * PACKETS  # three out, three back
     per_hop = calls / hops(net)
+    events = net.sim.events_processed / hops(net)
     print(f"probe: {per_hop:.2f} calls/hop "
-          f"(parent {PARENT_PROBE_CALLS_PER_HOP})")
+          f"(parent {PARENT_PROBE_CALLS_PER_HOP}), {events:.3f} events/hop "
+          f"(parent 3.833)")
     assert per_hop <= PROBE_BUDGET
+    assert events <= EVENTS_BUDGET
 
 
 def test_piggyback_trace_budget():
@@ -151,6 +171,9 @@ def test_piggyback_trace_budget():
     assert all(journey.switch_ids() == [1, 2, 3]
                for journey in collector.journeys)
     per_hop = calls / hops(net)
+    events = net.sim.events_processed / hops(net)
     print(f"piggyback: {per_hop:.2f} calls/hop "
-          f"(parent {PARENT_PIGGYBACK_CALLS_PER_HOP})")
+          f"(parent {PARENT_PIGGYBACK_CALLS_PER_HOP}), {events:.3f} "
+          f"events/hop (parent {PARENT_EVENTS_PER_HOP})")
     assert per_hop <= PIGGYBACK_BUDGET
+    assert events <= EVENTS_BUDGET

@@ -5,6 +5,7 @@ import pytest
 from repro import units
 from repro.errors import ConfigurationError
 from repro.net.device import Device
+from repro.net.host import Host
 from repro.net.link import Link, connect
 from repro.net.packet import EthernetFrame, RawPayload
 from repro.sim.trace import TraceLevel, TraceRecorder
@@ -108,17 +109,16 @@ class TestConnect:
         sim.run()
         assert port_a.queue.stats.packets_dropped == 2
 
-    def test_note_rx_counters(self, sim):
+    def test_rx_counters(self, sim):
+        """A host counts what it receives on the arrival port."""
         a = RecordingDevice(sim, "a")
-        b = RecordingDevice(sim, "b")
+        b = Host(sim, "b", mac=2, ip=2)
         port_a, port_b = connect(sim, a, b, units.GIGABITS_PER_SEC)
-        frame = frame_of(800)
-        port_a.enqueue(frame)
+        port_a.enqueue(frame_of(800))
         sim.run()
-        # RecordingDevice does not call note_rx; do it like a real device.
-        port_b.note_rx(frame)
         assert port_b.rx_bytes == 800
         assert port_b.rx_frames == 1
+        assert b.frames_received == 1
 
 
 class TestFirehoseMidRun:

@@ -78,7 +78,9 @@ class TestIdlePath:
 class QueueLedger:
     """Both sides of Little's law for every queue of one port, observed
     through the port's two entry points (the only places a queue's length
-    changes), shadowed on the instance."""
+    changes), shadowed on the instance: ``enqueue``, which admits a frame
+    and on an idle port starts it, and ``_start_next``, the start event
+    that runs while frames wait."""
 
     def __init__(self, port):
         self.port = port
@@ -89,7 +91,7 @@ class QueueLedger:
         self.admitted_at = {}        # frame uid -> (queue index, time)
         self.started = 0
         self._last_ns = 0
-        enqueue, finish = port.enqueue, port._finish_transmission
+        enqueue, start_next = port.enqueue, port._start_next
 
         def traced_enqueue(frame, queue_id=0):
             self._integrate()
@@ -101,18 +103,18 @@ class QueueLedger:
                     self._start(frame)  # idle port: straight to the wire
             return accepted
 
-        def traced_finish(frame, queue):
+        def traced_start_next():
             self._integrate()
             heads = [q.waiting[0] if q.waiting else None
                      for q in port.queues]
-            finish(frame, queue)
+            start_next()
             for head, q in zip(heads, port.queues):
                 if head is not None and (not q.waiting
                                          or q.waiting[0] is not head):
                     self._start(head)
 
         port.enqueue = traced_enqueue
-        port._finish_transmission = traced_finish
+        port._start_next = traced_start_next
 
     def _integrate(self):
         now = self.sim.now_ns
