@@ -23,13 +23,14 @@ Quickstart::
 
     from repro import quickstart_network
     from repro.core import assemble
-    from repro.endhost import TPPClient
 
     net = quickstart_network(n_switches=3)
-    client = TPPClient(net.host("h0"), net.host("h1"))
-    program = assemble("PUSH [Queue:QueueSize]")
-    result = client.run(program)
-    print(result.per_hop_words())   # queue size observed at each hop
+    h0, h1 = net.host("h0"), net.host("h1")
+    results = []
+    h0.tpp.send(assemble("PUSH [Queue:QueueSize]"), dst_mac=h1.mac,
+                on_response=results.append)
+    net.run(until_seconds=0.01)   # until the echo is home
+    print(results[0].per_hop_words())   # queue size observed at each hop
 """
 
 from repro._version import __version__

@@ -79,6 +79,11 @@ def _record_route_hook(switch: TPPSwitch):
     return hook
 
 
+#: ECNFlow's additive increase per unmarked window, as a fraction of
+#: the bottleneck capacity.
+ECN_INCREASE_FRACTION = 0.03
+
+
 class ECNFlow:
     """A DCTCP-flavoured rate controller driven by CE marks.
 
@@ -93,15 +98,14 @@ class ECNFlow:
                  src_mac: int, capacity_bps: float,
                  packet_bytes: int = 1000,
                  update_interval_ns: int = 10_000_000,
-                 gain: float = 0.3,
-                 increase_fraction: float = 0.03) -> None:
+                 gain: float = 0.3) -> None:
         self.index = index
         self.src = src
         self.dst = dst
         self.src_mac = src_mac
         self.capacity_bps = capacity_bps
         self.gain = gain
-        self.increase_bps = increase_fraction * capacity_bps
+        self.increase_bps = ECN_INCREASE_FRACTION * capacity_bps
         self.alpha = 0.0
         self._window_packets = 0
         self._window_marked = 0

@@ -26,7 +26,6 @@ from typing import Dict, List, Optional
 
 from repro.analysis.timeseries import TimeSeries
 from repro.core.assembler import assemble
-from repro.core.memory_map import MemoryMap
 from repro.endhost.client import TPPEndpoint, TPPResultView
 from repro.endhost.probes import PeriodicProber
 from repro.net.host import Host
@@ -86,15 +85,13 @@ class LatencyProfiler:
     """Periodic per-hop latency profiling of one path."""
 
     def __init__(self, src: Host, dst_mac: int, interval_ns: int,
-                 memory_map: Optional[MemoryMap] = None,
                  max_hops: int = 8) -> None:
         endpoint = getattr(src, "tpp", None)
         if endpoint is None:
             endpoint = TPPEndpoint(src)
             src.tpp = endpoint
         self.endpoint = endpoint
-        self.program = assemble(PROFILE_PROGRAM, memory_map=memory_map,
-                                hops=max_hops)
+        self.program = assemble(PROFILE_PROGRAM, hops=max_hops)
         self.prober = PeriodicProber(endpoint, self.program, interval_ns,
                                      self._on_result, dst_mac=dst_mac)
         self.profiles: List[PathProfile] = []

@@ -33,7 +33,6 @@ from typing import Dict, List, Optional, Sequence
 
 from repro.analysis.timeseries import TimeSeries
 from repro.core.assembler import assemble
-from repro.core.memory_map import MemoryMap
 from repro.endhost.client import TPPEndpoint, TPPResultView
 from repro.endhost.flows import Flow
 from repro.endhost.probes import PeriodicProber
@@ -53,24 +52,21 @@ DEFAULT_COARSE_INTERVAL_NS = 10_000_000_000  # "10s of seconds at best"
 class TelemetryStream:
     """TPP-based queue telemetry along one path."""
 
-    def __init__(self, src: Host, dst_mac: int,
-                 interval_ns: int, memory_map: Optional[MemoryMap] = None,
-                 hops: int = 8, max_outstanding: int = 16) -> None:
+    def __init__(self, src: Host, dst_mac: int, interval_ns: int,
+                 hops: int = 8) -> None:
         self.src = src
         endpoint = getattr(src, "tpp", None)
         if endpoint is None:
             endpoint = TPPEndpoint(src)
             src.tpp = endpoint
         self.endpoint = endpoint
-        self.program = assemble(TELEMETRY_PROGRAM, memory_map=memory_map,
-                                hops=hops)
+        self.program = assemble(TELEMETRY_PROGRAM, hops=hops)
         #: The prober's deadline + outstanding cap keep telemetry alive
         #: (and its pending table bounded) when probes are being lost —
         #: a sample stream with holes still catches bursts; a stalled
         #: prober catches nothing.
         self.prober = PeriodicProber(endpoint, self.program, interval_ns,
-                                     self._on_result, dst_mac=dst_mac,
-                                     max_outstanding=max_outstanding)
+                                     self._on_result, dst_mac=dst_mac)
         #: One occupancy series per switch id observed on the path.
         self.queue_series: Dict[int, TimeSeries] = {}
         self.samples = 0
@@ -270,17 +266,14 @@ class HeavyHitterMonitor:
     models the shared counters, and decodes estimates through probe
     TPPs plus :class:`~repro.analysis.sketch.HeavyHitterDecoder`.
 
-    ``race_mode`` defaults to ``"warn"``: updaters for keys whose
+    Its TCPU's ``race_mode`` is ``"warn"``: updaters for keys whose
     counters collide under the layout's hashes carry a genuine TPP020
     write-write race (count-min *depends* on colliding increments —
     estimates stay overestimate-only either way), so the monitor records
-    the diagnostics rather than refusing the updater.  Pass
-    ``"enforce"`` to admit only provably disjoint updater sets.
+    the diagnostics rather than refusing the updater.
     """
 
-    def __init__(self, mmu, layout, task_id: int = 1,
-                 race_mode: str = "warn",
-                 make_ctx=None) -> None:
+    def __init__(self, mmu, layout, task_id: int = 1) -> None:
         from repro.asic.metadata import PacketMetadata
         from repro.core.mmu import ExecutionContext
         from repro.core.tcpu import TCPU
@@ -292,11 +285,10 @@ class HeavyHitterMonitor:
         self.region = layout.allocate(mmu, task_id)
         # 2*depth + 1 instructions per update; probes chunk to <= 5.
         self.tcpu = TCPU(mmu, max_instructions=max(5, 2 * layout.depth + 1),
-                         name="hh-monitor", race_mode=race_mode)
-        if make_ctx is None:
-            def make_ctx():
-                return ExecutionContext(metadata=PacketMetadata(),
-                                        egress_port=_ControlPort())
+                         name="hh-monitor")
+        def make_ctx():
+            return ExecutionContext(metadata=PacketMetadata(),
+                                    egress_port=_ControlPort())
         self._make_ctx = make_ctx
         self._updates: Dict[int, object] = {}
         self.packets_observed = 0

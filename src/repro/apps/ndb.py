@@ -35,7 +35,6 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.core.assembler import AssembledProgram, assemble
-from repro.core.memory_map import MemoryMap
 from repro.core.tpp import TPPSection
 from repro.endhost.client import TPPEndpoint
 from repro.endhost.flows import Flow
@@ -92,18 +91,16 @@ class PacketJourney:
         return any(hop.gap for hop in self.hops)
 
 
-def trace_program(memory_map: Optional[MemoryMap] = None,
-                  hops: int = 8) -> AssembledProgram:
+def trace_program(hops: int = 8) -> AssembledProgram:
     """Assemble the ndb trace TPP."""
-    return assemble(TRACE_PROGRAM, memory_map=memory_map, hops=hops)
+    return assemble(TRACE_PROGRAM, hops=hops)
 
 
 class NdbTagger:
     """Wraps a flow's data packets in the trace TPP (the trusted entity)."""
 
-    def __init__(self, memory_map: Optional[MemoryMap] = None,
-                 hops: int = 8, task_id: int = 0) -> None:
-        self.program = trace_program(memory_map, hops)
+    def __init__(self, hops: int = 8, task_id: int = 0) -> None:
+        self.program = trace_program(hops)
         self.task_id = task_id
         self.packets_tagged = 0
 

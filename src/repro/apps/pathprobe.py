@@ -27,7 +27,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, Optional
 
 from repro.core.assembler import assemble
-from repro.core.memory_map import MemoryMap
 from repro.endhost.client import TPPEndpoint, TPPResultView
 
 FOLD_PROGRAM = """
@@ -63,11 +62,10 @@ class PathSummary:
 class PathBottleneckProbe:
     """One-word-per-statistic path characterization via MIN/MAX."""
 
-    def __init__(self, endpoint: TPPEndpoint, dst_mac: int,
-                 memory_map: Optional[MemoryMap] = None) -> None:
+    def __init__(self, endpoint: TPPEndpoint, dst_mac: int) -> None:
         self.endpoint = endpoint
         self.dst_mac = dst_mac
-        self.program = assemble(FOLD_PROGRAM, memory_map=memory_map)
+        self.program = assemble(FOLD_PROGRAM)
 
     def probe(self, on_summary: Callable[[PathSummary], None]) -> None:
         """Send one probe; the callback gets the folded path summary."""
@@ -97,17 +95,14 @@ class SwitchInventory:
     """Scatter/gather collection of every path switch's global state."""
 
     def __init__(self, endpoint: TPPEndpoint, dst_mac: int,
-                 memory_map: Optional[MemoryMap] = None,
                  max_hops: int = 8) -> None:
         self.endpoint = endpoint
         self.dst_mac = dst_mac
-        self.memory_map = memory_map
         self.max_hops = max_hops
         self.reports: Dict[int, SwitchReport] = {}
         #: Assembled once; rebound to each switch the path discovers.
         self.inventory_program = assemble(
-            INVENTORY_PROGRAM, memory_map=memory_map,
-            symbols={"TargetSwitch": 0})
+            INVENTORY_PROGRAM, symbols={"TargetSwitch": 0})
         self._on_complete: Optional[Callable[[Dict[int, SwitchReport]],
                                              None]] = None
         self._outstanding = 0
@@ -116,8 +111,7 @@ class SwitchInventory:
                                             None]) -> None:
         """Discover the path, then scatter one inventory TPP per switch."""
         self._on_complete = on_complete
-        discover = assemble(DISCOVER_PROGRAM, memory_map=self.memory_map,
-                            hops=self.max_hops)
+        discover = assemble(DISCOVER_PROGRAM, hops=self.max_hops)
         self.endpoint.send(discover, dst_mac=self.dst_mac,
                            on_response=self._on_path)
 

@@ -187,7 +187,6 @@ class RCPStarFlow:
                  probe_interval_ns: int = DEFAULT_PROBE_INTERVAL_NS,
                  update_interval_ns: int = DEFAULT_UPDATE_INTERVAL_NS,
                  alpha: float = DEFAULT_ALPHA, beta: float = DEFAULT_BETA,
-                 sample_alpha: float = DEFAULT_SAMPLE_EWMA_ALPHA,
                  initial_rate_bps: Optional[int] = None,
                  max_hops: int = DEFAULT_MAX_HOPS,
                  piggyback_every: Optional[int] = None) -> None:
@@ -199,12 +198,11 @@ class RCPStarFlow:
         self.update_interval_ns = update_interval_ns
         self.alpha = alpha
         self.beta = beta
-        self.sample_alpha = sample_alpha
         # Convert the per-sample alpha (calibrated at the standalone
         # probe cadence) into the equivalent time constant:
         # alpha = 1 - exp(-interval / tau)  =>  tau = -interval/ln(1-a).
         self.sample_tau_ns = (-probe_interval_ns
-                              / math.log(1.0 - sample_alpha))
+                              / math.log(1.0 - DEFAULT_SAMPLE_EWMA_ALPHA))
 
         if initial_rate_bps is None:
             initial_rate_bps = max(1, int(capacity_bps * 0.05))

@@ -12,7 +12,7 @@ is exactly the feature TPPs let end-hosts build instead (RCP*, in
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Tuple
 
 from repro.analysis.timeseries import TimeSeries
 from repro.apps.rcp_common import (
@@ -146,8 +146,7 @@ class RCPBaselineFlow:
 
     def __init__(self, index: int, src: Host, dst: Host, dst_mac: int,
                  src_mac: int, capacity_bps: float, rtt_ns: int,
-                 packet_bytes: int = 1000,
-                 initial_rate_bps: Optional[int] = None) -> None:
+                 packet_bytes: int = 1000) -> None:
         self.index = index
         self.src = src
         self.dst = dst
@@ -157,10 +156,8 @@ class RCPBaselineFlow:
         data_port = 41000 + index
         feedback_port = FEEDBACK_PORT_BASE + index
         self._feedback_port = feedback_port
-        if initial_rate_bps is None:
-            initial_rate_bps = max(1, int(capacity_bps * 0.05))
         self.flow = Flow(src, dst, dst_mac, data_port,
-                         rate_bps=initial_rate_bps,
+                         rate_bps=max(1, int(capacity_bps * 0.05)),
                          packet_bytes=packet_bytes,
                          frame_factory=self._make_frame)
         self.sink = FlowSink(dst, data_port)

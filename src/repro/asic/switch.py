@@ -36,9 +36,8 @@ from repro.asic.tables import (
     Tcam,
     TcamRule,
 )
-from repro.core.memory_map import MemoryMap
 from repro.core.mmu import MMU, ExecutionContext
-from repro.core.tcpu import DEFAULT_MAX_INSTRUCTIONS, TCPU
+from repro.core.tcpu import TCPU
 from repro.core.tpp import TPPSection
 from repro.net.device import Device
 from repro.net.packet import ETHERTYPE_IPV4, Datagram, EthernetFrame
@@ -62,18 +61,14 @@ class TPPSwitch(Device):
                 "packets_dropped_by_rule", "tpps_stripped", "tpps_dropped")
 
     def __init__(self, sim: Simulator, name: str, switch_id: int,
-                 mac: int = 0, trace: Optional[TraceRecorder] = None,
-                 memory_map: Optional[MemoryMap] = None,
-                 max_tpp_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                 pipeline_latency_ns: int = DEFAULT_PIPELINE_LATENCY_NS,
-                 tpp_enabled: bool = True) -> None:
+                 mac: int = 0, trace: Optional[TraceRecorder] = None
+                 ) -> None:
         super().__init__(sim, name, trace)
         self.switch_id = switch_id
         self.mac = mac
-        self.pipeline_latency_ns = pipeline_latency_ns
-        self.tpp_enabled = tpp_enabled
+        self.pipeline_latency_ns = DEFAULT_PIPELINE_LATENCY_NS
 
-        self.mmu = MMU(memory_map, name=name)
+        self.mmu = MMU(name=name)
         # The switch knows its own SwitchID, so its TCPU's race table can
         # discount accesses behind constant fences that never pass here.
         try:
@@ -81,8 +76,8 @@ class TPPSwitch(Device):
                 self.mmu.memory_map.resolve("Switch:SwitchID"): switch_id}
         except KeyError:  # pragma: no cover - custom maps may omit it
             fence_values = None
-        self.tcpu = TCPU(self.mmu, max_tpp_instructions,
-                         name=f"{name}.tcpu", fence_values=fence_values)
+        self.tcpu = TCPU(self.mmu, name=f"{name}.tcpu",
+                         fence_values=fence_values)
 
         allocator = EntryAllocator()
         self._allocator = allocator
@@ -406,9 +401,7 @@ class TPPSwitch(Device):
                 frame.invalidate_size_cache()
                 return frame, False
             return None, False  # nothing forwardable inside
-        if action == "forward":
-            return frame, False  # forward without executing
-        return frame, self.tpp_enabled
+        return frame, action != "forward"  # "forward": without executing
 
     def _handle_tpp(self, frame: EthernetFrame, tpp: TPPSection,
                     metadata: PacketMetadata,
@@ -419,8 +412,6 @@ class TPPSwitch(Device):
             if forwarded is None or not execute:
                 return forwarded
             frame = forwarded
-        elif not self.tpp_enabled:  # _apply_tpp_policy's no-policy answer
-            return frame
         report = self.tcpu.execute(tpp, ExecutionContext(
             metadata, self.ports[metadata.output_port], self.sim.now_ns,
             tpp.task_id))

@@ -77,8 +77,7 @@ class VerifierPolicy(EdgeTPPPolicy):
     image, geometry), so a probe stream pays for one analysis and two
     rebinds of one template get a verdict each.
 
-    With ``trust_on_admit`` (default), an admitted program's certificate
-    is pushed to the switch's TCPU (:meth:`repro.core.tcpu.TCPU.trust`),
+    An admitted program's certificate is pushed to the switch's TCPU (:meth:`repro.core.tcpu.TCPU.trust`),
     so edge admission makes every downstream execution of the same
     program on that switch race-checked and batch-eligible.
 
@@ -102,7 +101,6 @@ class VerifierPolicy(EdgeTPPPolicy):
     def __init__(self, untrusted_action: str = "strip",
                  memory_map: Optional[MemoryMap] = None,
                  max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
-                 trust_on_admit: bool = True,
                  race_mode: str = "warn") -> None:
         super().__init__(untrusted_action)
         if race_mode not in RACE_MODES:
@@ -111,7 +109,6 @@ class VerifierPolicy(EdgeTPPPolicy):
                 f"got {race_mode!r}")
         self.memory_map = memory_map
         self.max_instructions = max_instructions
-        self.trust_on_admit = trust_on_admit
         self.race_mode = race_mode
         self._verdicts: "OrderedDict[AdmissionKey, object]" = OrderedDict()
         self.tpps_verified = 0
@@ -147,8 +144,7 @@ class VerifierPolicy(EdgeTPPPolicy):
         # Pushed per arrival, not per verdict: one shared policy can
         # guard several switches, and TCPU.trust is idempotent for a
         # certificate it already holds.
-        if (self.trust_on_admit and certificate is not None
-                and getattr(switch, "tcpu", None) is not None):
+        if certificate is not None:
             switch.tcpu.trust(certificate)
         return "execute"
 

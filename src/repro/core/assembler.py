@@ -194,25 +194,14 @@ class AssembledProgram:
 
 def assemble(source: str, memory_map: Optional[MemoryMap] = None,
              symbols: Optional[Dict[str, int]] = None,
-             hops: int = DEFAULT_HOPS,
-             verify: bool = False) -> AssembledProgram:
+             hops: int = DEFAULT_HOPS) -> AssembledProgram:
     """Compile TPP assembly into an :class:`AssembledProgram`.
 
-    With ``verify=True`` the program is additionally run through the
-    static verifier (:mod:`repro.core.verifier`) against the same memory
-    map and hop budget it was assembled for;
-    :class:`~repro.core.verifier.VerificationError` is raised if any
-    error-severity diagnostic is found.  The (clean) result — including
-    its fast-path certificate — is memoized on the program and returned
-    by :meth:`AssembledProgram.verify`.
+    To refuse a program the static verifier rejects, follow with
+    ``program.verify().raise_on_error()``
+    (:meth:`AssembledProgram.verify`).
     """
-    program = _Assembler(memory_map, symbols, hops).assemble(source)
-    if verify:
-        result = program.verify(memory_map=memory_map)
-        result.raise_on_error()
-        if memory_map is not None:
-            program._verification = result
-    return program
+    return _Assembler(memory_map, symbols, hops).assemble(source)
 
 
 class _Assembler:

@@ -31,15 +31,13 @@ def disassemble_instruction(instruction: Instruction,
     return f"{instruction.opcode.name} {operands}".rstrip()
 
 
-def format_tpp(tpp: TPPSection,
-               memory_map: Optional[MemoryMap] = None) -> str:
+def format_tpp(tpp: TPPSection) -> str:
     """Human-readable dump of a TPP section (header, code, memory).
 
     This is the textual equivalent of the paper's Figure 1 packet
     snapshots.
     """
-    if memory_map is None:
-        memory_map = MemoryMap.standard()
+    memory_map = MemoryMap.standard()
     lines: List[str] = [
         f"TPP mode={tpp.mode.name} word={tpp.word_size} "
         f"hop/sp={tpp.hop_or_sp:#x} perhop={tpp.perhop_len_bytes}B "

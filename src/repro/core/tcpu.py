@@ -25,7 +25,6 @@ from typing import List, Optional, Tuple
 
 from repro.core.exceptions import FaultCode, TCPUFault
 from repro.core.fastpath import (
-    DEFAULT_PROGRAM_CACHE_CAPACITY,
     CompiledEntry,
     ProgramCache,
     build_batch_plan,
@@ -84,7 +83,6 @@ class TCPU:
     def __init__(self, mmu: MMU,
                  max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
                  name: str = "tcpu", compile: bool = True,
-                 cache_capacity: int = DEFAULT_PROGRAM_CACHE_CAPACITY,
                  race_mode: str = "warn",
                  batch: bool = True,
                  fence_values: Optional[dict] = None) -> None:
@@ -103,7 +101,7 @@ class TCPU:
         self.compile_enabled = bool(compile)
         #: Compile-once program cache (LRU, per-TCPU because compiled
         #: closures bind this switch's pre-resolved MMU accessors).
-        self.cache = ProgramCache(cache_capacity)
+        self.cache = ProgramCache()
         self._cache_layout_version = mmu.layout_version
         # One-entry memo over the LRU: back-to-back executions of the
         # same program (the overwhelmingly common case on a switch that

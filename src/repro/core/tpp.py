@@ -292,7 +292,7 @@ class TPPSection:
                 + bytes(self.memory))
 
     @classmethod
-    def decode(cls, raw: bytes, payload: Any = None) -> "TPPSection":
+    def decode(cls, raw: bytes) -> "TPPSection":
         """Parse bytes produced by :meth:`encode`."""
         if len(raw) < TPP_HEADER_BYTES:
             raise TPPEncodingError(
@@ -321,7 +321,7 @@ class TPPSection:
         return cls(instructions=instructions, memory=memory, mode=mode,
                    word_size=word_size, hop_or_sp=hop_or_sp,
                    perhop_len_bytes=perhop_len, flags=flags,
-                   task_id=task_id, seq=seq, payload=payload)
+                   task_id=task_id, seq=seq)
 
     def copy(self) -> "TPPSection":
         """Deep copy (fresh packet memory); the payload is shared."""

@@ -363,7 +363,6 @@ def verify_section(tpp: TPPSection,
                    memory_map: Optional[MemoryMap] = None,
                    max_instructions: int = DEFAULT_MAX_INSTRUCTIONS,
                    max_hops: Optional[int] = None,
-                   sram_regions: Optional[Iterable[Any]] = None,
                    ) -> VerificationResult:
     """Verify a wire-decoded TPP section (edge-admission use).
 
@@ -383,7 +382,6 @@ def verify_section(tpp: TPPSection,
         max_hops=max_hops,
         initial_memory=bytes(tpp.memory),
         task_id=tpp.task_id,
-        sram_regions=sram_regions,
     )
 
 

@@ -32,7 +32,14 @@ per outstanding probe:
   responder), so misrouted or reflected echoes from other hosts are
   counted as orphans instead of cross-wiring state;
 - late and duplicate echoes (a retransmission racing its original, a
-  duplicating link) are deduplicated and counted, never double-delivered.
+  duplicating link) are deduplicated and counted, never double-delivered;
+- an echo whose packet memory ends before the request program's
+  ``.memory`` words (a corrupting link truncated it) is counted as
+  malformed and never delivered: the request waits for its deadline.
+
+Admission is ``verify_mode="off"`` (the default) or ``"enforce"``, and a
+``hop_budget`` grows an under-sized program where that is sound and
+refuses it with ``TPP009`` where it is not.
 """
 
 from __future__ import annotations
@@ -47,7 +54,6 @@ from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from repro.core.assembler import AssembledProgram
 from repro.core.exceptions import FaultCode
-from repro.core.memory_map import MemoryMap
 from repro.core.tpp import FLAG_DONE, FLAG_FAULT, TPPSection
 from repro.core.verifier import (
     AdmissionKey,
@@ -83,18 +89,9 @@ _COMPLETED_MEMORY = 2 * SEQ_SPACE
 _ADMISSION_CACHE_SIZE = 64
 
 #: Endpoint admission modes (the `Millions of Little Minions` end-host
-#: agent responsibility): ``off`` skips verification, ``warn`` verifies
-#: and counts but still sends, ``enforce`` refuses to inject a program
-#: with error-severity diagnostics.
-VERIFY_MODES = ("off", "warn", "enforce")
-
-#: How an endpoint with a configured ``hop_budget`` reconciles it with
-#: the verifier's measured memory hop capacity (the TPP009 scan):
-#: ``auto`` grows a too-small program's packet memory to fit the budget
-#: when that is provably sound, ``reject`` refuses the send outright.
-#: Either way a probe that *would* have faulted mid-path at hop N
-#: (``STACK_OVERFLOW`` / ``MEMORY_BOUNDS``) is stopped at the endpoint.
-HOP_BUDGET_MODES = ("auto", "reject")
+#: agent responsibility): ``off`` skips verification, ``enforce``
+#: refuses to inject a program with error-severity diagnostics.
+VERIFY_MODES = ("off", "enforce")
 
 #: Smoothing for the endpoint's echo-RTT estimate (TCP's srtt, but a
 #: faster gain: probes fire every few ms, so the estimate should track
@@ -265,38 +262,27 @@ class TPPEndpoint:
     COUNTERS = ("probes_sent", "responses_received", "tpps_echoed",
                 "trimmed_echoes", "payloads_delivered", "timeouts",
                 "retries", "orphan_responses", "duplicate_responses",
-                "late_responses", "pending_count", "probes_rejected",
-                "probes_auto_sized", "probes_warned")
+                "late_responses", "malformed_responses", "pending_count",
+                "probes_rejected", "probes_auto_sized")
 
-    def __init__(self, host: Host, default_dst_mac: Optional[int] = None,
-                 echo_probes: bool = True,
-                 retry_policy: Optional[RetryPolicy] = None,
+    def __init__(self, host: Host, echo_probes: bool = True,
                  verify_mode: str = "off",
-                 verify_memory_map: Optional[MemoryMap] = None,
-                 hop_budget: Optional[int] = None,
-                 hop_budget_mode: str = "auto") -> None:
+                 hop_budget: Optional[int] = None) -> None:
         if verify_mode not in VERIFY_MODES:
             raise ValueError(
                 f"verify_mode must be one of {VERIFY_MODES}, "
                 f"got {verify_mode!r}")
-        if hop_budget_mode not in HOP_BUDGET_MODES:
-            raise ValueError(
-                f"hop_budget_mode must be one of {HOP_BUDGET_MODES}, "
-                f"got {hop_budget_mode!r}")
         if hop_budget is not None and hop_budget < 1:
             raise ValueError(f"hop_budget must be >= 1: {hop_budget}")
         self.host = host
-        self.default_dst_mac = default_dst_mac
         self.echo_probes = echo_probes
         #: Static-verification admission mode (see :data:`VERIFY_MODES`).
         self.verify_mode = verify_mode
-        self.verify_memory_map = verify_memory_map
         #: Hops every probe from this endpoint must survive (typically
         #: the topology's diameter).  ``None`` trusts each program's own
         #: ``.hops`` geometry — the historical behaviour, which faults
         #: mid-path when the caller under-sized the allocation.
         self.hop_budget = hop_budget
-        self.hop_budget_mode = hop_budget_mode
         self._admissions: (
             "OrderedDict[AdmissionKey, VerificationResult]") = OrderedDict()
         #: Auto-sized replacements keyed like the admission cache, so a
@@ -307,7 +293,7 @@ class TPPEndpoint:
         #: Default policy for probes sent without an explicit one.
         #: ``None`` preserves the historical behaviour: no deadline, the
         #: request waits forever (fine on lossless topologies).
-        self.retry_policy = retry_policy
+        self.retry_policy: Optional[RetryPolicy] = None
         self._seq = itertools.count(0)
         self._probe_ids = itertools.count(0)
         self._pending: Dict[int, ProbeRequest] = {}
@@ -334,14 +320,15 @@ class TPPEndpoint:
         self.orphan_responses = 0
         self.duplicate_responses = 0
         self.late_responses = 0
+        #: Echoes of a recorded request whose packet memory ends before
+        #: the program's ``.memory`` words (a corrupting link truncated
+        #: it); the request is left to its deadline.
+        self.malformed_responses = 0
         #: Sends refused by enforce-mode verification or the hop budget.
         self.probes_rejected = 0
         #: Sends whose program was transparently re-sized to the hop
-        #: budget (``hop_budget_mode="auto"``).
+        #: budget.
         self.probes_auto_sized = 0
-        #: Sends that carried a program with error diagnostics anyway
-        #: (warn mode).
-        self.probes_warned = 0
         #: Smoothed echo RTT (ns); 0 until the first echo is matched.
         #: Adaptive policies (``rtt_multiplier``) scale deadlines by it.
         self.rtt_ewma_ns = 0.0
@@ -370,8 +357,7 @@ class TPPEndpoint:
         if cached is not None:
             self._admissions.move_to_end(key)
             return cached
-        result = verify_program(program,
-                                memory_map=self.verify_memory_map)
+        result = verify_program(program)
         self._admissions[key] = result
         while len(self._admissions) > _ADMISSION_CACHE_SIZE:
             self._admissions.popitem(last=False)
@@ -400,13 +386,12 @@ class TPPEndpoint:
         through admission and faults mid-path at hop N.
         With a budget configured, the verifier's measured capacity
         decides *before* transmission: a sufficient program passes
-        through untouched; an under-sized one is either transparently
-        re-sized (``auto`` — only when the literal pool is empty, so
-        appending zeroed stack/hop words cannot shift any operand the
-        instructions reference) or refused with a synthetic error-grade
-        ``TPP009`` (``reject``, or ``auto`` when re-sizing is unsound).
-        The re-sized program is re-verified to confirm the new capacity
-        before anything is sent.
+        through untouched; an under-sized one is transparently re-sized
+        when that is sound — the literal pool is empty, so appending
+        zeroed stack/hop words cannot shift any operand the instructions
+        reference — and refused with a synthetic error-grade ``TPP009``
+        otherwise.  The re-sized program is re-verified to confirm the
+        new capacity before anything is sent.
         """
         if self.hop_budget is None:
             return program
@@ -422,8 +407,7 @@ class TPPEndpoint:
         word = program.word_size
         poolless = program.pool_base_word * word == len(
             program.initial_memory)
-        if (self.hop_budget_mode == "reject" or not poolless
-                or program.perhop_len_bytes <= 0):
+        if not poolless or program.perhop_len_bytes <= 0:
             raise self._refuse_budget(program, capacity, poolless)
         pad_bytes = (self.hop_budget - capacity) * program.perhop_len_bytes
         pad_words = pad_bytes // word
@@ -446,10 +430,9 @@ class TPPEndpoint:
     def _refuse_budget(self, program: AssembledProgram,
                        capacity: int, poolless: bool) -> VerificationError:
         self.probes_rejected += 1
-        why = ("" if self.hop_budget_mode == "reject" else
-               "; auto-sizing is unsound here" +
-               ("" if poolless else
-                " (the literal pool sits where the memory would grow)"))
+        why = "; auto-sizing is unsound here" + (
+            "" if poolless else
+            " (the literal pool sits where the memory would grow)")
         diagnostic = Diagnostic(
             code="TPP009", severity="error",
             message=(f"endpoint hop budget {self.hop_budget} exceeds the "
@@ -477,8 +460,6 @@ class TPPEndpoint:
         the probe is retransmitted on deadline expiry and ``on_timeout``
         fires once all attempts are exhausted.
         """
-        if dst_mac is None:
-            dst_mac = self.default_dst_mac
         if dst_mac is None:
             raise ValueError("no destination MAC for TPP probe")
         program, seq = self._prepare(program, dst_mac, payload, task_id,
@@ -548,10 +529,8 @@ class TPPEndpoint:
         if self.verify_mode != "off":
             result = self.admit(program)
             if not result.ok:
-                if self.verify_mode == "enforce":
-                    self.probes_rejected += 1
-                    raise VerificationError(result)
-                self.probes_warned += 1
+                self.probes_rejected += 1
+                raise VerificationError(result)
         policy = (retry_policy if retry_policy is not None
                   else self.retry_policy)
         seq = self._alloc_free_seq()
@@ -678,6 +657,15 @@ class TPPEndpoint:
             else:
                 self.orphan_responses += 1
             return
+        program = record.program
+        if program is not None:
+            need = program.memory_words * program.word_size
+            # An echo whose memory ends before the program's was
+            # truncated by a corrupting link: reading its words would run
+            # off the packet.  (A slice, not len(): this runs per echo.)
+            if need and not tpp.memory[need - 1:]:
+                self.malformed_responses += 1
+                return
         del self._pending[tpp.seq]
         if record.timer is not None:
             record.timer.cancel()

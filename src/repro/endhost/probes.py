@@ -7,7 +7,7 @@ at a fixed (optionally jittered) interval and routes each echoed result to
 a callback.
 
 On lossy networks the prober degrades gracefully instead of leaking state:
-every probe carries a deadline (default: ``timeout_intervals`` probe
+every probe carries a deadline (at least :data:`TIMEOUT_INTERVALS` probe
 periods), the number of outstanding probes is capped (a blackhole cannot
 exhaust the endpoint's sequence window), and an EWMA over
 answered-vs-expired probes gives the caller a live loss-rate estimate.
@@ -15,7 +15,6 @@ answered-vs-expired probes gives the caller a live loss-rate estimate.
 
 from __future__ import annotations
 
-import random
 from typing import Callable, Optional
 
 from repro.core.assembler import AssembledProgram
@@ -31,17 +30,20 @@ from repro.sim.timers import PeriodicTimer
 #: Weight of each completed probe in the loss-rate EWMA.
 LOSS_EWMA_ALPHA = 0.1
 
+#: The per-probe deadline's floor, in probing periods.  Deliberately
+#: loose: before the endpoint has an RTT estimate the floor is all that
+#: separates "lost" from "stuck behind a queue", and the
+#: ``max_outstanding`` cap (not the deadline) is what bounds in-flight
+#: state in the meantime.
+TIMEOUT_INTERVALS = 20.0
+
 
 class PeriodicProber:
     """Sends a TPP program every ``interval_ns``.
 
-    ``timeout_intervals`` scales the per-probe deadline off the probing
-    period (0 disables deadlines — legacy behaviour, unbounded pending
-    state under loss).  The default is deliberately loose: before the
-    endpoint has an RTT estimate the floor is all that separates "lost"
-    from "stuck behind a queue", and the ``max_outstanding`` cap (not
-    the deadline) is what bounds in-flight state in the meantime.
-    ``retry_policy`` overrides the derived policy entirely.
+    Each probe's deadline is adaptive, floored at
+    :data:`TIMEOUT_INTERVALS` probing periods; ``retry_policy``
+    overrides that derived policy entirely.
     ``max_outstanding`` caps in-flight probes; a probe whose turn
     arrives at the cap is suppressed and counted, not queued.
     """
@@ -51,8 +53,6 @@ class PeriodicProber:
                  on_result: Callable[[TPPResultView], None],
                  dst_mac: Optional[int] = None, task_id: int = 0,
                  jitter_fraction: float = 0.0,
-                 rng: Optional[random.Random] = None,
-                 timeout_intervals: float = 20.0,
                  retry_policy: Optional[RetryPolicy] = None,
                  max_outstanding: int = 16,
                  on_timeout: Optional[Callable[[ProbeRequest], None]] = None,
@@ -66,9 +66,8 @@ class PeriodicProber:
         # so surface the verifier's diagnostics where the experiment is
         # being built.  budget() also applies auto-sizing once, so the
         # prober fires the correctly-sized program from the start.
-        if hasattr(endpoint, "budget"):
-            program = endpoint.budget(program)
-        if getattr(endpoint, "verify_mode", "off") == "enforce":
+        program = endpoint.budget(program)
+        if endpoint.verify_mode == "enforce":
             endpoint.admit(program).raise_on_error()
         self.endpoint = endpoint
         self.program = program
@@ -77,20 +76,17 @@ class PeriodicProber:
         self.dst_mac = dst_mac
         self.task_id = task_id
         self.jitter_fraction = jitter_fraction
-        if rng is None:
-            # A named stream from the simulator's family: jitter is
-            # deterministic per seed and never silently disabled just
-            # because the caller forgot to thread an RNG through.
-            rng = endpoint.host.sim.rng.stream(
-                f"prober/{endpoint.host.name}/task{task_id}")
-        self._rng = rng
-        if retry_policy is None and timeout_intervals > 0:
-            # Adaptive deadline: ``timeout_intervals`` periods is only a
+        # A named stream from the simulator's family: jitter is
+        # deterministic per seed.
+        self._rng = endpoint.host.sim.rng.stream(
+            f"prober/{endpoint.host.name}/task{task_id}")
+        if retry_policy is None:
+            # Adaptive deadline: TIMEOUT_INTERVALS periods is only a
             # floor; once the endpoint has an echo-RTT estimate the
             # deadline tracks it, so congestion delay on the probed path
             # is not misread as loss.
             retry_policy = RetryPolicy(
-                timeout_ns=max(1, round(timeout_intervals * interval_ns)),
+                timeout_ns=max(1, round(TIMEOUT_INTERVALS * interval_ns)),
                 rtt_multiplier=DEFAULT_RTT_MULTIPLIER)
         self.retry_policy = retry_policy
         self.max_outstanding = max_outstanding
@@ -103,7 +99,7 @@ class PeriodicProber:
         self.probes_suppressed = 0
         self.outstanding = 0
         #: EWMA of probe loss (1 = expired, 0 = answered); only meaningful
-        #: once deadlines are enabled and a few probes have completed.
+        #: once a few probes have completed.
         self.loss_rate_estimate = 0.0
         self._completed_probes = 0
 

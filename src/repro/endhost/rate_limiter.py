@@ -19,7 +19,7 @@ class PacedSender:
 
     ``send_fn(packet_bytes)`` is called for every emission; the caller
     builds and transmits the actual datagram.  Tokens accrue at the
-    pacing rate up to ``burst_bytes`` (default: two packets), and each
+    pacing rate up to ``burst_bytes`` (two packets), and each
     packet spends its size in tokens.  The sender self-schedules: after
     each emission it sleeps exactly until the bucket can cover the next
     packet, so the achieved rate tracks the configured rate without busy
@@ -27,20 +27,17 @@ class PacedSender:
     """
 
     def __init__(self, sim: Simulator, rate_bps: int, packet_bytes: int,
-                 send_fn: Callable[[int], None],
-                 burst_bytes: Optional[int] = None) -> None:
+                 send_fn: Callable[[int], None]) -> None:
         if packet_bytes <= 0:
             raise ValueError(f"packet size must be positive: {packet_bytes}")
         if rate_bps < 0:
             raise ValueError(f"rate must be >= 0, got {rate_bps}")
-        if burst_bytes is None:
-            burst_bytes = 2 * packet_bytes
         self.sim = sim
         self.packet_bytes = packet_bytes
         self.send_fn = send_fn
-        self.burst_bytes = burst_bytes
+        self.burst_bytes = 2 * packet_bytes
         self._rate_bps = rate_bps
-        self._tokens = float(burst_bytes)
+        self._tokens = float(self.burst_bytes)
         self._refilled_ns = sim.now_ns
         self._wake: Optional[Event] = None
         self._running = False

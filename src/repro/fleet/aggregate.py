@@ -167,10 +167,9 @@ class FleetProbeController:
         """Logical flows this controller has driven so far."""
         return self.probes_sent * self.flows_per_probe
 
-    def start(self, first_delay_ns: Optional[int] = None) -> None:
-        """Begin probing (first burst after one interval by default)."""
-        self._timer.start(self.interval_ns if first_delay_ns is None
-                          else first_delay_ns)
+    def start(self) -> None:
+        """Begin probing (first burst after one interval)."""
+        self._timer.start(self.interval_ns)
 
     def _fire(self) -> None:
         if (self.max_bursts is not None

@@ -35,7 +35,6 @@ regardless of how many shards produced them.
 
 from __future__ import annotations
 
-import random
 from typing import Any, List, NamedTuple, Optional, Tuple
 
 from repro.errors import ConfigurationError
@@ -95,8 +94,7 @@ class BoundaryLink(Link):
 
     def set_impairments(self, loss_rate: float = 0.0,
                         corrupt_rate: float = 0.0,
-                        duplicate_rate: float = 0.0,
-                        rng: Optional[random.Random] = None) -> None:
+                        duplicate_rate: float = 0.0) -> None:
         if loss_rate or corrupt_rate or duplicate_rate:
             raise ConfigurationError(
                 f"boundary link {self.name!r} cannot be impaired; "

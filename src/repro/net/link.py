@@ -154,12 +154,10 @@ class Link:
 
     def set_impairments(self, loss_rate: float = 0.0,
                         corrupt_rate: float = 0.0,
-                        duplicate_rate: float = 0.0,
-                        rng: Optional[random.Random] = None) -> None:
+                        duplicate_rate: float = 0.0) -> None:
         """Configure (or, with all rates zero, remove) the impairment model.
 
-        The RNG defaults to the simulator's named stream
-        ``impair/<link-name>``, so distinct links impair independently and
+        The RNG is the simulator's named stream ``impair/<link-name>``, so distinct links impair independently and
         deterministically under one experiment seed.  An unnamed link has
         nothing reproducible to be keyed by (``id()`` is a per-process
         address), so it seeds a private stream with the next draw of the
@@ -170,11 +168,10 @@ class Link:
             self.impairments = None
             self._choose_path()
             return
-        if rng is None:
-            streams = self.sim.rng
-            rng = (streams.stream(f"impair/{self.name}") if self.name
-                   else random.Random(
-                       streams.stream("impair/unnamed").getrandbits(64)))
+        streams = self.sim.rng
+        rng = (streams.stream(f"impair/{self.name}") if self.name
+               else random.Random(
+                   streams.stream("impair/unnamed").getrandbits(64)))
         self.impairments = LinkImpairments(
             rng, loss_rate=loss_rate, corrupt_rate=corrupt_rate,
             duplicate_rate=duplicate_rate)

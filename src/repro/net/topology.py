@@ -14,7 +14,7 @@ experiments use:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from repro import units
 from repro.errors import ConfigurationError
@@ -85,10 +85,8 @@ class Network:
         return host
 
     def add_switch(self, name: Optional[str] = None,
-                   switch_factory: Optional[Callable[..., Device]] = None,
-                   switch_id_override: Optional[int] = None,
-                   **kwargs: Any) -> Device:
-        """Create a TPP-capable switch (or one from ``switch_factory``).
+                   switch_id_override: Optional[int] = None) -> Device:
+        """Create a TPP-capable switch.
 
         ``switch_id_override`` replaces the sequential id — experiments
         that encode roles in the id space (e.g. a ToR tag bit for CEXEC
@@ -98,16 +96,13 @@ class Network:
             name = f"sw{self._switch_count}"
         if name in self.hosts or name in self.switches:
             raise ConfigurationError(f"duplicate device name {name!r}")
-        if switch_factory is None:
-            # Imported here: repro.asic depends on repro.net.
-            from repro.asic.switch import TPPSwitch
-            switch_factory = TPPSwitch
+        # Imported here: repro.asic depends on repro.net.
+        from repro.asic.switch import TPPSwitch
         switch_id = (switch_id_override if switch_id_override is not None
                      else self._switch_count + 1)
-        switch = switch_factory(self.sim, name,
-                                switch_id=switch_id,
-                                mac=switch_mac(self._switch_count),
-                                trace=self.trace, **kwargs)
+        switch = TPPSwitch(self.sim, name, switch_id=switch_id,
+                           mac=switch_mac(self._switch_count),
+                           trace=self.trace)
         self._switch_count += 1
         self.switches[name] = switch
         return switch
@@ -224,18 +219,16 @@ class TopologyBuilder:
                      self.queue_capacity_bytes)
         return net
 
-    def dumbbell(self, n_pairs: int, bottleneck_bps: int,
-                 edge_bps: Optional[int] = None) -> Network:
+    def dumbbell(self, n_pairs: int, bottleneck_bps: int) -> Network:
         """n senders — swL ==bottleneck== swR — n receivers.
 
         Senders are ``h0 .. h{n-1}``, the matching receivers are
-        ``h{n} .. h{2n-1}``.  Edge links default to 10x the bottleneck so
-        the shared link is the only point of contention.
+        ``h{n} .. h{2n-1}``.  Edge links run at 10x the bottleneck so the
+        shared link is the only point of contention.
         """
         if n_pairs < 1:
             raise ConfigurationError("need at least one host pair")
-        if edge_bps is None:
-            edge_bps = bottleneck_bps * 10
+        edge_bps = bottleneck_bps * 10
         net = self._network()
         left = net.add_switch("swL")
         right = net.add_switch("swR")

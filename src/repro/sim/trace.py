@@ -27,10 +27,6 @@ attribute read unless a run opts in with
 ``trace.set_level(TraceLevel.DEBUG)`` or, for one kind,
 ``trace.set_kind_level("tpp.exec", TraceLevel.INFO)``.
 
-For long runs, ``max_records`` bounds memory: the recorder becomes a ring
-buffer keeping the most recent records (taps still see every stored record
-live, so online consumers lose nothing).
-
 Counters are the other half of observability: a class names its plain
 counter attributes once, in a class-level ``COUNTERS`` tuple, and
 :func:`snapshot` / :func:`merge` read and sum them.
@@ -39,7 +35,6 @@ counter attributes once, in a class-level ``COUNTERS`` tuple, and
 from __future__ import annotations
 
 import enum
-from collections import deque
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional
 
@@ -99,11 +94,9 @@ class TraceRecorder:
     a kind below the level is neither stored nor tapped.
     """
 
-    def __init__(self, enabled: bool = True,
-                 level: TraceLevel = TraceLevel.INFO,
-                 max_records: Optional[int] = None) -> None:
+    def __init__(self, enabled: bool = True) -> None:
         self.enabled = enabled
-        self._level = TraceLevel(level)
+        self._level = TraceLevel.INFO
         self._kind_levels: Dict[str, TraceLevel] = dict(DEFAULT_KIND_LEVELS)
         self._wants_cache: Dict[str, bool] = {}
         #: Whether any kind that defaults to DEBUG is at or above the
@@ -111,14 +104,10 @@ class TraceRecorder:
         #: :meth:`wants`.
         self.firehose = False
         self._levels_changed()
-        self.max_records = max_records
-        self._records: Any = (deque(maxlen=max_records)
-                              if max_records is not None else [])
+        self._records: List[TraceRecord] = []
         self._taps: List[Callable[[TraceRecord], None]] = []
-        #: Total records accepted (including ones later evicted by the ring).
+        #: Total records accepted.
         self.records_emitted = 0
-        #: Records evicted by the ring buffer (0 in unbounded mode).
-        self.records_dropped = 0
 
     def __len__(self) -> int:
         return len(self._records)
@@ -174,10 +163,7 @@ class TraceRecorder:
             return
         record = TraceRecord(time_ns, source, kind, detail)
         self.records_emitted += 1
-        records = self._records
-        if self.max_records is not None and len(records) == self.max_records:
-            self.records_dropped += 1
-        records.append(record)
+        self._records.append(record)
         for tap in self._taps:
             tap(record)
 

@@ -48,10 +48,9 @@ class SketchUpdate:
     #: SRAM words the update writes, in touch order.
     words: Tuple[int, ...]
 
-    def build(self, task_id: Optional[int] = None, seq: int = 0):
+    def build(self, seq: int = 0):
         """Fresh TPP section (new packet-memory copy) for one packet."""
-        tid = self.certificate.task_id if task_id is None else task_id
-        return self.program.build(task_id=tid, seq=seq)
+        return self.program.build(task_id=self.certificate.task_id, seq=seq)
 
 
 def _certify(source: str, memory_map: Optional[MemoryMap],
@@ -71,8 +70,7 @@ def _rmw(op: str, packet_word: int, sram_word: int) -> List[str]:
 
 
 def build_count_min_update(layout: CountMinLayout, key: int,
-                           delta: int = 1, task_id: int = 0,
-                           memory_map: Optional[MemoryMap] = None,
+                           delta: int = 1, task_id: int = 0
                            ) -> SketchUpdate:
     """Update program incrementing ``key``'s counter in every row.
 
@@ -88,7 +86,7 @@ def build_count_min_update(layout: CountMinLayout, key: int,
     lines += [f".data {row} {delta}" for row in range(layout.depth)]
     for row, word in enumerate(words):
         lines += _rmw("ADD", row, word)
-    program, cert = _certify("\n".join(lines) + "\n", memory_map, task_id)
+    program, cert = _certify("\n".join(lines) + "\n", None, task_id)
     return SketchUpdate(key=key, source=program.source, program=program,
                         certificate=cert, words=words)
 
@@ -129,9 +127,7 @@ def build_heavy_hitter_update(layout: HeavyHitterLayout, key: int,
 
 
 def build_distinct_update(layout: DistinctCountLayout, key: int,
-                          task_id: int = 0,
-                          memory_map: Optional[MemoryMap] = None,
-                          ) -> SketchUpdate:
+                          task_id: int = 0) -> SketchUpdate:
     """HLL register update: ``reg = max(reg, rank(key))`` via MAX RMW.
 
     MAX is not additive, so the word classifies ``mixed`` and the batch
@@ -146,7 +142,7 @@ def build_distinct_update(layout: DistinctCountLayout, key: int,
              ".memory 1",
              f".data 0 {rank}"]
     lines += _rmw("MAX", 0, word)
-    program, cert = _certify("\n".join(lines) + "\n", memory_map, task_id)
+    program, cert = _certify("\n".join(lines) + "\n", None, task_id)
     return SketchUpdate(key=key, source=program.source, program=program,
                         certificate=cert, words=(word,))
 

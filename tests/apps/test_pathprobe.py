@@ -118,3 +118,30 @@ class TestSwitchInventory:
         # l2_entries match reality.
         assert set(report) == {1, 2, 3}
         assert all(count >= 1 for count in tpp_counts.values())
+
+
+class TestTruncatedEchoes:
+    """A corrupting link can truncate a probe's packet memory; the apps
+    that read absolute words from the echo must not see such an echo."""
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_probes_survive_corrupting_links(self, seed):
+        from repro.net.topology import TopologyBuilder
+
+        net = TopologyBuilder(seed=seed).linear(2)
+        install_shortest_path_routes(net)
+        h0, h1 = net.host("h0"), net.host("h1")
+        h0.tpp = TPPEndpoint(h0)
+        h1.tpp = TPPEndpoint(h1)
+        net.impair_links(corrupt_rate=0.3)
+        probe = PathBottleneckProbe(h0.tpp, h1.mac)
+        inventory = SwitchInventory(h0.tpp, h1.mac)
+        summaries, inventories = [], []
+        for i in range(100):
+            net.sim.schedule(units.microseconds(50) * i, probe.probe,
+                             summaries.append)
+            net.sim.schedule(units.microseconds(50) * i + 1,
+                             inventory.collect, inventories.append)
+        net.run(until_seconds=0.01)
+        assert h0.tpp.malformed_responses > 0
+        assert summaries

@@ -97,22 +97,6 @@ class TestTPPExecution:
         for name in ("sw0", "sw1", "sw2"):
             assert net.switch(name).tcpu.tpps_executed >= 1
 
-    def test_tpp_disabled_switch_forwards_without_executing(
-            self, linear_net):
-        net = linear_net
-        net.switch("sw1").tpp_enabled = False
-        from repro.endhost.client import TPPEndpoint
-        h0, h1 = net.host("h0"), net.host("h1")
-        results = []
-        TPPEndpoint(h0).send(assemble("PUSH [Switch:SwitchID]"),
-                             dst_mac=h1.mac, on_response=results.append)
-        TPPEndpoint(h1)
-        net.run(until_seconds=0.01)
-        # Only sw0 and sw2 executed: 2 hops of samples.
-        assert results[0].hops() == 2
-        ids = [words[0] for words in results[0].per_hop_words()]
-        assert ids == [1, 3]
-
     def test_metadata_exposed_to_tpp(self, single_switch_net):
         net = single_switch_net
         from repro.endhost.client import TPPEndpoint

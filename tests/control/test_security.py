@@ -269,22 +269,6 @@ class TestVerifierPolicy:
         if switch.tcpu.compile_enabled:
             assert switch.tcpu.verified_executions >= 1
 
-    def test_trust_on_admit_disabled(self, single_switch_net):
-        from repro.control.security import VerifierPolicy
-        net = single_switch_net
-        policy = VerifierPolicy(trust_on_admit=False)
-        in_port = [local for local, peer, _ in net.adjacency()["sw0"]
-                   if peer == "h0"][0]
-        policy.mark_untrusted("sw0", in_port)
-        switch = net.switch("sw0")
-        switch.tpp_policy = policy
-        h0, h1 = net.host("h0"), net.host("h1")
-        TPPEndpoint(h0).send(assemble(self.GOOD), dst_mac=h1.mac)
-        TPPEndpoint(h1)
-        net.run(until_seconds=0.01)
-        assert switch.tcpu.certificates == 0
-        assert switch.tcpu.verified_executions == 0
-
 
 class TestVerifierPolicyRaces:
     """Fleet-level race gating at the admission point."""

@@ -116,7 +116,8 @@ class TestTCPUCache:
         assert stats["size"] == 1
 
     def test_eviction_when_many_programs(self):
-        tcpu = TCPU(make_mmu(), compile=True, cache_capacity=2)
+        tcpu = TCPU(make_mmu(), compile=True)
+        tcpu.cache = ProgramCache(2)
         sources = ["PUSH [Switch:SwitchID]",
                    "PUSH [Queue:QueueSize]",
                    "LOAD [Switch:SwitchID], [Packet:0]"]

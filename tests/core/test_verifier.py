@@ -340,12 +340,13 @@ class TestResultAPI:
 
 class TestEntryPoints:
     def test_assemble_verify_true_raises_on_bad_program(self):
+        program = assemble("POP [Sram:Word0]", memory_map=_MAP)
         with pytest.raises(VerificationError):
-            assemble("POP [Sram:Word0]", memory_map=_MAP, verify=True)
+            program.verify(memory_map=_MAP).raise_on_error()
 
     def test_assemble_verify_true_passes_clean_program(self):
-        program = assemble("PUSH [Switch:SwitchID]", memory_map=_MAP,
-                           verify=True)
+        program = assemble("PUSH [Switch:SwitchID]", memory_map=_MAP)
+        program.verify(memory_map=_MAP).raise_on_error()
         assert program.n_instructions == 1
 
     def test_program_verify_memoizes_default_result(self):

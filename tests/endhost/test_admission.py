@@ -1,8 +1,8 @@
 """Endpoint admission: static verification before a probe leaves the host.
 
 ``verify_mode="enforce"`` refuses to inject unverifiable programs (the
-probe never touches the network); ``"warn"`` counts but sends anyway;
-``"off"`` (the default) skips the verifier entirely.
+probe never touches the network); ``"off"`` (the default) skips the
+verifier entirely.
 """
 
 import pytest
@@ -56,14 +56,6 @@ class TestVerifyModes:
         net.run(until_seconds=0.01)
         assert len(results) == 1
         assert client.probes_rejected == 0
-
-    def test_warn_counts_but_sends(self, net_hosts):
-        net, h0, h1 = net_hosts
-        client = TPPEndpoint(h0, verify_mode="warn")
-        client.send(assemble(BAD), dst_mac=h1.mac)
-        assert client.probes_warned == 1
-        assert client.probes_rejected == 0
-        assert client.probes_sent == 1
 
     def test_wrap_is_gated_too(self, net_hosts):
         net, h0, h1 = net_hosts

@@ -69,15 +69,6 @@ class TestProbeEcho:
         with pytest.raises(ValueError):
             client.send(assemble("NOP"))
 
-    def test_default_destination(self, linear_net):
-        h0, h1 = linear_net.host("h0"), linear_net.host("h1")
-        client = TPPEndpoint(h0, default_dst_mac=h1.mac)
-        TPPEndpoint(h1)
-        results = []
-        client.send(assemble("PUSH [Switch:SwitchID]"),
-                    on_response=results.append)
-        linear_net.run(until_seconds=0.01)
-        assert len(results) == 1
 
 
 class TestPayloadDelivery:

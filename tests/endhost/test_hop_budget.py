@@ -5,11 +5,10 @@ geometry: a program assembled for 2 hops sent across a 5-switch path
 sailed through admission and faulted mid-path (``STACK_OVERFLOW`` in
 stack mode, ``MEMORY_BOUNDS`` in hop mode) at hop 2.
 The verifier's TPP009 scan already measured the memory's true hop
-capacity — these tests pin the endpoint consulting it: ``auto`` mode
+capacity — these tests pin the endpoint consulting it: it
 transparently grows poolless programs to the configured budget (and
-re-verifies the result), ``reject`` mode (and unsound resizes) refuse
-the send with a synthetic error-grade TPP009 instead of faulting
-mid-path.
+re-verifies the result), and refuses an unsound resize with a synthetic
+error-grade TPP009 instead of faulting mid-path.
 """
 
 import pytest
@@ -139,48 +138,41 @@ class TestAutoSizing:
         assert all(r.ok and r.hops() == 4 for r in results)
 
 
-class TestRejection:
-    def test_reject_mode_raises_synthetic_tpp009(self):
-        net = build_net(2)
-        endpoint = TPPEndpoint(net.host("h0"), hop_budget=6,
-                               hop_budget_mode="reject")
-        with pytest.raises(VerificationError) as excinfo:
-            endpoint.send(small_probe(hops=2),
-                          dst_mac=net.host("h1").mac)
-        result = excinfo.value.result
-        assert [d.code for d in result.errors] == ["TPP009"]
-        assert result.hop_capacity == 2
-        assert endpoint.probes_rejected == 1
-        assert endpoint.probes_sent == 0
+def pooled_probe():
+    """A probe with a literal pool and room for only 2 hops."""
+    return assemble("PUSH [Queue:QueueSize]\nCSTORE [Sram:Word0], 30, 111",
+                    hops=2)
 
+
+class TestRejection:
     def test_pooled_program_cannot_be_auto_sized(self):
         """A literal pool sits where the memory would grow: appending
-        stack words would let later hops clobber the constants, so even
-        ``auto`` mode must refuse."""
+        stack words would let later hops clobber the constants, so the
+        endpoint must refuse."""
         net = build_net(2)
         endpoint = TPPEndpoint(net.host("h0"), hop_budget=5)
-        pooled = assemble(
-            "PUSH [Queue:QueueSize]\nCSTORE [Sram:Word0], 30, 111",
-            hops=2)
+        pooled = pooled_probe()
         assert pooled.pool_base_word * pooled.word_size < len(
             pooled.initial_memory)
         with pytest.raises(VerificationError) as excinfo:
-            endpoint.budget(pooled)
+            endpoint.send(pooled, dst_mac=net.host("h1").mac)
+        result = excinfo.value.result
+        assert [d.code for d in result.errors] == ["TPP009"]
+        assert result.hop_capacity == endpoint.plan_hops(pooled) < 5
         assert "unsound" in str(excinfo.value)
         assert endpoint.probes_rejected == 1
+        assert endpoint.probes_sent == 0
 
     def test_prober_construction_fails_fast(self):
         net = build_net(2)
         h0, h1 = net.host("h0"), net.host("h1")
-        endpoint = TPPEndpoint(h0, hop_budget=6, hop_budget_mode="reject")
+        endpoint = TPPEndpoint(h0, hop_budget=6)
         with pytest.raises(VerificationError):
-            PeriodicProber(endpoint, small_probe(hops=2),
+            PeriodicProber(endpoint, pooled_probe(),
                            interval_ns=units.milliseconds(1),
                            on_result=lambda r: None, dst_mac=h1.mac)
 
     def test_bad_constructor_arguments(self):
         net = build_net(2)
-        with pytest.raises(ValueError):
-            TPPEndpoint(net.host("h0"), hop_budget_mode="maybe")
         with pytest.raises(ValueError):
             TPPEndpoint(net.host("h0"), hop_budget=0)

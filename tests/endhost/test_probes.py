@@ -1,7 +1,5 @@
 """Periodic TPP probing."""
 
-import random
-
 from repro import units
 from repro.core.assembler import assemble
 from repro.endhost.client import TPPEndpoint
@@ -54,8 +52,7 @@ class TestPeriodicProber:
     def test_jitter_decorrelates(self, linear_net):
         results = []
         prober = make_prober(linear_net, units.milliseconds(10), results,
-                             jitter_fraction=0.3,
-                             rng=random.Random(1))
+                             jitter_fraction=0.3)
         prober.start()
         linear_net.run(until_seconds=0.2)
         times = [r.time_ns for r in results]
@@ -64,8 +61,8 @@ class TestPeriodicProber:
 
     def test_jitter_applies_without_explicit_rng(self, linear_net):
         """Regression: jitter used to be silently dropped (fixed
-        intervals) when no RNG was passed; the prober now defaults to a
-        named stream from the simulator's seeded family."""
+        intervals) when no RNG was passed; the prober now always draws
+        from a named stream of the simulator's seeded family."""
         results = []
         prober = make_prober(linear_net, units.milliseconds(10), results,
                              jitter_fraction=0.3)
@@ -101,7 +98,7 @@ class TestPeriodicProber:
             install_shortest_path_routes(net)
             results = []
             prober = make_prober(net, units.milliseconds(10), results,
-                                 jitter_fraction=0.3, rng=random.Random(7))
+                                 jitter_fraction=0.3)
             prober.start()
             net.run(until_seconds=0.1)
             return [r.time_ns for r in results]

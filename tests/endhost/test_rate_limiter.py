@@ -6,54 +6,54 @@ from repro import units
 from repro.endhost.rate_limiter import PacedSender
 
 
-def paced(sim, rate_bps, packet_bytes, burst_bytes=None):
+def paced(sim, rate_bps, packet_bytes):
     sent = []
     sender = PacedSender(sim, rate_bps, packet_bytes,
-                         lambda n: sent.append(sim.now_ns), burst_bytes)
+                         lambda n: sent.append(sim.now_ns))
     return sender, sent
 
 
 class TestTokenBucket:
-    """The bucket that meters a PacedSender: ``burst_bytes`` of tokens
-    at most, filling at the pacing rate, one packet's size per send."""
+    """The bucket that meters a PacedSender: two packets of tokens at
+    most, filling at the pacing rate, one packet's size per send."""
 
     def test_initial_burst_available(self, sim):
-        sender, sent = paced(sim, 8_000, 1000, burst_bytes=1000)
+        sender, sent = paced(sim, 8_000, 1000)
         sender.start()
-        assert sent == [0]  # the full bucket covers one packet, not two
+        assert sent == [0, 0]  # the full bucket covers two packets
 
     def test_refills_over_time(self, sim):
-        sender, sent = paced(sim, 8_000, 1000, burst_bytes=1000)
+        sender, sent = paced(sim, 8_000, 1000)
         sender.start()
         sim.run(until_ns=units.seconds(1) + 1)  # 8000 bits = 1000 bytes
-        assert sent == [0, units.seconds(1)]
+        assert sent == [0, 0, units.seconds(1)]
 
     def test_burst_caps_accumulation(self, sim):
-        sender, sent = paced(sim, 8_000_000, 500, burst_bytes=500)
+        sender, sent = paced(sim, 8_000_000, 500)
         sim.run(until_ns=units.seconds(10))
         sender.start()
-        assert sent == [units.seconds(10)]
+        assert sent == [units.seconds(10)] * 2
 
     def test_time_until_available(self, sim):
-        sender, sent = paced(sim, 8_000, 100, burst_bytes=100)
+        sender, sent = paced(sim, 8_000, 100)
         sender.start()
         sim.run(until_ns=units.seconds(1))
-        assert sent[1] == pytest.approx(units.seconds(0.1), rel=0.01)
+        assert sent[2] == pytest.approx(units.seconds(0.1), rel=0.01)
 
     def test_zero_rate_never_available(self, sim):
-        sender, sent = paced(sim, 0, 10, burst_bytes=10)
+        sender, sent = paced(sim, 0, 10)
         sender.start()
-        assert sent == [0]
+        assert sent == [0, 0]
         assert sim.pending_events == 0  # nothing to wake for
 
     def test_set_rate(self, sim):
-        sender, sent = paced(sim, 8, 100, burst_bytes=100)
+        sender, sent = paced(sim, 8, 100)
         sender.start()
         sender.set_rate(8_000_000)
         sender.stop()  # the old rate's wake-up was 100 s away
         sim.run(until_ns=units.milliseconds(1))
         sender.start()
-        assert sent == [0, units.milliseconds(1)]
+        assert sent == [0, 0] + [units.milliseconds(1)] * 2
 
     def test_negative_rate_rejected(self, sim):
         with pytest.raises(ValueError):
@@ -112,12 +112,12 @@ class TestPacedSender:
         sender.start()
         sender.start()
         sim.run(until_ns=units.milliseconds(5))
-        # The initial burst is exactly 2 packets (burst_bytes = 2 MTU);
+        # The initial burst is exactly 2 packets (burst_bytes = 2 MTUs);
         # a double start must not emit it twice.
         assert sum(1 for t in sent if t == 0) == 2
 
     def test_stop_inside_send_fn_stops(self, sim):
-        """A 3-packet burst whose first send stops the sender: one packet
+        """A 2-packet burst whose first send stops the sender: one packet
         goes out and nothing stays scheduled."""
         sent = []
 
@@ -125,7 +125,7 @@ class TestPacedSender:
             sent.append(sim.now_ns)
             sender.stop()
 
-        sender = PacedSender(sim, 8_000_000, 1000, send, burst_bytes=3000)
+        sender = PacedSender(sim, 8_000_000, 1000, send)
         sender.start()
         assert sent == [0]
         assert sender.packets_sent == 1
@@ -142,12 +142,12 @@ class TestPacedSender:
             sent.append(sim.now_ns)
             sender.set_rate(8_000_000)
 
-        sender = PacedSender(sim, 0, 1000, send, burst_bytes=3000)
+        sender = PacedSender(sim, 0, 1000, send)
         sender.start()
-        assert sent == [0, 0, 0]
+        assert sent == [0, 0]
         assert sim.pending_events == 1
         sim.run(until_ns=units.milliseconds(1) + 1)
-        assert sent == [0, 0, 0, units.milliseconds(1)]
+        assert sent == [0, 0, units.milliseconds(1)]
 
     def test_bad_packet_size_rejected(self, sim):
         with pytest.raises(ValueError):

@@ -27,3 +27,13 @@ def test_expected_examples_present():
     # quickstart the README references.
     assert {"quickstart", "microburst_monitor", "rcp_fairness",
             "ndb_debugger"} <= names
+
+
+def test_package_quickstart_runs(capsys):
+    """The quickstart block of the package docstring runs as written."""
+    import repro
+
+    block = repro.__doc__.split("Quickstart::\n", 1)[1]
+    source = "\n".join(line[4:] for line in block.splitlines())
+    exec(compile(source, "repro.__doc__", "exec"), {})
+    assert capsys.readouterr().out == "[[0], [0], [0]]\n"
